@@ -6,7 +6,7 @@ Commands
     Generate a synthetic workload and run it through the scheduler,
     printing the metrics summary (optionally the full event trace).
 ``compare``
-    Run the same workload under all three rollback strategies and print a
+    Run the same workload under every rollback strategy and print a
     side-by-side table.
 ``figures``
     Reproduce the paper's Figures 1–5 and print the measured artefacts

@@ -1,8 +1,8 @@
 """The paper's contribution: partial-rollback deadlock removal for 2PL.
 
-Public surface: transaction programs and operations, the three rollback
-strategies (total restart, MCS, single-copy/SDG), victim policies, deadlock
-detection, and the scheduler tying them together.
+Public surface: programs and operations, the five rollback strategies
+(§4's total restart, MCS and single-copy/SDG; its undo-log sketch; §5's
+k-copy), victim policies, deadlock detection, and the scheduler.
 """
 
 from . import operations as ops

@@ -10,7 +10,7 @@ fragment: writes of the form ``x <- x + c``, ``x <- x - c``, and
 ``x <- c + x`` are statically invertible — the old value can be recomputed
 from the new one without storing a before-image.
 
-:func:`invert_write` returns the inverse as a plain callable
+:func:`invert_expression` returns the inverse as a plain callable
 (new value -> old value), or ``None`` when the write is not invertible
 (constant stores, multiplications by zero-able values, opaque callables),
 in which case the caller must fall back to a before-image.
@@ -83,14 +83,3 @@ def invert_expression(
                 return lambda new: new + constant
     return None
 
-
-def invert_write(op: object, for_local: bool = False) -> Inverse | None:
-    """Inverse for a :class:`~repro.core.operations.Write` or
-    :class:`~repro.core.operations.Assign` operation, or ``None``."""
-    from .operations import Assign, Write
-
-    if isinstance(op, Write):
-        return invert_expression(op.expr, entity_name=op.entity_name)
-    if isinstance(op, Assign):
-        return invert_expression(op.expr, var_name=op.var_name)
-    return None

@@ -30,16 +30,11 @@ MCS, at MCS-like storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Callable
 
-from ..errors import LockError, RollbackError
-from ..locking.modes import LockMode
 from ..storage.multicopy import MultiCopy
-from .rollback import RollbackStrategy
+from .rollback import Cell, RollbackStrategy, TxnStore, Value
 from .transaction import Transaction
-
-Value = Any
 
 #: Decides whether to retain.  Receives the kill-interval width (in lock
 #: states), the variable name, and the destructive write's lock index
@@ -62,107 +57,59 @@ def threshold_allocator(min_width: int) -> Allocator:
     return allocate
 
 
-@dataclass
-class _KCopyState:
-    entities: dict[str, MultiCopy] = field(default_factory=dict)
-    shared_values: dict[str, Value] = field(default_factory=dict)
-    locals: dict[str, MultiCopy] = field(default_factory=dict)
-    budget_used: int = 0
-    monitoring: bool = True
+class _KCopyStore(TxnStore):
+    """The shared store, whose cells are :class:`MultiCopy`."""
+
+    @property
+    def budget_used(self) -> int:
+        """Retained copies currently held.  Derived, so dropping a cell
+        (unlock, rollback) hands its budget back with no bookkeeping."""
+        return sum(len(copy.retained) for copy in self.cells())
 
 
 class KCopyStrategy(RollbackStrategy):
     """Partial rollback with a bounded extra-copy budget per transaction."""
 
     name = "k-copy"
+    store_type = _KCopyStore
 
     def __init__(
         self,
         extra_copies: int | None = 1,
         allocator: Allocator | None = None,
     ) -> None:
+        super().__init__()
         if extra_copies is not None and extra_copies < 0:
             raise ValueError("extra_copies must be >= 0 or None")
         self.extra_copies = extra_copies
         self.allocator = allocator or eager_allocator
-        self._states: dict[str, _KCopyState] = {}
 
-    def _state(self, txn: Transaction) -> _KCopyState:
-        return self._states[txn.txn_id]
+    def _state(self, txn: Transaction) -> _KCopyStore:
+        state = super()._state(txn)
+        assert isinstance(state, _KCopyStore)
+        return state
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- cells: one MultiCopy per variable -----------------------------------
 
-    def begin(self, txn: Transaction) -> None:
-        state = _KCopyState()
-        for var, value in txn.program.initial_locals.items():
-            state.locals[var] = MultiCopy(var, base_value=value)
-        self._states[txn.txn_id] = state
+    def _new_cell(self, name: str, value: Value, lock_index: int) -> MultiCopy:
+        return MultiCopy(name, base_value=value, lock_index=lock_index)
 
-    def on_finish(self, txn: Transaction) -> None:
-        self._states.pop(txn.txn_id, None)
+    def _value(self, cell: MultiCopy) -> Value:
+        return cell.value
 
-    # -- notifications -------------------------------------------------------
-
-    def on_lock_granted(
+    def _assign(
         self,
         txn: Transaction,
-        entity: str,
-        mode: LockMode,
-        global_value: Value,
-        ordinal: int,
+        state: TxnStore,
+        cells: dict[str, Cell],
+        name: str,
+        value: Value,
     ) -> None:
-        state = self._state(txn)
-        if mode.is_exclusive:
-            state.entities[entity] = MultiCopy(
-                entity, base_value=global_value, lock_index=ordinal
-            )
-        else:
-            state.shared_values[entity] = global_value
-
-    def on_unlock(self, txn: Transaction, entity: str) -> None:
-        state = self._state(txn)
-        copy = state.entities.pop(entity, None)
-        if copy is not None:
-            state.budget_used -= len(copy.retained)
-        state.shared_values.pop(entity, None)
-
-    def on_declare_last_lock(self, txn: Transaction) -> None:
-        self._state(txn).monitoring = False
-
-    # -- data access --------------------------------------------------------
-
-    def read_entity(self, txn: Transaction, entity: str) -> Value:
-        state = self._state(txn)
-        if entity in state.entities:
-            return state.entities[entity].value
-        if entity in state.shared_values:
-            return state.shared_values[entity]
-        raise LockError(f"{txn.txn_id} holds no copy of {entity!r}")
-
-    def write_entity(self, txn: Transaction, entity: str, value: Value) -> None:
-        state = self._state(txn)
-        if entity not in state.entities:
-            raise LockError(
-                f"{txn.txn_id} has no exclusive-lock copy of {entity!r}"
-            )
-        self._write(state, state.entities[entity], value, txn.lock_count)
-
-    def read_local(self, txn: Transaction, var: str) -> Value:
-        state = self._state(txn)
-        if var not in state.locals:
-            raise KeyError(f"{txn.txn_id} has no local variable {var!r}")
-        return state.locals[var].value
-
-    def write_local(self, txn: Transaction, var: str, value: Value) -> None:
-        state = self._state(txn)
-        if var not in state.locals:
-            state.locals[var] = MultiCopy(var, base_value=value)
-            return
-        self._write(state, state.locals[var], value, txn.lock_count)
+        self._write(self._state(txn), cells[name], value, txn.lock_count)
 
     def _write(
         self,
-        state: _KCopyState,
+        state: _KCopyStore,
         copy: MultiCopy,
         value: Value,
         lock_index: int,
@@ -170,36 +117,34 @@ class KCopyStrategy(RollbackStrategy):
         if not state.monitoring:
             copy.value = value  # updates only; no history once declared
             return
-        retain = False
-        destroys = (
-            copy.last_write_index is not None
-            and lock_index > copy.last_write_index
+        # A re-write at a later lock index destroys the restorability of
+        # the lock states in between; ask the allocator whether to spend
+        # one budget unit keeping the destroyed value.
+        last = copy.last_write_index
+        retain = (
+            last is not None
+            and lock_index > last
+            and self._budget_remaining(state)
+            and self.allocator(lock_index - last, copy.name, lock_index)
         )
-        if destroys and self._budget_remaining(state):
-            width = lock_index - copy.last_write_index
-            retain = self.allocator(width, copy.name, lock_index)
-        if copy.write(value, lock_index, retain=retain):
-            state.budget_used += 1
+        copy.write(value, lock_index, retain=retain)
 
-    def _budget_remaining(self, state: _KCopyState) -> bool:
-        if self.extra_copies is None:
-            return True
-        return state.budget_used < self.extra_copies
+    def _budget_remaining(self, state: _KCopyStore) -> bool:
+        return (
+            self.extra_copies is None
+            or state.budget_used < self.extra_copies
+        )
 
-    def final_value(self, txn: Transaction, entity: str) -> Value:
-        return self._state(txn).entities[entity].value
+    def _copies(self, cells: dict[str, Cell]) -> int:
+        """One per variable plus the retained extras."""
+        return sum(copy.copies_stored for copy in cells.values())
 
     # -- rollback ----------------------------------------------------------
 
-    def _all_copies(self, state: _KCopyState) -> Iterator[MultiCopy]:
-        yield from state.entities.values()
-        yield from state.locals.values()
-
     def well_defined(self, txn: Transaction, ordinal: int) -> bool:
         """Is lock state *ordinal* restorable given the retained copies?"""
-        state = self._state(txn)
         return all(
-            copy.restorable_at(ordinal) for copy in self._all_copies(state)
+            copy.restorable_at(ordinal) for copy in self._state(txn).cells()
         )
 
     def well_defined_states(self, txn: Transaction) -> list[int]:
@@ -215,49 +160,7 @@ class KCopyStrategy(RollbackStrategy):
                 return q
         raise AssertionError("lock state 0 must be restorable")
 
-    def rollback(self, txn: Transaction, ordinal: int) -> None:
-        self._check_fault(txn, ordinal)
-        state = self._state(txn)
-        if not state.monitoring:
-            raise RollbackError(
-                f"{txn.txn_id} declared its last lock request; it cannot "
-                f"deadlock and must not be rolled back"
-            )
-        if not self.well_defined(txn, ordinal):
-            raise RollbackError(
-                f"lock state {ordinal} of {txn.txn_id} is not restorable; "
-                f"reachable states are {self.well_defined_states(txn)}"
-            )
-        undone = {record.entity for record in txn.records_from(ordinal)}
-        for entity in undone:
-            dropped = state.entities.pop(entity, None)
-            if dropped is not None:
-                state.budget_used -= len(dropped.retained)
-            state.shared_values.pop(entity, None)
-        if ordinal == 0:
-            for var in list(state.locals):
-                if var in txn.program.initial_locals:
-                    state.locals[var] = MultiCopy(
-                        var, base_value=txn.program.initial_locals[var]
-                    )
-                else:
-                    del state.locals[var]
-            state.budget_used = sum(
-                len(copy.retained) for copy in self._all_copies(state)
-            )
-            return
-        for copy in self._all_copies(state):
+    def _restore(self, txn: Transaction, state: TxnStore, ordinal: int) -> None:
+        copy: MultiCopy
+        for copy in state.cells():
             copy.rollback_to(ordinal)
-        state.budget_used = sum(
-            len(copy.retained) for copy in self._all_copies(state)
-        )
-
-    # -- accounting -----------------------------------------------------------
-
-    def copies_count(self, txn: Transaction) -> int:
-        """Stored values: one per variable plus the retained extras."""
-        state = self._state(txn)
-        return (
-            sum(copy.copies_stored for copy in self._all_copies(state))
-            + len(state.shared_values)
-        )

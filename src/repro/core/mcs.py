@@ -19,26 +19,9 @@ reads are served from the global value captured at grant time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
-from ..errors import LockError, RollbackError
-from ..locking.modes import LockMode
 from ..storage.copies import ValueStack
-from .rollback import RollbackStrategy
+from .rollback import Cell, RollbackStrategy, TxnStore, Value
 from .transaction import Transaction
-
-Value = Any
-
-
-@dataclass
-class _McsState:
-    """Per-transaction MCS storage."""
-
-    entity_stacks: dict[str, ValueStack] = field(default_factory=dict)
-    shared_values: dict[str, Value] = field(default_factory=dict)
-    local_stacks: dict[str, ValueStack] = field(default_factory=dict)
-    monitoring: bool = True
 
 
 class MultiLockCopyStrategy(RollbackStrategy):
@@ -46,98 +29,31 @@ class MultiLockCopyStrategy(RollbackStrategy):
 
     name = "mcs"
 
-    def __init__(self) -> None:
-        self._states: dict[str, _McsState] = {}
+    # -- cells: one ValueStack per variable ----------------------------------
 
-    def _state(self, txn: Transaction) -> _McsState:
-        return self._states[txn.txn_id]
+    def _new_cell(self, name: str, value: Value, lock_index: int) -> ValueStack:
+        return ValueStack(name, lock_index, value)
 
-    # -- lifecycle ---------------------------------------------------------
+    def _value(self, cell: ValueStack) -> Value:
+        return cell.current_value
 
-    def begin(self, txn: Transaction) -> None:
-        state = _McsState()
-        for var, value in txn.program.initial_locals.items():
-            state.local_stacks[var] = ValueStack(var, 0, value)
-        self._states[txn.txn_id] = state
-
-    def on_finish(self, txn: Transaction) -> None:
-        self._states.pop(txn.txn_id, None)
-
-    # -- notifications -------------------------------------------------------
-
-    def on_lock_granted(
+    def _assign(
         self,
         txn: Transaction,
-        entity: str,
-        mode: LockMode,
-        global_value: Value,
-        ordinal: int,
+        state: TxnStore,
+        cells: dict[str, Cell],
+        name: str,
+        value: Value,
     ) -> None:
-        state = self._state(txn)
-        if mode.is_exclusive:
-            state.entity_stacks[entity] = ValueStack(
-                entity, ordinal, global_value
-            )
-        else:
-            state.shared_values[entity] = global_value
+        stack: ValueStack = cells[name]
+        # Once the last lock request is declared the transaction can never
+        # be rolled back, so stop accumulating history: overwrite the top.
+        stack.write(
+            value, txn.lock_count if state.monitoring else stack.top_index
+        )
 
-    def on_unlock(self, txn: Transaction, entity: str) -> None:
-        state = self._state(txn)
-        state.entity_stacks.pop(entity, None)
-        state.shared_values.pop(entity, None)
-
-    def on_declare_last_lock(self, txn: Transaction) -> None:
-        # The transaction can never be rolled back from here on, so stop
-        # accumulating history: subsequent writes overwrite stack tops.
-        self._state(txn).monitoring = False
-
-    # -- data access --------------------------------------------------------
-
-    def read_entity(self, txn: Transaction, entity: str) -> Value:
-        state = self._state(txn)
-        if entity in state.entity_stacks:
-            return state.entity_stacks[entity].current_value
-        if entity in state.shared_values:
-            return state.shared_values[entity]
-        raise LockError(f"{txn.txn_id} holds no copy of {entity!r}")
-
-    def write_entity(self, txn: Transaction, entity: str, value: Value) -> None:
-        state = self._state(txn)
-        if entity not in state.entity_stacks:
-            raise LockError(
-                f"{txn.txn_id} has no exclusive-lock stack for {entity!r}"
-            )
-        self._write(state, state.entity_stacks[entity], value, txn.lock_count)
-
-    def read_local(self, txn: Transaction, var: str) -> Value:
-        state = self._state(txn)
-        if var not in state.local_stacks:
-            raise KeyError(f"{txn.txn_id} has no local variable {var!r}")
-        return state.local_stacks[var].current_value
-
-    def write_local(self, txn: Transaction, var: str, value: Value) -> None:
-        state = self._state(txn)
-        if var not in state.local_stacks:
-            # First assignment of an undeclared local: the stack is created
-            # with stack index 0 like any local, seeded with this value.
-            state.local_stacks[var] = ValueStack(var, 0, value)
-            return
-        self._write(state, state.local_stacks[var], value, txn.lock_count)
-
-    @staticmethod
-    def _write_unmonitored(stack: ValueStack, value: Value) -> None:
-        stack.write(value, stack.top_index)
-
-    def _write(
-        self, state: _McsState, stack: ValueStack, value: Value, lock_index: int
-    ) -> None:
-        if state.monitoring:
-            stack.write(value, lock_index)
-        else:
-            self._write_unmonitored(stack, value)
-
-    def final_value(self, txn: Transaction, entity: str) -> Value:
-        return self._state(txn).entity_stacks[entity].current_value
+    def _copies(self, cells: dict[str, Cell]) -> int:
+        return sum(map(len, cells.values()))
 
     # -- rollback ----------------------------------------------------------
 
@@ -145,57 +61,19 @@ class MultiLockCopyStrategy(RollbackStrategy):
         """Every lock state is reachable under MCS."""
         return ideal_ordinal
 
-    def rollback(self, txn: Transaction, ordinal: int) -> None:
-        self._check_fault(txn, ordinal)
-        state = self._state(txn)
-        if not state.monitoring:
-            raise RollbackError(
-                f"{txn.txn_id} declared its last lock request; it cannot "
-                f"deadlock and must not be rolled back"
-            )
-        undone = {record.entity for record in txn.records_from(ordinal)}
-        for entity in undone:
-            state.entity_stacks.pop(entity, None)
-            state.shared_values.pop(entity, None)
-        if ordinal == 0:
-            # Total rewind: recreate local stacks from their initial values.
-            for var, stack in list(state.local_stacks.items()):
-                if var in txn.program.initial_locals:
-                    state.local_stacks[var] = ValueStack(
-                        var, 0, txn.program.initial_locals[var]
-                    )
-                else:
-                    del state.local_stacks[var]
-            if state.entity_stacks or state.shared_values:
-                raise RollbackError(
-                    f"{txn.txn_id} still holds copies after total rollback"
-                )
-            return
-        for stack in state.entity_stacks.values():
-            stack.pop_to(ordinal)
-        for stack in state.local_stacks.values():
+    def _restore(self, txn: Transaction, state: TxnStore, ordinal: int) -> None:
+        stack: ValueStack
+        for stack in state.cells():
             stack.pop_to(ordinal)
 
     # -- accounting -----------------------------------------------------------
 
-    def copies_count(self, txn: Transaction) -> int:
-        """Total stored stack elements (global entities + locals + shared
-        snapshots), the quantity Theorem 3 bounds."""
-        state = self._state(txn)
-        return (
-            sum(len(stack) for stack in state.entity_stacks.values())
-            + sum(len(stack) for stack in state.local_stacks.values())
-            + len(state.shared_values)
-        )
-
     def entity_copies_count(self, txn: Transaction) -> int:
         """Stored copies of exclusive-locked global entities only — the
         ``n(n+1)/2`` side of Theorem 3."""
-        state = self._state(txn)
-        return sum(len(stack) for stack in state.entity_stacks.values())
+        return self._copies(self._state(txn).entities)
 
     def local_copies_count(self, txn: Transaction) -> int:
         """Stored copies of local variables — the ``n·|L|`` side of
         Theorem 3 (the initial seed element included)."""
-        state = self._state(txn)
-        return sum(len(stack) for stack in state.local_stacks.values())
+        return self._copies(self._state(txn).locals)

@@ -16,73 +16,42 @@ operations to both local variables and global entities" — is embodied in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from ..errors import LockError, RollbackError
+from ..errors import RollbackError
 from ..graphs.state_dependency import StateDependencyGraph
-from ..locking.modes import LockMode
 from ..storage.copies import SingleCopy
-from .rollback import RollbackStrategy
+from .rollback import Cell, RollbackStrategy, TxnStore, Value
 from .transaction import Transaction
-
-Value = Any
-
-
-def _entity_key(name: str) -> str:
-    return f"e:{name}"
-
-
-def _local_key(name: str) -> str:
-    return f"l:{name}"
 
 
 @dataclass
-class _SdgState:
-    """Per-transaction storage for the single-copy strategy."""
+class _SdgStore(TxnStore):
+    """The shared store plus the transaction's state-dependency graph."""
 
-    entities: dict[str, SingleCopy] = field(default_factory=dict)
-    shared_values: dict[str, Value] = field(default_factory=dict)
-    locals: dict[str, SingleCopy] = field(default_factory=dict)
     sdg: StateDependencyGraph = field(default_factory=StateDependencyGraph)
-    monitoring: bool = True
 
 
 class SingleCopyStrategy(RollbackStrategy):
     """Partial rollback to well-defined lock states with Θ(n) copies."""
 
     name = "single-copy"
-
-    def __init__(self) -> None:
-        self._states: dict[str, _SdgState] = {}
-
-    def _state(self, txn: Transaction) -> _SdgState:
-        return self._states[txn.txn_id]
+    store_type = _SdgStore
 
     def graph_of(self, txn: Transaction) -> StateDependencyGraph:
         """The transaction's live state-dependency graph (read-only use)."""
-        return self._state(txn).sdg
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def begin(self, txn: Transaction) -> None:
-        state = _SdgState()
-        for var, value in txn.program.initial_locals.items():
-            state.locals[var] = SingleCopy(var, base_value=value)
-        self._states[txn.txn_id] = state
-
-    def on_finish(self, txn: Transaction) -> None:
-        self._states.pop(txn.txn_id, None)
+        state = self._state(txn)
+        assert isinstance(state, _SdgStore)
+        return state.sdg
 
     # -- notifications -------------------------------------------------------
 
     def on_lock_request(self, txn: Transaction) -> None:
-        state = self._state(txn)
-        if not state.monitoring:
+        if not self._state(txn).monitoring:
             raise RollbackError(
                 f"{txn.txn_id} issued a lock request after declaring its "
                 f"last one"
             )
-        lock_index = state.sdg.add_lock_state()
+        lock_index = self.graph_of(txn).add_lock_state()
         # The runtime has already recorded this request; the SDG's count and
         # the transaction's lock count must advance in lockstep.
         if lock_index != txn.lock_count:
@@ -91,67 +60,26 @@ class SingleCopyStrategy(RollbackStrategy):
                 f"lock count {txn.lock_count} for {txn.txn_id}"
             )
 
-    def on_lock_granted(
+    # -- cells: one SingleCopy per variable ----------------------------------
+
+    def _new_cell(self, name: str, value: Value, lock_index: int) -> SingleCopy:
+        return SingleCopy(name, base_value=value, lock_index=lock_index)
+
+    def _value(self, cell: SingleCopy) -> Value:
+        return cell.value
+
+    def _assign(
         self,
         txn: Transaction,
-        entity: str,
-        mode: LockMode,
-        global_value: Value,
-        ordinal: int,
+        state: TxnStore,
+        cells: dict[str, Cell],
+        name: str,
+        value: Value,
     ) -> None:
-        state = self._state(txn)
-        if mode.is_exclusive:
-            state.entities[entity] = SingleCopy(
-                entity, base_value=global_value, lock_index=ordinal
-            )
-        else:
-            state.shared_values[entity] = global_value
-
-    def on_unlock(self, txn: Transaction, entity: str) -> None:
-        state = self._state(txn)
-        state.entities.pop(entity, None)
-        state.shared_values.pop(entity, None)
-
-    def on_declare_last_lock(self, txn: Transaction) -> None:
-        self._state(txn).monitoring = False
-
-    # -- data access --------------------------------------------------------
-
-    def read_entity(self, txn: Transaction, entity: str) -> Value:
-        state = self._state(txn)
-        if entity in state.entities:
-            return state.entities[entity].value
-        if entity in state.shared_values:
-            return state.shared_values[entity]
-        raise LockError(f"{txn.txn_id} holds no copy of {entity!r}")
-
-    def write_entity(self, txn: Transaction, entity: str, value: Value) -> None:
-        state = self._state(txn)
-        if entity not in state.entities:
-            raise LockError(
-                f"{txn.txn_id} has no exclusive-lock copy of {entity!r}"
-            )
-        state.entities[entity].write(value, txn.lock_count)
+        cells[name].write(value, txn.lock_count)
         if state.monitoring:
-            state.sdg.record_write(_entity_key(entity))
-
-    def read_local(self, txn: Transaction, var: str) -> Value:
-        state = self._state(txn)
-        if var not in state.locals:
-            raise KeyError(f"{txn.txn_id} has no local variable {var!r}")
-        return state.locals[var].value
-
-    def write_local(self, txn: Transaction, var: str, value: Value) -> None:
-        state = self._state(txn)
-        if var not in state.locals:
-            state.locals[var] = SingleCopy(var, base_value=value)
-            return
-        state.locals[var].write(value, txn.lock_count)
-        if state.monitoring:
-            state.sdg.record_write(_local_key(var))
-
-    def final_value(self, txn: Transaction, entity: str) -> Value:
-        return self._state(txn).entities[entity].value
+            kind = "e" if cells is state.entities else "l"
+            self.graph_of(txn).record_write(f"{kind}:{name}")
 
     # -- rollback ----------------------------------------------------------
 
@@ -162,52 +90,16 @@ class SingleCopyStrategy(RollbackStrategy):
         lock state of largest index less than that of the lock state for E,
         and roll the transaction back to that state."
         """
-        return self._state(txn).sdg.latest_well_defined_at_or_below(
+        return self.graph_of(txn).latest_well_defined_at_or_below(
             ideal_ordinal
         )
 
-    def rollback(self, txn: Transaction, ordinal: int) -> None:
-        self._check_fault(txn, ordinal)
-        state = self._state(txn)
-        if not state.monitoring:
-            raise RollbackError(
-                f"{txn.txn_id} declared its last lock request; it cannot "
-                f"deadlock and must not be rolled back"
-            )
-        if not state.sdg.well_defined(ordinal):
-            raise RollbackError(
-                f"lock state {ordinal} of {txn.txn_id} is not well-defined; "
-                f"well-defined states are {state.sdg.well_defined_states()}"
-            )
-        undone = {record.entity for record in txn.records_from(ordinal)}
-        for entity in undone:
-            state.entities.pop(entity, None)
-            state.shared_values.pop(entity, None)
-        for copy in state.entities.values():
+    def _restore(self, txn: Transaction, state: TxnStore, ordinal: int) -> None:
+        copy: SingleCopy
+        for copy in state.cells():
             copy.rollback_to(ordinal)
-        if ordinal == 0:
-            for var in list(state.locals):
-                if var in txn.program.initial_locals:
-                    state.locals[var] = SingleCopy(
-                        var, base_value=txn.program.initial_locals[var]
-                    )
-                else:
-                    del state.locals[var]
-        else:
-            for copy in state.locals.values():
-                copy.rollback_to(ordinal)
-        state.sdg.truncate_to(ordinal)
-
-    # -- accounting -----------------------------------------------------------
-
-    def copies_count(self, txn: Transaction) -> int:
-        """One copy per exclusive entity, per local, per shared snapshot —
-        linear in locks held, matching total restart's bill."""
-        state = self._state(txn)
-        return (
-            len(state.entities) + len(state.locals) + len(state.shared_values)
-        )
+        self.graph_of(txn).truncate_to(ordinal)
 
     def well_defined_states(self, txn: Transaction) -> list[int]:
         """Currently reachable rollback targets (ascending lock indices)."""
-        return self._state(txn).sdg.well_defined_states()
+        return self.graph_of(txn).well_defined_states()

@@ -10,121 +10,35 @@ losing all progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
-from ..errors import LockError, RollbackError
-from ..locking.modes import LockMode
+from ..errors import RollbackError
 from .rollback import RollbackStrategy
 from .transaction import Transaction
 
-Value = Any
-
-
-@dataclass
-class _TotalState:
-    """Per-transaction storage: one copy per entity, plain locals."""
-
-    entity_copies: dict[str, Value] = field(default_factory=dict)
-    shared_values: dict[str, Value] = field(default_factory=dict)
-    locals: dict[str, Value] = field(default_factory=dict)
-
 
 class TotalRestartStrategy(RollbackStrategy):
-    """Deadlock removal by total removal and restart."""
+    """Deadlock removal by total removal and restart.
+
+    Uses the base class's bare-value cells as they are: one copy per held
+    entity plus one per local, so :meth:`copies_count` is linear.
+    """
 
     name = "total"
-
-    def __init__(self) -> None:
-        self._states: dict[str, _TotalState] = {}
-
-    def _state(self, txn: Transaction) -> _TotalState:
-        return self._states[txn.txn_id]
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def begin(self, txn: Transaction) -> None:
-        self._states[txn.txn_id] = _TotalState(
-            locals=dict(txn.program.initial_locals)
-        )
-
-    def on_finish(self, txn: Transaction) -> None:
-        self._states.pop(txn.txn_id, None)
-
-    # -- notifications -------------------------------------------------------
-
-    def on_lock_granted(
-        self,
-        txn: Transaction,
-        entity: str,
-        mode: LockMode,
-        global_value: Value,
-        ordinal: int,
-    ) -> None:
-        state = self._state(txn)
-        if mode.is_exclusive:
-            state.entity_copies[entity] = global_value
-        else:
-            state.shared_values[entity] = global_value
-
-    def on_unlock(self, txn: Transaction, entity: str) -> None:
-        state = self._state(txn)
-        state.entity_copies.pop(entity, None)
-        state.shared_values.pop(entity, None)
-
-    # -- data access --------------------------------------------------------
-
-    def read_entity(self, txn: Transaction, entity: str) -> Value:
-        state = self._state(txn)
-        if entity in state.entity_copies:
-            return state.entity_copies[entity]
-        if entity in state.shared_values:
-            return state.shared_values[entity]
-        raise LockError(f"{txn.txn_id} holds no copy of {entity!r}")
-
-    def write_entity(self, txn: Transaction, entity: str, value: Value) -> None:
-        state = self._state(txn)
-        if entity not in state.entity_copies:
-            raise LockError(
-                f"{txn.txn_id} has no exclusive-lock copy of {entity!r}"
-            )
-        state.entity_copies[entity] = value
-
-    def read_local(self, txn: Transaction, var: str) -> Value:
-        state = self._state(txn)
-        if var not in state.locals:
-            raise KeyError(f"{txn.txn_id} has no local variable {var!r}")
-        return state.locals[var]
-
-    def write_local(self, txn: Transaction, var: str, value: Value) -> None:
-        self._state(txn).locals[var] = value
-
-    def final_value(self, txn: Transaction, entity: str) -> Value:
-        return self._state(txn).entity_copies[entity]
-
-    # -- rollback ----------------------------------------------------------
 
     def choose_target(self, txn: Transaction, ideal_ordinal: int) -> int:
         """Only the initial state is ever reachable."""
         return 0
 
     def rollback(self, txn: Transaction, ordinal: int) -> None:
+        """Discard everything and start over.
+
+        Deliberately not the base class's skeleton: this is what a
+        :class:`~repro.errors.StorageFault` degrades *to*, so it consults
+        no fault hook, and a restart needs no history, so it stays legal
+        after the transaction's last-lock declaration (§5).
+        """
         if ordinal != 0:
             raise RollbackError(
                 f"total restart can only roll {txn.txn_id} back to lock "
                 f"state 0, not {ordinal}"
             )
-        self._states[txn.txn_id] = _TotalState(
-            locals=dict(txn.program.initial_locals)
-        )
-
-    # -- accounting -----------------------------------------------------------
-
-    def copies_count(self, txn: Transaction) -> int:
-        """Linear: one copy per held entity plus one per local."""
-        state = self._state(txn)
-        return (
-            len(state.entity_copies)
-            + len(state.shared_values)
-            + len(state.locals)
-        )
+        self.begin(txn)

@@ -24,18 +24,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, TypeVar
+from typing import Any
 
-from ..errors import LockError, RollbackError
-from ..locking.modes import LockMode
 from .inverse import invert_expression
-from .operations import Assign, Operation, Read, Write
-from .rollback import RollbackStrategy
+from .operations import Assign, Write
+from .rollback import Cell, RollbackStrategy, TxnStore, Value
 from .transaction import Transaction
-
-Value = Any
-
-_OpT = TypeVar("_OpT", bound=Operation)
 
 
 class _Kind(enum.Enum):
@@ -56,12 +50,10 @@ class UndoRecord:
 
 
 @dataclass
-class _UndoState:
-    entities: dict[str, Value] = field(default_factory=dict)
-    shared_values: dict[str, Value] = field(default_factory=dict)
-    locals: dict[str, Value] = field(default_factory=dict)
+class _UndoStore(TxnStore):
+    """The shared store (bare-value cells) plus the undo log."""
+
     log: list[UndoRecord] = field(default_factory=list)
-    monitoring: bool = True
     images_logged: int = 0
     inverses_logged: int = 0
 
@@ -70,139 +62,62 @@ class UndoLogStrategy(RollbackStrategy):
     """Rollback to any lock state by applying logged undo actions."""
 
     name = "undo-log"
+    store_type = _UndoStore
 
-    def __init__(self) -> None:
-        self._states: dict[str, _UndoState] = {}
+    def _state(self, txn: Transaction) -> _UndoStore:
+        state = super()._state(txn)
+        assert isinstance(state, _UndoStore)
+        return state
 
-    def _state(self, txn: Transaction) -> _UndoState:
-        return self._states[txn.txn_id]
+    # -- logging writes ------------------------------------------------------
 
-    # -- lifecycle ---------------------------------------------------------
+    def write_local(self, txn: Transaction, var: str, value: Value) -> None:
+        state = self._state(txn)
+        if state.monitoring and var not in state.locals:
+            state.log.append(
+                UndoRecord(txn.lock_count, False, var, _Kind.CREATE)
+            )
+        super().write_local(txn, var, value)
 
-    def begin(self, txn: Transaction) -> None:
-        self._states[txn.txn_id] = _UndoState(
-            locals=dict(txn.program.initial_locals)
-        )
-
-    def on_finish(self, txn: Transaction) -> None:
-        self._states.pop(txn.txn_id, None)
-
-    # -- notifications -------------------------------------------------------
-
-    def on_lock_granted(
+    def _assign(
         self,
         txn: Transaction,
-        entity: str,
-        mode: LockMode,
-        global_value: Value,
-        ordinal: int,
+        state: TxnStore,
+        cells: dict[str, Cell],
+        name: str,
+        value: Value,
     ) -> None:
-        state = self._state(txn)
-        if mode.is_exclusive:
-            state.entities[entity] = global_value
-        else:
-            state.shared_values[entity] = global_value
+        if state.monitoring:
+            self._log(txn, cells is state.entities, name, cells[name])
+        cells[name] = value
 
-    def on_unlock(self, txn: Transaction, entity: str) -> None:
-        state = self._state(txn)
-        state.entities.pop(entity, None)
-        state.shared_values.pop(entity, None)
-        # Records for an unlocked entity can never be replayed (rollback
-        # only happens before the first unlock), so the log keeps them
-        # only until the transaction finishes; pruning here would break
-        # nothing but is unnecessary bookkeeping.
-
-    def on_declare_last_lock(self, txn: Transaction) -> None:
-        self._state(txn).monitoring = False
-
-    # -- data access --------------------------------------------------------
-
-    def read_entity(self, txn: Transaction, entity: str) -> Value:
-        state = self._state(txn)
-        if entity in state.entities:
-            return state.entities[entity]
-        if entity in state.shared_values:
-            return state.shared_values[entity]
-        raise LockError(f"{txn.txn_id} holds no copy of {entity!r}")
-
-    def _current_expression(
-        self,
-        txn: Transaction,
-        expect: type[_OpT] | tuple[type[_OpT], ...],
-    ) -> _OpT | None:
-        """The expression of the operation being executed, if it matches.
+    def _log(
+        self, txn: Transaction, is_entity: bool, name: str, old_value: Value
+    ) -> None:
+        """Append the undo record for the write being executed.
 
         The scheduler calls the strategy while the program counter still
         addresses the running operation, so the write's expression — the
         semantic knowledge inversion needs — is recoverable without any
-        API change.  Anything unexpected falls back to before-images.
+        API change.  Anything unexpected falls back to a before-image.
         """
         op = txn.current_operation()
-        if isinstance(op, expect):
-            return op
-        return None
-
-    def write_entity(self, txn: Transaction, entity: str, value: Value) -> None:
+        inverse = None
+        if is_entity:
+            if isinstance(op, Write) and op.entity_name == name:
+                inverse = invert_expression(op.expr, entity_name=name)
+        elif isinstance(op, Assign) and op.var_name == name:
+            inverse = invert_expression(op.expr, var_name=name)
         state = self._state(txn)
-        if entity not in state.entities:
-            raise LockError(
-                f"{txn.txn_id} has no exclusive-lock copy of {entity!r}"
-            )
-        if state.monitoring:
-            inverse = None
-            op = self._current_expression(txn, Write)
-            if op is not None and op.entity_name == entity:
-                inverse = invert_expression(op.expr, entity_name=entity)
-            self._log(state, txn.lock_count, True, entity, inverse,
-                      state.entities[entity])
-        state.entities[entity] = value
-
-    def read_local(self, txn: Transaction, var: str) -> Value:
-        state = self._state(txn)
-        if var not in state.locals:
-            raise KeyError(f"{txn.txn_id} has no local variable {var!r}")
-        return state.locals[var]
-
-    def write_local(self, txn: Transaction, var: str, value: Value) -> None:
-        state = self._state(txn)
-        if var not in state.locals:
-            if state.monitoring:
-                state.log.append(UndoRecord(
-                    txn.lock_count, False, var, _Kind.CREATE
-                ))
-            state.locals[var] = value
-            return
-        if state.monitoring:
-            inverse = None
-            op = self._current_expression(txn, (Assign, Read))
-            if isinstance(op, Assign) and op.var_name == var:
-                inverse = invert_expression(op.expr, var_name=var)
-            self._log(state, txn.lock_count, False, var, inverse,
-                      state.locals[var])
-        state.locals[var] = value
-
-    def _log(
-        self,
-        state: _UndoState,
-        lock_index: int,
-        is_entity: bool,
-        name: str,
-        inverse: Callable[[Value], Value] | None,
-        old_value: Value,
-    ) -> None:
         if inverse is not None:
-            state.log.append(UndoRecord(
-                lock_index, is_entity, name, _Kind.INVERSE, inverse
-            ))
+            kind, payload = _Kind.INVERSE, inverse
             state.inverses_logged += 1
         else:
-            state.log.append(UndoRecord(
-                lock_index, is_entity, name, _Kind.IMAGE, old_value
-            ))
+            kind, payload = _Kind.IMAGE, old_value
             state.images_logged += 1
-
-    def final_value(self, txn: Transaction, entity: str) -> Value:
-        return self._state(txn).entities[entity]
+        state.log.append(
+            UndoRecord(txn.lock_count, is_entity, name, kind, payload)
+        )
 
     # -- rollback ----------------------------------------------------------
 
@@ -210,44 +125,32 @@ class UndoLogStrategy(RollbackStrategy):
         """Every lock state is reachable (the log is complete)."""
         return ideal_ordinal
 
-    def rollback(self, txn: Transaction, ordinal: int) -> None:
-        self._check_fault(txn, ordinal)
-        state = self._state(txn)
-        if not state.monitoring:
-            raise RollbackError(
-                f"{txn.txn_id} declared its last lock request; it cannot "
-                f"deadlock and must not be rolled back"
-            )
-        # Run the suffix backwards: pop and apply records at or past the
-        # target lock state, newest first.
-        while state.log and state.log[-1].lock_index >= ordinal:
-            record = state.log.pop()
-            store = state.entities if record.is_entity else state.locals
+    def _restore(self, txn: Transaction, state: TxnStore, ordinal: int) -> None:
+        """Run the suffix backwards: pop and apply records at or past the
+        target lock state, newest first."""
+        log = self._state(txn).log
+        while log and log[-1].lock_index >= ordinal:
+            record = log.pop()
+            cells = state.entities if record.is_entity else state.locals
+            if record.name not in cells:
+                # The cell went with its undone lock (or with everything,
+                # at lock state 0); there is nothing left to restore, and
+                # applying the record would re-create the entry.
+                continue
             if record.kind is _Kind.CREATE:
-                store.pop(record.name, None)
+                del cells[record.name]
             elif record.kind is _Kind.IMAGE:
-                store[record.name] = record.payload
+                cells[record.name] = record.payload
             else:
-                store[record.name] = record.payload(store[record.name])
-        undone = {r.entity for r in txn.records_from(ordinal)}
-        for entity in undone:
-            state.entities.pop(entity, None)
-            state.shared_values.pop(entity, None)
+                cells[record.name] = record.payload(cells[record.name])
 
     # -- accounting -----------------------------------------------------------
 
     def copies_count(self, txn: Transaction) -> int:
         """Stored *values*: current copies plus before-images; inverse
         records store no value, which is the whole point."""
-        state = self._state(txn)
-        images_live = sum(
-            1 for record in state.log if record.kind is _Kind.IMAGE
-        )
-        return (
-            len(state.entities)
-            + len(state.locals)
-            + len(state.shared_values)
-            + images_live
+        return super().copies_count(txn) + sum(
+            record.kind is _Kind.IMAGE for record in self._state(txn).log
         )
 
     def log_stats(self, txn: Transaction) -> dict[str, int]:

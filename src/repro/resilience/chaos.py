@@ -42,6 +42,7 @@ from ..simulation.workload import (
     generate_workload,
 )
 from ..storage.database import Database
+from ..verification.differential import COPY_STRATEGIES
 from ..verification.harness import is_ordered_policy, policy_name
 from ..verification.oracles import OracleSuite, OracleViolation, make_oracles
 from .faults import CrashSignal, FaultEvent, FaultInjector, FaultKind, FaultPlan
@@ -367,9 +368,7 @@ def chaos_run(
 def crash_recovery_sweep(
     config: WorkloadConfig,
     workload_seed: int,
-    strategies: tuple[str, ...] = (
-        "mcs", "single-copy", "k-copy:2", "undo-log", "total"
-    ),
+    strategies: tuple[str, ...] = COPY_STRATEGIES,
     policy="ordered-min-cost",
     chaos_seed: int = 0,
     checkpoint_every: int = 10,

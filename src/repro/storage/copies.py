@@ -15,8 +15,8 @@ Two families of structures live here.
     variable had at lock state *k*.
 
 :class:`SingleCopy`
-    The one-local-copy-per-entity structure used both by classic total
-    rollback and by the paper's state-dependency-graph strategy.  It records
+    The one-local-copy-per-entity structure of the paper's
+    state-dependency-graph strategy (k-copy extends it).  It records
     the *index of restorability* — the lock index of the last lock state
     preceding the first write — and the lock index of the most recent write,
     which together determine which earlier lock states remain restorable for
@@ -92,10 +92,9 @@ class ValueStack:
     def value_at(self, lock_index: int) -> Value:
         """Value the variable held at the lock state with *lock_index*.
 
-        This is the value of the deepest element whose index is strictly
-        below *lock_index* is superseded by — concretely, the last element
-        with ``index < lock_index`` (a write with lock index *m* happens
-        after lock state *m*, so it is not yet visible at lock state *m*).
+        Concretely, the value of the last element with ``index <
+        lock_index`` (a write with lock index *m* happens after lock state
+        *m*, so it is not yet visible at lock state *m*).
         """
         candidates = [el for el in self._elements if el.index < lock_index]
         if not candidates:
@@ -150,7 +149,7 @@ class ValueStack:
 
 @dataclass
 class SingleCopy:
-    """A one-copy-per-variable record (total rollback and SDG strategies).
+    """A one-copy-per-variable record (SDG strategy; k-copy extends it).
 
     Attributes
     ----------
@@ -191,8 +190,9 @@ class SingleCopy:
         """Whether the variable has been written since lock/creation."""
         return self.last_write_index is not None
 
-    def write(self, value: Value, lock_index: int) -> None:
-        """Record a write at *lock_index* (lock index of the write op)."""
+    def write(self, value: Value, lock_index: int) -> bool:
+        """Record a write at *lock_index* (lock index of the write op); True
+        iff the old value was kept as an extra copy (only ``MultiCopy`` can)."""
         if self.restorability_index is None:
             # The write destroys the base value for all later states; the
             # last lock state still restorable from base_value is the one
@@ -201,6 +201,7 @@ class SingleCopy:
         self.value = value
         self.last_write_index = lock_index
         self.write_indices.append(lock_index)
+        return False
 
     def restorable_at(self, lock_index: int) -> bool:
         """Can the value at lock state *lock_index* be reproduced?
@@ -212,9 +213,8 @@ class SingleCopy:
         index *m* occurs after lock state *m*, so lock states ``> m`` see its
         result.
         """
-        if self.restorability_index is None:
-            return True
-        if lock_index <= self.restorability_index:
+        index = self.restorability_index
+        if index is None or lock_index <= index:
             return True
         assert self.last_write_index is not None
         return lock_index > self.last_write_index
@@ -224,7 +224,7 @@ class SingleCopy:
         if not self.restorable_at(lock_index):
             raise RollbackError(
                 f"value of {self.name!r} at lock state {lock_index} is not "
-                f"restorable under the single-copy strategy"
+                f"restorable from the stored copies"
             )
         if self.restorability_index is None or lock_index <= self.restorability_index:
             return self.base_value

@@ -17,11 +17,8 @@ retained copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from ..errors import RollbackError
-
-Value = Any
+from .copies import SingleCopy, Value
 
 
 @dataclass(frozen=True)
@@ -37,39 +34,23 @@ class RetainedCopy:
 
 
 @dataclass
-class MultiCopy:
+class MultiCopy(SingleCopy):
     """A local copy with an optional set of retained old values.
 
-    Mirrors :class:`~repro.storage.copies.SingleCopy` (base value, current
-    value, restorability bookkeeping) and adds :attr:`retained`.  How many
+    A :class:`~repro.storage.copies.SingleCopy` (base value, current
+    value, restorability bookkeeping) plus :attr:`retained`.  How many
     values get retained is the *caller's* budget decision — pass
     ``retain=True`` to :meth:`write` to spend one copy on preserving the
-    value the write destroys.
+    value the write destroys.  With nothing retained it behaves exactly
+    like its base class.
     """
 
-    name: str
-    base_value: Value
-    lock_index: int = 0
-    value: Value = None
-    restorability_index: int | None = None
-    last_write_index: int | None = None
-    write_indices: list[int] = field(default_factory=list)
     retained: list[RetainedCopy] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.value is None:
-            self.value = self.base_value
-
-    @property
-    def written(self) -> bool:
-        return self.last_write_index is not None
 
     @property
     def copies_stored(self) -> int:
         """Total stored values: the single copy plus retained ones."""
         return 1 + len(self.retained)
-
-    # -- writes ---------------------------------------------------------------
 
     def write(self, value: Value, lock_index: int, retain: bool = False) -> bool:
         """Record a write; optionally retain the value being destroyed.
@@ -79,54 +60,26 @@ class MultiCopy:
         re-write at the same lock index destroys no *lock state*, so
         neither consumes budget).
         """
+        last = self.last_write_index
         retained_now = False
-        if (
-            retain
-            and self.last_write_index is not None
-            and lock_index > self.last_write_index
-        ):
-            self.retained.append(
-                RetainedCopy(
-                    value=self.value,
-                    lo=self.last_write_index,
-                    hi=lock_index,
-                )
-            )
+        if retain and last is not None and lock_index > last:
+            self.retained.append(RetainedCopy(self.value, last, lock_index))
             retained_now = True
-        if self.restorability_index is None:
-            self.restorability_index = lock_index
-        self.value = value
-        self.last_write_index = lock_index
-        self.write_indices.append(lock_index)
+        super().write(value, lock_index)
         return retained_now
 
-    # -- restoration ----------------------------------------------------------
-
     def restorable_at(self, lock_index: int) -> bool:
-        if self.restorability_index is None:
-            return True
-        if lock_index <= self.restorability_index:
-            return True
-        assert self.last_write_index is not None
-        if lock_index > self.last_write_index:
-            return True
-        return any(copy.covers(lock_index) for copy in self.retained)
+        return super().restorable_at(lock_index) or any(
+            copy.covers(lock_index) for copy in self.retained
+        )
 
     def value_at(self, lock_index: int) -> Value:
-        if self.restorability_index is None or (
-            lock_index <= self.restorability_index
-        ):
-            return self.base_value
-        assert self.last_write_index is not None
-        if lock_index > self.last_write_index:
-            return self.value
+        # A retained interval lies between the first and the latest write,
+        # so it never overlaps the states the base class can serve.
         for copy in self.retained:
             if copy.covers(lock_index):
                 return copy.value
-        raise RollbackError(
-            f"value of {self.name!r} at lock state {lock_index} is not "
-            f"restorable (no retained copy covers it)"
-        )
+        return super().value_at(lock_index)
 
     def rollback_to(self, lock_index: int) -> None:
         """Restore the copy to its state as of lock state *lock_index*.
@@ -135,14 +88,7 @@ class MultiCopy:
         survive (they still describe valid history); later ones are
         discarded together with the undone writes.
         """
-        restored = self.value_at(lock_index)
-        self.write_indices = [m for m in self.write_indices if m < lock_index]
+        super().rollback_to(lock_index)
         self.retained = [
             copy for copy in self.retained if copy.hi < lock_index
         ]
-        self.value = restored
-        if self.write_indices:
-            self.last_write_index = self.write_indices[-1]
-        else:
-            self.last_write_index = None
-            self.restorability_index = None

@@ -7,16 +7,21 @@ scheduler calls them: ``begin`` -> (``on_lock_request`` +
 lock records and the strategy in lockstep.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import ops
 from repro.core.mcs import MultiLockCopyStrategy
-from repro.core.rollback import make_strategy
+from repro.core.rollback import available_strategies, make_strategy
 from repro.core.single_copy import SingleCopyStrategy
 from repro.core.total import TotalRestartStrategy
 from repro.core.transaction import Transaction, TransactionProgram
-from repro.errors import LockError, RollbackError
+from repro.errors import LockError, RollbackError, StorageFault
 from repro.locking import EXCLUSIVE, SHARED
+from repro.storage.copies import SingleCopy
+from repro.storage.multicopy import MultiCopy
 
 
 class Harness:
@@ -51,16 +56,49 @@ class Harness:
         self.txn.apply_rollback(ordinal)
 
 
-@pytest.fixture(
-    params=["total", "mcs", "single-copy", "k-copy:0", "k-copy:2",
-            "k-copy:inf", "undo-log"]
-)
+#: Every registered strategy, plus the k-copy budget that degenerates to
+#: single-copy: a newly registered strategy is under contract automatically.
+STRATEGY_NAMES = (*available_strategies(), "k-copy:0")
+
+
+@pytest.fixture(params=STRATEGY_NAMES)
 def any_strategy(request):
     return make_strategy(request.param)
 
 
+#: Random lock/write/rollback scripts for the differential tests below.
+SCRIPTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("lock"), st.booleans()),            # exclusive?
+        st.tuples(st.just("write-entity"), st.integers(0, 7)),
+        st.tuples(st.just("write-local"), st.sampled_from("xyz")),
+        st.tuples(st.just("rollback"), st.integers(0, 7)),
+    ),
+    max_size=24,
+)
+
+
+def observe(harness, entities):
+    """Everything the scheduler could read through the strategy."""
+    strategy, txn = harness.strategy, harness.txn
+    seen = {}
+    for entity in sorted(entities):
+        try:
+            seen[entity] = strategy.read_entity(txn, entity)
+        except LockError:
+            seen[entity] = "<not held>"
+    for var in "xyz":
+        try:
+            seen[var] = strategy.read_local(txn, var)
+        except KeyError:
+            seen[var] = "<undefined>"
+    return seen
+
+
 class TestCommonBehaviour:
-    """Contract tests all three strategies must satisfy."""
+    """Contract tests all five strategies must satisfy: the paper's §4
+    three (total restart, MCS, single-copy/SDG) and the two beyond it
+    (undo-log, §4's backward-execution sketch; k-copy, §5's open problem)."""
 
     def test_initial_locals_visible(self, any_strategy):
         h = Harness(any_strategy, initial_locals={"x": 9})
@@ -130,6 +168,116 @@ class TestCommonBehaviour:
         h = Harness(any_strategy, initial_locals={"x": 1})
         h.lock("a", EXCLUSIVE, global_value=10)
         assert any_strategy.copies_count(h.txn) >= 1
+
+    def test_rollback_after_declaration_only_total(self, any_strategy):
+        """§5: a transaction past its last lock request cannot deadlock,
+        so no partial strategy keeps history for it; a restart needs none."""
+        h = Harness(any_strategy, initial_locals={"x": 1})
+        h.lock("a", EXCLUSIVE, global_value=10)
+        any_strategy.write_local(h.txn, "x", 2)
+        any_strategy.on_declare_last_lock(h.txn)
+        if any_strategy.name == "total":
+            h.rollback(0)
+            assert any_strategy.read_local(h.txn, "x") == 1
+        else:
+            with pytest.raises(RollbackError, match="declared its last lock"):
+                any_strategy.rollback(h.txn, 0)
+            assert any_strategy.read_local(h.txn, "x") == 2
+
+    def test_fault_hook_consulted_except_by_total(self, any_strategy):
+        """Total restart is what a StorageFault degrades to, so it must
+        not be able to fault; everything else asks the hook first."""
+        h = Harness(any_strategy)
+        h.lock("a", EXCLUSIVE, global_value=10)
+        calls = []
+
+        def hook(strategy, txn, ordinal):
+            calls.append((strategy, txn, ordinal))
+            raise StorageFault("injected")
+
+        any_strategy.fault_hook = hook
+        if any_strategy.name == "total":
+            h.rollback(0)
+            assert calls == []
+        else:
+            with pytest.raises(StorageFault):
+                any_strategy.rollback(h.txn, 0)
+            assert calls == [(any_strategy, h.txn, 0)]
+            # The hook fires before anything is touched.
+            assert any_strategy.read_entity(h.txn, "a") == 10
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @given(script=SCRIPTS)
+    def test_rollback_agrees_with_mcs(self, name, script):
+        """Differential: rolled back to its own ``choose_target(k)``, each
+        strategy reads back exactly what MCS — the any-state reference —
+        reads at that target, and keeps doing so as execution resumes."""
+        locals_ = {"x": 0, "y": 0}   # "z" is created by its first write
+        subject = Harness(make_strategy(name), initial_locals=locals_)
+        reference = Harness(MultiLockCopyStrategy(), initial_locals=locals_)
+        both = (subject, reference)
+        txn = subject.txn
+        entities = set()
+        for value, (step, arg) in enumerate(script, start=1):
+            if step == "lock":
+                entity = f"e{txn.lock_count + 1}"
+                entities.add(entity)
+                for h in both:
+                    h.lock(entity, EXCLUSIVE if arg else SHARED, value)
+            elif step == "write-entity":
+                held = [
+                    record.entity
+                    for record in txn.lock_records
+                    if record.mode.is_exclusive
+                ]
+                if held:
+                    for h in both:
+                        h.strategy.write_entity(
+                            h.txn, held[arg % len(held)], value
+                        )
+            elif step == "write-local":
+                for h in both:
+                    h.strategy.write_local(h.txn, arg, value)
+            else:
+                ideal = arg % (txn.lock_count + 1)
+                target = subject.strategy.choose_target(txn, ideal)
+                assert 0 <= target <= ideal
+                for h in both:
+                    h.rollback(target)
+            assert observe(subject, entities) == observe(reference, entities)
+
+    @given(script=SCRIPTS)
+    def test_multicopy_without_retention_is_single_copy(self, script):
+        """The same scripts, read as the life of one local variable: a
+        MultiCopy that never retains is a SingleCopy, field for field."""
+        assert issubclass(MultiCopy, SingleCopy)
+        inherited = [f.name for f in dataclasses.fields(SingleCopy)]
+        assert [f.name for f in dataclasses.fields(MultiCopy)] == [
+            *inherited, "retained"
+        ]
+        single = SingleCopy("x", base_value=0)
+        multi = MultiCopy("x", base_value=0)
+        lock_count = 0
+        for value, (step, arg) in enumerate(script, start=1):
+            if step == "lock":
+                lock_count += 1
+            elif step.startswith("write"):
+                assert not single.write(value, lock_count)
+                assert not multi.write(value, lock_count, retain=False)
+            elif lock_count:
+                target = 1 + arg % lock_count
+                if single.restorable_at(target):
+                    single.rollback_to(target)
+                    multi.rollback_to(target)
+                    lock_count = target - 1
+            assert multi.retained == [] and multi.copies_stored == 1
+            assert [getattr(multi, name) for name in inherited] == [
+                getattr(single, name) for name in inherited
+            ]
+            for q in range(lock_count + 2):
+                assert multi.restorable_at(q) == single.restorable_at(q)
+                if single.restorable_at(q):
+                    assert multi.value_at(q) == single.value_at(q)
 
 
 class TestTotalRestart:
