@@ -109,8 +109,9 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                         help="workload + interleaving seed")
 
 
-def _build(args) -> tuple:
-    config = WorkloadConfig(
+def _config_from_args(args) -> WorkloadConfig:
+    """The workload :func:`_add_workload_args`' flags describe."""
+    return WorkloadConfig(
         n_transactions=args.transactions,
         n_entities=args.entities,
         locks_per_txn=tuple(args.locks),
@@ -119,7 +120,10 @@ def _build(args) -> tuple:
         clustered_writes=not args.scattered,
         three_phase=args.three_phase,
     )
-    db, programs = generate_workload(config, seed=args.seed)
+
+
+def _build(args) -> tuple:
+    db, programs = generate_workload(_config_from_args(args), seed=args.seed)
     return db, programs, expected_final_state(db, programs)
 
 
@@ -168,18 +172,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .simulation import Sweep, WorkloadConfig, tabulate
+    from .simulation import Sweep, tabulate
 
-    base = WorkloadConfig(
-        n_transactions=args.transactions,
-        n_entities=args.entities,
-        locks_per_txn=tuple(args.locks),
-        write_ratio=args.write_ratio,
-        skew=args.skew,
-        clustered_writes=not args.scattered,
-        three_phase=args.three_phase,
-    )
-    sweep = Sweep(base=base, seeds=range(args.seeds))
+    sweep = Sweep(base=_config_from_args(args), seeds=range(args.seeds))
     if args.axis == "strategy":
         cells = sweep.over_strategies(list(STRATEGIES), policy=args.policy)
     elif args.axis == "policy":

@@ -71,10 +71,10 @@ class DeadlockDetector:
 
     Detection runs over the table's *continuously maintained* waits-for
     graph (:attr:`~repro.locking.table.LockTable.waits_for`): the common
-    no-deadlock wait is answered by a DFS from the requester over interned
-    integer adjacency, so its cost scales with the conflict neighbourhood,
-    not with lock-table size.  :meth:`snapshot` keeps the from-scratch
-    rebuild as the differential oracle.
+    no-deadlock wait is answered by a DFS from the requester over the
+    live holder -> waiters map, so its cost scales with the conflict
+    neighbourhood, not with lock-table size.  :meth:`snapshot` keeps the
+    from-scratch rebuild as the differential oracle.
 
     ``cycle_limit`` bounds the per-detection enumeration of simple cycles
     (their number can be exponential at high contention).  Victim

@@ -623,7 +623,6 @@ class Scheduler:
         self.strategy.on_finish(txn)
         txn.status = TxnStatus.SHED
         self._copies_dirty.add(txn_id)
-        self.lock_manager.forget(txn_id)
         self.preemption_immune.discard(txn_id)
         self.metrics.record_shed(txn_id, reason)
         if self.bus:

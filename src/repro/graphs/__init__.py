@@ -3,13 +3,12 @@ maintained waits-for structure, state-dependency graphs, and the
 underlying algorithms."""
 
 from .concurrency import ConcurrencyGraph, WaitArc
-from .incremental import IncrementalWaitsFor, Interner
+from .incremental import IncrementalWaitsFor
 from .state_dependency import StateDependencyGraph, WriteEdge
 
 __all__ = [
     "ConcurrencyGraph",
     "IncrementalWaitsFor",
-    "Interner",
     "StateDependencyGraph",
     "WaitArc",
     "WriteEdge",

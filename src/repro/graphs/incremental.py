@@ -18,14 +18,15 @@ queued requests — so the refresh recomputes only *that entity's* edge set
 and diffs it against the previous one.  Maintenance cost therefore scales
 with the contended entity, never with the table.
 
-Transaction and entity ids are interned to dense integer indices
-(:class:`Interner`), and the live adjacency is kept over those indices, so
-the hot cycle check is a DFS over small-int sets with no string hashing.
-Reachability answers (``None`` / existence) are order-independent, so the
-fast integer DFS is exact; the rare *enumeration* paths (an actual
-deadlock, the residual sweep) re-run over a name-keyed adjacency that is
-byte-for-byte the input the full rebuild would have produced — same
-cycles, same order, same victims.  Same seed, same outcome, either path.
+Everything is keyed by the transaction and entity names the lock table
+hands over, and every dict holds entries only for live arcs: an idle
+table means three empty dicts, so a long-lived process is bounded by its
+*concurrent* load with no id lifecycle to manage.  The holder -> waiters
+map is the adjacency the graph algorithms run over directly.  Reachability
+answers (``None`` / existence) are order-independent, and the enumeration
+algorithms sort successors by ``repr``, so cycles come out byte-for-byte
+as they would over a full rebuild — same cycles, same order, same
+victims, whatever order the dicts were filled in.
 
 The structure never invents state: :meth:`materialize` exports a plain
 :class:`~repro.graphs.concurrency.ConcurrencyGraph`, and the
@@ -44,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 TxnId = str
 EntityName = str
+Pair = tuple[TxnId, TxnId]
 
 
 class ModeLike(Protocol):
@@ -65,76 +67,6 @@ class QueuedLike(Protocol):
     def mode(self) -> ModeLike: ...  # pragma: no cover - protocol
 
 
-class Interner:
-    """Bidirectional string <-> dense-index map with slot recycling.
-
-    Indices are assigned 0, 1, 2, ... in first-intern order (deterministic
-    because every caller mutates the lock table in a deterministic order).
-    :meth:`recycle` returns an index to a free list for reuse, so a
-    long-lived process interning an unbounded stream of transaction ids
-    keeps the index space bounded by the number of *live* names.  Index
-    reuse is safe for every consumer here: existence queries over the
-    integer adjacency are order-independent, and all enumeration runs over
-    name-keyed structures.
-    """
-
-    __slots__ = ("_index_of", "_names", "_free")
-
-    def __init__(self) -> None:
-        self._index_of: dict[str, int] = {}
-        self._names: list[str] = []
-        self._free: list[int] = []
-
-    def __len__(self) -> int:
-        """Slots ever allocated (the high-water mark, not live names)."""
-        return len(self._names)
-
-    @property
-    def live(self) -> int:
-        """Names currently interned."""
-        return len(self._index_of)
-
-    def index(self, name: str) -> int:
-        """Index for *name*, interning it on first sight (reusing a
-        recycled slot when one is free)."""
-        idx = self._index_of.get(name)
-        if idx is None:
-            if self._free:
-                idx = self._free.pop()
-                self._names[idx] = name
-            else:
-                idx = len(self._names)
-                self._names.append(name)
-            self._index_of[name] = idx
-        return idx
-
-    def get(self, name: str) -> int | None:
-        """Index for *name* if currently interned, else ``None``."""
-        return self._index_of.get(name)
-
-    def name(self, index: int) -> str:
-        """Inverse lookup."""
-        return self._names[index]
-
-    def recycle(self, name: str) -> bool:
-        """Free *name*'s slot for reuse; True if it was interned.
-
-        The caller is responsible for ensuring no live structure still
-        references the index (:class:`IncrementalWaitsFor` checks its
-        incident-arc counts before recycling).
-        """
-        idx = self._index_of.pop(name, None)
-        if idx is None:
-            return False
-        self._names[idx] = ""
-        self._free.append(idx)
-        return True
-
-    def items(self) -> list[tuple[str, int]]:
-        """Live ``(name, index)`` pairs (compaction sweeps iterate this)."""
-        return list(self._index_of.items())
-
-
 class IncrementalWaitsFor:
     """Live waits-for graph, updated per contended entity.
 
@@ -145,17 +77,12 @@ class IncrementalWaitsFor:
     """
 
     def __init__(self) -> None:
-        self._txns = Interner()
-        self._entities = Interner()
-        #: entity index -> its current (holder, waiter) pairs.
-        self._entity_edges: dict[int, set[tuple[int, int]]] = {}
-        #: (holder, waiter) -> entity indices labeling the arc.
-        self._pair_labels: dict[tuple[int, int], set[int]] = {}
-        #: holder -> waiters (interned); the DFS substrate.
-        self._succ: dict[int, set[int]] = {}
-        #: txn index -> number of live (holder, waiter) pairs it appears
-        #: in; guards id recycling (a txn with incident pairs is pinned).
-        self._incident: dict[int, int] = {}
+        #: entity -> its current (holder, waiter) pairs.
+        self._entity_edges: dict[EntityName, set[Pair]] = {}
+        #: (holder, waiter) -> entities labeling the arc.
+        self._pair_labels: dict[Pair, set[EntityName]] = {}
+        #: holder -> waiters; the adjacency every query runs over.
+        self._succ: dict[TxnId, set[TxnId]] = {}
         #: Maintenance/query counters for the perf trajectory
         #: (``BENCH_scale.json`` records them per run).
         self.counters: dict[str, int] = {
@@ -165,9 +92,6 @@ class IncrementalWaitsFor:
             "cycle_checks": 0,
             "enumerations": 0,
             "materializations": 0,
-            "txn_ids_recycled": 0,
-            "entity_ids_recycled": 0,
-            "compactions": 0,
         }
 
     # -- maintenance (called by the lock table) ---------------------------
@@ -186,57 +110,48 @@ class IncrementalWaitsFor:
         pair of queued requests (FIFO order blocking).  No queue means no
         edges, so uncontended entities cost one dict probe.
         """
-        eid = self._entities.index(entity)
-        current = self._entity_edges.get(eid)
+        current = self._entity_edges.get(entity)
         if not queue and not current:
             return
         self.counters["refreshes"] += 1
-        desired: set[tuple[int, int]] = set()
-        if queue:
-            intern = self._txns.index
-            holder_pairs = [
-                (intern(txn), mode) for txn, mode in holders.items()
-            ]
-            earlier: list[tuple[int, ModeLike]] = []
-            for request in queue:
-                waiter = intern(request.txn)
-                mode = request.mode
-                for holder, held in holder_pairs:
-                    if not held.compatible_with(mode):
-                        desired.add((holder, waiter))
-                for ahead, ahead_mode in earlier:
-                    if not ahead_mode.compatible_with(mode):
-                        desired.add((ahead, waiter))
-                earlier.append((waiter, mode))
+        desired: set[Pair] = set()
+        earlier: list[tuple[TxnId, ModeLike]] = []
+        for request in queue:
+            waiter = request.txn
+            mode = request.mode
+            for holder, held in holders.items():
+                if not held.compatible_with(mode):
+                    desired.add((holder, waiter))
+            for ahead, ahead_mode in earlier:
+                if not ahead_mode.compatible_with(mode):
+                    desired.add((ahead, waiter))
+            earlier.append((waiter, mode))
         if current:
             for pair in current - desired:
-                self._remove_edge(pair, eid)
+                self._remove_edge(pair, entity)
             for pair in desired - current:
-                self._add_edge(pair, eid)
+                self._add_edge(pair, entity)
         else:
             for pair in desired:
-                self._add_edge(pair, eid)
+                self._add_edge(pair, entity)
         if desired:
-            self._entity_edges[eid] = desired
+            self._entity_edges[entity] = desired
         else:
-            self._entity_edges.pop(eid, None)
+            self._entity_edges.pop(entity, None)
 
-    def _add_edge(self, pair: tuple[int, int], eid: int) -> None:
+    def _add_edge(self, pair: Pair, entity: EntityName) -> None:
         labels = self._pair_labels.get(pair)
         if labels is None:
             labels = self._pair_labels[pair] = set()
             self._succ.setdefault(pair[0], set()).add(pair[1])
-            incident = self._incident
-            incident[pair[0]] = incident.get(pair[0], 0) + 1
-            incident[pair[1]] = incident.get(pair[1], 0) + 1
-        labels.add(eid)
+        labels.add(entity)
         self.counters["edges_added"] += 1
 
-    def _remove_edge(self, pair: tuple[int, int], eid: int) -> None:
+    def _remove_edge(self, pair: Pair, entity: EntityName) -> None:
         labels = self._pair_labels.get(pair)
         if labels is None:
             return
-        labels.discard(eid)
+        labels.discard(entity)
         self.counters["edges_removed"] += 1
         if not labels:
             del self._pair_labels[pair]
@@ -245,77 +160,6 @@ class IncrementalWaitsFor:
                 waiters.discard(pair[1])
                 if not waiters:
                     del self._succ[pair[0]]
-            incident = self._incident
-            for endpoint in pair:
-                count = incident.get(endpoint, 0) - 1
-                if count <= 0:
-                    incident.pop(endpoint, None)
-                else:
-                    incident[endpoint] = count
-
-    # -- id recycling (bounded interners for service lifetimes) -----------
-
-    def forget_txn(self, txn_id: TxnId) -> bool:
-        """Recycle *txn_id*'s interned index if no live arc touches it.
-
-        Called when a transaction terminates (commit / shed): its id will
-        never be interned again, so the slot is returned for reuse and a
-        long-lived process's transaction interner stays bounded by the
-        number of *live* transactions.  A no-op (returning False) while
-        the transaction still appears in any (holder, waiter) pair.
-        """
-        idx = self._txns.get(txn_id)
-        if idx is None or self._incident.get(idx):
-            return False
-        self._txns.recycle(txn_id)
-        self.counters["txn_ids_recycled"] += 1
-        return True
-
-    def forget_entity(self, entity: EntityName) -> bool:
-        """Recycle *entity*'s interned index if it carries no arcs.
-
-        Safe at any time — a later lock on the entity simply re-interns
-        it (possibly at a different index; all arc bookkeeping is keyed by
-        the live index).
-        """
-        eid = self._entities.get(entity)
-        if eid is None or eid in self._entity_edges:
-            return False
-        self._entities.recycle(entity)
-        self.counters["entity_ids_recycled"] += 1
-        return True
-
-    def compact(self) -> dict[str, int]:
-        """Sweep both interners, recycling every id with no live arcs.
-
-        The periodic compaction hook for long-lived processes (the lock
-        service ticks it): transactions are also recycled eagerly at
-        termination via :meth:`forget_txn`, but entities — and any
-        transaction whose termination hook was bypassed — are reclaimed
-        here.  Returns ``{"txns": n, "entities": m}`` recycled counts.
-        """
-        self.counters["compactions"] += 1
-        txns = sum(
-            1
-            for name, idx in self._txns.items()
-            if not self._incident.get(idx) and self.forget_txn(name)
-        )
-        entities = sum(
-            1
-            for name, eid in self._entities.items()
-            if eid not in self._entity_edges and self.forget_entity(name)
-        )
-        return {"txns": txns, "entities": entities}
-
-    @property
-    def interned(self) -> dict[str, int]:
-        """Live interner occupancy (bounded-memory assertions)."""
-        return {
-            "txns_live": self._txns.live,
-            "txn_slots": len(self._txns),
-            "entities_live": self._entities.live,
-            "entity_slots": len(self._entities),
-        }
 
     # -- views ------------------------------------------------------------
 
@@ -324,72 +168,57 @@ class IncrementalWaitsFor:
         return sum(len(labels) for labels in self._pair_labels.values())
 
     def arcs(self) -> set[tuple[TxnId, TxnId, EntityName]]:
-        """All ``(holder, waiter, entity)`` triples, by name."""
-        txn = self._txns.name
-        ent = self._entities.name
+        """All ``(holder, waiter, entity)`` triples."""
         return {
-            (txn(holder), txn(waiter), ent(eid))
+            (holder, waiter, entity)
             for (holder, waiter), labels in self._pair_labels.items()
-            for eid in labels
+            for entity in labels
         }
 
     def transactions(self) -> set[TxnId]:
         """Vertices induced by the current arcs."""
-        txn = self._txns.name
         nodes: set[TxnId] = set()
-        for holder, waiter in self._pair_labels:
-            nodes.add(txn(holder))
-            nodes.add(txn(waiter))
+        for pair in self._pair_labels:
+            nodes.update(pair)
         return nodes
 
     def adjacency(self) -> dict[TxnId, set[TxnId]]:
-        """Name-keyed successor map (holder -> waiters).
+        """Successor map (holder -> waiters), copied so a caller may hold
+        it across lock-table mutations.
 
-        Identical to the adjacency a full rebuild would produce, so the
-        enumeration algorithms return cycles in the same deterministic
-        order over either structure.
+        Only holders with waiters appear as keys; the algorithms treat a
+        missing key as "no successors", so cycles enumerate in the same
+        deterministic order as over a full rebuild's adjacency.
         """
-        txn = self._txns.name
-        adj: dict[TxnId, set[TxnId]] = {}
-        for holder, waiters in self._succ.items():
-            adj[txn(holder)] = {txn(w) for w in waiters}
-        return adj
+        return {holder: set(waiters) for holder, waiters in self._succ.items()}
 
     # -- queries (the detection hot path) ---------------------------------
 
     def has_cycle_through(self, requester: TxnId) -> bool:
         """Order-independent reachability gate: does any cycle pass
-        through *requester*?  Pure integer DFS over the live adjacency."""
+        through *requester*?  One forward DFS over the live adjacency."""
         self.counters["cycle_checks"] += 1
-        idx = self._txns.get(requester)
-        if idx is None or not self._succ.get(idx):
+        if not self._succ.get(requester):
             return False
-        return algorithms.find_cycle_through(self._succ, idx) is not None
+        return algorithms.find_cycle_through(self._succ, requester) is not None
 
     def cycles_through(
         self, requester: TxnId, limit: int = 10_000
     ) -> list[list[TxnId]]:
         """Simple cycles through *requester*, in rebuild-identical order.
 
-        The common no-deadlock case is answered by the integer fast path;
-        only a confirmed cycle pays for the name-keyed enumeration.
+        The common no-deadlock case is answered by the reachability gate;
+        only a confirmed cycle pays for the enumeration.
         """
         if not self.has_cycle_through(requester):
             return []
         self.counters["enumerations"] += 1
-        return algorithms.simple_cycles_through(
-            self.adjacency(), requester, limit
-        )
+        return algorithms.simple_cycles_through(self._succ, requester, limit)
 
     def find_any_cycle(self) -> list[TxnId] | None:
-        """Some cycle anywhere, or ``None`` (fast integer existence gate,
-        name-keyed rerun for the deterministic witness)."""
+        """Some cycle anywhere (the rebuild-identical witness), or ``None``."""
         self.counters["cycle_checks"] += 1
-        if algorithms.find_cycle(self._succ) is None:
-            return None
-        cycle = algorithms.find_cycle(self.adjacency())
-        assert cycle is not None  # existence is order-independent
-        return cycle
+        return algorithms.find_cycle(self._succ)
 
     def materialize(self) -> "ConcurrencyGraph":
         """Export a :class:`~repro.graphs.concurrency.ConcurrencyGraph`
@@ -398,11 +227,9 @@ class IncrementalWaitsFor:
 
         self.counters["materializations"] += 1
         graph = ConcurrencyGraph()
-        txn = self._txns.name
-        ent = self._entities.name
         for (holder, waiter), labels in self._pair_labels.items():
-            for eid in labels:
-                graph.add_wait(txn(holder), txn(waiter), ent(eid))
+            for entity in labels:
+                graph.add_wait(holder, waiter, entity)
         return graph
 
     def counters_snapshot(self) -> dict[str, int]:

@@ -96,21 +96,12 @@ class LockManager:
 
         The paper notes the system "may equivalently release any entities
         which a transaction has failed to unlock at the time the transaction
-        terminates"; this is that release.  The terminated id's interned
-        graph index is recycled (its arcs are gone with the release), so
-        long-lived processes admitting an unbounded transaction stream
-        keep the waits-for interner bounded.
+        terminates"; this is that release.
         """
         grants = self.table.release_all(txn)
         self._shrinking.discard(txn)
         self._declared_last_lock.discard(txn)
-        self.table.waits_for.forget_txn(txn)
         return grants
-
-    def forget(self, txn: TxnId) -> None:
-        """Recycle *txn*'s interned waits-for index (terminal paths that
-        release locks without going through :meth:`finish`, e.g. shed)."""
-        self.table.waits_for.forget_txn(txn)
 
     # -- convenience passthroughs -------------------------------------------
 

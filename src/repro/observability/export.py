@@ -108,37 +108,46 @@ class JsonlStreamSink:
         self.close()
 
 
+def read_jsonl_objects(path: str | Path) -> list[dict[str, Any]]:
+    """Parse an append-only JSONL file: the one torn-tail rule.
+
+    Blank lines are skipped.  A trailing half-written line — the most a
+    crash can leave behind under flush-on-write — is dropped; a corrupt
+    line anywhere else raises.  Both durable logs (the event journal and
+    the service WAL) are read back through here.
+    """
+    objects: list[dict[str, Any]] = []
+    lines = Path(path).read_text().splitlines()
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            objects.append(json.loads(line))
+        except json.JSONDecodeError:
+            if index == len(lines) - 1:
+                break  # torn final write from a crash
+            raise
+    return objects
+
+
 def read_events_jsonl(path: str | Path) -> list[Event]:
     """Load a streamed JSONL event file back into :class:`Event` records.
 
     The inverse of :class:`JsonlStreamSink` (and of :func:`to_jsonl`):
     used by replay verification to feed a recorded request stream back
-    through the simulator.  A trailing half-written line — the most a
-    crash can leave behind under flush-on-write — is skipped; a corrupt
-    line anywhere else raises.
+    through the simulator.  Torn-tail handling is
+    :func:`read_jsonl_objects`'s.
     """
-    events: list[Event] = []
-    with Path(path).open() as handle:
-        lines = handle.read().splitlines()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break  # torn final write from a crash
-            raise
-        events.append(
-            Event(
-                seq=obj["seq"],
-                step=obj["step"],
-                kind=EventKind(obj["kind"]),
-                txn=obj.get("txn", ""),
-                data=obj.get("data", {}),
-            )
+    return [
+        Event(
+            seq=obj["seq"],
+            step=obj["step"],
+            kind=EventKind(obj["kind"]),
+            txn=obj.get("txn", ""),
+            data=obj.get("data", {}),
         )
-    return events
+        for obj in read_jsonl_objects(path)
+    ]
 
 
 def to_chrome(events: list[Event]) -> dict[str, Any]:

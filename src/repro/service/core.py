@@ -26,10 +26,10 @@ Robustness wiring, all through existing subsystems:
   through a bounded window: retries of a completed request return the
   recorded reply without touching the lock table; retries of one still
   in flight attach to it.
-* the interner compaction hook — every ``compact_every`` requests the
-  waits-for interner recycles idle ids, and terminated sessions are
-  reaped from every per-transaction map, keeping a forever-running
-  service bounded by *concurrent* load.
+* reaping — terminated sessions are dropped from every per-transaction
+  map after each request, and the waits-for graph holds entries only
+  for live arcs, keeping a forever-running service bounded by
+  *concurrent* load.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class ServiceConfig:
     max_sessions: int = 8
     deadline_steps: int = 60
     dedup_window: int = 1024
-    compact_every: int = 256
     pump_budget: int = 100_000
     breaker_threshold: int = 5
     breaker_window: int = 200
@@ -259,10 +258,6 @@ class ServiceCore:
         completions = self._settle()
         if reply is not None:
             self._finalize(reply, idem)
-        if self.config.compact_every and (
-            self.now % self.config.compact_every == 0
-        ):
-            self.scheduler.lock_manager.table.waits_for.compact()
         self._reap()
         return reply, completions
 
@@ -444,7 +439,6 @@ class ServiceCore:
             shed=metrics.shed,
             deadlocks=metrics.deadlocks,
             breaker=str(self.breaker.state),
-            interned=waits_for.interned,
             graph_counters=waits_for.counters_snapshot(),
         )
 
@@ -594,9 +588,10 @@ class ServiceCore:
     def _reap(self) -> None:
         """Drop every per-transaction record of settled, terminal sessions.
 
-        The service-lifetime boundedness contract: with the interner
-        recycling ids (see ``graphs/incremental.py``) and this reap,
-        memory tracks concurrent load, not requests-ever-served.
+        The service-lifetime boundedness contract: with the waits-for
+        graph keyed by live arcs only (see ``graphs/incremental.py``)
+        and this reap, memory tracks concurrent load, not
+        requests-ever-served.
         """
         parked_txns = {p.txn_id for p in self._parked.values()}
         reapable = [

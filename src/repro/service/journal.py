@@ -24,6 +24,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from ..observability.export import read_jsonl_objects
 from ..resilience.wal import WalKind, WalRecord, WriteAheadLog
 
 
@@ -66,17 +67,9 @@ class DurableWriteAheadLog(WriteAheadLog):
         path = Path(path)
         records: list[WalRecord] = []
         if path.exists():
-            lines = path.read_text().splitlines()
-            for index, line in enumerate(lines):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    if index == len(lines) - 1:
-                        break  # torn final write
-                    raise
-                records.append(_record_from(obj))
+            records = [
+                _record_from(obj) for obj in read_jsonl_objects(path)
+            ]
         wal = cls(path, initial_state)
         # Adopt the on-disk history without re-writing it.
         wal.records = records

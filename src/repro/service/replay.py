@@ -23,6 +23,7 @@ oracle exists to catch.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
@@ -30,6 +31,14 @@ from ..observability.events import Event, EventKind
 from ..observability.export import read_events_jsonl
 from ..storage.database import Database
 from .core import ServiceConfig, ServiceCore
+
+
+#: A journal written by an earlier release may carry, in its boot
+#: markers, config fields that have since been removed.  Replay keeps
+#: the fields :class:`ServiceConfig` still has and drops the rest: a
+#: dropped field that mattered shows up as a divergence, not a
+#: ``TypeError`` before the first request.
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ServiceConfig))
 
 
 class ReplayDivergence(AssertionError):
@@ -54,7 +63,13 @@ def replay_journal(events: Iterable[Event]) -> list[Event]:
     for event in events:
         if event.kind is EventKind.SERVICE_RECOVER:
             data = event.data
-            config = ServiceConfig(**data.get("config", {}))
+            config = ServiceConfig(
+                **{
+                    name: value
+                    for name, value in data.get("config", {}).items()
+                    if name in _CONFIG_FIELDS
+                }
+            )
             recovered = (
                 set(data.get("committed", ()))
                 if data.get("recovered")

@@ -114,32 +114,24 @@ class SimulationEngine:
     def _record(
         self, step: int, result: StepResult, operation: str
     ) -> TraceEvent:
-        """Record one executed step — through the event bus when the
-        scheduler has a live one, else directly into the trace.
-
-        The bus path publishes a STEP event (the run-wide observability
-        stream) and feeds it to :meth:`Trace.consume`, so the trace and
-        every other subscriber see the same record; the no-op-bus path
-        skips payload construction entirely (zero cost when disabled).
+        """Record one executed step in the trace and, when the scheduler
+        has a live bus, publish the same record as a STEP event (the
+        run-wide observability stream), so the trace and every bus
+        subscriber agree by construction.
         """
+        event = self.trace.record(step, result, operation=operation)
         bus = self.scheduler.bus
         if bus:
             bus.advance(step)
-            event = bus.publish(
+            bus.publish(
                 EventKind.STEP,
-                result.txn_id,
-                outcome=str(result.outcome),
-                operation=operation,
-                cycles=(
-                    [list(c) for c in result.deadlock.cycles]
-                    if result.deadlock is not None
-                    else []
-                ),
-                actions=[str(a) for a in result.actions],
+                event.txn_id,
+                outcome=str(event.outcome),
+                operation=event.operation,
+                cycles=event.cycles,
+                actions=event.actions,
             )
-            assert event is not None
-            return self.trace.consume(event)
-        return self.trace.record(step, result, operation=operation)
+        return event
 
     def add(self, program: TransactionProgram) -> None:
         """Register one more program before (or during) a run."""

@@ -5,13 +5,10 @@ order, and by the benchmarks to report per-run behaviour.  Each step of the
 engine appends one :class:`TraceEvent`; deadlock events carry the cycles
 and the chosen rollback actions.
 
-Since the observability layer landed, the trace is a *consumer* of the
-run-wide event bus: when the engine's scheduler has a live bus installed,
-the engine publishes a STEP event and feeds it to :meth:`Trace.consume`;
-only with the no-op bus does the engine fall back to :meth:`Trace.record`
-directly.  Either path builds the identical :class:`TraceEvent`, so the
-public API, the ``__str__`` format, and :meth:`Trace.fingerprint` are
-unchanged.
+The engine records every step here through :meth:`Trace.record`; when
+its scheduler has a live event bus installed it also publishes the
+resulting :class:`TraceEvent` as a STEP event, so the trace and the
+run-wide observability stream carry the same record.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..core.scheduler import StepOutcome, StepResult
-from ..observability.events import Event, EventKind
 
 
 @dataclass
@@ -64,29 +60,6 @@ class Trace:
             event.actions = [str(a) for a in result.actions]
         self._events.append(event)
         return event
-
-    def consume(self, event: Event) -> TraceEvent:
-        """Append the :class:`TraceEvent` form of a published STEP event.
-
-        The bus-consumer path: the engine publishes one STEP event per
-        recorded step and hands it straight here, so the trace and every
-        other bus subscriber see the same record (no duplicated
-        engine-side recording).
-        """
-        if event.kind is not EventKind.STEP:
-            raise ValueError(
-                f"trace consumes engine STEP events, not {event.kind}"
-            )
-        trace_event = TraceEvent(
-            step=event.step,
-            txn_id=event.txn,
-            outcome=StepOutcome(event.data["outcome"]),
-            operation=str(event.data.get("operation", "")),
-            cycles=[list(c) for c in event.data.get("cycles", [])],
-            actions=[str(a) for a in event.data.get("actions", [])],
-        )
-        self._events.append(trace_event)
-        return trace_event
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)

@@ -17,7 +17,9 @@ an arc/vertex set and in every cycle answer, to a from-scratch
   produces byte-identical traces and victims to the same run detected by
   full rebuild at every wait;
 * named regression cases for the trickiest single paths (cancel-wait
-  with queue drain, shared-mode multi-blocker refresh).
+  with queue drain, shared-mode multi-blocker refresh);
+* the boundedness contract: the structure is keyed by live arcs only,
+  so an idle lock table means an empty graph — nothing to recycle.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -25,9 +27,9 @@ from hypothesis import given, settings, strategies as st
 from repro import Database, Scheduler, TransactionProgram, ops
 from repro.core.detection import Deadlock, DeadlockDetector
 from repro.errors import LockError
-from repro.graphs import ConcurrencyGraph, IncrementalWaitsFor, Interner
+from repro.graphs import ConcurrencyGraph, IncrementalWaitsFor
 from repro.graphs.incremental import iter_arcs_sorted
-from repro.locking import EXCLUSIVE, SHARED, LockTable
+from repro.locking import EXCLUSIVE, SHARED, LockManager, LockTable
 from repro.simulation import (
     RandomInterleaving,
     SimulationEngine,
@@ -64,6 +66,17 @@ def assert_matches_rebuild(table: LockTable) -> None:
     assert {(a.holder, a.waiter, a.entity) for a in exported} == rebuilt_arcs
 
 
+def assert_idle(live: IncrementalWaitsFor) -> None:
+    """Nothing is retained once no transaction waits: the structure is
+    bounded by concurrent load by construction."""
+    assert len(live) == 0
+    assert live.adjacency() == {}
+    assert live.transactions() == set()
+    assert live._entity_edges == {}
+    assert live._pair_labels == {}
+    assert live._succ == {}
+
+
 @st.composite
 def table_operations(draw):
     ops_ = []
@@ -82,6 +95,26 @@ def table_operations(draw):
     return ops_
 
 
+def apply_operation(table: LockTable, operation) -> None:
+    kind, txn, entity, extra, mode = operation
+    try:
+        if kind == "request":
+            table.request(txn, entity, mode)
+        elif kind == "release":
+            table.release(txn, entity)
+        elif kind == "cancel":
+            table.cancel_wait(txn)
+        elif kind == "release_many":
+            held = sorted(
+                e for e in (entity, extra) if txn in table.holders(e)
+            )
+            table.release_many(txn, held)
+        else:
+            table.release_all(txn)
+    except LockError:
+        pass  # rejected op: state unchanged, graph must be too
+
+
 class TestDifferentialPropertyLockTable:
     """Random mutation sequences against a raw lock table."""
 
@@ -89,42 +122,23 @@ class TestDifferentialPropertyLockTable:
     @given(ops_=table_operations())
     def test_always_equals_rebuild(self, ops_):
         table = LockTable()
-        for kind, txn, entity, extra, mode in ops_:
-            try:
-                if kind == "request":
-                    table.request(txn, entity, mode)
-                elif kind == "release":
-                    table.release(txn, entity)
-                elif kind == "cancel":
-                    table.cancel_wait(txn)
-                elif kind == "release_many":
-                    held = sorted(
-                        e for e in (entity, extra)
-                        if txn in table.holders(e)
-                    )
-                    table.release_many(txn, held)
-                else:
-                    table.release_all(txn)
-            except LockError:
-                pass  # rejected op: state unchanged, graph must be too
+        for operation in ops_:
+            apply_operation(table, operation)
             assert_matches_rebuild(table)
 
     @settings(max_examples=100)
     @given(ops_=table_operations())
     def test_full_teardown_empties_graph(self, ops_):
+        """Any script, once every transaction is torn down, leaves the
+        table idle and the graph holding nothing."""
         table = LockTable()
-        for kind, txn, entity, _extra, mode in ops_:
-            try:
-                if kind == "request":
-                    table.request(txn, entity, mode)
-            except LockError:
-                pass
+        for operation in ops_:
+            apply_operation(table, operation)
         for txn in TXNS:
             table.release_all(txn)
             assert_matches_rebuild(table)
         assert table.waits_for.arcs() == set()
-        assert len(table.waits_for) == 0
-        assert table.waits_for.transactions() == set()
+        assert_idle(table.waits_for)
 
     def test_release_many_wakes_like_sequential_releases(self):
         """Batched release grants the same requests, in the same order,
@@ -389,15 +403,6 @@ class TestRegressionCases:
 
 
 class TestInterner:
-    def test_first_seen_dense_indices(self):
-        interner = Interner()
-        assert interner.index("x") == 0
-        assert interner.index("y") == 1
-        assert interner.index("x") == 0
-        assert len(interner) == 2
-        assert interner.get("z") is None
-        assert interner.name(1) == "y"
-
     def test_queries_on_unknown_names_are_safe(self):
         live = IncrementalWaitsFor()
         assert not live.has_cycle_through("nobody")
@@ -406,70 +411,22 @@ class TestInterner:
         assert live.arcs() == set()
 
 
-class TestInternerRecycling:
-    """Service-lifetime boundedness: interned ids of terminated
-    transactions and idle entities are recycled, so the interner's
-    high-water mark tracks concurrent load, not total throughput."""
+class TestBoundedness:
+    """Service-lifetime boundedness: every dict is keyed by a live arc,
+    so the structure tracks concurrent load, not total throughput, with
+    no id lifecycle behind it."""
 
-    def test_recycle_frees_slot_for_reuse(self):
-        interner = Interner()
-        assert interner.index("x") == 0
-        assert interner.index("y") == 1
-        assert interner.recycle("x")
-        assert not interner.recycle("x")
-        assert interner.live == 1
-        assert len(interner) == 2  # high-water mark unchanged
-        assert interner.get("x") is None
-        assert interner.index("z") == 0  # reuses the freed slot
-        assert interner.name(0) == "z"
-
-    def test_forget_txn_refuses_while_arcs_live(self):
-        table = LockTable()
-        table.request("T1", "a", EXCLUSIVE)
-        table.request("T2", "a", EXCLUSIVE)
-        assert not table.waits_for.forget_txn("T1")
-        assert not table.waits_for.forget_txn("T2")
-        table.release("T1", "a")  # grant drains the queue; arc removed
-        assert table.waits_for.forget_txn("T1")
-        counters = table.waits_for.counters_snapshot()
-        assert counters["txn_ids_recycled"] == 1
-        assert_matches_rebuild(table)
-
-    def test_manager_finish_recycles_txn_id(self):
-        from repro.locking import LockManager
-
+    def test_manager_finish_of_blocked_pair_leaves_nothing(self):
         manager = LockManager()
         manager.lock("T1", "a", EXCLUSIVE)
         manager.lock("T2", "a", EXCLUSIVE)  # blocks: T2 waits for T1
         live = manager.table.waits_for
-        assert live.interned["txns_live"] == 2
+        assert live.transactions() == {"T1", "T2"}
         manager.finish("T1")
         manager.finish("T2")
-        assert live.interned["txns_live"] == 0
-        assert live.counters_snapshot()["txn_ids_recycled"] == 2
+        assert_idle(live)
 
-    def test_compact_reclaims_idle_entities(self):
-        table = LockTable()
-        table.request("T1", "a", EXCLUSIVE)
-        table.request("T2", "a", EXCLUSIVE)
-        table.release("T1", "a")
-        table.release("T2", "a")
-        live = table.waits_for
-        assert live.interned["entities_live"] == 1
-        reclaimed = live.compact()
-        assert reclaimed == {"txns": 2, "entities": 1}
-        assert live.interned["entities_live"] == 0
-        assert live.interned["txns_live"] == 0
-        counters = live.counters_snapshot()
-        assert counters["entity_ids_recycled"] == 1
-        assert counters["compactions"] == 1
-        # Recycling never changes answers: fresh traffic behaves as if
-        # the structure were new.
-        table.request("T3", "a", EXCLUSIVE)
-        table.request("T4", "a", EXCLUSIVE)
-        assert_matches_rebuild(table)
-
-    def test_engine_run_recycles_committed_txn_ids(self):
+    def test_engine_run_leaves_nothing(self):
         db, programs = generate_workload(
             WorkloadConfig(
                 n_transactions=8,
@@ -486,8 +443,64 @@ class TestInternerRecycling:
         for program in programs:
             engine.add(program)
         result = engine.run()
-        assert result.graph_counters["txn_ids_recycled"] > 0
-        live = scheduler.lock_manager.table.waits_for
-        # Every terminated transaction's id came back.
-        assert live.interned["txns_live"] == 0
-        assert live.interned["txn_slots"] <= 8
+        assert result.all_committed
+        assert result.graph_counters["edges_added"] > 0  # it was used
+        assert_idle(scheduler.lock_manager.table.waits_for)
+
+    def test_counters_are_the_six_the_benchmark_reads(self):
+        assert set(IncrementalWaitsFor().counters_snapshot()) == {
+            "refreshes",
+            "edges_added",
+            "edges_removed",
+            "cycle_checks",
+            "enumerations",
+            "materializations",
+        }
+
+
+class TestOneRepresentation:
+    """The holder -> waiters map is the adjacency every query runs over;
+    answers must not depend on the order it was filled in."""
+
+    READERS = ("R1", "R2", "R3")
+
+    def build(self, requester_blocks_first: bool) -> LockTable:
+        """Figure 3's shape: W's exclusive request on x waits behind
+        three shared holders, each of which waits for W's lock on its
+        own entity — three cycles through W.  The flag only changes
+        which waits are recorded first."""
+        table = LockTable()
+        for reader in self.READERS:
+            table.request(reader, "x", SHARED)
+            table.request("W", f"e{reader}", EXCLUSIVE)
+        if requester_blocks_first:
+            table.request("W", "x", EXCLUSIVE)
+        for reader in self.READERS:
+            table.request(reader, f"e{reader}", EXCLUSIVE)
+        if not requester_blocks_first:
+            table.request("W", "x", EXCLUSIVE)
+        return table
+
+    def test_cycle_order_ignores_fill_order(self):
+        first = self.build(requester_blocks_first=True)
+        last = self.build(requester_blocks_first=False)
+        assert list(first.waits_for._succ)[-1] == "W"
+        assert list(last.waits_for._succ)[0] == "W"
+        expected = [["W", "R1"], ["W", "R2"], ["W", "R3"]]
+        for table in (first, last):
+            assert table.waits_for.cycles_through("W") == expected
+            assert table.waits_for.find_any_cycle() == ["R1", "W"]
+            assert_matches_rebuild(table)
+
+    def test_adjacency_is_a_copy(self):
+        """Callers may hold the view across lock-table mutations."""
+        table = self.build(requester_blocks_first=True)
+        view = table.waits_for.adjacency()
+        view["W"].clear()
+        view["ghost"] = {"W"}
+        assert table.waits_for.cycles_through("W") == [
+            ["W", "R1"],
+            ["W", "R2"],
+            ["W", "R3"],
+        ]
+        assert_matches_rebuild(table)

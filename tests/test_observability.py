@@ -47,6 +47,12 @@ from repro.observability.top import build_top, render_top
 #: One recording per scenario per module run — the expensive fixture.
 _CACHE = {}
 
+#: Seed for tests that need *a* recording of the default ``run``
+#: scenario: it commits all ten transactions in 236 steps.  Seed 3 of
+#: the same scenario is Figure 2's livelock (20 000 steps, ~15 s) and is
+#: recorded exactly once, by ``test_run_seed_3_is_figure2_livelock``.
+RUN_SEED = 0
+
 
 def recorded(name, seed=7):
     key = (name, seed)
@@ -153,10 +159,22 @@ def test_recorded_trace_matches_bare_trace():
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_same_seed_is_byte_identical(scenario):
-    first, _ = record_scenario(scenario, seed=3)
-    second, _ = record_scenario(scenario, seed=3)
+    seed = RUN_SEED if scenario == "run" else 3
+    first, _ = record_scenario(scenario, seed=seed)
+    second, _ = record_scenario(scenario, seed=seed)
     assert to_jsonl(first.events) == to_jsonl(second.events)
     assert fingerprint(first.events) == fingerprint(second.events)
+
+
+def test_run_seed_3_is_figure2_livelock():
+    """The default scenario at seed 3 never commits anything: mutual
+    preemption under ``min-cost`` (the paper's Figure 2).  Pinned so the
+    run is known as a livelock, not passed over by tests that only check
+    an exit code."""
+    _recorder, context = record_scenario("run", seed=3)
+    assert context["livelock"] is True
+    assert context["committed"] == []
+    assert context["steps"] == 20_000
 
 
 def test_different_seeds_diverge():
@@ -357,7 +375,7 @@ def test_top_mid_run_sees_live_state():
 
 
 def test_cli_trace_smoke_exits_zero(capsys):
-    assert main(["trace", "--smoke", "--seed", "3"]) == 0
+    assert main(["trace", "--smoke", "--seed", str(RUN_SEED)]) == 0
     out = capsys.readouterr().out
     assert "deterministic        True" in out
     assert "span errors          0" in out
@@ -366,7 +384,7 @@ def test_cli_trace_smoke_exits_zero(capsys):
 def test_cli_trace_jsonl_to_file(tmp_path, capsys):
     out_file = tmp_path / "trace.jsonl"
     assert main(
-        ["trace", "--seed", "3", "--out", str(out_file)]
+        ["trace", "--seed", str(RUN_SEED), "--out", str(out_file)]
     ) == 0
     capsys.readouterr()
     lines = out_file.read_text().splitlines()
@@ -375,25 +393,25 @@ def test_cli_trace_jsonl_to_file(tmp_path, capsys):
 
 
 def test_cli_trace_chrome_stdout(capsys):
-    assert main(["trace", "--seed", "3", "--format", "chrome"]) == 0
+    assert main(["trace", "--seed", str(RUN_SEED), "--format", "chrome"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["traceEvents"]
 
 
 def test_cli_trace_summary(capsys):
-    assert main(["trace", "--seed", "3", "--format", "summary"]) == 0
+    assert main(["trace", "--seed", str(RUN_SEED), "--format", "summary"]) == 0
     out = capsys.readouterr().out
     assert "fingerprint" in out
     assert "block p50/p99" in out
 
 
 def test_cli_top(capsys):
-    assert main(["top", "--seed", "3"]) == 0
+    assert main(["top", "--seed", str(RUN_SEED)]) == 0
     assert "repro top @ step" in capsys.readouterr().out
 
 
 def test_cli_top_json(capsys):
-    assert main(["top", "--seed", "3", "--json"]) == 0
+    assert main(["top", "--seed", str(RUN_SEED), "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert "hottest_entities" in obj
 

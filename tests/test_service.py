@@ -312,30 +312,44 @@ class TestIdempotency:
 
 
 class TestLifetimeBoundedness:
-    def test_terminated_sessions_are_reaped_everywhere(self):
+    def ten_sessions(self):
+        """Five deadlocking pairs, run to idle: every session waits at
+        least once, so the waits-for graph is really exercised."""
         core, _ = make_core()
         d = Driver(core)
-        for _ in range(10):
-            txn = d.ok("begin")["txn"]
-            d.ok("lock", txn=txn, entity="e000")
-            d.ok("commit", txn=txn)
+        for _ in range(5):
+            t1 = d.ok("begin")["txn"]
+            t2 = d.ok("begin")["txn"]
+            d.ok("lock", txn=t1, entity="e000")
+            d.ok("lock", txn=t2, entity="e001")
+            d.send("lock", txn=t1, entity="e001")  # blocks
+            d.send("lock", txn=t2, entity="e000")  # deadlock
+            d.send("commit", txn=t1)
+            d.send("commit", txn=t2)
+            d.tick_until_idle()
+        return core, d
+
+    def test_terminated_sessions_are_reaped_everywhere(self):
+        core, _ = self.ten_sessions()
         assert core.idle
         assert not core.scheduler.transactions
         assert not core.admission.admitted_at
-        interned = core.scheduler.lock_manager.table.waits_for.interned
-        assert interned["txns_live"] == 0
-        # Recycling keeps the id space at concurrent width, not total.
-        assert interned["txn_slots"] <= 2
+        # The graph is keyed by live arcs: idle means empty, with no
+        # recycling or compaction behind it.
+        live = core.scheduler.lock_manager.table.waits_for
+        assert live.counters_snapshot()["edges_added"] >= 10
+        assert len(live) == 0
+        assert live.adjacency() == {}
+        assert live.transactions() == set()
+        assert not (live._entity_edges or live._pair_labels or live._succ)
 
-    def test_compaction_hook_fires(self):
-        core, _ = make_core(compact_every=4)
-        d = Driver(core)
-        for _ in range(4):
-            txn = d.ok("begin")["txn"]
-            d.ok("lock", txn=txn, entity="e000")
-            d.ok("commit", txn=txn)
-        counters = core.scheduler.lock_manager.table.waits_for
-        assert counters.counters_snapshot()["compactions"] >= 1
+    def test_status_reply_carries_graph_counters(self):
+        core, d = self.ten_sessions()
+        status = d.ok("status")
+        assert status["commits"] == 10
+        live = core.scheduler.lock_manager.table.waits_for
+        assert status["graph_counters"] == live.counters_snapshot()
+        assert status["graph_counters"]["edges_removed"] >= 10
 
 
 class TestRecoverySeeds:
@@ -408,6 +422,24 @@ class TestReplayOracle:
             d.tick_until_idle()
 
         events, _ = self.record(scenario)
+        assert verify_events(events) == []
+
+    def test_boot_marker_with_removed_config_field_replays(self):
+        """A journal written before ``compact_every`` was removed still
+        carries it in every boot marker; replay must not choke on it."""
+        def scenario(d):
+            t1 = d.ok("begin")["txn"]
+            t2 = d.ok("begin")["txn"]
+            d.ok("lock", txn=t1, entity="e000")
+            d.send("lock", txn=t2, entity="e000")
+            d.send("commit", txn=t1)
+            d.send("commit", txn=t2)
+            d.tick_until_idle()
+
+        events, _ = self.record(scenario)
+        marker = events[0]
+        assert marker.kind is EventKind.SERVICE_RECOVER
+        marker.data["config"]["compact_every"] = 256
         assert verify_events(events) == []
 
     def test_tampered_journal_diverges(self):
