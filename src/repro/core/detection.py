@@ -15,16 +15,13 @@ through the requester:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import InitVar, dataclass, field
 
 from ..graphs.concurrency import ConcurrencyGraph
 from ..locking.table import LockTable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..graphs.incremental import IncrementalWaitsFor
-
 TxnId = str
+EntityName = str
 
 
 @dataclass
@@ -39,42 +36,69 @@ class Deadlock:
     cycles:
         Simple cycles, each a transaction list in holder->waiter order
         starting at the requester.
-    graph:
-        The concurrency-graph snapshot in which the cycles were found.
+    members:
+        Every transaction on some cycle.
+    arcs:
+        The arcs between members, ``holder -> waiter -> sorted entities``,
+        copied out of *graph* at construction.  The graph itself is not
+        retained: resolution mutates the live graph victim by victim,
+        while every victim's rollback target must be judged against the
+        deadlock as it was detected.
+
+    *graph* is whatever concurrency graph the cycles were found in.
     """
 
     requester: TxnId
     cycles: list[list[TxnId]]
-    graph: ConcurrencyGraph
+    graph: InitVar[ConcurrencyGraph]
     members: set[TxnId] = field(init=False)
+    arcs: dict[TxnId, dict[TxnId, list[EntityName]]] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, graph: ConcurrencyGraph) -> None:
         self.members = {txn for cycle in self.cycles for txn in cycle}
+        self.arcs = {
+            holder: {
+                waiter: sorted(entities)
+                for waiter, entities in graph.waiters_of(holder).items()
+                if waiter in self.members
+            }
+            for holder in self.members
+        }
 
-    def waited_entities_of(self, txn: TxnId) -> set[str]:
-        """Entities *txn* holds that other deadlock members wait for.
+    def waited_entities_of(self, txn: TxnId) -> set[EntityName]:
+        """Entities *txn* holds that other deadlock members wait for
+        (none unless *txn* is itself a member).
 
         Rolling *txn* back far enough to release all of them removes every
         cycle arc leaving *txn* — the paper's per-transaction rollback
         candidate ("a state in which it no longer holds a lock on an entity
         being waited for by another transaction in the cycle").
         """
-        entities: set[str] = set()
-        for arc in self.graph.holds_waited_on(txn):
-            if arc.waiter in self.members:
-                entities.add(arc.entity)
-        return entities
+        return {
+            entity
+            for entities in self.arcs.get(txn, {}).values()
+            for entity in entities
+        }
+
+    def cycle_entities(self) -> list[EntityName]:
+        """The entity on each hop of each cycle, in cycle order (if several
+        entities label a hop, the lexicographically first)."""
+        return [
+            self.arcs[holder][cycle[(i + 1) % len(cycle)]][0]
+            for cycle in self.cycles
+            for i, holder in enumerate(cycle)
+        ]
 
 
 class DeadlockDetector:
     """Cycle detection against a live lock table.
 
     Detection runs over the table's *continuously maintained* waits-for
-    graph (:attr:`~repro.locking.table.LockTable.waits_for`): the common
-    no-deadlock wait is answered by a DFS from the requester over the
-    live holder -> waiters map, so its cost scales with the conflict
-    neighbourhood, not with lock-table size.  :meth:`snapshot` keeps the
-    from-scratch rebuild as the differential oracle.
+    graph (:attr:`~repro.locking.table.LockTable.waits_for`), in place:
+    the common no-deadlock wait is answered by a DFS from the requester
+    over the live holder -> waiters map, so its cost scales with the
+    conflict neighbourhood, not with lock-table size.  :meth:`snapshot`
+    keeps the from-scratch rebuild as the differential reference.
 
     ``cycle_limit`` bounds the per-detection enumeration of simple cycles
     (their number can be exponential at high contention).  Victim
@@ -93,8 +117,8 @@ class DeadlockDetector:
         return self._cycle_limit
 
     @property
-    def waits_for(self) -> "IncrementalWaitsFor":
-        """The live incrementally-maintained waits-for graph."""
+    def waits_for(self) -> ConcurrencyGraph:
+        """The lock table's live, continuously maintained graph."""
         return self._table.waits_for
 
     def check(self, requester: TxnId) -> Deadlock | None:
@@ -102,30 +126,23 @@ class DeadlockDetector:
 
         Returns a :class:`Deadlock` covering every cycle through the
         requester, or ``None`` when the wait is safe.  Only a confirmed
-        cycle pays for enumeration and graph materialisation; the cycles
-        (and their order) are identical to a full-rebuild detection, so
-        victim selection — and therefore every seeded run — is unchanged.
+        cycle pays for enumeration; the cycles (and their order) are
+        identical to a full-rebuild detection, so victim selection — and
+        therefore every seeded run — is unchanged.
         """
         live = self._table.waits_for
         cycles = live.cycles_through(requester, limit=self._cycle_limit)
         if not cycles:
             return None
-        return Deadlock(
-            requester=requester, cycles=cycles, graph=live.materialize()
-        )
+        return Deadlock(requester, cycles, live)
 
     def find_any_cycle(self) -> list[TxnId] | None:
         """Some cycle anywhere in the live graph, or ``None`` (used by the
         scheduler's residual pass after a capped resolution)."""
         return self._table.waits_for.find_any_cycle()
 
-    def live_graph(self) -> ConcurrencyGraph:
-        """Materialise the live waits-for graph (arc-set equal to
-        :meth:`snapshot`, without rescanning the lock table)."""
-        return self._table.waits_for.materialize()
-
     def snapshot(self) -> ConcurrencyGraph:
         """Current concurrency graph, rebuilt from the lock table — the
-        differential oracle the incremental structure is checked against
-        (``graph-consistency`` in :mod:`repro.verification.oracles`)."""
+        from-scratch reference the tests check the live graph's answers
+        against."""
         return ConcurrencyGraph.from_lock_table(self._table)

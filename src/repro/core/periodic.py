@@ -82,18 +82,15 @@ class PeriodicDetectionScheduler(Scheduler):
         while True:
             live = self.lock_manager.table.waits_for
             if live.find_any_cycle() is None:
-                break  # cheap existence gate: no rebuild on idle sweeps
-            graph = live.materialize()
-            cycle = self._any_cycle(graph)
+                break  # cheap existence gate for idle sweeps
+            cycle = self._any_cycle(live)
             if cycle is None:
                 break
             nominal = max(
                 cycle, key=lambda txn_id: self._blocked_at.get(txn_id, -1)
             )
-            cycles = graph.cycles_through(nominal)
-            deadlock = Deadlock(
-                requester=nominal, cycles=cycles, graph=graph
-            )
+            cycles = live.cycles_through(nominal)
+            deadlock = Deadlock(nominal, cycles, live)
             self.metrics.bump("deadlocks")
             self.sweep_deadlocks += 1
             if self.bus:

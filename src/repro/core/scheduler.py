@@ -316,11 +316,7 @@ class Scheduler:
         if deadlock is None:
             return StepResult(txn.txn_id, StepOutcome.BLOCKED)
         self.metrics.bump("deadlocks")
-        self.metrics.record_deadlock_arcs(
-            arc.entity
-            for cycle in deadlock.cycles
-            for arc in deadlock.graph.cycle_arcs(cycle)
-        )
+        self.metrics.record_deadlock_arcs(deadlock.cycle_entities())
         if self.bus:
             self.bus.publish(
                 EventKind.DEADLOCK,
@@ -490,18 +486,16 @@ class Scheduler:
         policy then rolls the youngest back, never an elder).
         """
         actions: list[RollbackAction] = []
+        live = self.detector.waits_for
         while True:
             cycle = self.detector.find_any_cycle()
             if cycle is None:
                 return actions
-            graph = self.detector.live_graph()
             nominal = max(
                 cycle, key=lambda t: self.transactions[t].entry_order
             )
             residual = Deadlock(
-                requester=nominal,
-                cycles=graph.cycles_through(nominal, limit=500),
-                graph=graph,
+                nominal, live.cycles_through(nominal, limit=500), live
             )
             self.metrics.bump("deadlocks")
             if self.bus:

@@ -40,7 +40,7 @@ from ..core.detection import Deadlock
 from ..core.scheduler import Scheduler, StepOutcome, StepResult
 from ..core.transaction import Transaction, TransactionProgram, TxnStatus
 from ..core.operations import Lock
-from ..graphs.concurrency import ConcurrencyGraph
+from ..graphs import algorithms
 from ..locking.modes import LockMode
 from ..observability.events import EventKind
 from ..storage.database import Database
@@ -234,6 +234,12 @@ class DistributedScheduler(Scheduler):
             if self._clock - since >= self.wait_timeout:
                 self._timeout(txn)
 
+    def _entities_waited_on(self, txn_id: TxnId) -> set[str]:
+        """Entities *txn_id* holds that some transaction currently waits
+        for."""
+        waiters = self.lock_manager.table.waits_for.waiters_of(txn_id)
+        return {e for entities in waiters.values() for e in entities}
+
     def _timeout(self, txn: Transaction) -> None:
         """Resolve a suspected invisible global deadlock.
 
@@ -242,10 +248,7 @@ class DistributedScheduler(Scheduler):
         nothing waits on it (it is merely slow, not deadlocking anyone),
         the timer is reset instead of rolling back.
         """
-        live = self.lock_manager.table.waits_for.materialize()
-        waited_entities = {
-            arc.entity for arc in live.holds_waited_on(txn.txn_id)
-        }
+        waited_entities = self._entities_waited_on(txn.txn_id)
         if not waited_entities:
             self._blocked_since[txn.txn_id] = self._clock
             return
@@ -378,19 +381,24 @@ class DistributedScheduler(Scheduler):
         """Site-local detection: only cycles whose arcs all lie on one site
         are visible (the paper's 'deadlocks involving only a single site
         may be treated using the above means')."""
-        full = self.lock_manager.table.waits_for.materialize()
         entity = self.lock_manager.waiting_on(requester)
         if entity is None:
             return None
+        live = self.lock_manager.table.waits_for
+        if live.cycle_through(requester) is None:
+            return None  # a site-local cycle is a cycle of the full graph
         site = self.partition.site_of_entity(entity)
-        local = ConcurrencyGraph(full.transactions)
-        for arc in full.arcs:
+        local: dict[TxnId, set[TxnId]] = {}
+        for arc in live:
             if self.partition.site_of_entity(arc.entity) == site:
-                local.add_wait(arc.holder, arc.waiter, arc.entity)
-        cycles = local.cycles_through(requester, limit=500)
+                local.setdefault(arc.holder, set()).add(arc.waiter)
+        cycles = algorithms.simple_cycles_through(local, requester, limit=500)
         if not cycles:
             return None
-        return Deadlock(requester=requester, cycles=cycles, graph=local)
+        # Every arc into a member carries that member's one awaited
+        # entity, which lies on this site (its cycle arc does), so the
+        # arcs the deadlock copies from the full graph are all local.
+        return Deadlock(requester, cycles, live)
 
     def _apply_timestamp_rule(self, txn: Transaction, op: Lock) -> bool:
         """Wound-wait / wait-die for conflicts crossing site boundaries.
@@ -467,10 +475,7 @@ class DistributedScheduler(Scheduler):
         """Younger requester dies (partially) instead of waiting."""
         if all(txn.entry_order < b.entry_order for b in cross):
             return False  # older than every cross-site blocker: may wait
-        graph = self.lock_manager.table.waits_for.materialize()
-        waited = {
-            arc.entity for arc in graph.holds_waited_on(txn.txn_id)
-        }
+        waited = self._entities_waited_on(txn.txn_id)
         if waited:
             ideal = min(
                 txn.record_for_entity(entity).ordinal for entity in waited
@@ -498,10 +503,10 @@ class DistributedScheduler(Scheduler):
         partially rolling back the initiator (the CMH convention), far
         enough to release everything the cycle waits on it for.
         """
-        graph = self.lock_manager.table.waits_for.materialize()
+        live = self.lock_manager.table.waits_for
         # BFS along waiter -> blocker edges starting from the initiator.
         adjacency: dict[TxnId, set[TxnId]] = {}
-        for arc in graph.arcs:
+        for arc in live:
             adjacency.setdefault(arc.waiter, set()).add(arc.holder)
         initiator = txn.txn_id
         seen: set[TxnId] = set()
@@ -535,8 +540,8 @@ class DistributedScheduler(Scheduler):
         # point that distribution does not invalidate rollback
         # optimisation.  One extra notify per victim is charged below via
         # _notify_rollback.
-        cycles = graph.cycles_through(initiator, limit=500)
-        deadlock = Deadlock(initiator, cycles, graph)
+        cycles = live.cycles_through(initiator, limit=500)
+        deadlock = Deadlock(initiator, cycles, live)
         self.metrics.bump("deadlocks")
         if self.bus:
             self.bus.publish(
@@ -545,8 +550,7 @@ class DistributedScheduler(Scheduler):
                 cycles=[list(c) for c in cycles],
                 probe=True,
             )
-        ctx_actions = self._resolve(deadlock)
-        del ctx_actions
+        self._resolve(deadlock)
         return True
 
     def force_rollback(

@@ -12,11 +12,11 @@ waiter), labeled with the entity.
 The table also *continuously maintains* the waits-for graph (the paper's
 premise that makes detection-at-every-conflict affordable): every mutation
 of an entity's lock state refreshes that entity's edges in
-:attr:`LockTable.waits_for`, an
-:class:`~repro.graphs.incremental.IncrementalWaitsFor`.  Detection then
-searches the live structure; :func:`~repro.graphs.concurrency.
-ConcurrencyGraph.from_lock_table` remains the from-scratch oracle the
-``graph-consistency`` invariant checks it against.
+:attr:`LockTable.waits_for`, a
+:class:`~repro.graphs.concurrency.ConcurrencyGraph`.  Detection then
+searches the live graph in place; :meth:`LockTable.wait_edges` remains
+the from-scratch scan the ``graph-consistency`` invariant checks it
+against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..errors import LockError
-from ..graphs.incremental import IncrementalWaitsFor
+from ..graphs.concurrency import ConcurrencyGraph
 from .modes import LockMode
 
 TxnId = str
@@ -75,7 +75,7 @@ class LockTable:
         #: Continuously maintained waits-for graph; every mutation of an
         #: entity's lock state refreshes that entity's edges, so detection
         #: never rescans the table.
-        self.waits_for = IncrementalWaitsFor()
+        self.waits_for = ConcurrencyGraph()
 
     def _refresh_waits(self, entity: EntityName) -> None:
         """Re-derive *entity*'s waits-for edges from its current state."""

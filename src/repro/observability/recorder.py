@@ -99,10 +99,7 @@ class RunRecorder:
         if self._steps_seen % self.sample_every:
             return
         scheduler = engine.scheduler
-        graph = scheduler.concurrency_graph()
-        arcs = sorted(
-            (arc.holder, arc.waiter, arc.entity) for arc in graph.arcs
-        )
+        arcs = sorted(scheduler.lock_manager.table.waits_for.arcs)
         metrics = scheduler.metrics
         transactions = scheduler.transactions
         self.bus.publish(

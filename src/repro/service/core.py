@@ -589,7 +589,7 @@ class ServiceCore:
         """Drop every per-transaction record of settled, terminal sessions.
 
         The service-lifetime boundedness contract: with the waits-for
-        graph keyed by live arcs only (see ``graphs/incremental.py``)
+        graph keyed by live arcs only (see ``graphs/concurrency.py``)
         and this reap, memory tracks concurrent load, not
         requests-ever-served.
         """

@@ -49,8 +49,8 @@ class SimulationResult:
     #: Transactions removed by the overload guard without committing
     #: (deadline ladder's last rung), sorted by id.
     shed: list[str] = field(default_factory=list)
-    #: Incremental waits-for maintenance/query counters for the run
-    #: (:attr:`repro.graphs.incremental.IncrementalWaitsFor.counters`);
+    #: Live waits-for graph maintenance/query counters for the run
+    #: (:attr:`repro.graphs.concurrency.ConcurrencyGraph.counters`);
     #: ``bench_scale`` records them into ``BENCH_scale.json``.
     graph_counters: dict[str, int] = field(default_factory=dict)
 

@@ -48,14 +48,14 @@ Oracles and their provenance:
     or partitioned replica must finish catch-up before rejoining the
     read set.  Silently inert on schedulers without a read log.
 ``graph-consistency``
-    Differential contract of the incremental waits-for structure
-    (:class:`~repro.graphs.incremental.IncrementalWaitsFor`): after every
+    Differential contract of the lock table's live waits-for graph
+    (:attr:`~repro.locking.table.LockTable.waits_for`): after every
     step its arc and vertex sets equal a from-scratch
-    :meth:`~repro.graphs.concurrency.ConcurrencyGraph.from_lock_table`
-    rebuild, and the scheduler's running copies total equals a full
-    recount.  Any divergence means a lock-table mutation path (grant,
-    block, release wake-up, rollback cancellation, shed) failed to
-    maintain the live structure.
+    :meth:`~repro.locking.table.LockTable.wait_edges` scan, and the
+    scheduler's running copies total equals a full recount.  Any
+    divergence means a lock-table mutation path (grant, block, release
+    wake-up, rollback cancellation, shed) failed to maintain the live
+    graph.
 """
 
 from __future__ import annotations
@@ -409,25 +409,23 @@ class NoStaleReadOracle(Oracle):
 
 
 class GraphConsistencyOracle(Oracle):
-    """Incremental waits-for graph == from-scratch rebuild, every step.
+    """Live waits-for graph == from-scratch scan, every step.
 
-    The incremental structure is the detection hot path; this oracle is
-    the harness that keeps it honest: arcs, induced vertices, and the
-    incremental copies accounting are all compared against their
-    full-rebuild oracles after every completed step (including rollback
-    and SHED paths, which exercise the batched ``release_many`` wake-up).
+    The live graph is the detection hot path; this oracle is the harness
+    that keeps it honest: arcs, induced vertices, and the incremental
+    copies accounting are all compared against their from-scratch
+    references after every completed step (including rollback and SHED
+    paths, which exercise the batched ``release_many`` wake-up).  The
+    reference is the raw ``wait_edges()`` triples, not a rebuilt graph: a
+    rebuild would pass through the very container under test.
     """
 
     name = "graph-consistency"
 
     def check(self, scheduler: Scheduler, event: TraceEvent) -> None:
         table = scheduler.lock_manager.table
-        live = table.waits_for.arcs()
-        rebuilt_graph = scheduler.detector.snapshot()
-        rebuilt = {
-            (arc.holder, arc.waiter, arc.entity)
-            for arc in rebuilt_graph.arcs
-        }
+        live = table.waits_for.arcs
+        rebuilt = set(table.wait_edges())
         if live != rebuilt:
             self._fail(
                 f"incremental waits-for diverged from rebuild at step "
@@ -436,8 +434,8 @@ class GraphConsistencyOracle(Oracle):
                 f"spurious={sorted(live - rebuilt)}",
                 event,
             )
-        live_nodes = table.waits_for.transactions()
-        rebuilt_nodes = rebuilt_graph.transactions
+        live_nodes = table.waits_for.transactions
+        rebuilt_nodes = {txn for arc in rebuilt for txn in arc[:2]}
         if live_nodes != rebuilt_nodes:
             self._fail(
                 f"incremental vertex set diverged at step {event.step}: "

@@ -47,6 +47,21 @@ class TestDetector:
         assert deadlock.waited_entities_of("T1") == {"a"}
         assert deadlock.waited_entities_of("T2") == {"b"}
 
+    def test_parallel_labels_on_one_hop(self):
+        """A scenario graph may label one hop with several entities: all
+        of them are waited for, the first names the hop."""
+        graph = ConcurrencyGraph()
+        graph.add_wait("T1", "T2", "b")
+        graph.add_wait("T1", "T2", "a")
+        graph.add_wait("T2", "T1", "c")
+        deadlock = Deadlock("T2", graph.cycles_through("T2"), graph)
+        assert deadlock.waited_entities_of("T1") == {"a", "b"}
+        assert deadlock.arcs == {"T1": {"T2": ["a", "b"]}, "T2": {"T1": ["c"]}}
+        assert deadlock.cycle_entities() == ["c", "a"]
+        assert deadlock.cycle_entities() == [
+            arc.entity for arc in graph.cycle_arcs(["T2", "T1"])
+        ]
+
     def test_snapshot(self):
         table = LockTable()
         table.request("T1", "a", EXCLUSIVE)

@@ -1,8 +1,10 @@
-"""Differential tests for the incrementally maintained waits-for graph.
+"""Differential tests for the lock table's live waits-for graph.
 
-:class:`repro.graphs.incremental.IncrementalWaitsFor` is the detection
-hot path; these tests lock it to its specification — *always* equal, as
-an arc/vertex set and in every cycle answer, to a from-scratch
+:attr:`repro.locking.table.LockTable.waits_for` — a
+:class:`~repro.graphs.concurrency.ConcurrencyGraph` the table keeps
+current entity by entity — is the detection hot path; these tests lock
+it to its specification — *always* equal, as an arc/vertex set, to the
+raw ``wait_edges()`` scan, and in every cycle answer to a from-scratch
 ``ConcurrencyGraph.from_lock_table`` rebuild:
 
 * hypothesis-driven random request/release/cancel/release_many sequences
@@ -19,17 +21,21 @@ an arc/vertex set and in every cycle answer, to a from-scratch
 * named regression cases for the trickiest single paths (cancel-wait
   with queue drain, shared-mode multi-blocker refresh);
 * the boundedness contract: the structure is keyed by live arcs only,
-  so an idle lock table means an empty graph — nothing to recycle.
+  so an idle lock table means an empty graph — nothing to recycle;
+* what a :class:`~repro.core.detection.Deadlock` copies out of the live
+  graph (whole, or one site's labels) equals what the retained snapshot
+  used to answer, and survives later mutation of the graph.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Database, Scheduler, TransactionProgram, ops
 from repro.core.detection import Deadlock, DeadlockDetector
+from repro.distributed import DistributedScheduler, explicit_partition
 from repro.errors import LockError
-from repro.graphs import ConcurrencyGraph, IncrementalWaitsFor
-from repro.graphs.incremental import iter_arcs_sorted
+from repro.graphs import ConcurrencyGraph
 from repro.locking import EXCLUSIVE, SHARED, LockManager, LockTable
+from repro.locking.table import QueuedRequest
 from repro.simulation import (
     RandomInterleaving,
     SimulationEngine,
@@ -42,51 +48,58 @@ ENTITIES = ["a", "b", "c"]
 
 
 def assert_matches_rebuild(table: LockTable) -> None:
-    """The incremental structure answers exactly like a fresh rebuild."""
+    """The live graph holds exactly the arcs a from-scratch scan finds,
+    and answers exactly like a fresh rebuild.
+
+    The arc reference is the raw ``wait_edges()`` triples: the live graph
+    and a rebuilt one share ``add_wait``, so a rebuild alone could share
+    its bugs.
+    """
     live = table.waits_for
-    rebuilt = ConcurrencyGraph.from_lock_table(table)
-    rebuilt_arcs = {(a.holder, a.waiter, a.entity) for a in rebuilt}
-    assert live.arcs() == rebuilt_arcs
-    assert len(live) == len(rebuilt)
-    induced = {txn for arc in rebuilt_arcs for txn in arc[:2]}
-    assert live.transactions() == induced
-    live_adj = {k: v for k, v in live.adjacency().items() if v}
-    rebuilt_adj = {k: v for k, v in rebuilt.adjacency().items() if v}
-    assert live_adj == rebuilt_adj
+    raw = set(table.wait_edges())
+    assert live.arcs == raw
+    assert len(live) == len(raw)
+    induced = {txn for arc in raw for txn in arc[:2]}
+    assert live.transactions == induced
+    raw_adj: dict = {}
+    for holder, waiter, _ in raw:
+        raw_adj.setdefault(holder, set()).add(waiter)
+    assert live.adjacency() == raw_adj
     # Every cycle query must agree — including the exact enumeration
     # order, which victim selection depends on.
+    rebuilt = ConcurrencyGraph.from_lock_table(table)
     for txn in sorted(induced):
         assert live.cycles_through(txn) == rebuilt.cycles_through(txn)
-        assert live.has_cycle_through(txn) == bool(
+        assert bool(live.cycle_through(txn)) == bool(
             rebuilt.cycle_through(txn)
         )
     assert live.find_any_cycle() == rebuilt.find_any_cycle()
-    # materialize() round-trips to an arc-identical plain graph.
-    exported = live.materialize()
-    assert {(a.holder, a.waiter, a.entity) for a in exported} == rebuilt_arcs
 
 
-def assert_idle(live: IncrementalWaitsFor) -> None:
+def assert_idle(live: ConcurrencyGraph) -> None:
     """Nothing is retained once no transaction waits: the structure is
     bounded by concurrent load by construction."""
     assert len(live) == 0
     assert live.adjacency() == {}
-    assert live.transactions() == set()
+    assert live.transactions == set()
+    assert live._declared == set()
     assert live._entity_edges == {}
     assert live._pair_labels == {}
     assert live._succ == {}
 
 
+KINDS = ["request", "release", "cancel", "release_all", "release_many"]
+#: Request-heavy mix: transactions pile up behind each other, so about
+#: one blocked request in eight closes a cycle (the uniform mix closes
+#: almost none).
+CONTENDED_KINDS = ["request"] * 6 + KINDS[1:]
+
+
 @st.composite
-def table_operations(draw):
+def table_operations(draw, kinds=KINDS):
     ops_ = []
     for _ in range(draw(st.integers(0, 40))):
-        kind = draw(
-            st.sampled_from(
-                ["request", "release", "cancel", "release_all",
-                 "release_many"]
-            )
-        )
+        kind = draw(st.sampled_from(kinds))
         txn = draw(st.sampled_from(TXNS))
         entity = draw(st.sampled_from(ENTITIES))
         extra = draw(st.sampled_from(ENTITIES))
@@ -137,7 +150,7 @@ class TestDifferentialPropertyLockTable:
         for txn in TXNS:
             table.release_all(txn)
             assert_matches_rebuild(table)
-        assert table.waits_for.arcs() == set()
+        assert table.waits_for.arcs == set()
         assert_idle(table.waits_for)
 
     def test_release_many_wakes_like_sequential_releases(self):
@@ -162,7 +175,7 @@ class TestDifferentialPropertyLockTable:
             (g.txn, g.entity) for g in expected
         ]
         assert_matches_rebuild(batched)
-        assert batched.waits_for.arcs() == sequential.waits_for.arcs()
+        assert batched.waits_for.arcs == sequential.waits_for.arcs
 
 
 def differential_observer(engine, event) -> None:
@@ -243,7 +256,7 @@ class TestShedPath:
         s.step("T1")  # T1 blocks on b (held by T2)
         s.step("T3")  # T3 blocks on a (held by T1)
         assert_matches_rebuild(s.lock_manager.table)
-        assert s.lock_manager.table.waits_for.arcs() == {
+        assert s.lock_manager.table.waits_for.arcs == {
             ("T2", "T1", "b"),
             ("T1", "T3", "a"),
         }
@@ -255,7 +268,7 @@ class TestShedPath:
         # T1's wait on b is cancelled and its hold on a released, which
         # wakes T3 — no stale arcs either side.
         assert_matches_rebuild(s.lock_manager.table)
-        assert s.lock_manager.table.waits_for.arcs() == set()
+        assert s.lock_manager.table.waits_for.arcs == set()
         s.run_until_quiescent()
         assert_matches_rebuild(s.lock_manager.table)
 
@@ -264,7 +277,7 @@ class TestShedPath:
         s.shed("T2", reason="test")
         assert_matches_rebuild(s.lock_manager.table)
         # T1 was granted b by the shed; only T3's wait on a remains.
-        assert s.lock_manager.table.waits_for.arcs() == {
+        assert s.lock_manager.table.waits_for.arcs == {
             ("T1", "T3", "a")
         }
         s.run_until_quiescent()
@@ -283,9 +296,6 @@ class RebuildDetector(DeadlockDetector):
 
     def find_any_cycle(self):
         return ConcurrencyGraph.from_lock_table(self._table).find_any_cycle()
-
-    def live_graph(self):
-        return ConcurrencyGraph.from_lock_table(self._table)
 
 
 class TestDeterminismContract:
@@ -342,14 +352,14 @@ class TestRegressionCases:
         table.request("T1", "a", SHARED)
         table.request("T2", "a", EXCLUSIVE)  # blocks on the S holder
         table.request("T3", "a", SHARED)     # FIFO-blocked behind T2
-        assert table.waits_for.arcs() == {
+        assert table.waits_for.arcs == {
             ("T1", "T2", "a"),
             ("T2", "T3", "a"),
         }
         table.cancel_wait("T2")
         # T3 is compatible with T1 and must be drained in; no arcs left.
         assert "T3" in table.holders("a")
-        assert table.waits_for.arcs() == set()
+        assert table.waits_for.arcs == set()
         assert_matches_rebuild(table)
 
     def test_shared_multi_blocker_refresh(self):
@@ -359,15 +369,15 @@ class TestRegressionCases:
         table.request("R1", "x", SHARED)
         table.request("R2", "x", SHARED)
         table.request("W", "x", EXCLUSIVE)
-        assert table.waits_for.arcs() == {
+        assert table.waits_for.arcs == {
             ("R1", "W", "x"),
             ("R2", "W", "x"),
         }
         table.release("R1", "x")
-        assert table.waits_for.arcs() == {("R2", "W", "x")}
+        assert table.waits_for.arcs == {("R2", "W", "x")}
         assert_matches_rebuild(table)
         table.release("R2", "x")
-        assert table.waits_for.arcs() == set()
+        assert table.waits_for.arcs == set()
         assert "W" in table.holders("x")
         assert_matches_rebuild(table)
 
@@ -395,7 +405,7 @@ class TestRegressionCases:
         table.request("T2", "b", EXCLUSIVE)
         table.request("T3", "b", EXCLUSIVE)
         table.request("T1", "b", EXCLUSIVE)
-        assert list(iter_arcs_sorted(table.waits_for)) == [
+        assert sorted(table.waits_for.arcs) == [
             ("T2", "T1", "b"),
             ("T2", "T3", "b"),
             ("T3", "T1", "b"),
@@ -404,11 +414,11 @@ class TestRegressionCases:
 
 class TestInterner:
     def test_queries_on_unknown_names_are_safe(self):
-        live = IncrementalWaitsFor()
-        assert not live.has_cycle_through("nobody")
+        live = ConcurrencyGraph()
+        assert live.cycle_through("nobody") is None
         assert live.cycles_through("nobody") == []
         assert live.find_any_cycle() is None
-        assert live.arcs() == set()
+        assert live.arcs == set()
 
 
 class TestBoundedness:
@@ -421,7 +431,7 @@ class TestBoundedness:
         manager.lock("T1", "a", EXCLUSIVE)
         manager.lock("T2", "a", EXCLUSIVE)  # blocks: T2 waits for T1
         live = manager.table.waits_for
-        assert live.transactions() == {"T1", "T2"}
+        assert live.transactions == {"T1", "T2"}
         manager.finish("T1")
         manager.finish("T2")
         assert_idle(live)
@@ -448,7 +458,7 @@ class TestBoundedness:
         assert_idle(scheduler.lock_manager.table.waits_for)
 
     def test_counters_are_the_six_the_benchmark_reads(self):
-        assert set(IncrementalWaitsFor().counters_snapshot()) == {
+        assert set(ConcurrencyGraph().counters_snapshot()) == {
             "refreshes",
             "edges_added",
             "edges_removed",
@@ -504,3 +514,131 @@ class TestOneRepresentation:
             ["W", "R3"],
         ]
         assert_matches_rebuild(table)
+
+    def test_one_instance_meets_both_vertex_contracts(self):
+        """Scenario graphs keep declared vertices and the endpoints of
+        manually removed arcs; arcs a lock table refreshes away leave
+        nothing, so its live graph is empty when the table is idle."""
+        graph = ConcurrencyGraph(["T9"])
+        graph.add_wait("T1", "T2", "a")
+        graph.remove_wait("T1", "T2", "a")
+        assert graph.transactions == {"T1", "T2", "T9"}
+        queued = QueuedRequest("T4", EXCLUSIVE, seq=1)
+        graph.refresh_entity("b", {"T3": EXCLUSIVE}, [queued])
+        assert graph.arcs == {("T3", "T4", "b")}
+        assert graph.transactions == {"T1", "T2", "T3", "T4", "T9"}
+        graph.refresh_entity("b", {}, ())
+        assert len(graph) == 0
+        assert graph.transactions == {"T1", "T2", "T9"}
+        graph.remove_transaction("T9")
+        assert graph.transactions == {"T1", "T2"}
+
+
+def reference_answers(graph: ConcurrencyGraph, cycles):
+    """What ``Deadlock`` answered while it retained *graph*:
+    ``waited_entities_of`` per member, and the per-hop cycle entities."""
+    members = {txn for cycle in cycles for txn in cycle}
+    waited = {
+        member: {
+            arc.entity
+            for arc in graph.holds_waited_on(member)
+            if arc.waiter in members
+        }
+        for member in members
+    }
+    hops = [
+        arc.entity for cycle in cycles for arc in graph.cycle_arcs(cycle)
+    ]
+    return waited, hops
+
+
+def deadlock_answers(deadlock: Deadlock):
+    waited = {m: deadlock.waited_entities_of(m) for m in deadlock.members}
+    return waited, deadlock.cycle_entities()
+
+
+class TestDeadlockCopiesItsArcs:
+    """A ``Deadlock`` keeps the arcs between its members, not the graph:
+    the copy must answer as the retained snapshot did, whole or filtered
+    to one site, and must not follow the live graph afterwards."""
+
+    #: T0 and T1 each hold one entity and wait for the other's.
+    TWO_CYCLE = [
+        ("request", "T0", "a", "a", EXCLUSIVE),
+        ("request", "T1", "b", "b", EXCLUSIVE),
+        ("request", "T0", "b", "b", EXCLUSIVE),
+        ("request", "T1", "a", "a", EXCLUSIVE),
+    ]
+
+    @settings(max_examples=150)
+    @given(ops_=table_operations(CONTENDED_KINDS))
+    @example(ops_=TWO_CYCLE)
+    def test_copy_from_live_graph_equals_snapshot_answers(self, ops_):
+        table = LockTable()
+        for operation in ops_:
+            apply_operation(table, operation)
+            snapshot = ConcurrencyGraph.from_lock_table(table)
+            for txn in sorted(snapshot.transactions):
+                cycles = snapshot.cycles_through(txn)
+                if cycles:
+                    deadlock = Deadlock(txn, cycles, table.waits_for)
+                    assert deadlock_answers(deadlock) == reference_answers(
+                        snapshot, cycles
+                    )
+
+    @settings(max_examples=150)
+    @given(
+        ops_=table_operations(CONTENDED_KINDS),
+        sites=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+    )
+    @example(ops_=TWO_CYCLE, sites=[0, 0, 0])  # the cycle is on one site
+    @example(ops_=TWO_CYCLE, sites=[0, 1, 0])  # ... and split over two
+    def test_site_local_detection_equals_filtered_rebuild(self, ops_, sites):
+        """``DistributedScheduler._detect`` over the live graph against
+        its former body: snapshot everything, rebuild a graph of the
+        requester's site's arcs, enumerate and answer from that."""
+        entity_sites = dict(zip(ENTITIES, sites))
+        scheduler = DistributedScheduler(
+            Database({entity: 0 for entity in ENTITIES}),
+            explicit_partition(entity_sites, {txn: 0 for txn in TXNS}),
+        )
+        table = scheduler.lock_manager.table
+        for operation in ops_:
+            apply_operation(table, operation)
+            full = ConcurrencyGraph.from_lock_table(table)
+            for requester in sorted(table.all_waiting()):
+                site = entity_sites[table.waiting_on(requester)]
+                local = ConcurrencyGraph(full.transactions)
+                for arc in full.arcs:
+                    if entity_sites[arc.entity] == site:
+                        local.add_wait(arc.holder, arc.waiter, arc.entity)
+                cycles = local.cycles_through(requester, limit=500)
+                deadlock = scheduler._detect(requester)
+                if not cycles:
+                    assert deadlock is None
+                    continue
+                assert deadlock.cycles == cycles
+                assert deadlock_answers(deadlock) == reference_answers(
+                    local, cycles
+                )
+
+    def test_later_graph_mutation_does_not_reach_the_deadlock(self):
+        """Resolution rolls victims back one at a time; each one's ideal
+        target is judged against the deadlock as detected, after earlier
+        victims have already changed the live graph."""
+        table = LockTable()
+        table.request("T1", "a", EXCLUSIVE)
+        table.request("T2", "b", EXCLUSIVE)
+        table.request("T1", "b", EXCLUSIVE)
+        table.request("T2", "a", EXCLUSIVE)
+        live = table.waits_for
+        deadlock = Deadlock("T2", live.cycles_through("T2"), live)
+        before = deadlock_answers(deadlock)
+        assert before == (
+            {"T1": {"a"}, "T2": {"b"}},
+            ["b", "a"],
+        )
+        table.release_all("T1")
+        assert "T1" not in live.transactions
+        assert deadlock_answers(deadlock) == before
+        assert not hasattr(deadlock, "graph")

@@ -340,7 +340,7 @@ class TestLifetimeBoundedness:
         assert live.counters_snapshot()["edges_added"] >= 10
         assert len(live) == 0
         assert live.adjacency() == {}
-        assert live.transactions() == set()
+        assert live.transactions == set()
         assert not (live._entity_edges or live._pair_labels or live._succ)
 
     def test_status_reply_carries_graph_counters(self):

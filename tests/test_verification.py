@@ -104,6 +104,17 @@ class TestDeterminism:
         assert outcomes[0].fingerprint == outcomes[1].fingerprint
         assert outcomes[0].schedule == outcomes[1].schedule
 
+    def test_seed_42_campaign_fingerprint_is_pinned(self):
+        """``repro fuzz --seed 42 --steps 2000 --check all``: the
+        fingerprint ROADMAP's simplicity rule rests on (a simplification
+        must leave it unchanged).  CI additionally runs it under two
+        ``PYTHONHASHSEED`` values."""
+        report = fuzz_campaign(FuzzConfig(seed=42, steps=2_000, checks="all"))
+        assert report.failures == []
+        assert report.fingerprint == (
+            "2435b9b7ef7051f876357f97ab93b39ed6853cca4d9d44f716bc91f693350b52"
+        )
+
     def test_clean_campaign_across_all_strategies(self):
         report = fuzz_campaign(FuzzConfig(seed=42, steps=2_000))
         assert report.ok, [describe_failure(f) for f in report.failures]
@@ -185,6 +196,34 @@ class TestOracleSensitivity:
             GraphConsistencyOracle().check(s, _event())
         assert exc.value.oracle == "graph-consistency"
         assert "missing" in str(exc.value)
+
+    def test_graph_consistency_does_not_share_add_wait(self, monkeypatch):
+        """The live graph and a ``from_lock_table`` rebuild both insert
+        through ``ConcurrencyGraph.add_wait``; a fault there must still be
+        caught, so the oracle's reference cannot be a rebuilt graph."""
+        from repro.graphs import ConcurrencyGraph
+
+        real_add_wait = ConcurrencyGraph.add_wait
+
+        def drop_label_b(graph, holder, waiter, entity):
+            if entity != "b":
+                real_add_wait(graph, holder, waiter, entity)
+
+        monkeypatch.setattr(ConcurrencyGraph, "add_wait", drop_label_b)
+        s = _bare_scheduler()
+        for entity in ("a", "b"):
+            assert s.lock_manager.lock("T1", entity, LockMode.SHARED)
+        assert not s.lock_manager.lock("T2", "a", LockMode.EXCLUSIVE)
+        GraphConsistencyOracle().check(s, _event())  # "a" is unaffected
+        s.lock_manager.cancel_wait("T2")
+        assert not s.lock_manager.lock("T2", "b", LockMode.EXCLUSIVE)
+        table = s.lock_manager.table
+        # A rebuild is blind: it loses the same label the live graph did.
+        assert table.waits_for.arcs == s.detector.snapshot().arcs == set()
+        with pytest.raises(OracleViolation) as exc:
+            GraphConsistencyOracle().check(s, _event())
+        assert exc.value.oracle == "graph-consistency"
+        assert "missing=[('T1', 'T2', 'b')]" in str(exc.value)
 
     def test_graph_consistency_fires_on_stale_copies_sum(self):
         s = _bare_scheduler()
