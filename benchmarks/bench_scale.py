@@ -3,14 +3,18 @@
 The reproduction runs on a pure-Python discrete-step simulator rather
 than the authors' hardware, so absolute timings are not comparable to any
 real DBMS; this bench calibrates what the simulator itself sustains —
-simulation steps per second across system sizes — and verifies that the
-scheduler's work per step stays near-constant as the system grows (the
-detection path runs over the incrementally maintained waits-for graph,
-so its cost tracks the conflict neighbourhood, not the table).
+simulation steps per second across system sizes — and records whether
+the work per step stays constant as the system grows.  Since the
+scheduler keeps its ready list, blocked count and live count at its
+status transitions (no population scan per step), next to the live
+waits-for graph and the running copies total, it does: the 200-
+transaction point runs at the rate of the 10-transaction one instead of
+at 40% of it.  What slope remains is deadlock resolution (15 deadlocks
+at the largest point, 4-6 below) and the interleaving's per-step sort.
 
 Besides the pytest shape test, this file is the perf-trajectory writer:
 
-    python benchmarks/bench_scale.py --json BENCH_scale.json
+    PYTHONPATH=src python benchmarks/bench_scale.py --json BENCH_scale.json
 
 runs the sweep and records rows (steps/sec, detection-time share,
 incremental-graph maintenance counters) into the committed trajectory

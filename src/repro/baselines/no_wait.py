@@ -62,7 +62,7 @@ class NoWaitScheduler(Scheduler):
                 del self._sleeping_until[txn_id]
                 txn = self.transactions.get(txn_id)
                 if txn is not None and txn.status is TxnStatus.BLOCKED:
-                    txn.status = TxnStatus.READY
+                    self._set_status(txn, TxnStatus.READY)
 
     # -- lock handling -------------------------------------------------------
 
@@ -101,5 +101,5 @@ class NoWaitScheduler(Scheduler):
             self._backoff_base * (2 ** (collisions - 1)), self._backoff_cap
         )
         delay = self._rng.randint(1, window)
-        txn.status = TxnStatus.BLOCKED
+        self._set_status(txn, TxnStatus.BLOCKED)
         self._sleeping_until[txn.txn_id] = self._clock + delay

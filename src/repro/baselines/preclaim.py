@@ -95,7 +95,7 @@ class PreclaimScheduler(Scheduler):
                 break
             self._admission_queue.pop(0)
             self._admitted.add(txn_id)
-            txn.status = TxnStatus.READY
+            self._set_status(txn, TxnStatus.READY)
             for entity, mode in sorted(self._declared_locks(txn).items()):
                 record = txn.record_lock_request(entity, mode)
                 self.strategy.on_lock_request(txn)
@@ -119,7 +119,7 @@ class PreclaimScheduler(Scheduler):
         if txn_id not in self._admitted and not txn.done:
             self._try_admissions()
             if txn_id not in self._admitted:
-                txn.status = TxnStatus.BLOCKED
+                self._set_status(txn, TxnStatus.BLOCKED)
                 self.metrics.bump("blocks")
                 return StepResult(txn_id, StepOutcome.BLOCKED)
         op = txn.current_operation()
@@ -145,7 +145,7 @@ class PreclaimScheduler(Scheduler):
         for txn_id in self._admitted:
             txn = self.transaction(txn_id)
             if txn.status is TxnStatus.BLOCKED:
-                txn.status = TxnStatus.READY
+                self._set_status(txn, TxnStatus.READY)
 
     def runnable(self) -> list[TxnId]:
         # A blocked-on-admission transaction becomes runnable whenever the

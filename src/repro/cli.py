@@ -28,7 +28,7 @@ Commands
     (see ``docs/RESILIENCE.md``).
 ``lint``
     The repo's own static analysis: determinism / lock-discipline /
-    registration rules (RR001–RR006) plus ``--predict``, which lifts
+    registration rules (RR001–RR007) plus ``--predict``, which lifts
     each recorded regression trace (or ``--journal`` service journal)
     into abstract lock events with vector clocks and reports deadlocks
     reachable in *alternate* interleavings, cross-validated by engine

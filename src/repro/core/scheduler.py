@@ -14,6 +14,7 @@ lock request per the paper's three rules:
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -163,6 +164,16 @@ class Scheduler:
         #: per Theorem 2's partial order); victim policies treat members as
         #: off-limits candidates, bounding any transaction's rollback count.
         self.preemption_immune: set[TxnId] = set()
+        # Status index, kept by ``_set_status`` (the one writer of
+        # ``Transaction.status``) so no step rescans the population: the
+        # READY transactions as two parallel lists sorted by entry order
+        # (unique and increasing, so this *is* registration order), the
+        # BLOCKED count and the live (not done) count.  The from-scratch
+        # recounts live in ``GraphConsistencyOracle``.
+        self._ready_orders: list[int] = []
+        self._ready_ids: list[TxnId] = []
+        self._blocked = 0
+        self._live = 0
 
     # -- registration ------------------------------------------------------
 
@@ -175,6 +186,10 @@ class Scheduler:
         self._entry_counter += 1
         txn = Transaction(program=program, entry_order=self._entry_counter)
         self.transactions[program.txn_id] = txn
+        # A new transaction is READY with the highest entry order so far.
+        self._ready_orders.append(txn.entry_order)
+        self._ready_ids.append(program.txn_id)
+        self._live += 1
         self.strategy.begin(txn)
         self._copies_dirty.add(program.txn_id)
         if self.bus:
@@ -192,16 +207,75 @@ class Scheduler:
         return self.transactions[txn_id]
 
     def runnable(self) -> list[TxnId]:
-        """Transactions that can be stepped right now (READY, not done)."""
-        return [
-            txn_id
-            for txn_id, txn in self.transactions.items()
-            if txn.status is TxnStatus.READY
-        ]
+        """Transactions that can be stepped right now (READY, not done).
+
+        A fresh list in registration order — callers filter, sort and
+        test membership on it — copied from the status index, not
+        recomputed from the population.
+        """
+        return self._ready_ids.copy()
+
+    @property
+    def blocked_count(self) -> int:
+        """How many transactions are BLOCKED right now."""
+        return self._blocked
 
     @property
     def all_done(self) -> bool:
-        return all(txn.done for txn in self.transactions.values())
+        return self._live == 0
+
+    def forget(self, txn_id: TxnId) -> None:
+        """Drop a terminal transaction from the scheduler's books.
+
+        A long-lived owner (the lock service) calls this once a
+        committed or shed transaction's outcome has been delivered, so
+        memory tracks concurrent load.  A live transaction is rejected:
+        it still holds locks and a place in the status index.
+        """
+        txn = self.transaction(txn_id)
+        if not txn.done:
+            raise SimulationError(
+                f"{txn_id} is {txn.status}: only a committed or shed "
+                f"transaction can be forgotten"
+            )
+        # A done transaction's cached copy count flushes to zero, so
+        # dropping the cache entry afterwards cannot skew the running sum.
+        self._flush_copies()
+        del self.transactions[txn_id]
+        self._copies_cache.pop(txn_id, None)
+
+    # -- status transitions --------------------------------------------------
+
+    def _set_status(self, txn: Transaction, status: TxnStatus) -> None:
+        """Move *txn* to *status*: the single writer of
+        ``Transaction.status`` outside :meth:`Transaction.apply_rollback`
+        (lint rule RR007), so the status index cannot drift."""
+        was = txn.status
+        if was is not status:  # an immediate grant finds it READY already
+            txn.status = status
+            self._reindex(txn, was)
+
+    def _reindex(self, txn: Transaction, was: TxnStatus) -> None:
+        """Account *txn* having moved from status *was* to its current
+        one: leave the old place, enter the new (the same place, when a
+        READY victim is rolled back)."""
+        if was is TxnStatus.READY:
+            at = bisect_left(self._ready_orders, txn.entry_order)
+            del self._ready_orders[at]
+            del self._ready_ids[at]
+        elif was is TxnStatus.BLOCKED:
+            self._blocked -= 1
+        else:
+            self._live += 1
+        now = txn.status
+        if now is TxnStatus.READY:
+            at = bisect_left(self._ready_orders, txn.entry_order)
+            self._ready_orders.insert(at, txn.entry_order)
+            self._ready_ids.insert(at, txn.txn_id)
+        elif now is TxnStatus.BLOCKED:
+            self._blocked += 1
+        else:
+            self._live -= 1
 
     # -- execution --------------------------------------------------------
 
@@ -303,7 +377,7 @@ class Scheduler:
                 Grant(txn.txn_id, op.entity_name, op.mode)
             )
             return StepResult(txn.txn_id, StepOutcome.GRANTED)
-        txn.status = TxnStatus.BLOCKED
+        self._set_status(txn, TxnStatus.BLOCKED)
         self.metrics.record_block(op.entity_name)
         if self.bus:
             self.bus.publish(
@@ -364,7 +438,7 @@ class Scheduler:
             self.database[grant.entity],
             record.ordinal,
         )
-        txn.status = TxnStatus.READY
+        self._set_status(txn, TxnStatus.READY)
         txn.pc += 1
         txn.program.on_op_completed(txn.pc - 1, None)
 
@@ -396,7 +470,7 @@ class Scheduler:
                 )
         grants = self.lock_manager.finish(txn.txn_id)
         self.strategy.on_finish(txn)
-        txn.status = TxnStatus.COMMITTED
+        self._set_status(txn, TxnStatus.COMMITTED)
         self._copies_dirty.add(txn.txn_id)
         self.metrics.bump("commits")
         if self.bus:
@@ -574,7 +648,9 @@ class Scheduler:
             grants += self._degrade_to_restart(txn)
             target_ordinal = 0
             states_lost = txn.state_index
-        txn.apply_rollback(target_ordinal)
+        was = txn.status
+        txn.apply_rollback(target_ordinal)  # leaves the victim READY
+        self._reindex(txn, was)
         self._copies_dirty.add(txn_id)
         if self.wal is not None:
             self.wal.log_rollback(txn_id, target_ordinal)
@@ -615,7 +691,7 @@ class Scheduler:
         held = sorted(self.lock_manager.locks_held(txn.txn_id))
         grants += self.lock_manager.release_for_rollback(txn.txn_id, held)
         self.strategy.on_finish(txn)
-        txn.status = TxnStatus.SHED
+        self._set_status(txn, TxnStatus.SHED)
         self._copies_dirty.add(txn_id)
         self.preemption_immune.discard(txn_id)
         self.metrics.record_shed(txn_id, reason)

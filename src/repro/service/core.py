@@ -601,16 +601,9 @@ class ServiceCore:
             and (txn := self.scheduler.transactions.get(txn_id)) is not None
             and txn.done
         ]
-        if not reapable:
-            return
-        # Settle the incremental copies accounting first: a done
-        # transaction's cached count flushes to zero, so dropping its
-        # cache entry afterwards cannot skew the running sum.
-        self.scheduler._flush_copies()
         for txn_id in reapable:
             del self._sessions[txn_id]
-            del self.scheduler.transactions[txn_id]
-            self.scheduler._copies_cache.pop(txn_id, None)
+            self.scheduler.forget(txn_id)
             self.admission.admitted_at.pop(txn_id, None)
             self._shed_reason.pop(txn_id, None)
             self.tracer.forget(txn_id)

@@ -53,10 +53,18 @@ class SimulationResult:
     #: (:attr:`repro.graphs.concurrency.ConcurrencyGraph.counters`);
     #: ``bench_scale`` records them into ``BENCH_scale.json``.
     graph_counters: dict[str, int] = field(default_factory=dict)
+    #: Transactions the scheduler knew when the run ended.
+    population: int = 0
 
     @property
     def all_committed(self) -> bool:
-        return not self.livelock_detected and bool(self.committed)
+        """Every transaction of the run committed: none shed, none left
+        live by a livelock stop."""
+        return (
+            not self.livelock_detected
+            and not self.shed
+            and len(self.committed) == self.population
+        )
 
 
 class SimulationEngine:
@@ -215,11 +223,7 @@ class SimulationEngine:
                     "deadlock or lost wakeup (scheduler invariant broken)"
                 )
             runnable_sum += len(runnable)
-            blocked_sum += sum(
-                1
-                for t in self.scheduler.transactions.values()
-                if t.status is TxnStatus.BLOCKED
-            )
+            blocked_sum += self.scheduler.blocked_count
             txn_id = self.interleaving.choose(runnable, steps)
             txn = self.scheduler.transaction(txn_id)
             operation = txn.current_operation()
@@ -267,6 +271,7 @@ class SimulationEngine:
                 self.scheduler.lock_manager.table.waits_for
                 .counters_snapshot()
             ),
+            population=len(self.scheduler.transactions),
         )
 
     def step_transaction(self, txn_id: str):

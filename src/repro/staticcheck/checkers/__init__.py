@@ -18,6 +18,9 @@ RR005 Metrics discipline: counters mutate only through
 RR006 Await discipline: an ``async def`` must not ``await`` after
       opening a lock-table / service-core mutation — the event loop
       would interleave another handler into the half-applied state.
+RR007 Status discipline: ``Transaction.status`` changes only through
+      the scheduler's single writer, so the status index behind
+      ``runnable()`` / ``blocked_count`` / ``all_done`` cannot drift.
 ===== =============================================================
 
 ``default_checkers()`` is the suite ``repro lint`` runs; the rules'
@@ -31,6 +34,7 @@ from .rr003_registration import RegistrationChecker
 from .rr004_seeding import SeededRandomChecker
 from .rr005_metrics import MetricsDisciplineChecker
 from .rr006_await import AwaitDisciplineChecker
+from .rr007_status import StatusDisciplineChecker
 
 __all__ = [
     "AwaitDisciplineChecker",
@@ -39,6 +43,7 @@ __all__ = [
     "NondeterminismChecker",
     "RegistrationChecker",
     "SeededRandomChecker",
+    "StatusDisciplineChecker",
     "all_rules",
     "default_checkers",
 ]
@@ -53,6 +58,7 @@ def default_checkers() -> list[Checker]:
         SeededRandomChecker(),
         MetricsDisciplineChecker(),
         AwaitDisciplineChecker(),
+        StatusDisciplineChecker(),
     ]
 
 

@@ -12,10 +12,11 @@ because everything still passes, just with one implementation silently
 untested.
 
 This is a whole-project rule: it collects every concrete subclass of
-``RollbackStrategy`` / ``VictimPolicy`` / ``Oracle`` across the linted
-tree and demands each is referenced from at least one registry site.  A
-kind whose registries are absent from the linted tree is skipped, so
-linting a subtree does not produce spurious findings.
+``RollbackStrategy`` / ``VictimPolicy`` / ``Oracle`` (and of the lint
+rules' own ``Checker``, registered in ``default_checkers``) across the
+linted tree and demands each is referenced from at least one registry
+site.  A kind whose registries are absent from the linted tree is
+skipped, so linting a subtree does not produce spurious findings.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ _KINDS: dict[str, tuple[str, ...]] = {
         "FAULT_POLICIES",
     ),
     "Oracle": ("make_oracles", "_ORACLE_TYPES", "oracle_names"),
+    # The lint rules themselves: one left out of the default suite
+    # checks nothing, and ``repro lint`` still exits 0.
+    "Checker": ("default_checkers",),
 }
 
 

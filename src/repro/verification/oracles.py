@@ -55,7 +55,10 @@ Oracles and their provenance:
     scheduler's running copies total equals a full recount.  Any
     divergence means a lock-table mutation path (grant, block, release
     wake-up, rollback cancellation, shed) failed to maintain the live
-    graph.
+    graph.  The same recount discipline covers the scheduler's status
+    index: the base ``runnable()``, ``blocked_count`` and ``all_done``
+    equal a scan of every transaction's status, so a status written
+    past ``Scheduler._set_status`` is caught at that step.
 """
 
 from __future__ import annotations
@@ -417,7 +420,9 @@ class GraphConsistencyOracle(Oracle):
     references after every completed step (including rollback and SHED
     paths, which exercise the batched ``release_many`` wake-up).  The
     reference is the raw ``wait_edges()`` triples, not a rebuilt graph: a
-    rebuild would pass through the very container under test.
+    rebuild would pass through the very container under test.  The
+    scheduler's status index (ready list, blocked count, live count) is
+    recounted from the population the same way.
     """
 
     name = "graph-consistency"
@@ -449,6 +454,33 @@ class GraphConsistencyOracle(Oracle):
             self._fail(
                 f"incremental copies total {running} != recount "
                 f"{recounted} at step {event.step}",
+                event,
+            )
+        # The base method, not a subclass's filtered view of it.
+        population = scheduler.transactions
+        indexed = (
+            Scheduler.runnable(scheduler),
+            scheduler.blocked_count,
+            scheduler.all_done,
+        )
+        scanned = (
+            [
+                txn_id
+                for txn_id, txn in population.items()
+                if txn.status is TxnStatus.READY
+            ],
+            sum(
+                txn.status is TxnStatus.BLOCKED
+                for txn in population.values()
+            ),
+            all(txn.done for txn in population.values()),
+        )
+        if indexed != scanned:
+            self._fail(
+                f"status index (runnable, blocked_count, all_done) "
+                f"{indexed} != population scan {scanned} at step "
+                f"{event.step}: a status was written past "
+                f"Scheduler._set_status",
                 event,
             )
 

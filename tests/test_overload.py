@@ -100,6 +100,19 @@ class TestOverloadHarness:
         assert report.starved == []
         assert "p99" in report.describe()
 
+    def test_all_committed_means_all(self):
+        """A run that sheds is not "all committed", however many others
+        did commit (the flag used to be true after the first commit)."""
+        config = OverloadConfig(**dict(self.SMALL, deadline_steps=20))
+        report, result = overload_run(config, seed=0)
+        assert report.shed and report.committed
+        assert result.shed == report.shed
+        assert len(result.committed) + len(result.shed) == result.population
+        assert not result.all_committed
+        _, roomy = overload_run(OverloadConfig(**self.SMALL), seed=0)
+        assert roomy.population == config.n_transactions
+        assert not roomy.shed and roomy.all_committed
+
     def test_open_loop_arrivals(self):
         config = OverloadConfig(**dict(self.SMALL, interarrival=5))
         report, _ = overload_run(config, seed=11)

@@ -1,4 +1,4 @@
-"""The static-analysis subsystem: framework, rules RR001–RR006, the CLI
+"""The static-analysis subsystem: framework, rules RR001–RR007, the CLI
 exit codes, and trace-based deadlock prediction.
 
 The rule tests run the real checkers over seeded-violation fixtures in
@@ -39,7 +39,7 @@ def lint_fixture(name, select=None):
 
 def test_rule_catalogue_matches_checkers():
     assert [rule for rule, _ in all_rules()] == [
-        "RR001", "RR002", "RR003", "RR004", "RR005", "RR006",
+        "RR001", "RR002", "RR003", "RR004", "RR005", "RR006", "RR007",
     ]
 
 
@@ -132,6 +132,19 @@ def test_rr003_is_quiet_on_the_real_tree():
         [Path("src/repro")], default_checkers(), select=["RR003"]
     )
     assert report.findings == []
+
+
+def test_rr003_covers_the_lint_rules_themselves(tmp_path):
+    (tmp_path / "rules.py").write_text(
+        "class Checker: ...\n"
+        "class ListedRule(Checker): ...\n"
+        "class ForgottenRule(Checker): ...\n"
+        "def default_checkers():\n"
+        "    return [ListedRule()]\n"
+    )
+    report = run_lint([tmp_path], default_checkers(), select=["RR003"])
+    assert [f.rule for f in report.findings] == ["RR003"]
+    assert "ForgottenRule" in report.findings[0].message
 
 
 # -- RR004: seeded-Random plumbing -------------------------------------------
@@ -234,6 +247,37 @@ def test_rr006_is_quiet_on_the_real_tree():
     assert report.findings == []
 
 
+# -- RR007: status-mutation discipline ---------------------------------------
+
+
+def test_rr007_flags_direct_status_assignment_only():
+    report = lint_fixture("rr007_status.py")
+    assert [f.rule for f in report.findings] == ["RR007"] * 3
+    assert {f.severity for f in report.findings} == {"error"}
+    messages = " | ".join(f.message for f in report.findings)
+    for member in ("BLOCKED", "SHED", "READY"):
+        assert f"TxnStatus.{member}" in messages
+    # the sanctioned writer, comparisons, a non-transaction status and a
+    # local variable named status stay unflagged
+    lines = (FIXTURES / "rr007_status.py").read_text().splitlines()
+    for finding in report.findings:
+        assert "violation" in lines[finding.line - 1]
+
+
+def test_rr007_exempts_only_the_two_owners(tmp_path):
+    report = run_lint(
+        [Path("src/repro")], default_checkers(), select=["RR007"]
+    )
+    assert report.findings == []
+    # apply_rollback does assign a member: linted under another module
+    # name the rule fires, so the quiet tree is the exemption at work,
+    # not a blind spot.
+    copy = tmp_path / "elsewhere.py"
+    copy.write_text(Path("src/repro/core/transaction.py").read_text())
+    report = run_lint([copy], default_checkers(), select=["RR007"])
+    assert [f.rule for f in report.findings] == ["RR007"]
+
+
 # -- CLI exit codes ----------------------------------------------------------
 
 
@@ -245,7 +289,8 @@ def test_cli_lint_clean_tree_exits_zero(capsys):
 @pytest.mark.parametrize(
     "fixture",
     ["rr001_hazards.py", "rr002_locks.py", "rr003_registration.py",
-     "rr004_seeding.py", "rr005_metrics.py", "rr006_await.py", "noqa.py"],
+     "rr004_seeding.py", "rr005_metrics.py", "rr006_await.py",
+     "rr007_status.py", "noqa.py"],
 )
 def test_cli_lint_fixture_exits_nonzero(fixture, capsys):
     assert main(["lint", str(FIXTURES / fixture)]) == 1

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.scheduler import Scheduler, StepOutcome
-from repro.core.transaction import TransactionProgram
+from repro.core.transaction import TransactionProgram, TxnStatus
 from repro.locking.modes import LockMode
 from repro.simulation import (
     RandomInterleaving,
@@ -224,6 +224,25 @@ class TestOracleSensitivity:
             GraphConsistencyOracle().check(s, _event())
         assert exc.value.oracle == "graph-consistency"
         assert "missing=[('T1', 'T2', 'b')]" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "status", [TxnStatus.BLOCKED, TxnStatus.SHED, TxnStatus.COMMITTED]
+    )
+    def test_graph_consistency_fires_on_status_written_behind_the_back(
+        self, status
+    ):
+        """The status index is only as good as the single-writer rule: a
+        status assigned directly (as ``test_flags_silent_shed`` does on
+        purpose) leaves ``runnable()`` / ``blocked_count`` / ``all_done``
+        stale, and the recount must say so."""
+        s = _bare_scheduler()
+        GraphConsistencyOracle().check(s, _event())  # consistent: passes
+        s.transactions["T1"].status = status
+        assert "T1" in s.runnable()  # the index never heard of it
+        with pytest.raises(OracleViolation) as exc:
+            GraphConsistencyOracle().check(s, _event())
+        assert exc.value.oracle == "graph-consistency"
+        assert "status index" in str(exc.value)
 
     def test_graph_consistency_fires_on_stale_copies_sum(self):
         s = _bare_scheduler()
