@@ -25,6 +25,7 @@ from .structure import (
     cluster_writes,
     clustering_score,
     is_three_phase,
+    run_alone,
     static_sdg,
     structure_report,
     three_phase_variant,
@@ -52,6 +53,7 @@ __all__ = [
     "figure4_transaction_without_ck",
     "figure5_transaction",
     "is_three_phase",
+    "run_alone",
     "static_sdg",
     "structure_report",
     "three_phase_variant",

@@ -31,19 +31,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..core.operations import Assign, DeclareLastLock, Lock, Read, Write
 from ..core.transaction import TransactionProgram
+from .structure import run_alone
 
 #: Above this many destructive writes the exact subset search is skipped.
 EXACT_PLAN_LIMIT = 14
-
-
-def _entity_key(name: str) -> str:
-    return f"e:{name}"
-
-
-def _local_key(name: str) -> str:
-    return f"l:{name}"
 
 
 @dataclass(frozen=True)
@@ -54,62 +46,55 @@ class KillInterval:
     variable: str
     lo: int
     hi: int
-    write_number: int  # 1-based index among this variable's writes
 
     def states(self) -> set[int]:
         return set(range(self.lo + 1, self.hi + 1))
 
 
 def kill_intervals(program: TransactionProgram) -> list[KillInterval]:
-    """Statically enumerate the program's destructive writes.
+    """Statically enumerate the program's destructive writes, by the lock
+    index of the write.
 
-    Reads (into locals) and assignments count as writes to the local
-    variable, mirroring the runtime strategies.  Monitoring stops at a
-    last-lock declaration.
+    They are read off the write history the single-copy strategy records
+    when the program runs alone (:func:`~repro.analysis.structure.
+    run_alone`), so what counts as a write — a read into a local and an
+    assignment do, the assignment that creates an undeclared local does
+    not, nothing does after a last-lock declaration — is the runtime's
+    rule by construction.
     """
-    intervals: list[KillInterval] = []
-    last_write: dict[str, int] = {}
-    write_counts: dict[str, int] = {}
-    lock_index = 0
-    for op in program.operations:
-        if isinstance(op, Lock):
-            lock_index += 1
-            continue
-        if isinstance(op, DeclareLastLock):
-            break
-        if isinstance(op, Write):
-            variable = _entity_key(op.entity_name)
-        elif isinstance(op, Read):
-            variable = _local_key(op.into)
-        elif isinstance(op, Assign):
-            variable = _local_key(op.var_name)
-        else:
-            continue
-        write_counts[variable] = write_counts.get(variable, 0) + 1
-        previous = last_write.get(variable)
-        if previous is not None and lock_index > previous:
-            intervals.append(
-                KillInterval(
-                    variable=variable,
-                    lo=previous,
-                    hi=lock_index,
-                    write_number=write_counts[variable],
-                )
-            )
-        last_write[variable] = lock_index
-    return intervals
+    strategy, txn = run_alone(program)
+    writes: dict[str, list[int]] = {}
+    for lock_index, variable in strategy.write_history(txn):
+        writes.setdefault(variable, []).append(lock_index)
+    return sorted(
+        (
+            KillInterval(variable, lo, hi)
+            for variable, indices in writes.items()
+            for lo, hi in zip(indices, indices[1:])
+            if hi > lo
+        ),
+        key=lambda interval: interval.hi,
+    )
+
+
+def _well_defined(
+    program: TransactionProgram,
+    intervals: list[KillInterval],
+    neutralised: set[KillInterval],
+) -> list[int]:
+    covered: set[int] = set()
+    for interval in intervals:
+        if interval not in neutralised:
+            covered |= interval.states()
+    n_locks = len(program.lock_operations)
+    return [q for q in range(n_locks + 1) if q not in covered]
 
 
 def well_defined_after(
     program: TransactionProgram, neutralised: set[KillInterval]
 ) -> list[int]:
     """Well-defined lock states if *neutralised* intervals are retained."""
-    n_locks = len(program.lock_operations)
-    covered: set[int] = set()
-    for interval in kill_intervals(program):
-        if interval not in neutralised:
-            covered |= interval.states()
-    return [q for q in range(n_locks + 1) if q not in covered]
+    return _well_defined(program, kill_intervals(program), neutralised)
 
 
 @dataclass
@@ -135,7 +120,7 @@ def plan_retention(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     intervals = kill_intervals(program)
-    baseline = well_defined_after(program, set())
+    baseline = _well_defined(program, intervals, set())
     if budget == 0 or not intervals:
         return RetentionPlan(
             program.txn_id, budget, set(), baseline, baseline
@@ -148,7 +133,7 @@ def plan_retention(
         program.txn_id,
         budget,
         chosen,
-        well_defined_after(program, chosen),
+        _well_defined(program, intervals, chosen),
         baseline,
     )
 
@@ -159,12 +144,12 @@ def _plan_exact(
     budget: int,
 ) -> set[KillInterval]:
     best: set[KillInterval] = set()
-    best_count = len(well_defined_after(program, set()))
+    best_count = len(_well_defined(program, intervals, set()))
     max_size = min(budget, len(intervals))
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(intervals, size):
             chosen = set(combo)
-            count = len(well_defined_after(program, chosen))
+            count = len(_well_defined(program, intervals, chosen))
             if count > best_count:
                 best, best_count = chosen, count
     return best
@@ -177,14 +162,14 @@ def _plan_greedy(
 ) -> set[KillInterval]:
     chosen: set[KillInterval] = set()
     for _ in range(min(budget, len(intervals))):
-        current = len(well_defined_after(program, chosen))
+        current = len(_well_defined(program, intervals, chosen))
         best_gain = 0
         best_interval = None
         for interval in intervals:
             if interval in chosen:
                 continue
             gain = len(
-                well_defined_after(program, chosen | {interval})
+                _well_defined(program, intervals, chosen | {interval})
             ) - current
             if gain > best_gain:
                 best_gain, best_interval = gain, interval

@@ -6,8 +6,10 @@ between successive writes) maximises well-defined states, and the
 three-phase acquire/update/release discipline removes monitoring entirely.
 This module provides:
 
+* :func:`run_alone` — a program stepped alone through a rollback
+  strategy's own hooks, the one run every static answer is read off;
 * :func:`static_sdg` — the state-dependency graph a program would have at
-  its final lock state, computed without running it;
+  its final lock state;
 * :func:`well_defined_count` / :func:`well_defined_states` — how many
   rollback targets the single-copy strategy would have;
 * :func:`clustering_score` — a [0, 1] measure of write clustering;
@@ -36,7 +38,9 @@ from ..core.operations import (
     Var,
     Write,
 )
-from ..core.transaction import TransactionProgram
+from ..core.k_copy import KCopyStrategy
+from ..core.single_copy import SingleCopyStrategy
+from ..core.transaction import Transaction, TransactionProgram
 from ..graphs.state_dependency import StateDependencyGraph
 
 
@@ -48,32 +52,53 @@ def _local_key(name: str) -> str:
     return f"l:{name}"
 
 
-def static_sdg(program: TransactionProgram) -> StateDependencyGraph:
-    """The state-dependency graph of *program* at its last lock state.
+def run_alone(
+    program: TransactionProgram, strategy: KCopyStrategy | None = None
+) -> tuple[KCopyStrategy, Transaction]:
+    """Step *program* alone to its last lock state through *strategy*'s
+    own hooks (single-copy by default), values erased.
 
-    Mirrors exactly what :class:`~repro.core.single_copy.SingleCopyStrategy`
-    would build when the program runs alone: each lock request adds a lock
-    state; each write to an entity, each read into a local, and each local
-    assignment records a write edge.
+    Every lock request is granted at once and every data operation is
+    the write the scheduler would issue.  A last-lock declaration ends the
+    run (monitoring stops; later writes leave no history) and unlocks are
+    skipped, so every cell is still there to be asked.  What counts as a
+    write is thereby the strategy's decision, not a second copy of it:
+    the static analyses read their answers off the returned pair.
     """
-    sdg = StateDependencyGraph()
+    strategy = strategy or SingleCopyStrategy()
+    txn = Transaction(program=program)
+    strategy.begin(txn)
     for op in program.operations:
         if isinstance(op, Lock):
-            sdg.add_lock_state()
+            record = txn.record_lock_request(op.entity_name, op.mode)
+            strategy.on_lock_request(txn)
+            record.granted = True
+            strategy.on_lock_granted(
+                txn, op.entity_name, op.mode, None, record.ordinal
+            )
         elif isinstance(op, Write):
-            sdg.record_write(_entity_key(op.entity_name))
+            strategy.write_entity(txn, op.entity_name, None)
         elif isinstance(op, Read):
-            sdg.record_write(_local_key(op.into))
+            strategy.write_local(txn, op.into, None)
         elif isinstance(op, Assign):
-            sdg.record_write(_local_key(op.var_name))
+            strategy.write_local(txn, op.var_name, None)
         elif isinstance(op, DeclareLastLock):
-            break  # monitoring stops; later writes create no edges
-    return sdg
+            break
+    return strategy, txn
+
+
+def static_sdg(program: TransactionProgram) -> StateDependencyGraph:
+    """The state-dependency graph of *program* at its last lock state:
+    the graph :class:`~repro.core.single_copy.SingleCopyStrategy` derives
+    when the program runs alone."""
+    strategy, txn = run_alone(program)
+    return strategy.graph_of(txn)
 
 
 def well_defined_states(program: TransactionProgram) -> list[int]:
     """Well-defined lock indices of the program at its final lock state."""
-    return static_sdg(program).well_defined_states()
+    strategy, txn = run_alone(program)
+    return strategy.well_defined_states(txn)
 
 
 def well_defined_count(program: TransactionProgram) -> int:

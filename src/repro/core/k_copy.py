@@ -23,16 +23,18 @@ Allocators
     lock states (wider intervals protect more states per copy — a better
     bang for the budget when contention hits mid-transaction states).
 
-``extra_copies=0`` degenerates to the single-copy strategy;
-``extra_copies=None`` (unbounded) makes every lock state restorable like
-MCS, at MCS-like storage.
+``extra_copies=0`` is the single-copy strategy of §4
+(:class:`~repro.core.single_copy.SingleCopyStrategy` is this class at that
+budget); ``extra_copies=None`` (unbounded) makes every lock state
+restorable like MCS, at MCS-like storage.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..storage.multicopy import MultiCopy
+from ..graphs.state_dependency import StateDependencyGraph
+from ..storage.copies import CopyCell
 from .rollback import Cell, RollbackStrategy, TxnStore, Value
 from .transaction import Transaction
 
@@ -58,7 +60,7 @@ def threshold_allocator(min_width: int) -> Allocator:
 
 
 class _KCopyStore(TxnStore):
-    """The shared store, whose cells are :class:`MultiCopy`."""
+    """The shared store, whose cells are :class:`CopyCell`."""
 
     @property
     def budget_used(self) -> int:
@@ -89,12 +91,12 @@ class KCopyStrategy(RollbackStrategy):
         assert isinstance(state, _KCopyStore)
         return state
 
-    # -- cells: one MultiCopy per variable -----------------------------------
+    # -- cells: one CopyCell per variable ------------------------------------
 
-    def _new_cell(self, name: str, value: Value, lock_index: int) -> MultiCopy:
-        return MultiCopy(name, base_value=value, lock_index=lock_index)
+    def _new_cell(self, name: str, value: Value, lock_index: int) -> CopyCell:
+        return CopyCell(name, base_value=value, lock_index=lock_index)
 
-    def _value(self, cell: MultiCopy) -> Value:
+    def _value(self, cell: CopyCell) -> Value:
         return cell.value
 
     def _assign(
@@ -110,7 +112,7 @@ class KCopyStrategy(RollbackStrategy):
     def _write(
         self,
         state: _KCopyStore,
-        copy: MultiCopy,
+        copy: CopyCell,
         value: Value,
         lock_index: int,
     ) -> None:
@@ -142,12 +144,14 @@ class KCopyStrategy(RollbackStrategy):
     # -- rollback ----------------------------------------------------------
 
     def well_defined(self, txn: Transaction, ordinal: int) -> bool:
-        """Is lock state *ordinal* restorable given the retained copies?"""
+        """Is lock state *ordinal* restorable from the stored copies?
+        With nothing retained this is Theorem 4: no write spans it."""
         return all(
             copy.restorable_at(ordinal) for copy in self._state(txn).cells()
         )
 
     def well_defined_states(self, txn: Transaction) -> list[int]:
+        """Currently reachable rollback targets (ascending lock indices)."""
         return [
             q
             for q in range(txn.lock_count + 1)
@@ -155,12 +159,40 @@ class KCopyStrategy(RollbackStrategy):
         ]
 
     def choose_target(self, txn: Transaction, ideal_ordinal: int) -> int:
+        """Largest well-defined lock state at or below the ideal target.
+
+        This is exactly the paper's §4 rule: "we must find the well-defined
+        lock state of largest index less than that of the lock state for E,
+        and roll the transaction back to that state."
+        """
         for q in range(min(ideal_ordinal, txn.lock_count), -1, -1):
             if self.well_defined(txn, q):
                 return q
         raise AssertionError("lock state 0 must be restorable")
 
     def _restore(self, txn: Transaction, state: TxnStore, ordinal: int) -> None:
-        copy: MultiCopy
+        copy: CopyCell
         for copy in state.cells():
             copy.rollback_to(ordinal)
+
+    def write_history(self, txn: Transaction) -> list[tuple[int, str]]:
+        """Every write the cells still have on record, as ``(lock index,
+        variable)`` pairs (``e:<entity>`` / ``l:<local>``), each variable's
+        oldest first.  The state-dependency graph and the planner's kill
+        intervals are read off this and nothing else."""
+        state = self._state(txn)
+        return [
+            (lock_index, f"{kind}:{name}")
+            for kind, cells in (("e", state.entities), ("l", state.locals))
+            for name, copy in cells.items()
+            for lock_index in copy.write_indices
+        ]
+
+    def graph_of(self, txn: Transaction) -> StateDependencyGraph:
+        """The paper's state-dependency graph of :meth:`write_history`,
+        built afresh on each call.  It says what *one* copy per variable
+        can restore: at budget 0 exactly :meth:`well_defined_states`;
+        retained copies only add to them."""
+        return StateDependencyGraph.from_writes(
+            txn.lock_count, self.write_history(txn)
+        )

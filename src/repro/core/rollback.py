@@ -37,7 +37,7 @@ from .transaction import Transaction
 Value = Any
 
 #: What a strategy stores for one variable: a bare value (total restart,
-#: undo-log), a :class:`~repro.storage.copies.SingleCopy`, a
+#: undo-log), a :class:`~repro.storage.copies.CopyCell`, a
 #: :class:`~repro.storage.copies.ValueStack`.  The base class never looks
 #: inside a cell — it goes through the ``_new_cell`` / ``_value`` /
 #: ``_assign`` / ``_copies`` hooks — and a bare-value cell *is* a
@@ -52,9 +52,9 @@ FaultHook = Callable[["RollbackStrategy", Transaction, int], None]
 class TxnStore:
     """Everything a strategy keeps for one transaction.
 
-    A strategy with state beyond its cells (an SDG, an undo log)
-    subclasses this and names the subclass in
-    :attr:`RollbackStrategy.store_type`.
+    A strategy with state beyond its cells (an undo log) or a view over
+    them (the k-copy budget in use) subclasses this and names the
+    subclass in :attr:`RollbackStrategy.store_type`.
     """
 
     #: Cells of exclusive-locked entities.
@@ -311,7 +311,8 @@ def _strategy_registry() -> dict[str, type[RollbackStrategy]]:
     """Name -> class for every fixed-name strategy, in CLI order.
 
     The parameterised ``k-copy`` family is parsed by :func:`make_strategy`
-    instead.  Imported lazily because the concrete strategies subclass
+    instead; ``single-copy`` is that family's budget 0 under the paper's
+    own name.  Imported lazily because the concrete strategies subclass
     :class:`RollbackStrategy` and therefore import this module.
     """
     from .mcs import MultiLockCopyStrategy

@@ -35,6 +35,7 @@ Lock-index conventions used throughout the library
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import algorithms
 
@@ -63,26 +64,35 @@ class WriteEdge:
         return self.lower < lock_index <= self.upper
 
 
-@dataclass
-class _VariableHistory:
-    restorability_index: int | None = None
-    last_write_index: int | None = None
-
-
 class StateDependencyGraph:
-    """Incrementally maintained state-dependency graph for one transaction.
+    """The state-dependency graph ``G_p`` of one transaction.
 
-    The scheduler notifies the graph of each lock request
-    (:meth:`add_lock_state`) and each write (:meth:`record_write`); rollback
-    truncates it (:meth:`truncate_to`).  Queries answer which lock states
-    are currently *well-defined*, i.e. legal targets for single-copy
-    rollback.
+    Built by replaying a history: :meth:`add_lock_state` per lock request
+    and :meth:`record_write` per write, or :meth:`from_writes` for a
+    recorded one (which is how the single-copy strategy and the static
+    analyses derive it — nothing keeps a graph up to date beside the copy
+    cells).  Queries answer which lock states are *well-defined*, i.e.
+    legal targets for single-copy rollback.
     """
 
     def __init__(self) -> None:
         self._lock_count = 0
-        self._histories: dict[str, _VariableHistory] = {}
+        #: Index of restorability of every variable written so far.
+        self._first_write: dict[str, int] = {}
         self._edges: list[WriteEdge] = []
+
+    @classmethod
+    def from_writes(
+        cls, lock_count: int, writes: Iterable[tuple[int, str]]
+    ) -> StateDependencyGraph:
+        """The graph at lock state *lock_count* of a recorded history of
+        ``(lock index, variable)`` writes, given in any order."""
+        sdg = cls()
+        for lock_index, variable in sorted(writes):
+            sdg._lock_count = lock_index
+            sdg.record_write(variable)
+        sdg._lock_count = lock_count
+        return sdg
 
     # -- updates ----------------------------------------------------------
 
@@ -95,51 +105,16 @@ class StateDependencyGraph:
     def record_write(self, variable: str) -> WriteEdge | None:
         """Record a write to *variable* at the current lock index.
 
-        Returns the new :class:`WriteEdge` if the write destroys any state
-        (i.e. the variable was written before at an earlier lock index), or
-        the edge created by a first write, or ``None`` when the write only
-        updates an interval already covered.
+        Returns the new :class:`WriteEdge`, or ``None`` for a write at the
+        variable's index of restorability (its first write, or another
+        before the next lock request), which spans no lock state.
         """
-        history = self._histories.setdefault(variable, _VariableHistory())
-        lock_index = self._lock_count
-        if history.restorability_index is None:
-            history.restorability_index = lock_index
-        history.last_write_index = lock_index
-        if lock_index > history.restorability_index:
-            edge = WriteEdge(history.restorability_index, lock_index, variable)
+        lower = self._first_write.setdefault(variable, self._lock_count)
+        if self._lock_count > lower:
+            edge = WriteEdge(lower, self._lock_count, variable)
             self._edges.append(edge)
             return edge
         return None
-
-    def truncate_to(self, lock_index: int) -> None:
-        """Rewind the graph to lock state *lock_index* (after a rollback).
-
-        Lock states ``>= lock_index`` are discarded; write records at lock
-        indices ``>= lock_index`` are undone.
-        """
-        if not 0 <= lock_index <= self._lock_count:
-            raise ValueError(
-                f"lock index {lock_index} out of range 0..{self._lock_count}"
-            )
-        # After rolling back to lock state k, the transaction has issued
-        # k - 1 lock requests (requests k..n were undone).
-        self._lock_count = max(lock_index - 1, 0)
-        self._edges = [e for e in self._edges if e.upper < lock_index]
-        survivors: dict[str, _VariableHistory] = {}
-        for variable, history in self._histories.items():
-            if history.restorability_index is None:
-                continue
-            if history.restorability_index >= lock_index:
-                continue  # first write undone: variable is pristine again
-            writes_left = [
-                e.upper for e in self._edges if e.variable == variable
-            ]
-            last = max(writes_left, default=history.restorability_index)
-            survivors[variable] = _VariableHistory(
-                restorability_index=history.restorability_index,
-                last_write_index=last,
-            )
-        self._histories = survivors
 
     # -- queries -----------------------------------------------------------
 
@@ -156,60 +131,36 @@ class StateDependencyGraph:
 
     def restorability_index(self, variable: str) -> int | None:
         """The variable's index of restorability, or ``None`` if unwritten."""
-        history = self._histories.get(variable)
-        return history.restorability_index if history else None
+        return self._first_write.get(variable)
 
     def undefined_intervals(self) -> list[tuple[int, int]]:
         """Per-variable intervals ``(u, m]`` of undefined lock states."""
-        intervals = []
-        for history in self._histories.values():
-            if (
-                history.restorability_index is not None
-                and history.last_write_index is not None
-                and history.last_write_index > history.restorability_index
-            ):
-                intervals.append(
-                    (history.restorability_index, history.last_write_index)
-                )
-        return sorted(intervals)
+        # A variable's edges share their lower end and arrive in lock
+        # order, so its latest edge is its whole interval.
+        latest = {
+            edge.variable: (edge.lower, edge.upper) for edge in self._edges
+        }
+        return sorted(latest.values())
 
     def well_defined(self, lock_index: int) -> bool:
         """Is lock state *lock_index* currently well-defined?
 
-        A state is well-defined iff no variable has both a write before it
-        (``u < lock_index``) and a write at-or-after it
-        (``last_write >= lock_index``): the spanning criterion of Theorem 4
-        evaluated on the per-variable intervals ``(u, last_write]``.
+        A state is well-defined iff no write edge spans it (Theorem 4),
+        i.e. no variable has both a write before it (``u < lock_index``)
+        and a write at-or-after it (``last_write >= lock_index``).
         Lock state 0 (total rollback) is always well-defined.
         """
         if not 0 <= lock_index <= self._lock_count:
             raise ValueError(
                 f"lock index {lock_index} out of range 0..{self._lock_count}"
             )
-        return not any(
-            lower < lock_index <= upper
-            for lower, upper in self.undefined_intervals()
-        )
+        return not any(edge.spans(lock_index) for edge in self._edges)
 
     def well_defined_states(self) -> list[int]:
         """All currently well-defined lock indices, ascending."""
         return [
             q for q in range(self._lock_count + 1) if self.well_defined(q)
         ]
-
-    def latest_well_defined_at_or_below(self, lock_index: int) -> int:
-        """Largest well-defined lock index ``<= lock_index``.
-
-        This is the rollback target the single-copy strategy actually uses
-        when the ideal target (the lock state of the contested entity) is
-        itself undefined: "we must find the well-defined lock state of
-        largest index less than that of the lock state for E" (§4).
-        Always succeeds because lock state 0 is well-defined.
-        """
-        for q in range(min(lock_index, self._lock_count), -1, -1):
-            if self.well_defined(q):
-                return q
-        raise AssertionError("lock state 0 must be well-defined")
 
     # -- the graph itself (figures, tests) ---------------------------------------
 

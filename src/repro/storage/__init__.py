@@ -1,16 +1,14 @@
 """Storage substrate: global entities, the database, and local copies."""
 
-from .copies import SingleCopy, StackElement, ValueStack
-from .multicopy import MultiCopy, RetainedCopy
+from .copies import CopyCell, RetainedCopy, StackElement, ValueStack
 from .database import Database
 from .entity import Entity
 
 __all__ = [
+    "CopyCell",
     "Database",
     "Entity",
-    "MultiCopy",
     "RetainedCopy",
-    "SingleCopy",
     "StackElement",
     "ValueStack",
 ]

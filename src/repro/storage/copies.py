@@ -14,13 +14,16 @@ Two families of structures live here.
     index is ``>= k``; the surviving top element is exactly the value the
     variable had at lock state *k*.
 
-:class:`SingleCopy`
-    The one-local-copy-per-entity structure of the paper's
-    state-dependency-graph strategy (k-copy extends it).  It records
-    the *index of restorability* — the lock index of the last lock state
-    preceding the first write — and the lock index of the most recent write,
-    which together determine which earlier lock states remain restorable for
-    this variable.
+:class:`CopyCell`
+    The one-local-copy-per-variable structure of the paper's
+    state-dependency-graph strategy.  It records the *index of
+    restorability* — the lock index of the last lock state preceding the
+    first write — and the lock index of the most recent write, which
+    together determine which earlier lock states remain restorable for this
+    variable.  §5 notes the implementation "can easily be extended to allow
+    more than one local copy to be kept for entities": the same cell may
+    *retain* values a re-write would otherwise destroy
+    (:class:`RetainedCopy`), which is all the k-copy strategy adds.
 """
 
 from __future__ import annotations
@@ -147,9 +150,27 @@ class ValueStack:
         return f"ValueStack({self.name!r}, idx={self.stack_index}, [{parts}])"
 
 
+@dataclass(frozen=True)
+class RetainedCopy:
+    """A preserved old value, valid for lock states in ``(lo, hi]``.
+
+    Taken just before a write at lock index ``hi``, it preserves the value
+    that was current since the previous write at ``lo`` — exactly one kill
+    interval of the state-dependency graph neutralised per retained copy.
+    """
+
+    value: Value
+    lo: int
+    hi: int
+
+    def covers(self, lock_index: int) -> bool:
+        return self.lo < lock_index <= self.hi
+
+
 @dataclass
-class SingleCopy:
-    """A one-copy-per-variable record (SDG strategy; k-copy extends it).
+class CopyCell:
+    """The local copy of one variable (single-copy strategy, §4) plus the
+    old values a k-copy budget paid to keep (§5).
 
     Attributes
     ----------
@@ -157,51 +178,74 @@ class SingleCopy:
         Variable (entity or local) name.
     base_value:
         For a global entity: its global value at lock time.  For a local
-        variable: its initial value.  This is the only *old* value the
-        single-copy strategy can ever restore.
+        variable: its initial value.  With nothing retained this is the
+        only *old* value the cell can ever restore.
     value:
         Current local value.
     lock_index:
         For entities, the lock index of the lock state at which the entity
         was locked; ``0`` for locals.
-    restorability_index:
-        The paper's *index of restorability*: the lock index of the last
-        lock state preceding the first write, or ``None`` while the variable
-        has never been written (every state is then restorable from
-        ``base_value``).
-    last_write_index:
-        Lock index of the most recent write, or ``None`` if never written.
+    write_indices:
+        Lock index of every write still on record, oldest first: all of
+        Theorem 4's bookkeeping — its two ends here, the state-dependency
+        graph and the planner's kill intervals elsewhere.
+    retained:
+        Old values kept at the *caller's* expense — pass ``retain=True`` to
+        :meth:`write` to spend one copy on the value the write destroys.
+        Empty under the single-copy strategy.
     """
 
     name: str
     base_value: Value
     lock_index: int = 0
     value: Value = None
-    restorability_index: int | None = None
-    last_write_index: int | None = None
     write_indices: list[int] = field(default_factory=list)
+    retained: list[RetainedCopy] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.value is None:
             self.value = self.base_value
 
     @property
+    def restorability_index(self) -> int | None:
+        """The paper's *index of restorability*: the lock index of the
+        first write — a write happens after the lock state with its own
+        lock index, so that is the last state still restorable from
+        ``base_value`` — or ``None`` while never written (every state is)."""
+        return self.write_indices[0] if self.write_indices else None
+
+    @property
+    def last_write_index(self) -> int | None:
+        """Lock index of the most recent write, or ``None`` if never
+        written."""
+        return self.write_indices[-1] if self.write_indices else None
+
+    @property
     def written(self) -> bool:
         """Whether the variable has been written since lock/creation."""
-        return self.last_write_index is not None
+        return bool(self.write_indices)
 
-    def write(self, value: Value, lock_index: int) -> bool:
-        """Record a write at *lock_index* (lock index of the write op); True
-        iff the old value was kept as an extra copy (only ``MultiCopy`` can)."""
-        if self.restorability_index is None:
-            # The write destroys the base value for all later states; the
-            # last lock state still restorable from base_value is the one
-            # with the write's own lock index (the write happens after it).
-            self.restorability_index = lock_index
+    @property
+    def copies_stored(self) -> int:
+        """Total stored values: the single copy plus retained ones."""
+        return 1 + len(self.retained)
+
+    def write(self, value: Value, lock_index: int, retain: bool = False) -> bool:
+        """Record a write at *lock_index* (lock index of the write op),
+        optionally retaining the value being destroyed.
+
+        Returns True iff a retained copy was actually created (a first
+        write destroys nothing — the base value remains available — and a
+        re-write at the same lock index destroys no *lock state*, so
+        neither consumes budget).
+        """
+        last = self.last_write_index
+        retained_now = retain and last is not None and lock_index > last
+        if retained_now:
+            self.retained.append(RetainedCopy(self.value, last, lock_index))
         self.value = value
-        self.last_write_index = lock_index
         self.write_indices.append(lock_index)
-        return False
+        return retained_now
 
     def restorable_at(self, lock_index: int) -> bool:
         """Can the value at lock state *lock_index* be reproduced?
@@ -211,32 +255,38 @@ class SingleCopy:
         including the index of restorability — and the current value — valid
         for every lock state after the most recent write.  A write with lock
         index *m* occurs after lock state *m*, so lock states ``> m`` see its
-        result.
+        result.  Each retained copy adds the interval it covers.
         """
-        index = self.restorability_index
-        if index is None or lock_index <= index:
+        if not self.write_indices or lock_index <= self.write_indices[0]:
             return True
-        assert self.last_write_index is not None
-        return lock_index > self.last_write_index
+        return lock_index > self.write_indices[-1] or any(
+            copy.covers(lock_index) for copy in self.retained
+        )
 
     def value_at(self, lock_index: int) -> Value:
         """Return the restorable value at lock state *lock_index*."""
-        if not self.restorable_at(lock_index):
-            raise RollbackError(
-                f"value of {self.name!r} at lock state {lock_index} is not "
-                f"restorable from the stored copies"
-            )
-        if self.restorability_index is None or lock_index <= self.restorability_index:
+        if not self.write_indices or lock_index <= self.write_indices[0]:
             return self.base_value
-        return self.value
+        if lock_index > self.write_indices[-1]:
+            return self.value
+        for copy in self.retained:
+            if copy.covers(lock_index):
+                return copy.value
+        raise RollbackError(
+            f"value of {self.name!r} at lock state {lock_index} is not "
+            f"restorable from the stored copies"
+        )
 
     def rollback_to(self, lock_index: int) -> None:
-        """Restore the copy to its state as of lock state *lock_index*."""
+        """Restore the copy to its state as of lock state *lock_index*.
+
+        Retained copies whose interval lies entirely before the target
+        survive (they still describe valid history); later ones are
+        discarded together with the undone writes.
+        """
         self.value = self.value_at(lock_index)
         # Discard the history of writes that are being undone.
         self.write_indices = [m for m in self.write_indices if m < lock_index]
-        if self.write_indices:
-            self.last_write_index = self.write_indices[-1]
-        else:
-            self.last_write_index = None
-            self.restorability_index = None
+        self.retained = [
+            copy for copy in self.retained if copy.hi < lock_index
+        ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import RollbackError
-from repro.storage.copies import SingleCopy, ValueStack
+from repro.storage.copies import CopyCell as SingleCopy, ValueStack
 
 
 class TestValueStackBasics:

@@ -18,7 +18,7 @@ from repro.simulation import (
     expected_final_state,
     generate_workload,
 )
-from repro.storage.multicopy import MultiCopy, RetainedCopy
+from repro.storage.copies import CopyCell as MultiCopy, RetainedCopy
 
 
 class TestMultiCopy:
@@ -242,7 +242,62 @@ class TestKCopyStrategy:
         assert strategy.copies_count(h.txn) == 5
 
 
+#: Seeded scattered-write runs whose rollbacks overshoot (``mcs`` on the same
+#: three reads overshoot 0 and other fingerprints, so they bite on clamping):
+#: (config, seed, trace fingerprint, (steps, deadlocks, rollbacks,
+#: states_lost, overshoot_states, copies_peak)).
+_SCATTERED = dict(skew="uniform", clustered_writes=False,
+                  writes_per_entity=(2, 3))
+PARENT_PINS = {
+    "A": (
+        WorkloadConfig(24, 8, (3, 6), write_ratio=0.8, skew="hotspot",
+                       clustered_writes=False),
+        3,
+        "395441164a24abb5d5d9afd79bec78e7538bb6931cd7e19f3627fe9dae4bf3d4",
+        (947, 104, 106, 480, 9, 41),
+    ),
+    "B": (
+        WorkloadConfig(16, 8, (3, 6), write_ratio=1.0, **_SCATTERED),
+        20,
+        "c3a94be9f9e1134d1f182e3c0f9244d1279d3694cbfd09f592166d3f4820bf9e",
+        (847, 80, 80, 433, 36, 35),
+    ),
+    "C": (
+        WorkloadConfig(16, 8, (3, 6), write_ratio=0.6, **_SCATTERED),
+        11,
+        "a6bf3553628bf134428064f1c9de9dd2997921404577289be83450255eb32f95",
+        (556, 51, 52, 249, 3, 39),
+    ),
+}
+
+
 class TestKCopyEndToEnd:
+    @pytest.mark.parametrize("pin", sorted(PARENT_PINS))
+    @pytest.mark.parametrize("strategy", ["single-copy", "k-copy:0"])
+    def test_single_copy_and_budget_zero_pinned_at_parent(self, strategy, pin):
+        """Bytes from before ``single-copy`` became ``k-copy`` at budget 0:
+        the values were re-derived at the parent commit c4b47b1 (where the
+        two were separate classes, one clamping by its live SDG, the other
+        by its cells) before ``src/`` was touched, so the merged strategy is
+        checked against the old pair and not against itself."""
+        config, seed, fingerprint, counts = PARENT_PINS[pin]
+        db, programs = generate_workload(config, seed=seed)
+        scheduler = Scheduler(db, strategy, "ordered-min-cost")
+        engine = SimulationEngine(
+            scheduler, RandomInterleaving(seed=seed + 1),
+            max_steps=200_000, livelock_window=20_000,
+        )
+        for program in programs:
+            engine.add(program)
+        result = engine.run()
+        metrics = result.metrics
+        assert result.trace.fingerprint() == fingerprint
+        assert (
+            result.steps, metrics.deadlocks, metrics.rollbacks,
+            metrics.states_lost, metrics.overshoot_states,
+            metrics.copies_peak,
+        ) == counts
+
     @pytest.mark.parametrize("budget", ["k-copy:0", "k-copy:2",
                                         "k-copy:inf"])
     def test_serializable_under_contention(self, budget):

@@ -51,11 +51,34 @@ class TestKillIntervals:
             ops.read("a", into="x"),
             ops.lock_shared("b"),
             ops.read("a", into="x"),
-        ])
+        ], initial_locals={"x": 0})
         intervals = kill_intervals(program)
         assert [(iv.variable, iv.lo, iv.hi) for iv in intervals] == [
             ("l:x", 1, 2),
         ]
+
+    def test_local_first_assigned_mid_transaction(self):
+        """The assignment that creates an undeclared local destroys
+        nothing (the runtime keeps its value in the cell's base slot), so
+        the planner must not spend budget on it."""
+        def program(initial_locals):
+            return TransactionProgram("U", [
+                ops.lock_exclusive("a"),
+                ops.assign("x", ops.const(1)),
+                ops.lock_exclusive("b"),
+                ops.assign("x", ops.const(2)),
+                ops.lock_exclusive("c"),
+            ], initial_locals=initial_locals)
+
+        undeclared = program({})
+        assert kill_intervals(undeclared) == []
+        assert plan_retention(undeclared, 0).well_defined == [0, 1, 2, 3]
+        assert plan_retention(undeclared, 1).chosen == set()
+
+        declared = program({"x": 0})
+        assert kill_intervals(declared) == [KillInterval("l:x", 1, 2)]
+        assert plan_retention(declared, 0).well_defined == [0, 1, 3]
+        assert plan_retention(declared, 1).well_defined == [0, 1, 2, 3]
 
     def test_monitoring_stops_at_declaration(self):
         program = TransactionProgram("D", [

@@ -4,13 +4,20 @@ The key invariant, cross-checked by property tests: ``well_defined(q)`` is
 True exactly when a single-copy system could reproduce every variable's
 value at lock state *q* — i.e. for every variable, *q* lies at-or-before
 its first write or strictly after its last write.
+
+The graph is never rewound: the single-copy strategy derives it from the
+write history its copy cells keep (``graph_of``), so what a rollback does
+to the graph is tested at that seam.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from repro.core.single_copy import SingleCopyStrategy
+from repro.errors import RollbackError
 from repro.graphs.state_dependency import StateDependencyGraph, WriteEdge
+from tests.test_strategies import Harness
 
 
 class TestWriteEdge:
@@ -86,70 +93,58 @@ class TestBasicLifecycle:
             sdg.well_defined(2)
         with pytest.raises(ValueError):
             sdg.well_defined(-1)
-        with pytest.raises(ValueError):
-            sdg.truncate_to(5)
-
-
-class TestLatestWellDefined:
-    def test_exact_when_defined(self):
-        sdg = StateDependencyGraph()
-        for _ in range(3):
-            sdg.add_lock_state()
-        assert sdg.latest_well_defined_at_or_below(2) == 2
-
-    def test_clamps_down_over_killed_states(self):
-        sdg = StateDependencyGraph()
-        sdg.add_lock_state()          # 1
-        sdg.record_write("x")
-        sdg.add_lock_state()          # 2
-        sdg.add_lock_state()          # 3
-        sdg.record_write("x")         # kills 2, 3
-        assert sdg.latest_well_defined_at_or_below(3) == 1
-        assert sdg.latest_well_defined_at_or_below(2) == 1
-
-    def test_zero_always_reachable(self):
-        sdg = StateDependencyGraph()
-        sdg.add_lock_state()
-        sdg.record_write("x")
-        assert sdg.latest_well_defined_at_or_below(0) == 0
+        strategy = SingleCopyStrategy()
+        h = Harness(strategy)
+        h.lock("a")
+        with pytest.raises(RollbackError):
+            strategy.rollback(h.txn, 5)
 
 
 class TestTruncate:
-    def make_graph(self):
-        sdg = StateDependencyGraph()
-        sdg.add_lock_state()          # 1
-        sdg.record_write("x")         # u(x)=1
-        sdg.add_lock_state()          # 2
-        sdg.add_lock_state()          # 3
-        sdg.record_write("x")         # (1,3]
-        sdg.add_lock_state()          # 4
-        sdg.record_write("y")         # u(y)=4
-        return sdg
+    """A rollback truncates the recorded history; the derived graph
+    follows, with no graph of its own to rewind."""
+
+    def make_harness(self):
+        strategy = SingleCopyStrategy()
+        h = Harness(strategy, initial_locals={"x": 0, "y": 0})
+        h.lock("a")                              # 1
+        strategy.write_local(h.txn, "x", 1)      # u(x)=1
+        h.lock("b")                              # 2
+        h.lock("c")                              # 3
+        strategy.write_local(h.txn, "x", 2)      # (1,3]
+        h.lock("d")                              # 4
+        strategy.write_local(h.txn, "y", 1)      # u(y)=4
+        return h
 
     def test_truncate_removes_late_writes(self):
-        sdg = self.make_graph()
-        sdg.truncate_to(3)
-        # Rolled back to lock state 3: requests 3.. undone, so lock_count
-        # is 2; the write at lock index 3 is gone, x keeps u=1.
-        assert sdg.lock_count == 2
-        assert sdg.well_defined_states() == [0, 1, 2]
-        assert sdg.restorability_index("x") == 1
-        assert sdg.restorability_index("y") is None
+        h = self.make_harness()
+        h.rollback(4)
+        # Rolled back to lock state 4: request 4 undone, so lock_count is
+        # 3; the write at lock index 4 is gone, x keeps its interval.
+        sdg = h.strategy.graph_of(h.txn)
+        assert sdg.lock_count == 3
+        assert sdg.well_defined_states() == [0, 1]
+        assert sdg.edges == [WriteEdge(1, 3, "l:x")]
+        assert sdg.restorability_index("l:x") == 1
+        assert sdg.restorability_index("l:y") is None
 
     def test_truncate_to_zero_resets(self):
-        sdg = self.make_graph()
-        sdg.truncate_to(0)
+        h = self.make_harness()
+        h.rollback(0)
+        sdg = h.strategy.graph_of(h.txn)
         assert sdg.lock_count == 0
         assert sdg.edges == []
         assert sdg.well_defined_states() == [0]
 
     def test_truncate_then_regrow(self):
-        sdg = self.make_graph()
-        sdg.truncate_to(2)
-        assert sdg.lock_count == 1
-        assert sdg.add_lock_state() == 2
-        sdg.record_write("x")         # kills 2 (u(x)=1 persists)
-        assert not sdg.well_defined(2)
+        h = self.make_harness()
+        h.rollback(4)
+        assert h.lock("d").ordinal == 4
+        h.strategy.write_local(h.txn, "x", 3)    # kills 4 (u(x)=1 persists)
+        sdg = h.strategy.graph_of(h.txn)
+        assert sdg.restorability_index("l:x") == 1
+        assert not sdg.well_defined(4)
+        assert h.strategy.choose_target(h.txn, 4) == 1
 
 
 class TestGraphView:
@@ -214,35 +209,44 @@ def test_well_defined_matches_reference_semantics(script):
         assert sdg.well_defined(q) == expected, (q, history)
 
 
+def replay(script):
+    """A fresh single-copy harness driven through *script*."""
+    h = Harness(SingleCopyStrategy(), initial_locals=dict.fromkeys("xyz", 0))
+    for step in script:
+        if step[0] == "lock":
+            h.lock(f"e{h.txn.lock_count + 1}")
+        else:
+            h.strategy.write_local(h.txn, step[1], 1)
+    return h
+
+
 @settings(max_examples=50)
 @given(script=write_scripts(), data=st.data())
 def test_truncate_matches_replay(script, data):
-    """Property: truncating to lock state k produces the same graph as
-    replaying only the prefix of the script up to the k-th lock request."""
-    sdg = StateDependencyGraph()
-    lock_count = 0
-    for step in script:
-        if step[0] == "lock":
-            sdg.add_lock_state()
-            lock_count += 1
-        else:
-            sdg.record_write(step[1])
-    k = data.draw(st.integers(0, lock_count), label="rollback-target")
-    sdg.truncate_to(k)
+    """Property: after a rollback to lock state k the derived graph is the
+    graph of replaying only the prefix of the script up to the k-th lock
+    request."""
+    h = replay(script)
+    ideal = data.draw(st.integers(0, h.txn.lock_count), label="rollback-target")
+    k = h.strategy.choose_target(h.txn, ideal)
+    h.rollback(k)
 
     # Reference: replay only the prefix strictly before the k-th lock
     # request (a rollback to lock state k undoes requests k..n and every
     # later operation; k = 0 undoes everything).
-    replay = StateDependencyGraph()
+    prefix = []
     locks_seen = 0
     if k > 0:
         for step in script:
             if step[0] == "lock":
                 if locks_seen + 1 == k:
                     break
-                replay.add_lock_state()
                 locks_seen += 1
-            else:
-                replay.record_write(step[1])
-    assert sdg.lock_count == replay.lock_count
-    assert sdg.well_defined_states() == replay.well_defined_states()
+            prefix.append(step)
+    expected = replay(prefix)
+    sdg = h.strategy.graph_of(h.txn)
+    replayed = expected.strategy.graph_of(expected.txn)
+    assert sdg.lock_count == replayed.lock_count
+    assert sdg.edges == replayed.edges
+    assert sdg.well_defined_states() == replayed.well_defined_states()
+    assert h.strategy.well_defined_states(h.txn) == sdg.well_defined_states()

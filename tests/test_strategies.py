@@ -7,12 +7,11 @@ scheduler calls them: ``begin`` -> (``on_lock_request`` +
 lock records and the strategy in lockstep.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import ops
+from repro.core.k_copy import KCopyStrategy
 from repro.core.mcs import MultiLockCopyStrategy
 from repro.core.rollback import available_strategies, make_strategy
 from repro.core.single_copy import SingleCopyStrategy
@@ -20,8 +19,8 @@ from repro.core.total import TotalRestartStrategy
 from repro.core.transaction import Transaction, TransactionProgram
 from repro.errors import LockError, RollbackError, StorageFault
 from repro.locking import EXCLUSIVE, SHARED
-from repro.storage.copies import SingleCopy
-from repro.storage.multicopy import MultiCopy
+from repro.graphs.state_dependency import StateDependencyGraph
+from repro.storage.copies import CopyCell
 
 
 class Harness:
@@ -249,35 +248,34 @@ class TestCommonBehaviour:
     @given(script=SCRIPTS)
     def test_multicopy_without_retention_is_single_copy(self, script):
         """The same scripts, read as the life of one local variable: a
-        MultiCopy that never retains is a SingleCopy, field for field."""
-        assert issubclass(MultiCopy, SingleCopy)
-        inherited = [f.name for f in dataclasses.fields(SingleCopy)]
-        assert [f.name for f in dataclasses.fields(MultiCopy)] == [
-            *inherited, "retained"
-        ]
-        single = SingleCopy("x", base_value=0)
-        multi = MultiCopy("x", base_value=0)
+        cell that never retains is the paper's single copy — one stored
+        value, and exactly the lock states at or before its first write
+        (base value) or after its last (current value) restorable."""
+        cell = CopyCell("x", base_value=0)
+        writes = []   # (lock index, value) still on record: the reference
         lock_count = 0
         for value, (step, arg) in enumerate(script, start=1):
             if step == "lock":
                 lock_count += 1
             elif step.startswith("write"):
-                assert not single.write(value, lock_count)
-                assert not multi.write(value, lock_count, retain=False)
+                assert not cell.write(value, lock_count, retain=False)
+                writes.append((lock_count, value))
             elif lock_count:
                 target = 1 + arg % lock_count
-                if single.restorable_at(target):
-                    single.rollback_to(target)
-                    multi.rollback_to(target)
+                if cell.restorable_at(target):
+                    cell.rollback_to(target)
+                    writes = [w for w in writes if w[0] < target]
                     lock_count = target - 1
-            assert multi.retained == [] and multi.copies_stored == 1
-            assert [getattr(multi, name) for name in inherited] == [
-                getattr(single, name) for name in inherited
-            ]
+            assert cell.retained == [] and cell.copies_stored == 1
+            assert cell.write_indices == [m for m, _value in writes]
             for q in range(lock_count + 2):
-                assert multi.restorable_at(q) == single.restorable_at(q)
-                if single.restorable_at(q):
-                    assert multi.value_at(q) == single.value_at(q)
+                from_base = not writes or q <= writes[0][0]
+                from_current = bool(writes) and q > writes[-1][0]
+                assert cell.restorable_at(q) == (from_base or from_current)
+                if from_base:
+                    assert cell.value_at(q) == 0
+                elif from_current:
+                    assert cell.value_at(q) == writes[-1][1]
 
 
 class TestTotalRestart:
@@ -413,6 +411,31 @@ class TestSingleCopy:
         assert strategy.choose_target(h.txn, 2) == 1
         assert strategy.choose_target(h.txn, 1) == 1
 
+    def test_choose_target_exact_when_defined(self):
+        strategy = SingleCopyStrategy()
+        h = Harness(strategy)
+        for entity in "abc":
+            h.lock(entity)
+        assert strategy.choose_target(h.txn, 2) == 2
+
+    def test_choose_target_clamps_down_over_killed_states(self):
+        strategy = SingleCopyStrategy()
+        h = Harness(strategy, initial_locals={"x": 0})
+        h.lock("a")                               # 1
+        strategy.write_local(h.txn, "x", 1)
+        h.lock("b")                               # 2
+        h.lock("c")                               # 3
+        strategy.write_local(h.txn, "x", 2)       # kills 2, 3
+        assert strategy.choose_target(h.txn, 3) == 1
+        assert strategy.choose_target(h.txn, 2) == 1
+
+    def test_choose_target_zero_always_reachable(self):
+        strategy = SingleCopyStrategy()
+        h = Harness(strategy, initial_locals={"x": 0})
+        h.lock("a")
+        strategy.write_local(h.txn, "x", 1)
+        assert strategy.choose_target(h.txn, 0) == 0
+
     def test_rollback_to_undefined_state_rejected(self):
         strategy = SingleCopyStrategy()
         h = Harness(strategy)
@@ -467,12 +490,10 @@ class TestSingleCopy:
         h.lock("a", EXCLUSIVE, global_value=0)
         assert strategy.well_defined_states(h.txn) == [0, 1]
 
-    def test_sdg_sync_assertion(self):
-        """on_lock_request must stay in lockstep with the lock records."""
+    def test_is_k_copy_with_nothing_to_spend(self):
         strategy = SingleCopyStrategy()
-        h = Harness(strategy)
-        with pytest.raises(AssertionError):
-            strategy.on_lock_request(h.txn)   # no record created first
+        assert isinstance(strategy, KCopyStrategy)
+        assert (strategy.name, strategy.extra_copies) == ("single-copy", 0)
 
     def test_rollback_after_declaration_rejected(self):
         strategy = SingleCopyStrategy()
@@ -481,6 +502,81 @@ class TestSingleCopy:
         strategy.on_declare_last_lock(h.txn)
         with pytest.raises(RollbackError):
             strategy.rollback(h.txn, 0)
+
+
+class TestTheorem4Oracle:
+    """Theorem 4 and Corollary 1 checked from outside the copy cells.
+
+    The test keeps its own record of the writes still in force (nothing
+    but "a rollback to lock state k undoes the writes at lock index >= k,
+    and a restart forgets the locals it created") and builds the paper's
+    graph from *that*, so the cells' restorability bookkeeping is compared
+    with an answer it had no part in.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["single-copy", "k-copy:1", "k-copy:2", "k-copy:inf"]
+    )
+    @given(script=SCRIPTS)
+    def test_cells_spanning_edges_and_articulation_points_agree(
+        self, name, script
+    ):
+        strategy = make_strategy(name)
+        h = Harness(strategy, initial_locals={"x": 0, "y": 0})
+        txn = h.txn
+        writes = []              # (lock index, variable) still in force
+        created = set()          # undeclared locals brought to life ("z")
+        for value, (step, arg) in enumerate(script, start=1):
+            if step == "lock":
+                h.lock(f"e{txn.lock_count + 1}",
+                       EXCLUSIVE if arg else SHARED, value)
+            elif step == "write-entity":
+                held = [
+                    record.entity
+                    for record in txn.lock_records
+                    if record.mode.is_exclusive
+                ]
+                if held:
+                    entity = held[arg % len(held)]
+                    strategy.write_entity(txn, entity, value)
+                    writes.append((txn.lock_count, f"e:{entity}"))
+            elif step == "write-local":
+                strategy.write_local(txn, arg, value)
+                if arg in "xy" or arg in created:
+                    writes.append((txn.lock_count, f"l:{arg}"))
+                created.add(arg)    # a creating assignment is no write
+            else:
+                target = strategy.choose_target(
+                    txn, arg % (txn.lock_count + 1)
+                )
+                h.rollback(target)
+                writes = [w for w in writes if w[0] < target]
+                if target == 0:
+                    created.clear()
+
+            assert sorted(strategy.write_history(txn)) == sorted(writes)
+            graph = StateDependencyGraph.from_writes(txn.lock_count, writes)
+            points = graph.articulation_points()
+            states = range(txn.lock_count + 1)
+            unspanned = [
+                q for q in states
+                if not any(edge.spans(q) for edge in graph.edges)
+            ]
+            # Corollary 1, on the graph alone.
+            for q in states[1:-1]:
+                assert (q in points) == (q in unspanned), (q, writes)
+            reachable = [q for q in states if strategy.well_defined(txn, q)]
+            if strategy.extra_copies == 0:
+                # Theorem 4: one copy restores exactly the unspanned states.
+                assert reachable == unspanned, writes
+            else:
+                # Retention only ever adds states.
+                assert set(unspanned) <= set(reachable), writes
+            assert reachable == strategy.well_defined_states(txn)
+            for ideal in states:
+                assert strategy.choose_target(txn, ideal) == max(
+                    q for q in reachable if q <= ideal
+                )
 
 
 class TestFactory:

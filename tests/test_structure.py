@@ -7,12 +7,14 @@ from repro.analysis import (
     cluster_writes,
     clustering_score,
     is_three_phase,
+    run_alone,
     static_sdg,
     structure_report,
     three_phase_variant,
     well_defined_count,
     well_defined_states,
 )
+from repro.core.rollback import make_strategy
 from repro.simulation import (
     RandomInterleaving,
     SimulationEngine,
@@ -32,6 +34,17 @@ def scattered_program():
         ops.write("a", ops.const(2)),     # scattered: a again, 2 locks later
         ops.write("c", ops.const(1)),
     ])
+
+
+def rewritten_local_program(initial_locals):
+    """lock a; x <- 1; lock b; x <- 2; lock c."""
+    return TransactionProgram("U", [
+        ops.lock_exclusive("a"),
+        ops.assign("x", ops.const(1)),
+        ops.lock_exclusive("b"),
+        ops.assign("x", ops.const(2)),
+        ops.lock_exclusive("c"),
+    ], initial_locals=initial_locals)
 
 
 def clustered_program():
@@ -65,8 +78,27 @@ class TestStaticSdg:
             ops.lock_shared("b"),
             ops.lock_shared("c"),
             ops.read("a", into="x"),      # re-read destroys x's state
-        ])
+        ], initial_locals={"x": 0})
         assert well_defined_states(program) == [0, 1]
+
+    @pytest.mark.parametrize("initial_locals, expected", [
+        # The assignment that creates x is no write: its value sits in the
+        # cell's base slot, which is what x held throughout lock state 2.
+        ({}, [0, 1, 2, 3]),
+        ({"x": 0}, [0, 1, 3]),
+    ])
+    def test_local_first_assigned_mid_transaction(
+        self, initial_locals, expected
+    ):
+        """Static and runtime agree on what counts as a write — by
+        construction: the static answer is the strategy's own."""
+        program = rewritten_local_program(initial_locals)
+        assert well_defined_states(program) == expected
+        assert static_sdg(program).well_defined_states() == expected
+        for name in ("single-copy", "k-copy:0"):
+            strategy, txn = run_alone(program, make_strategy(name))
+            assert txn.lock_count == 3
+            assert strategy.well_defined_states(txn) == expected
 
     def test_monitoring_stops_at_declaration(self):
         program = TransactionProgram("D", [
