@@ -1222,8 +1222,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="smoke: concurrent storm clients")
     p_serve.add_argument("--commits", type=int, default=3,
                          help="smoke: commits required per client")
-    p_serve.add_argument("--kill-after", type=float, default=1.0,
-                         help="smoke: seconds before the SIGKILL")
+    p_serve.add_argument("--kill-after", type=float, nargs="+", default=[1.0],
+                         help="smoke: seconds before each SIGKILL "
+                              "(one crash/restart cycle per value)")
     p_serve.add_argument("--metrics", action="store_true",
                          help="also serve Prometheus text exposition "
                               "on a second HTTP listener")

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, TextIO
 
 from ..graphs.concurrency import ConcurrencyGraph
 from ..graphs.render import concurrency_to_dot
@@ -63,42 +62,50 @@ def fingerprint(events: Iterable[Event]) -> str:
 
 
 class JsonlStreamSink:
-    """A bus sink that streams events to a JSONL file, flush-on-write.
+    """A bus sink that streams events to a JSONL file.
 
     Export-at-end loses the whole run if the process dies; a long-lived
     service cannot accept that.  Subscribed to an
     :class:`~repro.observability.events.EventBus`, this sink writes each
     event as one canonical JSONL line (identical bytes to
-    :func:`to_jsonl`) and flushes — with ``fsync=True`` it also forces
-    the line to disk — so a ``kill -9`` loses at most the event being
-    written.  ``append=True`` reopens an existing file without
-    truncation, the restart half of the segment-stitching contract:
-    re-attaching a recorder after a crash continues the same stream.
+    :func:`to_jsonl`) and flushes, so a ``kill -9`` loses at most the
+    event being written — unless ``buffered=True``, where lines wait
+    for the owner's :meth:`flush` (the service's reply boundary, see
+    :mod:`repro.service.journal`).  ``append=True`` reopens an existing
+    file without truncation, the restart half of the segment-stitching
+    contract: re-attaching a recorder after a crash continues the same
+    stream, on a line of its own (:func:`open_jsonl_append`).
     """
 
     def __init__(
         self,
         path: str | Path,
         append: bool = False,
-        fsync: bool = False,
+        buffered: bool = False,
     ) -> None:
         self.path = Path(path)
-        self._fsync = fsync
-        self._handle = self.path.open("a" if append else "w")
+        self._buffered = buffered
+        self._handle = (
+            open_jsonl_append(self.path) if append else self.path.open("w")
+        )
         self.lines_written = 0
+        self.flushes = 0  # explicit flush() calls: the owner's boundaries
 
     def __call__(self, event: Event) -> None:
         self._handle.write(
             json.dumps(event.to_obj(), sort_keys=True, default=str) + "\n"
         )
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        if not self._buffered:
+            self._handle.flush()
         self.lines_written += 1
+
+    def flush(self) -> None:
+        """Hand every line written so far to the operating system."""
+        self._handle.flush()
+        self.flushes += 1
 
     def close(self) -> None:
         if not self._handle.closed:
-            self._handle.flush()
             self._handle.close()
 
     def __enter__(self) -> "JsonlStreamSink":
@@ -108,26 +115,38 @@ class JsonlStreamSink:
         self.close()
 
 
-def read_jsonl_objects(path: str | Path) -> list[dict[str, Any]]:
-    """Parse an append-only JSONL file: the one torn-tail rule.
+def open_jsonl_append(path: Path) -> TextIO:
+    """Open *path* for appending records, first cutting a torn tail.
 
-    Blank lines are skipped.  A trailing half-written line — the most a
-    crash can leave behind under flush-on-write — is dropped; a corrupt
-    line anywhere else raises.  Both durable logs (the event journal and
-    the service WAL) are read back through here.
+    The one record rule, shared with :func:`read_jsonl_objects`: a
+    record exists iff its terminating newline is on disk.  What follows
+    the last newline is a write a crash cut short; left in place, the
+    next record would fuse with it into a corrupt line mid-file.
     """
-    objects: list[dict[str, Any]] = []
-    lines = Path(path).read_text().splitlines()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            objects.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break  # torn final write from a crash
-            raise
-    return objects
+    if path.exists():
+        with path.open("rb+") as raw:
+            keep = path.stat().st_size
+            while keep:  # back a block at a time to the last newline
+                start = max(0, keep - 4096)
+                raw.seek(start)
+                keep = start + raw.read(keep - start).rfind(b"\n") + 1
+                if keep > start:
+                    break
+            raw.truncate(keep)
+    return path.open("a")
+
+
+def read_jsonl_objects(path: str | Path) -> list[dict[str, Any]]:
+    """Parse an append-only JSONL file under the one record rule.
+
+    Only newline-terminated lines are records: an unterminated final
+    line — a write a crash cut short — is dropped even when it happens
+    to parse; a terminated line that does not parse raises.  Blank lines
+    are skipped.  Both durable logs (the event journal and the service
+    WAL) are read back through here.
+    """
+    lines = Path(path).read_text().split("\n")[:-1]
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 def read_events_jsonl(path: str | Path) -> list[Event]:

@@ -131,6 +131,12 @@ class WriteAheadLog:
     def log_rollback(self, txn_id: str, target: int) -> None:
         self._append(WalRecord(WalKind.ROLLBACK, txn_id, target=target))
 
+    def flush(self) -> None:
+        """No-op here; the service's durable subclass owns a file."""
+
+    def close(self) -> None:
+        """No-op here, as :meth:`flush`."""
+
     # -- checkpoints ---------------------------------------------------------
 
     def checkpoint(self, step: int, state: dict, committed) -> Checkpoint:

@@ -4,7 +4,9 @@ Everything stateful and decision-making lives in the core; this module
 owns only what a network process must: TCP framing, routing deferred
 replies back to the right connection, an idle ticker that advances
 logical time while clients wait (journaled as ``tick`` requests so
-replay sees the same instants), graceful drain on SIGTERM, and crash
+replay sees the same instants), the per-request flush that makes the
+reply the durability boundary (the contract is in
+:mod:`~repro.service.journal`), graceful drain on SIGTERM, and crash
 recovery on startup.
 
 Recovery composes the two durable artifacts:
@@ -107,8 +109,10 @@ def build_core(
                     read_events_jsonl(journal_path), committed
                 )
     if journal_path is not None:
-        sink = JsonlStreamSink(journal_path, append=True)
+        sink = JsonlStreamSink(journal_path, append=True, buffered=True)
         bus.subscribe(sink)
+        if wal is not None:
+            wal.before_force = sink.flush  # journal first, see .journal
     core = ServiceCore(
         Database(initial_state),
         config=config,
@@ -129,7 +133,7 @@ class LockServer:
     core:
         The deterministic core (freshly built or recovered).
     sink:
-        The journal sink to close on shutdown (may be ``None``).
+        The journal sink, flushed at each reply (may be ``None``).
     tick_interval:
         Wall-clock seconds between idle ticks while requests are
         parked; logical time must advance for deadlines to fire even
@@ -226,10 +230,8 @@ class LockServer:
             await self._metrics_server.wait_closed()
         if self.sink is not None:
             self.sink.close()
-        wal = self.core.wal
-        close = getattr(wal, "close", None)
-        if close is not None:
-            close()
+        if self.core.wal is not None:
+            self.core.wal.close()
 
     # -- the request path ------------------------------------------------------
 
@@ -247,6 +249,11 @@ class LockServer:
         if writer is not None and rid is not None:
             self._waiters[rid] = writer
         reply, completions = self.core.handle(request)
+        # The reply boundary: journal, then WAL, before anything leaves.
+        if self.sink is not None:
+            self.sink.flush()
+        if self.core.wal is not None:
+            self.core.wal.flush()
         if reply is not None and rid is not None:
             self._deliver(rid, reply)
         for done_rid, done_reply in completions:

@@ -10,7 +10,9 @@ the whole robustness surface in sequence:
 4. restart on the same WAL/journal: the database recovers by redo, the
    idempotency window re-seeds from the journal, and the clients' retry
    ladders carry them across the outage (dead transactions answer 410
-   and are restarted by the client loop);
+   and are restarted by the client loop) — steps 3 and 4 once per
+   ``kill_after`` value, so a second crash lands on files a first
+   recovery already repaired and appended to;
 5. ``SIGTERM`` for a graceful drain once the storm completes;
 6. verify the two oracles — **no lost or doubled increment** (the WAL's
    recovered state must equal the clients' count of acknowledged
@@ -30,6 +32,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from typing import Sequence
 
 from .client import RetryBudgetExhausted, RetryPolicy, ServiceClient
 from .journal import DurableWriteAheadLog
@@ -158,7 +161,7 @@ def run_smoke(
     workdir: str | Path,
     clients: int = 4,
     commits_per_client: int = 3,
-    kill_after: float = 1.0,
+    kill_after: Sequence[float] = (1.0,),
     entities: int = 4,
     wall_clock_budget: float = 90.0,
 ) -> dict:
@@ -187,12 +190,12 @@ def run_smoke(
         for worker in workers:
             worker.thread.start()
 
-        time.sleep(kill_after)
-        proc.kill()  # SIGKILL: the crash the WAL must absorb
-        proc.wait()
-
-        proc = _spawn_server(port, wal, journal, entities=entities)
-        _wait_listening(port, proc)
+        for delay in kill_after:
+            time.sleep(delay)
+            proc.kill()  # SIGKILL: the crash the WAL must absorb
+            proc.wait()
+            proc = _spawn_server(port, wal, journal, entities=entities)
+            _wait_listening(port, proc)
 
         for worker in workers:
             worker.thread.join(timeout=wall_clock_budget)
