@@ -87,6 +87,8 @@ from .simulation import (
 #: policy shows up in ``--help`` without touching this module (RR003).
 STRATEGIES = available_strategies()
 POLICIES = available_policies()
+POLICY_HELP = ("victim policy; min-cost (Figure 2) and requester (re-closes "
+               "the same cycle) are not livelock-free")
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -925,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p_run)
     p_run.add_argument("--strategy", choices=STRATEGIES, default="mcs")
     p_run.add_argument("--policy", choices=POLICIES,
-                       default="ordered-min-cost")
+                       default="ordered-min-cost", help=POLICY_HELP)
     p_run.add_argument("--trace", action="store_true",
                        help="print the full event trace")
     p_run.set_defaults(fn=cmd_run)
@@ -934,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="same workload under all strategies")
     _add_workload_args(p_cmp)
     p_cmp.add_argument("--policy", choices=POLICIES,
-                       default="ordered-min-cost")
+                       default="ordered-min-cost", help=POLICY_HELP)
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_sweep = sub.add_parser(
@@ -945,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("strategy", "policy", "concurrency"),
                          default="strategy")
     p_sweep.add_argument("--policy", choices=POLICIES,
-                         default="ordered-min-cost")
+                         default="ordered-min-cost", help=POLICY_HELP)
     p_sweep.add_argument("--seeds", type=int, default=3,
                          help="number of seeds per cell")
     p_sweep.set_defaults(fn=cmd_sweep)
@@ -975,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     # from the command line.
     p_fuzz.add_argument("--policy",
                         choices=POLICIES + fault_policy_names,
-                        default="ordered-min-cost")
+                        default="ordered-min-cost", help=POLICY_HELP)
     p_fuzz.add_argument("--ordered", choices=("auto", "yes", "no"),
                         default="auto",
                         help="arm the Theorem 2 oracles regardless of the "
@@ -1025,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated rollback strategies")
     p_chaos.add_argument("--policy",
                          choices=POLICIES + fault_policy_names,
-                         default="ordered-min-cost")
+                         default="ordered-min-cost", help=POLICY_HELP)
     p_chaos.add_argument("--crash-every-step", action="store_true",
                          help="sweep: plant one crash at every recorded "
                               "event index and check recovery "
@@ -1113,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "immunity (Theorem 2 aging)")
     p_over.add_argument("--strategy", choices=STRATEGIES, default="mcs")
     p_over.add_argument("--policy", choices=POLICIES,
-                        default="ordered-min-cost")
+                        default="ordered-min-cost", help=POLICY_HELP)
     p_over.add_argument("--max-steps", type=int, default=200_000)
     p_over.set_defaults(fn=cmd_overload)
 
@@ -1205,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="default deadline in logical steps")
     p_serve.add_argument("--strategy", choices=STRATEGIES, default="mcs")
     p_serve.add_argument("--policy", choices=POLICIES,
-                         default="ordered-min-cost")
+                         default="ordered-min-cost", help=POLICY_HELP)
     p_serve.add_argument("--tick-interval", type=float, default=0.05,
                          help="idle-ticker period in seconds")
     p_serve.add_argument("--drain-timeout", type=float, default=10.0,

@@ -11,6 +11,11 @@ through the requester:
   applies;
 * shared + exclusive — a single wait can close several cycles (one per
   incompatible holder path, Figure 3), all of which share the requester.
+
+A :class:`Deadlock` is therefore defined by reachability, not enumeration:
+its members are the transactions reachable from the requester and reaching
+it; victim selection decides from the arcs between them, and the
+enumerated cycles are a capped record for traces, events and metrics.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ EntityName = str
 
 @dataclass
 class Deadlock:
-    """A detected deadlock: every simple cycle through the requester.
+    """A detected deadlock: everything on a cycle through the requester.
 
     Attributes
     ----------
@@ -35,9 +40,13 @@ class Deadlock:
         paper's "transaction which caused the conflict".
     cycles:
         Simple cycles, each a transaction list in holder->waiter order
-        starting at the requester.
+        starting at the requester — the *record* of the deadlock, possibly
+        truncated by the detector's ``cycle_limit``; nothing decides from
+        it.
     members:
-        Every transaction on some cycle.
+        Every transaction reachable from the requester and reaching it in
+        *graph* — exactly those on its cycles when, as after any wait
+        response, no cycle misses the requester.
     arcs:
         The arcs between members, ``holder -> waiter -> sorted entities``,
         copied out of *graph* at construction.  The graph itself is not
@@ -45,7 +54,9 @@ class Deadlock:
         while every victim's rollback target must be judged against the
         deadlock as it was detected.
 
-    *graph* is whatever concurrency graph the cycles were found in.
+    *graph* is the concurrency graph detection searched — the live graph,
+    or a narrower one when detection sees less (site-local detection) —
+    and must contain a cycle through the requester.
     """
 
     requester: TxnId
@@ -55,7 +66,7 @@ class Deadlock:
     arcs: dict[TxnId, dict[TxnId, list[EntityName]]] = field(init=False)
 
     def __post_init__(self, graph: ConcurrencyGraph) -> None:
-        self.members = {txn for cycle in self.cycles for txn in cycle}
+        self.members = graph.deadlocked_transactions(self.requester)
         self.arcs = {
             holder: {
                 waiter: sorted(entities)
@@ -101,45 +112,27 @@ class DeadlockDetector:
     keeps the from-scratch rebuild as the differential reference.
 
     ``cycle_limit`` bounds the per-detection enumeration of simple cycles
-    (their number can be exponential at high contention).  Victim
-    selection optimises over the enumerated cycles; the scheduler's
-    residual pass guarantees that any cycles beyond the cap still get
-    broken.
+    (their number can be exponential at high contention).  It sizes the
+    record only: members and arcs come from reachability, so victim
+    selection breaks every cycle whatever the cap.
     """
 
     def __init__(self, table: LockTable, cycle_limit: int = 500) -> None:
         self._table = table
         self._cycle_limit = cycle_limit
 
-    @property
-    def cycle_limit(self) -> int:
-        """The per-detection cap on enumerated simple cycles."""
-        return self._cycle_limit
-
-    @property
-    def waits_for(self) -> ConcurrencyGraph:
-        """The lock table's live, continuously maintained graph."""
-        return self._table.waits_for
-
     def check(self, requester: TxnId) -> Deadlock | None:
         """Detect deadlock after *requester* received a wait response.
 
         Returns a :class:`Deadlock` covering every cycle through the
         requester, or ``None`` when the wait is safe.  Only a confirmed
-        cycle pays for enumeration; the cycles (and their order) are
-        identical to a full-rebuild detection, so victim selection — and
-        therefore every seeded run — is unchanged.
+        cycle pays for enumeration.
         """
         live = self._table.waits_for
         cycles = live.cycles_through(requester, limit=self._cycle_limit)
         if not cycles:
             return None
         return Deadlock(requester, cycles, live)
-
-    def find_any_cycle(self) -> list[TxnId] | None:
-        """Some cycle anywhere in the live graph, or ``None`` (used by the
-        scheduler's residual pass after a capped resolution)."""
-        return self._table.waits_for.find_any_cycle()
 
     def snapshot(self) -> ConcurrencyGraph:
         """Current concurrency graph, rebuilt from the lock table — the

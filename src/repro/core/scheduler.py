@@ -398,14 +398,10 @@ class Scheduler:
                 requester=deadlock.requester,
                 cycles=[list(cycle) for cycle in deadlock.cycles],
             )
+        # The victims separate the requester from itself in the deadlock's
+        # arcs and every cycle passes through the requester, so the graph
+        # is acyclic again.
         actions = self._resolve(deadlock)
-        if len(deadlock.cycles) >= self.detector.cycle_limit:
-            # The enumeration was truncated: the victim cut covered only
-            # the enumerated cycles, so residual cycles may remain.  (When
-            # the cap was not hit the cut provably covered every cycle —
-            # all of them pass through the requester — and the graph is
-            # acyclic again.)
-            actions += self._resolve_residual()
         return StepResult(
             txn.txn_id, StepOutcome.DEADLOCK, deadlock=deadlock,
             actions=actions,
@@ -545,42 +541,6 @@ class Scheduler:
         for action in actions:
             self._apply_rollback(action, deadlock)
         return actions
-
-    def _resolve_residual(self) -> list[RollbackAction]:
-        """Break any cycles a capped resolution left behind.
-
-        Cycle enumeration through the requester is bounded (the exact set
-        of simple cycles can be exponential at high contention), so the
-        victim cut may miss cycles beyond the cap.  Residual cycles would
-        otherwise go permanently undetected — later requests never pass
-        through them.  This pass sweeps the whole graph after each
-        resolution; it terminates because resolutions only remove arcs.
-        The nominal requester of a residual deadlock is its youngest
-        member, preserving the Theorem 2 ordering discipline (the ordered
-        policy then rolls the youngest back, never an elder).
-        """
-        actions: list[RollbackAction] = []
-        live = self.detector.waits_for
-        while True:
-            cycle = self.detector.find_any_cycle()
-            if cycle is None:
-                return actions
-            nominal = max(
-                cycle, key=lambda t: self.transactions[t].entry_order
-            )
-            residual = Deadlock(
-                nominal, live.cycles_through(nominal, limit=500), live
-            )
-            self.metrics.bump("deadlocks")
-            if self.bus:
-                self.bus.publish(
-                    EventKind.DEADLOCK,
-                    nominal,
-                    requester=nominal,
-                    cycles=[list(cycle) for cycle in residual.cycles],
-                    residual=True,
-                )
-            actions += self._resolve(residual)
 
     def _apply_rollback(
         self, action: RollbackAction, deadlock: Deadlock

@@ -11,27 +11,35 @@ well-defined states; total restart only state 0).
 Policies implemented:
 
 ``min-cost``
-    The paper's unconstrained optimisation: pick the cheapest set of
-    victims whose rollback breaks every cycle (exact minimum-cost vertex
-    cut for small deadlocks, greedy otherwise).  Vulnerable to *potentially
-    infinite mutual preemption* (Figure 2).
+    The paper's unconstrained optimisation: the cheapest set of victims
+    whose rollback breaks every cycle — the minimum vertex separator, or
+    the requester alone when that costs no more.  Vulnerable to
+    *potentially infinite mutual preemption* (Figure 2).
 
 ``ordered-min-cost``
     Theorem 2's fix: only transactions below the requester in a
     time-invariant partial order (here: entry order — later entrants are
     "below" earlier... concretely ``allowed = {T_i : order(T_i) >
     order(requester)} ∪ {requester}``) may be preempted; the cheapest
-    allowed cover wins.  Because every cycle passes through the requester,
-    the requester alone is always a feasible cover, so selection never
-    fails.
+    cover among the younger members wins when one exists.  Because every
+    cycle passes through the requester, the requester alone is always a
+    feasible cover, so selection never fails.
 
 ``requester``
-    Always roll back the conflict-causing transaction — the simplest safe
-    choice (§3.2 notes it removes *all* cycles at once).
+    Always roll back the conflict-causing transaction — the simplest
+    choice (§3.2 notes it removes *all* cycles at once; it makes no
+    progress claim, and under partial rollback it can re-close the same
+    cycle forever).
 
 ``youngest`` / ``oldest``
     Classic baselines: prefer the latest/earliest entrant among deadlock
     members, adding victims until every cycle is covered.
+
+Every cycle passes through the requester (detection runs at every wait
+response), so "covers every cycle" means "no path from the requester back
+to itself avoids the victims" — a property of the deadlock's *arcs*.  No
+policy consults the enumerated ``Deadlock.cycles``, which may be truncated;
+the optimum is :func:`repro.graphs.algorithms.min_vertex_separator`.
 """
 
 from __future__ import annotations
@@ -95,11 +103,6 @@ class VictimContext:
         self.immune = frozenset(immune)
         self._actions: dict[TxnId, RollbackAction] = {}
 
-    def immune_members(self) -> set[TxnId]:
-        """Deadlock members a policy must not preempt (requester excluded —
-        self-rollback is always permitted)."""
-        return (self.immune & set(self.deadlock.members)) - {self.requester}
-
     @property
     def requester(self) -> TxnId:
         return self.deadlock.requester
@@ -129,6 +132,20 @@ class VictimContext:
     def cost_of(self, txn_id: TxnId) -> int:
         return self.action_for(txn_id).cost
 
+    def cheapest_cover(self, candidates: set[TxnId]) -> set[TxnId] | None:
+        """The minimum-cost subset of *candidates* (requester excluded)
+        whose rollback breaks every cycle, or ``None`` when some cycle
+        avoids them all."""
+        return algorithms.min_vertex_separator(
+            self.deadlock.arcs, self.requester, self.cost_of, candidates
+        )
+
+    def still_deadlocked(self, victims: set[TxnId]) -> set[TxnId]:
+        """Members left on a cycle once *victims* are rolled back."""
+        return algorithms.on_cycles_through(
+            self.deadlock.arcs, self.requester, without=victims
+        )
+
     def evaluated_actions(self) -> list[RollbackAction]:
         """Every candidate action this context costed while the policy
         deliberated, in victim-id order — the observability layer attaches
@@ -152,17 +169,13 @@ class VictimPolicy(abc.ABC):
         self, ctx: VictimContext, victims: set[TxnId]
     ) -> list[RollbackAction]:
         """Sanity-check that *victims* hit every cycle, then build actions."""
-        for cycle in ctx.deadlock.cycles:
-            if not victims & set(cycle):
-                raise DeadlockUnresolvableError(
-                    f"victim set {sorted(victims)} misses cycle {cycle}"
-                )
+        missed = ctx.still_deadlocked(victims)
+        if missed:
+            raise DeadlockUnresolvableError(
+                f"victim set {sorted(victims)} leaves a cycle among "
+                f"{sorted(missed)}"
+            )
         return [ctx.action_for(txn_id) for txn_id in sorted(victims)]
-
-
-#: Above this many distinct deadlock members the exact cut solver is skipped
-#: in favour of the greedy heuristic (the exact problem is NP-complete).
-EXACT_CUT_LIMIT = 12
 
 
 class MinCostPolicy(VictimPolicy):
@@ -170,47 +183,20 @@ class MinCostPolicy(VictimPolicy):
 
     name = "min-cost"
 
-    def __init__(self, exact_limit: int = EXACT_CUT_LIMIT) -> None:
-        self._exact_limit = exact_limit
-
     def select(self, ctx: VictimContext) -> list[RollbackAction]:
-        members = ctx.deadlock.members
-        avoid = ctx.immune & set(members)
-        if avoid:
-            # Watchdog-aged transactions are off limits — including an
-            # immune requester, whose self-rollback would keep its state
-            # loss growing just like a preemption would.  Try the
-            # cheapest cover without any immune member first, then allow
-            # the requester back in, then fall back to pure self-rollback
-            # (always feasible: every cycle passes through the requester).
-            victims: set[TxnId] | None = None
-            for candidates in (
-                set(members) - avoid,
-                set(members) - (avoid - {ctx.requester}),
-            ):
-                if not candidates:
-                    continue
-                try:
-                    victims = algorithms.min_cost_vertex_cut(
-                        ctx.deadlock.cycles,
-                        cost=ctx.cost_of,
-                        candidates=candidates,
-                    )
-                except ValueError:
-                    victims = None
-                if victims is not None:
-                    break
-            if victims is None:
-                victims = {ctx.requester}
-            return self._validated(ctx, victims)
-        if len(members) <= self._exact_limit:
-            victims = algorithms.min_cost_vertex_cut(
-                ctx.deadlock.cycles, cost=ctx.cost_of
-            )
-        else:
-            victims = algorithms.greedy_vertex_cut(
-                ctx.deadlock.cycles, cost=ctx.cost_of
-            )
+        # Watchdog-aged transactions are off limits — including an immune
+        # requester, whose self-rollback would keep its state loss growing
+        # just like a preemption would: it yields only when no cover
+        # exists without it (always feasible: every cycle passes through
+        # the requester).  Otherwise one victim beats several: the
+        # requester alone wins ties.
+        requester = ctx.requester
+        victims = ctx.cheapest_cover(ctx.deadlock.members - ctx.immune)
+        if victims is None or (
+            requester not in ctx.immune
+            and ctx.cost_of(requester) <= sum(map(ctx.cost_of, victims))
+        ):
+            victims = {requester}
         return self._validated(ctx, victims)
 
 
@@ -225,33 +211,20 @@ class OrderedMinCostPolicy(VictimPolicy):
 
     name = "ordered-min-cost"
 
-    def __init__(self, exact_limit: int = EXACT_CUT_LIMIT) -> None:
-        self._exact_limit = exact_limit
-
     def select(self, ctx: VictimContext) -> list[RollbackAction]:
         requester_order = ctx.entry_order(ctx.requester)
         younger = {
             txn_id
             for txn_id in ctx.deadlock.members
             if ctx.entry_order(txn_id) > requester_order
-        } - ctx.immune_members()
-        cycles = ctx.deadlock.cycles
+        } - ctx.immune
         # Prefer the cheapest cover among strictly-younger members: every
         # preemption arc then runs old -> young, so no set of transactions
-        # can preempt each other forever (Theorem 2).  Only when the
-        # requester is effectively the youngest on its cycles does it roll
-        # itself back — a fallback that always exists because every cycle
-        # passes through the requester.
-        victims: set[TxnId] | None = None
-        if younger and len(younger) <= self._exact_limit:
-            try:
-                victims = algorithms.min_cost_vertex_cut(
-                    cycles, cost=ctx.cost_of, candidates=younger
-                )
-            except ValueError:
-                victims = None
-        if victims is None:
-            victims = {ctx.requester}
+        # can preempt each other forever (Theorem 2).  Only when some cycle
+        # has no preemptible younger member does the requester roll itself
+        # back — a fallback that always exists because every cycle passes
+        # through the requester.
+        victims = ctx.cheapest_cover(younger) or {ctx.requester}
         return self._validated(ctx, victims)
 
 
@@ -266,30 +239,21 @@ class RequesterPolicy(VictimPolicy):
 
 class _EntryOrderPolicy(VictimPolicy):
     """Common machinery for youngest/oldest baselines: repeatedly take the
-    preferred member among transactions on still-uncovered cycles."""
+    preferred member among transactions still on a cycle."""
 
     def __init__(self, prefer_latest: bool) -> None:
         self._prefer_latest = prefer_latest
 
     def select(self, ctx: VictimContext) -> list[RollbackAction]:
-        immune = ctx.immune_members()
-        remaining = [list(cycle) for cycle in ctx.deadlock.cycles]
+        # Self-rollback is always permitted, and the requester is on every
+        # cycle: the pool is non-empty for as long as a cycle remains.
+        immune = ctx.immune - {ctx.requester}
+        pick = max if self._prefer_latest else min
         victims: set[TxnId] = set()
-        while remaining:
-            pool = {
-                txn_id for cycle in remaining for txn_id in cycle
-            } - immune
-            if not pool:
-                # Every remaining member is immune; the requester is on
-                # every cycle and may always roll itself back.
-                victims.add(ctx.requester)
-                break
-            key: Callable[[TxnId], tuple] = lambda t: (ctx.entry_order(t), t)
-            chosen = max(pool, key=key) if self._prefer_latest else min(
-                pool, key=key
-            )
-            victims.add(chosen)
-            remaining = [c for c in remaining if chosen not in c]
+        while remaining := ctx.still_deadlocked(victims):
+            victims.add(pick(
+                remaining - immune, key=lambda t: (ctx.entry_order(t), t)
+            ))
         return self._validated(ctx, victims)
 
 

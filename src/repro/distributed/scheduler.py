@@ -40,7 +40,7 @@ from ..core.detection import Deadlock
 from ..core.scheduler import Scheduler, StepOutcome, StepResult
 from ..core.transaction import Transaction, TransactionProgram, TxnStatus
 from ..core.operations import Lock
-from ..graphs import algorithms
+from ..graphs.concurrency import ConcurrencyGraph
 from ..locking.modes import LockMode
 from ..observability.events import EventKind
 from ..storage.database import Database
@@ -388,17 +388,16 @@ class DistributedScheduler(Scheduler):
         if live.cycle_through(requester) is None:
             return None  # a site-local cycle is a cycle of the full graph
         site = self.partition.site_of_entity(entity)
-        local: dict[TxnId, set[TxnId]] = {}
+        local = ConcurrencyGraph()
         for arc in live:
             if self.partition.site_of_entity(arc.entity) == site:
-                local.setdefault(arc.holder, set()).add(arc.waiter)
-        cycles = algorithms.simple_cycles_through(local, requester, limit=500)
+                local.add_wait(*arc)
+        cycles = local.cycles_through(requester, limit=500)
         if not cycles:
             return None
-        # Every arc into a member carries that member's one awaited
-        # entity, which lies on this site (its cycle arc does), so the
-        # arcs the deadlock copies from the full graph are all local.
-        return Deadlock(requester, cycles, live)
+        # Members and arcs come from the site-local graph, never the
+        # wider live one: a cross-site cycle stays invisible here.
+        return Deadlock(requester, cycles, local)
 
     def _apply_timestamp_rule(self, txn: Transaction, op: Lock) -> bool:
         """Wound-wait / wait-die for conflicts crossing site boundaries.

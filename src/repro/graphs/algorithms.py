@@ -17,15 +17,21 @@ Contents
   single-cycle deadlock detection).
 * :func:`articulation_points` — Hopcroft–Tarjan, iterative, for
   state-dependency graphs (§4).
-* :func:`min_cost_vertex_cut` / :func:`greedy_vertex_cut` — exact and
-  heuristic solvers for the NP-complete minimum-cost "break all cycles"
-  problem of §3.2.
+* :func:`on_cycles_through` — the vertices on some cycle through a given
+  vertex, by reachability (no enumeration): a deadlock's members.
+* :func:`min_vertex_separator` — the minimum-cost set of vertices breaking
+  every cycle through a given vertex, by max-flow: §3.2's multi-victim
+  optimum when all cycles share the requester, polynomial and exact.
+* :func:`min_cost_vertex_cut` — exhaustive hitting set over an explicit
+  cycle list (the general problem, the paper's "appears to be
+  NP-complete"); the reference the separator is tested against, with no
+  caller on the scheduling path.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 Node = Hashable
 Digraph = Mapping[Node, set]
@@ -64,6 +70,44 @@ def find_cycle_through(graph: Digraph, start: Node) -> list[Node] | None:
     return None
 
 
+def on_cycles_through(
+    graph: Digraph, start: Node, without: Collection[Node] = frozenset()
+) -> set:
+    """Vertices on some directed cycle through *start*, by reachability.
+
+    A vertex lies on a cycle through *start* iff it is reachable from
+    *start* and reaches it — two linear passes, no enumeration.  Vertices
+    in *without* are treated as deleted.  Empty when no such cycle exists
+    (in particular when *start* itself is deleted).
+    """
+    if start in without:
+        return set()
+    # Forward pass, recording each arc it crosses reversed: the backward
+    # pass then never leaves the forward-reachable set.
+    reverse: dict[Node, list[Node]] = {}
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for succ in _successors(graph, node):
+            if succ in without:
+                continue
+            reverse.setdefault(succ, []).append(node)
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    if start not in reverse:
+        return set()
+    members = {start}
+    frontier = [start]
+    while frontier:
+        for pred in reverse[frontier.pop()]:
+            if pred not in members:
+                members.add(pred)
+                frontier.append(pred)
+    return members
+
+
 def simple_cycles_through(
     graph: Digraph, start: Node, limit: int = 10_000,
     visit_budget: int = 200_000,
@@ -72,28 +116,15 @@ def simple_cycles_through(
 
     Each cycle is a node list beginning at *start* (the closing arc back to
     *start* is implicit).  Enumeration is a DFS over simple paths from
-    *start*, restricted to vertices that can reach *start* at all (reverse
-    reachability pruning) — without it the DFS wastes exponential effort
-    on paths that can never close.  Two caps bound adversarial graphs:
-    *limit* on the number of cycles returned and *visit_budget* on DFS
-    node expansions; both are far above what real deadlocks produce, and
-    callers treat the output as a possibly-partial set (the scheduler's
-    residual pass catches anything beyond the caps).
+    *start*, restricted to :func:`on_cycles_through` — without that pruning
+    the DFS wastes exponential effort on paths that can never close.  Two
+    caps bound adversarial graphs: *limit* on the number of cycles returned
+    and *visit_budget* on DFS node expansions.  The output is therefore a
+    possibly-partial *record* of the deadlock; whoever must break every
+    cycle works from the arcs (:func:`min_vertex_separator`), not from it.
     """
-    # Vertices from which `start` is reachable (reverse BFS).
-    predecessors: dict[Node, set] = {}
-    for node, targets in graph.items():
-        for succ in targets:
-            predecessors.setdefault(succ, set()).add(node)
-    can_reach_start: set = set()
-    frontier = list(predecessors.get(start, ()))
-    while frontier:
-        node = frontier.pop()
-        if node in can_reach_start:
-            continue
-        can_reach_start.add(node)
-        frontier.extend(predecessors.get(node, ()))
-    if start not in can_reach_start:
+    on_cycle = on_cycles_through(graph, start)
+    if not on_cycle:
         return []
 
     cycles: list[list[Node]] = []
@@ -111,7 +142,7 @@ def simple_cycles_through(
                 cycles.append(list(path))
                 if len(cycles) >= limit:
                     return False
-            elif succ not in on_path and succ in can_reach_start:
+            elif succ not in on_path and succ in on_cycle:
                 path.append(succ)
                 on_path.add(succ)
                 if not dfs(succ):
@@ -253,8 +284,87 @@ def articulation_points(adjacency: Mapping[Node, set]) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Minimum-cost vertex cut of all cycles (§3.2, NP-complete)
+# Minimum-cost victim sets (§3.2)
 # ---------------------------------------------------------------------------
+
+
+def min_vertex_separator(
+    successors: Mapping[Node, Iterable[Node]],
+    root: Node,
+    cost: Callable[[Node], int],
+    candidates: Iterable[Node],
+) -> set | None:
+    """Minimum-cost set of *candidates* hitting every cycle through *root*.
+
+    Every cycle through *root* is a path from *root* back to itself, so a
+    set of other vertices hits them all iff it separates *root*'s out-side
+    from its in-side: a minimum s–t vertex cut.  Each ``v != root`` is
+    split into ``v_in -> v_out`` with capacity from ``cost(v)`` (a
+    non-negative integer; infinite for a non-candidate), the arcs of
+    *successors* are infinite, and Edmonds–Karp runs from ``root_out`` to
+    ``root_in`` — polynomial and exact.
+
+    Capacities are ``cost * (len(candidates) + 1) + 1``: among separators
+    of equal cost one with the fewest vertices wins (no free vertex rides
+    along unneeded), and among those the one nearest ``root_out``.  That
+    cut is the same for every maximum flow, so the result does not depend
+    on adjacency or set iteration order.
+
+    Returns ``None`` when some cycle through *root* avoids every candidate
+    (*root* itself is never one), the empty set when there is no cycle.
+    """
+    pool = set(candidates)
+    pool.discard(root)
+    if on_cycles_through(successors, root, without=pool):
+        return None
+    scale = len(pool) + 1
+    infinite = float("inf")
+    source, sink = (root, 1), (root, 0)
+    residual: dict[tuple, dict[tuple, float]] = {source: {}, sink: {}}
+
+    def connect(tail: tuple, head: tuple, capacity: float) -> None:
+        residual.setdefault(tail, {})[head] = capacity
+        residual.setdefault(head, {}).setdefault(tail, 0)
+
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        if node != root:
+            connect(
+                (node, 0), (node, 1),
+                cost(node) * scale + 1 if node in pool else infinite,
+            )
+        for succ in successors.get(node, ()):
+            connect((node, 1), (succ, 0), infinite)
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+
+    while True:
+        # Breadth-first search of the residual network; when the sink is
+        # out of reach, `parent` holds exactly the source side of the cut.
+        parent: dict[tuple, tuple | None] = {source: None}
+        queue = [source]
+        for tail in queue:
+            for head, capacity in residual[tail].items():
+                if capacity > 0 and head not in parent:
+                    parent[head] = tail
+                    queue.append(head)
+        if sink not in parent:
+            return {
+                node for node, side in parent
+                if side == 0 and (node, 1) not in parent
+            }
+        path = []
+        head = sink
+        while parent[head] is not None:
+            path.append((parent[head], head))
+            head = parent[head]
+        flow = min(residual[tail][head] for tail, head in path)
+        for tail, head in path:
+            residual[tail][head] -= flow
+            residual[head][tail] += flow
 
 
 def _cycles_hit(cycles: Sequence[Sequence[Node]], chosen: set) -> bool:
@@ -266,13 +376,12 @@ def min_cost_vertex_cut(
     cost: Callable[[Node], Cost],
     candidates: Iterable[Node] | None = None,
 ) -> set:
-    """Exact minimum-cost set of vertices hitting every cycle.
+    """Exhaustive minimum-cost set of vertices hitting every listed cycle.
 
-    This is the weighted hitting-set formulation of the paper's
-    deadlock-removal optimisation: find transactions whose rollback breaks
-    all cycles at minimum summed rollback cost.  Exponential in the number
-    of candidate vertices — intended for the small vertex sets real
-    deadlocks produce; use :func:`greedy_vertex_cut` at scale.
+    The weighted hitting-set formulation over an explicit cycle list,
+    which need not share a vertex.  Exponential in the number of candidate
+    vertices (refuses more than 22) and only as complete as *cycles* is;
+    kept as the reference :func:`min_vertex_separator` is tested against.
     """
     if not cycles:
         return set()
@@ -283,8 +392,7 @@ def min_cost_vertex_cut(
     )
     if len(pool) > 22:
         raise ValueError(
-            f"exact cut over {len(pool)} candidates is intractable; "
-            f"use greedy_vertex_cut"
+            f"exhaustive cut over {len(pool)} candidates is intractable"
         )
     best: set | None = None
     best_cost = float("inf")
@@ -302,29 +410,3 @@ def min_cost_vertex_cut(
     if best is None:
         raise ValueError("no vertex cut exists over the given candidates")
     return best
-
-
-def greedy_vertex_cut(
-    cycles: Sequence[Sequence[Node]],
-    cost: Callable[[Node], Cost],
-) -> set:
-    """Greedy heuristic for the minimum-cost cycle-hitting set.
-
-    Repeatedly picks the vertex minimising ``cost / cycles-covered`` among
-    unhit cycles.  Runs in polynomial time and achieves the classic
-    logarithmic approximation factor of greedy set cover.
-    """
-    remaining = [list(c) for c in cycles]
-    chosen: set = set()
-    while remaining:
-        pool = {v for cycle in remaining for v in cycle}
-        best_v = min(
-            pool,
-            key=lambda v: (
-                cost(v) / sum(1 for c in remaining if v in c),
-                repr(v),
-            ),
-        )
-        chosen.add(best_v)
-        remaining = [c for c in remaining if best_v not in c]
-    return chosen

@@ -321,9 +321,8 @@ class ConcurrencyGraph:
     def find_any_cycle(self) -> list[TxnId] | None:
         """Some deadlock cycle anywhere in the graph, or ``None``.
 
-        Single linear DFS; used by sweep-style detection and by the
-        scheduler's residual pass after a resolution whose cycle
-        enumeration hit its cap.
+        Single linear DFS; used by sweep-style detection and the
+        ``graph-acyclic`` oracle.
         """
         self.counters["cycle_checks"] += 1
         return algorithms.find_cycle(self._succ)
@@ -341,11 +340,9 @@ class ConcurrencyGraph:
         return algorithms.simple_cycles_through(self._succ, txn, limit)
 
     def deadlocked_transactions(self, requester: TxnId) -> set[TxnId]:
-        """Union of all transactions on cycles through *requester*."""
-        involved: set[TxnId] = set()
-        for cycle in self.cycles_through(requester):
-            involved.update(cycle)
-        return involved
+        """Every transaction on some cycle through *requester*: reachable
+        from it and reaching it (no enumeration, so never truncated)."""
+        return algorithms.on_cycles_through(self._succ, requester)
 
     def cycle_arcs(self, cycle: list[TxnId]) -> list[WaitArc]:
         """The labeled arcs realising *cycle* (one arc per hop; if several

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 
-from ..simulation.interleaving import Scripted
+from ..simulation.interleaving import RandomInterleaving, Scripted
 from ..simulation.workload import WorkloadConfig
 from .faults import resolve_policy
 from .harness import RunOutcome, run_with_oracles
@@ -40,6 +40,10 @@ class ReplayCase:
     #: replay re-arms the same injected faults (crash events are ignored —
     #: scripted replays have no recovery loop).
     fault_plan: dict | None = None
+    #: A liveness case has no schedule: the run is driven to completion by
+    #: ``RandomInterleaving`` from this seed within ``extra_steps`` steps,
+    #: and a livelock or an exhausted budget is the violation.
+    interleaving_seed: int | None = None
 
     def workload_config(self) -> WorkloadConfig:
         knobs = dict(self.workload)
@@ -92,18 +96,21 @@ def replay(case: ReplayCase) -> RunOutcome:
     :class:`~repro.simulation.interleaving.Scripted` defines); the run
     stops once the schedule is consumed.  A budget of
     ``len(schedule) + extra_steps`` engine steps bounds pathological
-    replays.
+    replays.  A liveness case (``interleaving_seed`` set) runs to completion
+    under a seeded random interleaving instead.
     """
+    liveness = case.interleaving_seed is not None
     return run_with_oracles(
         case.workload_config(),
         case.workload_seed,
-        Scripted(case.schedule),
+        RandomInterleaving(case.interleaving_seed) if liveness
+        else Scripted(case.schedule),
         strategy=case.strategy,
         policy=resolve_policy(case.policy),
         checks=case.checks,
         ordered=case.ordered,
         max_steps=len(case.schedule) + case.extra_steps,
-        livelock_window=0,
+        livelock_window=5_000 if liveness else 0,
         stop_when_scripted_exhausted=True,
         fault_plan=case.fault_plan,
     )

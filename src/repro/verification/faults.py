@@ -20,9 +20,6 @@ from ..core.victim import (
     VictimPolicy,
     make_policy,
 )
-from ..graphs import algorithms
-
-TxnId = str
 
 
 class BrokenOrderPolicy(OrderedMinCostPolicy):
@@ -44,16 +41,7 @@ class BrokenOrderPolicy(OrderedMinCostPolicy):
             for txn_id in ctx.deadlock.members
             if ctx.entry_order(txn_id) < requester_order
         }
-        victims: set[TxnId] | None = None
-        if elders and len(elders) <= self._exact_limit:
-            try:
-                victims = algorithms.min_cost_vertex_cut(
-                    ctx.deadlock.cycles, cost=ctx.cost_of, candidates=elders
-                )
-            except ValueError:
-                victims = None
-        if victims is None:
-            victims = {ctx.requester}
+        victims = ctx.cheapest_cover(elders) or {ctx.requester}
         return self._validated(ctx, victims)
 
 
@@ -70,6 +58,7 @@ class FirstCycleOnlyPolicy(VictimPolicy):
     name = "broken-first-cycle-only"
 
     def select(self, ctx: VictimContext) -> list[RollbackAction]:
+        # Deciding from the enumerated record is part of the planted bug.
         first = ctx.deadlock.cycles[0]
         victim = max(first, key=lambda t: (ctx.entry_order(t), t))
         # No cycle-cover validation on purpose: that check is the bug

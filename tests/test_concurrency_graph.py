@@ -178,9 +178,9 @@ class TestEnumerationCaps:
         assert g.cycles_through("R", limit=4) == g.cycles_through("R")[:4]
 
     def test_find_any_cycle_on_capped_residual(self):
-        """After a capped resolution removes the victim, cycles *not*
-        through the original requester can remain; the residual pass
-        finds them with find_any_cycle."""
+        """Cycles *not* through a given requester are what sweep-style
+        detection and the ``graph-acyclic`` oracle look for with
+        find_any_cycle (a resolution at the wait response leaves none)."""
         g = ConcurrencyGraph()
         g.add_wait("A", "B", "x")
         g.add_wait("B", "A", "y")   # cycle disjoint from R

@@ -244,8 +244,9 @@ class TestPolicies:
 
 
 class TestLargeDeadlocks:
-    def make_big_cycle(self, size):
-        """A single cycle T1 -> T2 -> ... -> Tn -> T1."""
+    def make_big_cycle(self, size, requester=None):
+        """A single cycle T1 -> T2 -> ... -> Tn -> T1 (requester Tn unless
+        named)."""
         arcs = []
         lock_states = {}
         for i in range(1, size + 1):
@@ -256,32 +257,31 @@ class TestLargeDeadlocks:
             lock_states[f"T{i:02d}"] = (
                 i, i + 10, [(f"e{i}", 1, i)]
             )
-        requester = f"T{size:02d}"
+        requester = requester or f"T{size:02d}"
         return make_deadlock(arcs, requester, None, lock_states)
 
-    def test_min_cost_greedy_fallback_above_exact_limit(self):
-        """With more members than the exact-solver limit, min-cost falls
-        back to the greedy cut — and still breaks the cycle."""
+    def test_min_cost_is_exact_at_any_size(self):
+        """The separator has no size gate: with more members than the
+        exhaustive solver's old 12-member limit the answer is still the
+        optimum — Theorem 1's walk: the single cheapest member, the
+        requester first on ties (all cost 10 here)."""
         ctx = self.make_big_cycle(15)
-        policy = MinCostPolicy(exact_limit=12)
-        actions = policy.select(ctx)
-        assert actions                       # a valid cover was produced
-        covered = {a.txn_id for a in actions}
-        for cycle in ctx.deadlock.cycles:
-            assert covered & set(cycle)
+        actions = MinCostPolicy().select(ctx)
+        assert [(a.txn_id, a.cost) for a in actions] == [("T15", 10)]
 
     def test_small_cycle_uses_exact(self):
         ctx = self.make_big_cycle(5)
-        actions = MinCostPolicy(exact_limit=12).select(ctx)
-        # Exact solver picks the single cheapest member (cost 10 for all:
-        # ties broken deterministically).
-        assert len(actions) == 1
-        assert actions[0].cost == 10
+        actions = MinCostPolicy().select(ctx)
+        assert [(a.txn_id, a.cost) for a in actions] == [("T05", 10)]
 
     def test_ordered_policy_scales(self):
+        """Twenty members, requester the youngest: no younger cover exists,
+        so it rolls itself back; with the oldest as requester the nineteen
+        younger candidates — more than the old gate let through — yield
+        the member nearest the requester (equal costs)."""
         ctx = self.make_big_cycle(20)
-        actions = OrderedMinCostPolicy(exact_limit=12).select(ctx)
-        assert actions
-        covered = {a.txn_id for a in actions}
-        for cycle in ctx.deadlock.cycles:
-            assert covered & set(cycle)
+        actions = OrderedMinCostPolicy().select(ctx)
+        assert [a.txn_id for a in actions] == ["T20"]
+        ctx = self.make_big_cycle(20, requester="T01")
+        actions = OrderedMinCostPolicy().select(ctx)
+        assert [a.txn_id for a in actions] == ["T02"]

@@ -220,42 +220,150 @@ class TestVertexCuts:
         with pytest.raises(ValueError):
             alg.min_cost_vertex_cut(cycles, lambda v: 1)
 
-    def test_greedy_hits_all_cycles(self):
-        cycles = [["a", "b"], ["b", "c"], ["c", "d"]]
-        cut = alg.greedy_vertex_cut(cycles, lambda v: 1)
-        for cycle in cycles:
-            assert cut & set(cycle)
 
-    def test_greedy_prefers_coverage(self):
-        cycles = [["r", "x"], ["r", "y"], ["r", "z"]]
-        cut = alg.greedy_vertex_cut(
-            cycles, self.cost_table({"r": 2, "x": 1, "y": 1, "z": 1})
+class TestOnCyclesThrough:
+    def test_reachable_and_reaching(self):
+        graph = {"r": {"a", "x"}, "a": {"b"}, "b": {"r"}, "x": {"y"},
+                 "z": {"r"}}
+        # x, y never get back; z is never reached.
+        assert alg.on_cycles_through(graph, "r") == {"r", "a", "b"}
+
+    def test_no_cycle_is_empty(self):
+        assert alg.on_cycles_through({"r": {"a"}, "a": {"b"}}, "r") == set()
+
+    def test_without_deletes_vertices(self):
+        graph = {"r": {"a", "b"}, "a": {"r"}, "b": {"r"}}
+        assert alg.on_cycles_through(graph, "r", without={"a"}) == {"r", "b"}
+        assert alg.on_cycles_through(graph, "r", without={"a", "b"}) == set()
+        assert alg.on_cycles_through(graph, "r", without={"r"}) == set()
+
+
+def cost_of(cut, costs):
+    return sum(costs[v] for v in cut)
+
+
+class TestMinVertexSeparator:
+    def test_single_cycle_is_figure1_walk(self):
+        """Theorem 1: an exclusive-lock deadlock is one cycle, and the
+        optimum is the argmin of Figure 1's walk along it from the
+        requester — the first of the cheapest on a tie."""
+        graph = {"r": {"a"}, "a": {"b"}, "b": {"c"}, "c": {"d"}, "d": {"r"}}
+        costs = {"a": 5, "b": 2, "c": 7, "d": 2}
+        walk = ["a", "b", "c", "d"]
+        cut = alg.min_vertex_separator(graph, "r", costs.__getitem__, walk)
+        assert cut == {min(walk, key=costs.__getitem__)} == {"b"}
+
+    def test_shared_vertex_beats_two_cheap(self):
+        graph = {"r": {"x", "y"}, "x": {"m"}, "y": {"m"}, "m": {"r"}}
+        costs = {"x": 2, "y": 2, "m": 3}
+        assert alg.min_vertex_separator(
+            graph, "r", costs.__getitem__, costs
+        ) == {"m"}
+
+    def test_two_cheap_beat_shared_vertex(self):
+        graph = {"r": {"x", "y"}, "x": {"m"}, "y": {"m"}, "m": {"r"}}
+        costs = {"x": 2, "y": 2, "m": 10}
+        assert alg.min_vertex_separator(
+            graph, "r", costs.__getitem__, costs
+        ) == {"x", "y"}
+
+    def test_equal_cost_prefers_fewer_then_nearer(self):
+        graph = {"r": {"x", "y"}, "x": {"m"}, "y": {"m"}, "m": {"n"},
+                 "n": {"r"}}
+        costs = {"x": 2, "y": 2, "m": 4, "n": 4}
+        assert alg.min_vertex_separator(
+            graph, "r", costs.__getitem__, costs
+        ) == {"m"}
+
+    def test_free_vertices_only_where_needed(self):
+        """Cost-0 victims (a member that merely queues) join the cut only
+        on paths nothing else covers."""
+        graph = {"r": {"z", "b"}, "z": {"b"}, "b": {"r"}}
+        costs = {"z": 0, "b": 1}
+        assert alg.min_vertex_separator(
+            graph, "r", costs.__getitem__, costs
+        ) == {"b"}
+        graph["z"] = {"b", "r"}
+        assert alg.min_vertex_separator(
+            graph, "r", costs.__getitem__, costs
+        ) == {"z", "b"}
+
+    def test_cycle_avoiding_candidates_is_none(self):
+        graph = {"r": {"a", "b"}, "a": {"r"}, "b": {"r"}}
+        assert alg.min_vertex_separator(graph, "r", lambda v: 1, {"a"}) is None
+        assert alg.min_vertex_separator(graph, "r", lambda v: 1, ()) is None
+        assert alg.min_vertex_separator(graph, "r", lambda v: 1, {"r"}) is None
+
+    def test_no_cycle_is_empty(self):
+        assert alg.min_vertex_separator(
+            {"r": {"a"}}, "r", lambda v: 1, {"a"}
+        ) == set()
+
+    def test_truncated_reference_is_a_lower_bound(self):
+        """Handed a truncated cycle list — what a capped enumeration gave
+        victim selection before — the exhaustive solver covers only what
+        it was shown; the separator reads the arcs, costs at least as
+        much, and leaves no cycle."""
+        graph = {"r": {"a", "b", "c"}, "a": {"r"}, "b": {"r"}, "c": {"r"}}
+        costs = {"a": 1, "b": 2, "c": 3}
+        cycles = alg.simple_cycles_through(graph, "r", limit=2)
+        assert len(cycles) == 2
+        partial = alg.min_cost_vertex_cut(
+            cycles, costs.__getitem__, candidates=costs
         )
-        assert cut == {"r"}
+        cut = alg.min_vertex_separator(graph, "r", costs.__getitem__, costs)
+        assert alg.on_cycles_through(graph, "r", without=partial)
+        assert not alg.on_cycles_through(graph, "r", without=cut)
+        assert cost_of(cut, costs) == 6 >= cost_of(partial, costs) == 3
 
 
-@settings(max_examples=40)
-@given(
-    data=st.data(),
-    n_cycles=st.integers(1, 4),
-)
-def test_greedy_cut_is_valid_and_exact_is_optimal(data, n_cycles):
-    """Property: greedy always produces a valid cut; exact is never more
-    expensive than greedy."""
-    vertices = list("abcdef")
-    cycles = [
-        data.draw(
-            st.lists(st.sampled_from(vertices), min_size=1, max_size=4,
-                     unique=True)
+@st.composite
+def deadlocks(draw):
+    """A digraph in which every cycle passes through ``r`` (what the
+    waits-for graph is after one wait response): a random DAG over the
+    other vertices plus arcs out of and into ``r``; integer costs, zeros
+    included; a random candidate subset."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    order = draw(st.permutations(vertices))
+    arcs = [
+        (tail, head)
+        for i, tail in enumerate(order) for head in order[i + 1:]
+    ] + [("r", v) for v in vertices] + [(v, "r") for v in vertices]
+    chosen = draw(st.lists(st.sampled_from(arcs), unique=True))
+    costs = {v: draw(st.integers(0, 6), label=f"cost-{v}") for v in vertices}
+    candidates = draw(st.sets(st.sampled_from(vertices)))
+    return chosen, costs, candidates
+
+
+@settings(max_examples=500, deadline=None)
+@given(deadlock=deadlocks(), shuffle=st.randoms(use_true_random=False))
+def test_separator_equals_exhaustive_reference(deadlock, shuffle):
+    """Differential: the polynomial separator against the exhaustive
+    solver over the complete cycle list — same cost, ``None`` exactly when
+    the reference finds no cover, the same set whatever order the
+    adjacency arrives in."""
+    arcs, costs, candidates = deadlock
+    graph = {}
+    for tail, head in arcs:
+        graph.setdefault(tail, set()).add(head)
+    cut = alg.min_vertex_separator(graph, "r", costs.__getitem__, candidates)
+    cycles = alg.simple_cycles_through(graph, "r")
+    try:
+        reference = alg.min_cost_vertex_cut(
+            cycles, costs.__getitem__, candidates=candidates
         )
-        for _ in range(n_cycles)
-    ]
-    costs = {
-        v: data.draw(st.integers(1, 9), label=f"cost-{v}") for v in vertices
-    }
-    greedy = alg.greedy_vertex_cut(cycles, costs.__getitem__)
-    exact = alg.min_cost_vertex_cut(cycles, costs.__getitem__)
-    for cycle in cycles:
-        assert greedy & set(cycle)
-        assert exact & set(cycle)
-    assert sum(costs[v] for v in exact) <= sum(costs[v] for v in greedy)
+    except ValueError:
+        reference = None
+    if reference is None:
+        assert cut is None
+    else:
+        assert cut is not None and cut <= candidates
+        assert not alg.on_cycles_through(graph, "r", without=cut)
+        assert cost_of(cut, costs) == cost_of(reference, costs)
+    shuffle.shuffle(arcs)
+    reordered = {}
+    for tail, head in arcs:
+        reordered.setdefault(tail, []).append(head)
+    assert alg.min_vertex_separator(
+        reordered, "r", costs.__getitem__, sorted(candidates, reverse=True)
+    ) == cut

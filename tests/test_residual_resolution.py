@@ -1,10 +1,12 @@
-"""Tests for the residual-cycle pass (capped enumeration safety net).
+"""No residual pass: a capped enumeration cannot leave a cycle behind.
 
 The number of simple cycles through a requester can exceed any
-enumeration cap; victims chosen against the truncated cycle set may leave
-residual cycles that no later request would ever re-detect.  The
-scheduler's residual pass sweeps the graph after every resolution.  These
-tests force the situation with an artificially tiny cap.
+enumeration cap.  Victim selection used to read the enumerated cycles, so
+a truncated list could leave cycles no later request would re-detect, and
+the scheduler swept the whole graph after every capped resolution.
+Selection now reads the deadlock's arcs: one resolution leaves the graph
+acyclic whatever ``cycle_limit`` is, and the cap only sizes the record.
+These tests force the situation with an artificially tiny cap.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro import Database, Scheduler, TransactionProgram, ops
 from repro.core.detection import DeadlockDetector
 from repro.core.scheduler import StepOutcome
+from repro.core.victim import available_policies, make_policy
 from repro.simulation import (
     RandomInterleaving,
     SimulationEngine,
@@ -19,6 +22,7 @@ from repro.simulation import (
     expected_final_state,
     generate_workload,
 )
+from repro.verification.oracles import OracleSuite, make_oracles
 
 
 def two_cycle_system():
@@ -62,16 +66,19 @@ def drive(engine):
 class TestResidualPass:
     def test_capped_detection_still_breaks_everything(self):
         db, scheduler, engine = two_cycle_system()
-        # Cap the enumeration at a single cycle: the min-cost cut then
-        # covers only one of the two cycles.
+        # Cap the enumeration at a single cycle: a cut over the enumerated
+        # cycles would cover only one of the two.
         scheduler.detector = DeadlockDetector(
             scheduler.lock_manager.table, cycle_limit=1
         )
         result = drive(engine)
         assert result.outcome is StepOutcome.DEADLOCK
-        # The reported deadlock saw one cycle...
+        # The record holds one cycle...
         assert len(result.deadlock.cycles) == 1
-        # ...but the residual pass broke the other: graph acyclic now.
+        # ...but members, arcs and therefore the victims cover both, in
+        # this one resolution: one deadlock counted, graph acyclic now.
+        assert result.deadlock.members == {"T1", "T2", "T3"}
+        assert scheduler.metrics.deadlocks == 1
         assert not scheduler.concurrency_graph().has_deadlock()
         final = engine.run()
         assert final.metrics.commits == 3
@@ -81,14 +88,32 @@ class TestResidualPass:
         db, scheduler, engine = two_cycle_system()
         result = drive(engine)
         assert len(result.deadlock.cycles) == 2
+        assert scheduler.metrics.deadlocks == 1
         assert not scheduler.concurrency_graph().has_deadlock()
         final = engine.run()
         assert final.metrics.commits == 3
 
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_every_policy_covers_what_the_record_omits(self, policy):
+        """``youngest``/``oldest`` and the validation all policies share
+        used to look only at the enumerated cycles, so under a truncated
+        enumeration they could return — and pass — a non-cover."""
+        _db, scheduler, engine = two_cycle_system()
+        scheduler.policy = make_policy(policy)
+        scheduler.detector = DeadlockDetector(
+            scheduler.lock_manager.table, cycle_limit=1
+        )
+        engine.on_step = OracleSuite(make_oracles("graph-acyclic"))
+        result = drive(engine)
+        assert result.outcome is StepOutcome.DEADLOCK
+        assert len(result.deadlock.cycles) == 1
+
     @pytest.mark.parametrize("cycle_limit", [1, 2, 5])
     def test_high_contention_workload_with_tiny_cap(self, cycle_limit):
-        """Even with an absurdly small cap, every workload completes
-        serializably — the residual pass guarantees liveness."""
+        """Even with an absurdly small cap every resolution leaves the
+        graph acyclic (the ``graph-acyclic`` oracle runs after every
+        step), each deadlock is one trace event, and the workload
+        completes serializably."""
         config = WorkloadConfig(
             n_transactions=12, n_entities=6, locks_per_txn=(2, 4),
             write_ratio=0.8, skew="hotspot",
@@ -102,9 +127,15 @@ class TestResidualPass:
         )
         engine = SimulationEngine(
             scheduler, RandomInterleaving(9), max_steps=600_000,
+            on_step=OracleSuite(make_oracles("graph-acyclic")),
         )
         for program in programs:
             engine.add(program)
         result = engine.run()
         assert result.final_state == expected
         assert result.metrics.commits == 12
+        deadlock_events = result.trace.deadlock_events()
+        assert result.metrics.deadlocks == len(deadlock_events) > 0
+        assert all(
+            1 <= len(event.cycles) <= cycle_limit for event in deadlock_events
+        )

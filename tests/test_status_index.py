@@ -231,16 +231,19 @@ class TestIndexEqualsScan:
         assert rollbacks
         assert all(rb.victim == rb.requester for rb in rollbacks)
 
-    def test_residual_pass(self):
-        """A one-cycle enumeration cap leaves cycles for
-        ``_resolve_residual``, whose victims no trace event names."""
+    def test_capped_enumeration(self):
+        """A one-cycle enumeration cap truncates the record of every
+        multi-cycle deadlock; victims still come from the arcs, so each
+        deadlock is one resolution, one trace event."""
         db, programs = generate_workload(HOT_SX, seed=3)
         scheduler = Scheduler(db, "mcs", "ordered-min-cost")
         scheduler.detector = DeadlockDetector(
             scheduler.lock_manager.table, cycle_limit=1
         )
         _watch, result = run_watched(scheduler, programs, seed=9)
-        assert result.metrics.deadlocks > len(result.trace.deadlock_events())
+        events = result.trace.deadlock_events()
+        assert result.metrics.deadlocks == len(events)
+        assert any(len(event.actions) > 1 for event in events)
         assert result.metrics.commits == HOT_SX.n_transactions
 
     def test_dynamic_arrivals(self):

@@ -112,7 +112,7 @@ class TestDeterminism:
         report = fuzz_campaign(FuzzConfig(seed=42, steps=2_000, checks="all"))
         assert report.failures == []
         assert report.fingerprint == (
-            "2435b9b7ef7051f876357f97ab93b39ed6853cca4d9d44f716bc91f693350b52"
+            "c3846c13ba08b778d0e19239785ec6ee678b10826f7b0d4c8f5da75edf12e020"
         )
 
     def test_clean_campaign_across_all_strategies(self):
