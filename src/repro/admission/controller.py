@@ -81,12 +81,16 @@ class AdmissionController:
 
     def _publish_risk_anchor(self, scheduler: "Scheduler") -> None:
         """Announce the predictive policy's static anchor, once."""
-        if self._risk_published or not scheduler.bus:
+        if self._risk_published:
             return
         self._risk_published = True
         report = getattr(self.policy, "report", None)
         recommended = getattr(self.policy, "recommended", None)
-        if report is None or recommended is None:
+        if (
+            report is None
+            or recommended is None
+            or not scheduler.bus.wants(EventKind.PREDICT_RISK)
+        ):
             return
         scheduler.bus.publish(
             EventKind.PREDICT_RISK,
@@ -135,25 +139,27 @@ class AdmissionController:
             scheduler.metrics.bump("admitted")
             if skipped:
                 self.reorders += 1
-            if scheduler.bus:
-                if skipped:
-                    scheduler.bus.publish(
-                        EventKind.ADMISSION_REORDER,
-                        program.txn_id,
-                        skipped=skipped,
-                        risk=round(risk, 6),
-                    )
-                scheduler.bus.publish(
+            bus = scheduler.bus
+            if skipped and bus.wants(EventKind.ADMISSION_REORDER):
+                bus.publish(
+                    EventKind.ADMISSION_REORDER,
+                    program.txn_id,
+                    skipped=skipped,
+                    risk=round(risk, 6),
+                )
+            if bus.wants(EventKind.ADMISSION_ADMIT):
+                bus.publish(
                     EventKind.ADMISSION_ADMIT,
                     program.txn_id,
                     queued_behind=len(self._queue),
                 )
             admitted.append(program.txn_id)
         history = getattr(self.policy, "history", None)
-        if scheduler.bus and history is not None:
+        if history is not None:
             for at, window in history[self._history_seen:]:
-                scheduler.bus.publish(
-                    EventKind.ADMISSION_WINDOW, window=window, at=at
-                )
+                if scheduler.bus.wants(EventKind.ADMISSION_WINDOW):
+                    scheduler.bus.publish(
+                        EventKind.ADMISSION_WINDOW, window=window, at=at
+                    )
             self._history_seen = len(history)
         return admitted

@@ -93,7 +93,7 @@ class DeadlineEnforcer:
                 continue
             scheduler.metrics.bump("deadline_expiries")
             rung = self._rung[txn_id] = self._rung[txn_id] + 1
-            if scheduler.bus:
+            if scheduler.bus.wants(EventKind.DEADLINE_RUNG):
                 scheduler.bus.publish(
                     EventKind.DEADLINE_RUNG,
                     txn_id,

@@ -50,21 +50,19 @@ class OverloadGuard:
         Without a controller the program registers immediately (and still
         gets a deadline, when a deadline enforcer is configured).
         """
-        if self.scheduler.bus:
-            self.scheduler.bus.publish(
-                EventKind.ADMISSION_SUBMIT,
-                program.txn_id,
-                gated=self.controller is not None,
-            )
+        self.scheduler.bus.publish(
+            EventKind.ADMISSION_SUBMIT,
+            program.txn_id,
+            gated=self.controller is not None,
+        )
         if self.controller is not None:
             self.controller.submit(program)
             return
         self.scheduler.register(program)
         self.scheduler.metrics.bump("admitted")
-        if self.scheduler.bus:
-            self.scheduler.bus.publish(
-                EventKind.ADMISSION_ADMIT, program.txn_id, immediate=True
-            )
+        self.scheduler.bus.publish(
+            EventKind.ADMISSION_ADMIT, program.txn_id, immediate=True
+        )
         if self.deadlines is not None:
             self.deadlines.watch(program.txn_id, step)
 

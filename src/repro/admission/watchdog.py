@@ -135,10 +135,9 @@ class StarvationWatchdog:
             holder = scheduler.transactions.get(self._current_immune)
             if holder is None or holder.done:
                 scheduler.preemption_immune.discard(self._current_immune)
-                if scheduler.bus:
-                    scheduler.bus.publish(
-                        EventKind.IMMUNITY_RELEASE, self._current_immune
-                    )
+                scheduler.bus.publish(
+                    EventKind.IMMUNITY_RELEASE, self._current_immune
+                )
                 self._current_immune = None
         starving = self._starving(scheduler, step)
         if not starving:
@@ -160,16 +159,15 @@ class StarvationWatchdog:
             # over: entry order is time-invariant, so every handoff moves
             # toward the eldest and the chain is finite.
             scheduler.preemption_immune.discard(self._current_immune)
-            if scheduler.bus:
-                scheduler.bus.publish(
-                    EventKind.IMMUNITY_HANDOFF,
-                    eldest,
-                    previous=self._current_immune,
-                )
+            scheduler.bus.publish(
+                EventKind.IMMUNITY_HANDOFF,
+                eldest,
+                previous=self._current_immune,
+            )
         self._current_immune = eldest
         scheduler.preemption_immune.add(eldest)
         scheduler.metrics.bump("immunity_grants")
-        if scheduler.bus:
+        if scheduler.bus.wants(EventKind.IMMUNITY_GRANT):
             scheduler.bus.publish(
                 EventKind.IMMUNITY_GRANT,
                 eldest,

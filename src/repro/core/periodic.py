@@ -93,7 +93,7 @@ class PeriodicDetectionScheduler(Scheduler):
             deadlock = Deadlock(nominal, cycles, live)
             self.metrics.bump("deadlocks")
             self.sweep_deadlocks += 1
-            if self.bus:
+            if self.bus.wants(EventKind.DEADLOCK):
                 self.bus.publish(
                     EventKind.DEADLOCK,
                     nominal,

@@ -132,10 +132,11 @@ class Scheduler:
         self.lock_manager = LockManager()
         self.detector = DeadlockDetector(self.lock_manager.table)
         self.metrics = Metrics()
-        #: Observability event bus.  Defaults to the shared no-op
-        #: :data:`~repro.observability.events.NULL_BUS` (falsy), so hot
-        #: paths guard payload construction with ``if self.bus:`` and an
-        #: uninstrumented run pays one branch per potential event.  A
+        #: Observability event bus.  Defaults to the shared
+        #: :data:`~repro.observability.events.NULL_BUS`, which wants no
+        #: kind; hot paths guard payload construction with
+        #: ``if self.bus.wants(kind):``, so an event no sink takes costs
+        #: one call and no allocation.  A
         #: :class:`~repro.observability.recorder.RunRecorder` installs a
         #: live bus here.
         self.bus: EventBus = NULL_BUS
@@ -192,7 +193,7 @@ class Scheduler:
         self._live += 1
         self.strategy.begin(txn)
         self._copies_dirty.add(program.txn_id)
-        if self.bus:
+        if self.bus.wants(EventKind.TXN_ADMIT):
             self.bus.publish(
                 EventKind.TXN_ADMIT,
                 txn.txn_id,
@@ -379,7 +380,7 @@ class Scheduler:
             return StepResult(txn.txn_id, StepOutcome.GRANTED)
         self._set_status(txn, TxnStatus.BLOCKED)
         self.metrics.record_block(op.entity_name)
-        if self.bus:
+        if self.bus.wants(EventKind.LOCK_BLOCK):
             self.bus.publish(
                 EventKind.LOCK_BLOCK,
                 txn.txn_id,
@@ -391,7 +392,7 @@ class Scheduler:
             return StepResult(txn.txn_id, StepOutcome.BLOCKED)
         self.metrics.bump("deadlocks")
         self.metrics.record_deadlock_arcs(deadlock.cycle_entities())
-        if self.bus:
+        if self.bus.wants(EventKind.DEADLOCK):
             self.bus.publish(
                 EventKind.DEADLOCK,
                 txn.txn_id,
@@ -418,7 +419,7 @@ class Scheduler:
         record.granted = True
         self._copies_dirty.add(grant.txn)
         self.metrics.bump("locks_granted")
-        if self.bus:
+        if self.bus.wants(EventKind.LOCK_GRANT):
             self.bus.publish(
                 EventKind.LOCK_GRANT,
                 grant.txn,
@@ -469,7 +470,7 @@ class Scheduler:
         self._set_status(txn, TxnStatus.COMMITTED)
         self._copies_dirty.add(txn.txn_id)
         self.metrics.bump("commits")
-        if self.bus:
+        if self.bus.wants(EventKind.TXN_COMMIT):
             self.bus.publish(
                 EventKind.TXN_COMMIT,
                 txn.txn_id,
@@ -522,7 +523,7 @@ class Scheduler:
             immune=frozenset(self.preemption_immune),
         )
         actions = self.policy.select(ctx)
-        if self.bus:
+        if self.bus.wants(EventKind.VICTIM_SELECT):
             # Candidate costs: every action the policy evaluated while
             # deciding, not just the chosen cover — the "why this victim"
             # record Figure 1's cost comparison is about.
@@ -621,7 +622,7 @@ class Scheduler:
             ideal_ordinal=ideal,
             states_lost=states_lost,
         )
-        if self.bus:
+        if self.bus.wants(EventKind.ROLLBACK):
             self.bus.publish(
                 EventKind.ROLLBACK,
                 txn_id,
@@ -655,7 +656,7 @@ class Scheduler:
         self._copies_dirty.add(txn_id)
         self.preemption_immune.discard(txn_id)
         self.metrics.record_shed(txn_id, reason)
-        if self.bus:
+        if self.bus.wants(EventKind.TXN_SHED):
             self.bus.publish(
                 EventKind.TXN_SHED, txn_id, reason=reason, released=held
             )
@@ -671,8 +672,7 @@ class Scheduler:
         rewinds the transaction to lock state 0.
         """
         self.metrics.bump("degraded_restarts")
-        if self.bus:
-            self.bus.publish(EventKind.DEGRADE_RESTART, txn.txn_id)
+        self.bus.publish(EventKind.DEGRADE_RESTART, txn.txn_id)
         remaining = sorted(self.lock_manager.locks_held(txn.txn_id))
         grants = self.lock_manager.release_for_rollback(
             txn.txn_id, remaining

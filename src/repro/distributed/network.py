@@ -148,7 +148,7 @@ class MessageLog:
             self._publish(EventKind.MESSAGE_DUPLICATE, message)
 
     def _publish(self, kind: EventKind, message: Message) -> None:
-        if self.bus:
+        if self.bus.wants(kind):
             self.bus.publish(
                 kind,
                 message.txn_id,

@@ -306,8 +306,7 @@ class ReplicatedScheduler(DistributedScheduler):
         if not self.replication.is_up(site):
             return
         self.replication.site_up[site] = False
-        if self.bus:
-            self.bus.publish(EventKind.SITE_FAILED, site=site)
+        self.bus.publish(EventKind.SITE_FAILED, site=site)
 
     def site_recovered(self, site: int) -> None:
         """Mark *site* up again and catch its replicas up before they
@@ -315,8 +314,7 @@ class ReplicatedScheduler(DistributedScheduler):
         if self.replication.is_up(site):
             return
         self.replication.site_up[site] = True
-        if self.bus:
-            self.bus.publish(EventKind.SITE_RECOVERED, site=site)
+        self.bus.publish(EventKind.SITE_RECOVERED, site=site)
         self._catch_up_site(site)
 
     def _catch_up_site(self, site: int) -> None:
@@ -327,7 +325,7 @@ class ReplicatedScheduler(DistributedScheduler):
                 continue  # no reachable fresh peer; retry at next heal
             self._catch_up_entity(entity, site, donor=donor)
             caught_up += 1
-        if caught_up and self.bus:
+        if caught_up:
             self.bus.publish(
                 EventKind.REPLICA_CATCHUP, site=site, entities=caught_up
             )
@@ -363,7 +361,7 @@ class ReplicatedScheduler(DistributedScheduler):
             return membership.get(a, -1) == membership.get(b, -1)
 
         self.link_filter = link_ok
-        if self.bus:
+        if self.bus.wants(EventKind.PARTITION_START):
             self.bus.publish(
                 EventKind.PARTITION_START,
                 groups=[sorted(group) for group in groups],
@@ -372,8 +370,7 @@ class ReplicatedScheduler(DistributedScheduler):
     def on_heal(self) -> None:
         """The partition heals: restore links, catch cut-off replicas up."""
         self.link_filter = None
-        if self.bus:
-            self.bus.publish(EventKind.PARTITION_HEAL)
+        self.bus.publish(EventKind.PARTITION_HEAL)
         for site in sorted(self.replication.behind):
             if self.replication.is_up(site):
                 self._catch_up_site(site)
@@ -401,7 +398,7 @@ class ReplicatedScheduler(DistributedScheduler):
         for site in successor.sites:
             self.replication.site_up.setdefault(site, True)
         self.metrics.bump("view_changes")
-        if self.bus:
+        if self.bus.wants(EventKind.VIEW_CHANGE):
             self.bus.publish(
                 EventKind.VIEW_CHANGE,
                 version=successor.version,

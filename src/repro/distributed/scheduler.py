@@ -294,7 +294,9 @@ class DistributedScheduler(Scheduler):
         breaker's state machine (transitions happen inside allow /
         record_success / record_failure, so callers snapshot the state
         before the call and report here)."""
-        if breaker.state is not before and self.bus:
+        if breaker.state is not before and self.bus.wants(
+            EventKind.BREAKER_TRANSITION
+        ):
             self.bus.publish(
                 EventKind.BREAKER_TRANSITION,
                 site=site,
@@ -315,7 +317,7 @@ class DistributedScheduler(Scheduler):
         against a site that cannot answer.
         """
         self.metrics.bump("breaker_rejections")
-        if self.bus:
+        if self.bus.wants(EventKind.BREAKER_REJECT):
             self.bus.publish(
                 EventKind.BREAKER_REJECT,
                 txn.txn_id,
@@ -542,7 +544,7 @@ class DistributedScheduler(Scheduler):
         cycles = live.cycles_through(initiator, limit=500)
         deadlock = Deadlock(initiator, cycles, live)
         self.metrics.bump("deadlocks")
-        if self.bus:
+        if self.bus.wants(EventKind.DEADLOCK):
             self.bus.publish(
                 EventKind.DEADLOCK,
                 initiator,

@@ -3,10 +3,10 @@
 Every layer of the system — scheduler, victim selection, admission,
 deadlines, watchdog, breakers, distributed messaging, WAL, and the
 simulation engine itself — publishes :class:`Event` records to an
-:class:`EventBus`.  Consumers (the engine's
-:class:`~repro.simulation.trace.Trace`, the
-:class:`~repro.observability.recorder.RunRecorder`, tests) subscribe as
-plain callables.
+:class:`EventBus`.  Consumers (the
+:class:`~repro.observability.recorder.RunRecorder`, the streaming
+telemetry, the service journal, tests) subscribe as plain callables; a
+sink with a ``kinds`` attribute receives only those kinds.
 
 Two properties the rest of the observability layer depends on:
 
@@ -15,10 +15,12 @@ Two properties the rest of the observability layer depends on:
   no wall clock, no ids, no unordered collections.  Two runs from the
   same seed publish byte-identical streams (see
   ``docs/OBSERVABILITY.md`` for the contract).
-* **Zero cost when disabled.**  Schedulers default to :data:`NULL_BUS`,
-  whose :meth:`~NullBus.publish` is a no-op and whose truth value is
-  ``False``, so hot paths guard expensive payload construction with
-  ``if self.bus:`` and pay one branch per potential event.
+* **Zero cost per kind nobody wants.**  The bus keeps a route — the
+  tuple of sinks — per kind, and a publish site that builds a payload
+  guards it with ``if bus.wants(kind):``, so an event no sink takes is
+  never built.  It still consumes its sequence number, so what a sink
+  receives does not depend on who else listens.  Schedulers default to
+  :data:`NULL_BUS`, the bus that wants nothing.
 """
 
 from __future__ import annotations
@@ -121,7 +123,9 @@ class Event:
         }
 
 
-#: A bus consumer: called synchronously with each published event.
+#: A bus consumer: called synchronously with each published event.  A
+#: sink may carry a ``kinds`` attribute (a collection of
+#: :class:`EventKind`); it then receives only those kinds.
 Sink = Callable[[Event], None]
 
 
@@ -132,17 +136,21 @@ class EventBus:
     engine; publishers need not know the time.  Sinks are invoked in
     subscription order, synchronously, so a consumer always sees events
     in exactly the order they were published.
-    """
 
-    enabled = True
+    Delivery is routed by kind: :meth:`subscribe` and
+    :meth:`unsubscribe` rebuild a ``kind -> sinks`` table from each
+    sink's optional ``kinds``, and an event whose kind has no route is
+    never built — it only consumes its :attr:`seq`.
+    """
 
     def __init__(self) -> None:
         self.step = 0
-        self._seq = 0
+        #: Events published so far, routed or not: the next event's seq.
+        self.seq = 0
+        #: The step the latest event (routed or not) was published at.
+        self.last_step = 0
         self._sinks: list[Sink] = []
-
-    def __bool__(self) -> bool:
-        return self.enabled
+        self._routes: dict[EventKind, tuple[Sink, ...]] = {}
 
     def advance(self, step: int) -> None:
         """Move the logical clock (monotonic; late advances are ignored)."""
@@ -150,35 +158,63 @@ class EventBus:
             self.step = step
 
     def subscribe(self, sink: Sink) -> None:
+        """Add *sink*; its ``kinds`` (if any) are read here, once."""
         if sink not in self._sinks:
             self._sinks.append(sink)
+            self._reroute()
 
     def unsubscribe(self, sink: Sink) -> None:
         if sink in self._sinks:
             self._sinks.remove(sink)
+            self._reroute()
+
+    def _reroute(self) -> None:
+        routes: dict[EventKind, tuple[Sink, ...]] = {}
+        for sink in self._sinks:
+            for kind in getattr(sink, "kinds", EventKind):
+                routes[kind] = routes.get(kind, ()) + (sink,)
+        self._routes = routes
+
+    def wants(self, kind: EventKind) -> bool:
+        """Whether some sink takes *kind* — the guard of every publish
+        site that builds a payload::
+
+            if bus.wants(EventKind.LOCK_GRANT):
+                bus.publish(EventKind.LOCK_GRANT, txn, entity=entity)
+
+        ``False`` means the event has been published to nobody right
+        here: it consumed its seq, and the caller must not publish it.
+        """
+        if kind in self._routes:
+            return True
+        self.seq += 1
+        self.last_step = self.step
+        return False
 
     def publish(
         self, kind: EventKind, txn: str = "", **data: Any
     ) -> Event | None:
-        """Publish one event; returns it (or ``None`` on a null bus)."""
-        event = Event(
-            seq=self._seq, step=self.step, kind=kind, txn=txn, data=data
-        )
-        self._seq += 1
-        for sink in self._sinks:
+        """Publish one event to the sinks that take its kind; returns it,
+        or ``None`` when no sink does (it still consumes its seq)."""
+        seq = self.seq
+        self.seq = seq + 1
+        self.last_step = self.step
+        route = self._routes.get(kind)
+        if route is None:
+            return None
+        event = Event(seq, self.step, kind, txn, data)
+        for sink in route:
             sink(event)
         return event
 
 
 class NullBus(EventBus):
-    """The disabled bus: publishing is a no-op, truth value is False.
+    """The bus that wants nothing: no sink, no clock, no sequence.
 
-    Instrumented call sites guard payload construction with
-    ``if self.bus:`` so an uninstrumented run pays one branch, not one
-    allocation, per potential event.
+    :meth:`wants` is ``False`` for every kind and :meth:`publish` drops
+    the event, so an uninstrumented run pays one call per potential
+    event and allocates nothing.
     """
-
-    enabled = False
 
     def advance(self, step: int) -> None:
         pass
@@ -187,6 +223,9 @@ class NullBus(EventBus):
         raise ValueError(
             "cannot subscribe to the null bus; install a real EventBus first"
         )
+
+    def wants(self, kind: EventKind) -> bool:
+        return False
 
     def publish(
         self, kind: EventKind, txn: str = "", **data: Any

@@ -23,7 +23,16 @@ the stream as it happens and retains **no raw events**:
 
 Tracked state is O(windows + live transactions + top-K capacity +
 sites + histogram buckets) — independent of the event count, which is
-what the bounded-memory test asserts on a long seeded run.
+what the bounded-memory test asserts on a long seeded run.  A
+long-lived owner keeps it independent of the *transaction* count too,
+by calling :meth:`StreamingAggregator.forget` once it has dropped a
+finished transaction itself.
+
+Handed the bus it listens to, the aggregator subscribes only to the
+:data:`FOLDED_KINDS`, so the bus never builds the rest.  Every other
+kind changes no fold state — only the event count, the last step and
+which windows have closed — and the snapshots read those three from the
+bus clock, so they stay byte-identical to a fold of the full stream.
 """
 
 from __future__ import annotations
@@ -31,8 +40,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .events import Event, EventKind
+from .events import Event, EventBus, EventKind
 from .timeseries import TimeSeries, WindowSample, build_timeseries
+
+#: The kinds :meth:`StreamingAggregator.__call__` reads.
+FOLDED_KINDS = frozenset({
+    EventKind.TXN_ADMIT,
+    EventKind.STEP,
+    EventKind.TXN_COMMIT,
+    EventKind.TXN_SHED,
+    EventKind.LOCK_BLOCK,
+    EventKind.LOCK_GRANT,
+    EventKind.ROLLBACK,
+    EventKind.SAMPLE,
+    EventKind.DEADLOCK,
+    EventKind.MESSAGE_SEND,
+    EventKind.SITE_FAILED,
+    EventKind.SITE_RECOVERED,
+})
 
 
 class LogHistogram:
@@ -197,9 +222,12 @@ def reference_from_series(series: TimeSeries) -> dict[str, Any]:
 class StreamingAggregator:
     """A bus sink that folds the event stream in bounded memory.
 
-    Subscribe it like any sink (``bus.subscribe(aggregator)``) or hand it
-    to :class:`~repro.observability.recorder.RunRecorder` — the instance
-    is callable with one :class:`~repro.observability.events.Event`.
+    Fed a list of events (the instance is callable with one
+    :class:`~repro.observability.events.Event`) or subscribed like any
+    sink, it folds every event it is given.  Constructed with ``bus=``,
+    it subscribes itself to the :data:`FOLDED_KINDS` only and its
+    snapshots catch up the event count, the last step and the window
+    closes from that bus's clock (see the module docstring).
 
     The windowed fold is an exact incremental replica of
     :func:`~repro.observability.timeseries.build_timeseries`: same
@@ -208,7 +236,12 @@ class StreamingAggregator:
     aggregator can be read live and keep streaming).
     """
 
-    def __init__(self, window_steps: int = 50, capacity: int = 16) -> None:
+    def __init__(
+        self,
+        window_steps: int = 50,
+        capacity: int = 16,
+        bus: EventBus | None = None,
+    ) -> None:
         if window_steps < 1:
             raise ValueError("window_steps must be positive")
         self.window_steps = window_steps
@@ -224,6 +257,8 @@ class StreamingAggregator:
         self.sheds = 0
         self.deadlocks = 0
         self.states_lost = 0
+        #: Transactions seen committed or shed, forgotten ones included.
+        self.done = 0
         # The incremental fold state — field for field the locals of
         # build_timeseries, so the two stay trivially diffable.
         self._active: set[str] = set()
@@ -236,22 +271,27 @@ class StreamingAggregator:
         self._win_commits = 0
         self._last_step = 0
         self._any_events = False
+        self._bus = bus
+        if bus is not None:
+            self.kinds = FOLDED_KINDS
+            self._seq_base = bus.seq
+            bus.subscribe(self)
 
     # -- the fold ---------------------------------------------------------
 
     def __call__(self, event: Event) -> None:
         self.events_seen += 1
-        while event.step >= (self._window + 1) * self.window_steps:
-            self._close_window((self._window + 1) * self.window_steps - 1)
-            self._window += 1
-        self._last_step = max(self._last_step, event.step)
+        self._advance_to(event.step)
+        self._any_events = True
         kind = event.kind
         if kind is EventKind.TXN_ADMIT or kind is EventKind.STEP:
             if event.txn and event.txn not in self._done:
                 self._active.add(event.txn)
         elif kind is EventKind.TXN_COMMIT or kind is EventKind.TXN_SHED:
             self._active.discard(event.txn)
-            self._done.add(event.txn)
+            if event.txn not in self._done:
+                self._done.add(event.txn)
+                self.done += 1
             self._end_block(event.txn, event.step)
             if kind is EventKind.TXN_SHED:
                 self.sheds += 1
@@ -302,7 +342,18 @@ class StreamingAggregator:
         if kind is EventKind.TXN_COMMIT:
             self._win_commits += 1
             self.commits += 1
-        self._any_events = True
+
+    def _advance_to(self, step: int) -> None:
+        """Close every window that ends before *step*."""
+        while step >= (self._window + 1) * self.window_steps:
+            self._close_window((self._window + 1) * self.window_steps - 1)
+            self._window += 1
+        self._last_step = max(self._last_step, step)
+
+    def forget(self, txn: str) -> None:
+        """Drop finished *txn* from the fold state; its owner promises
+        that no later event names it.  ``done`` still counts it."""
+        self._done.discard(txn)
 
     def _site(self, site: int) -> SiteGauges:
         if site not in self.sites:
@@ -334,7 +385,17 @@ class StreamingAggregator:
 
     # -- snapshots (non-destructive: the fold keeps running) ---------------
 
+    def _catch_up(self) -> None:
+        """Account the events the bus did not route here: they only
+        count, move the last step and close windows."""
+        bus = self._bus
+        if bus is not None and bus.seq > self._seq_base:
+            self.events_seen = bus.seq - self._seq_base
+            self._any_events = True
+            self._advance_to(bus.last_step)
+
     def _final_samples(self) -> list[WindowSample]:
+        self._catch_up()
         samples = list(self.windows)
         if self._any_events:
             samples.append(self._sample(self._last_step))
@@ -380,7 +441,7 @@ class StreamingAggregator:
             "last_window": last,
             "active": len(self._active),
             "blocked": len(self._blocked_since),
-            "done": len(self._done),
+            "done": self.done,
             "commits": self.commits,
             "rollbacks": self.rollbacks,
             "sheds": self.sheds,

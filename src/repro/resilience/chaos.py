@@ -290,12 +290,11 @@ def chaos_run(
         try:
             result = engine.run()
         except CrashSignal:
-            if scheduler.bus:
-                scheduler.bus.publish(
-                    EventKind.CRASH,
-                    segment=segment,
-                    at=len(engine.trace),
-                )
+            scheduler.bus.publish(
+                EventKind.CRASH,
+                segment=segment,
+                at=len(engine.trace),
+            )
             segment_fingerprints.append(engine.trace.fingerprint())
             metrics_summaries.append(scheduler.metrics.summary())
             steps += len(engine.trace)

@@ -109,7 +109,7 @@ class WriteAheadLog:
         """The single append path: every logged record lands here, so the
         WAL_APPEND stream is complete by construction."""
         self.records.append(record)
-        if self.bus:
+        if self.bus.wants(EventKind.WAL_APPEND):
             self.bus.publish(
                 EventKind.WAL_APPEND,
                 record.txn_id,
@@ -148,7 +148,7 @@ class WriteAheadLog:
             committed=tuple(committed),
         )
         self.checkpoints.append(point)
-        if self.bus:
+        if self.bus.wants(EventKind.WAL_CHECKPOINT):
             self.bus.publish(
                 EventKind.WAL_CHECKPOINT,
                 lsn=point.lsn,
@@ -194,7 +194,7 @@ class WriteAheadLog:
             if record.kind is WalKind.INSTALL and record.txn_id in committed:
                 state[record.entity] = record.value
                 redone += 1
-        if self.bus:
+        if self.bus.wants(EventKind.WAL_RECOVER):
             self.bus.publish(
                 EventKind.WAL_RECOVER,
                 from_lsn=0 if point is None else point.lsn,

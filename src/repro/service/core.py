@@ -130,7 +130,7 @@ class ServiceCore:
             strategy=self.config.strategy,
             policy=self.config.policy,
         )
-        self.bus = bus or EventBus()
+        self.bus = bus if bus is not None else EventBus()
         self.scheduler.bus = self.bus
         self.wal = wal
         if wal is not None:
@@ -158,25 +158,25 @@ class ServiceCore:
         #: process Lamport clock and stamps reply echoes.
         self.tracer = Tracer(site=0)
         self._pending_trace: TraceContext | None = None
+        self.bus.subscribe(self._observe)
         #: Bounded-memory telemetry folded from this core's own event
         #: stream — the ``metrics`` verb reads it live.  Subscribed
         #: before the boot marker so live and replay fold identical
         #: streams from the first event.
-        self.telemetry = StreamingAggregator()
-        self.bus.subscribe(self._observe)
-        self.bus.subscribe(self.telemetry)
+        self.telemetry = StreamingAggregator(bus=self.bus)
         # The boot marker: everything replay needs to reconstruct this
         # core — initial state, config, and (after a crash) the recovery
         # seeds.  Replay splits the journal into segments at these.
-        self.bus.publish(
-            EventKind.SERVICE_RECOVER,
-            recovered=recovered_committed is not None,
-            committed=sorted(recovered_committed or ()),
-            txn_counter=txn_counter_start,
-            state=self.database.snapshot(),
-            config=asdict(self.config),
-            dedup=dict(self._dedup),
-        )
+        if self.bus.wants(EventKind.SERVICE_RECOVER):
+            self.bus.publish(
+                EventKind.SERVICE_RECOVER,
+                recovered=recovered_committed is not None,
+                committed=sorted(recovered_committed or ()),
+                txn_counter=txn_counter_start,
+                state=self.database.snapshot(),
+                config=asdict(self.config),
+                dedup=dict(self._dedup),
+            )
 
     # -- bus observation -----------------------------------------------------
 
@@ -189,6 +189,11 @@ class ServiceCore:
                 self.breaker.record_failure(self.now)
         elif event.kind is EventKind.TXN_COMMIT:
             self.breaker.record_success(self.now)
+
+    # The only kinds routed to it (a bound method forwards the attribute).
+    _observe.kinds = frozenset(  # type: ignore[attr-defined]
+        {EventKind.TXN_SHED, EventKind.TXN_COMMIT}
+    )
 
     # -- the request loop ----------------------------------------------------
 
@@ -216,15 +221,16 @@ class ServiceCore:
         self.now += 1
         self.requests_handled += 1
         self.bus.advance(self.now)
-        self.bus.publish(
-            EventKind.SERVICE_REQUEST,
-            str(request.get("txn", "")),
-            **{
-                key: request[key]
-                for key in _JOURNALED_FIELDS
-                if key != "txn" and request.get(key) is not None
-            },
-        )
+        if self.bus.wants(EventKind.SERVICE_REQUEST):
+            self.bus.publish(
+                EventKind.SERVICE_REQUEST,
+                str(request.get("txn", "")),
+                **{
+                    key: request[key]
+                    for key in _JOURNALED_FIELDS
+                    if key != "txn" and request.get(key) is not None
+                },
+            )
         # Merge the client's causal context; ``begin`` has no txn yet,
         # so the context is parked for `_begin` to bind to the fresh id.
         # Only live sessions are registered — anything else would let
@@ -566,15 +572,16 @@ class ServiceCore:
             # Echo the transaction's causal context so the client can
             # merge the server's Lamport clock into its own.
             reply["trace"] = self.tracer.stamp(reply_txn)
-        self.bus.publish(
-            EventKind.SERVICE_REPLY,
-            str(reply.get("txn", "")),
-            **{
-                k: v
-                for k, v in reply.items()
-                if k != "txn" and v is not None
-            },
-        )
+        if self.bus.wants(EventKind.SERVICE_REPLY):
+            self.bus.publish(
+                EventKind.SERVICE_REPLY,
+                str(reply.get("txn", "")),
+                **{
+                    k: v
+                    for k, v in reply.items()
+                    if k != "txn" and v is not None
+                },
+            )
         if idem is None or reply.get("code") in protocol.RETRYABLE:
             # Retryable rejections are never deduplicated: the whole
             # point of the retry is that the next attempt may succeed.
@@ -607,6 +614,7 @@ class ServiceCore:
             self.admission.admitted_at.pop(txn_id, None)
             self._shed_reason.pop(txn_id, None)
             self.tracer.forget(txn_id)
+            self.telemetry.forget(txn_id)
 
     # -- drain ---------------------------------------------------------------
 

@@ -88,26 +88,28 @@ def build_core(
 
     Entity names follow the workload generator's ``e000`` convention.
     When the WAL file already holds records, this boot is a recovery:
-    the database is rebuilt by redo and the journal (if present) seeds
-    the dedup window and transaction counter.
+    the database is rebuilt by redo.  Whenever the journal exists it
+    seeds the transaction counter — a ``begin`` may have been answered
+    before any WAL record was written — and the dedup window, with the
+    commits the WAL shows.
     """
     initial_state = {f"e{i:03d}": initial for i in range(entities)}
     bus = EventBus()
     sink: JsonlStreamSink | None = None
     recovered_committed: set[str] | None = None
+    committed: set[str] = set()
     txn_counter = 0
     dedup_seed: dict[str, dict] = {}
     wal = None
     if wal_path is not None:
         wal = DurableWriteAheadLog.open_existing(wal_path, initial_state)
         if len(wal):
-            state, committed = wal.recover_state()
-            initial_state = state
+            initial_state, committed = wal.recover_state()
             recovered_committed = committed
-            if journal_path is not None and Path(journal_path).exists():
-                txn_counter, dedup_seed = recovery_seeds(
-                    read_events_jsonl(journal_path), committed
-                )
+    if journal_path is not None and Path(journal_path).exists():
+        txn_counter, dedup_seed = recovery_seeds(
+            read_events_jsonl(journal_path), committed
+        )
     if journal_path is not None:
         sink = JsonlStreamSink(journal_path, append=True, buffered=True)
         bus.subscribe(sink)

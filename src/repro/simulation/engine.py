@@ -122,15 +122,15 @@ class SimulationEngine:
     def _record(
         self, step: int, result: StepResult, operation: str
     ) -> TraceEvent:
-        """Record one executed step in the trace and, when the scheduler
-        has a live bus, publish the same record as a STEP event (the
-        run-wide observability stream), so the trace and every bus
-        subscriber agree by construction.
+        """Record one executed step in the trace and, when a bus sink
+        wants it, publish the same record as a STEP event (the run-wide
+        observability stream), so the trace and every bus subscriber
+        agree by construction.  Both callers advanced the bus clock to
+        *step* before the scheduler stepped.
         """
         event = self.trace.record(step, result, operation=operation)
         bus = self.scheduler.bus
-        if bus:
-            bus.advance(step)
+        if bus.wants(EventKind.STEP):
             bus.publish(
                 EventKind.STEP,
                 event.txn_id,
@@ -278,9 +278,7 @@ class SimulationEngine:
         """Step a specific transaction once (scenario scripting helper)."""
         txn = self.scheduler.transaction(txn_id)
         operation = txn.current_operation()
-        bus = self.scheduler.bus
-        if bus:
-            bus.advance(len(self.trace) + 1)
+        self.scheduler.bus.advance(len(self.trace) + 1)
         result = self.scheduler.step(txn_id)
         event = self._record(
             len(self.trace) + 1, result,

@@ -3,7 +3,7 @@
 The load-bearing properties, in test order:
 
 * bus mechanics — monotonic clock, never-resetting sequence numbers,
-  no-op NULL_BUS semantics;
+  per-kind routes, a NULL_BUS that wants nothing;
 * non-interference — attaching a recorder must not change what the
   engine computes (same trace fingerprint and metrics with and without);
 * determinism — recording the same scenario twice from the same seed
@@ -65,20 +65,37 @@ def recorded(name, seed=7):
 # -- bus mechanics -----------------------------------------------------------
 
 
+class _Only:
+    """A recording sink that declares the kinds it takes."""
+
+    def __init__(self, *kinds):
+        self.kinds = frozenset(kinds)
+        self.events = []
+
+    def __call__(self, event):
+        self.events.append(event)
+
+
 class TestEventBus:
     def test_publish_stamps_step_and_monotonic_seq(self):
         bus = EventBus()
+        kept = []
+        bus.subscribe(kept.append)
         bus.advance(3)
-        first = bus.publish(EventKind.LOCK_GRANT, "T1", entity="x")
-        second = bus.publish(EventKind.LOCK_BLOCK, "T2", entity="x")
+        bus.publish(EventKind.LOCK_GRANT, "T1", entity="x")
+        bus.publish(EventKind.LOCK_BLOCK, "T2", entity="x")
+        first, second = kept
         assert (first.step, second.step) == (3, 3)
         assert second.seq == first.seq + 1
 
     def test_advance_ignores_late_clock(self):
         bus = EventBus()
+        kept = []
+        bus.subscribe(kept.append)
         bus.advance(5)
         bus.advance(2)  # late: must not rewind
-        assert bus.publish(EventKind.STEP).step == 5
+        bus.publish(EventKind.STEP)
+        assert [e.step for e in kept] == [5]
 
     def test_sinks_run_in_subscription_order(self):
         bus = EventBus()
@@ -88,13 +105,60 @@ class TestEventBus:
         bus.publish(EventKind.STEP)
         assert order == ["a", "b"]
 
-    def test_null_bus_is_falsy_and_inert(self):
-        assert not NULL_BUS
+    def test_null_bus_wants_nothing_and_is_inert(self):
         assert isinstance(NULL_BUS, NullBus)
+        assert not any(NULL_BUS.wants(kind) for kind in EventKind)
         assert NULL_BUS.publish(EventKind.STEP) is None
         NULL_BUS.advance(10)  # no-op, no error
         with pytest.raises(ValueError):
             NULL_BUS.subscribe(lambda e: None)
+
+    def test_sink_with_kinds_gets_exactly_those_in_subscription_order(self):
+        bus = EventBus()
+        log = []
+
+        def sink(name, *kinds):
+            def record(event):
+                log.append((name, event.kind))
+
+            if kinds:
+                record.kinds = frozenset(kinds)
+            return record
+
+        bus.subscribe(sink("grants", EventKind.LOCK_GRANT))
+        bus.subscribe(sink("all"))
+        bus.subscribe(sink("both", EventKind.LOCK_GRANT, EventKind.ROLLBACK))
+        for kind in (EventKind.STEP, EventKind.LOCK_GRANT, EventKind.ROLLBACK):
+            bus.publish(kind, "T1")
+        assert log == [
+            ("all", EventKind.STEP),
+            ("grants", EventKind.LOCK_GRANT),
+            ("all", EventKind.LOCK_GRANT),
+            ("both", EventKind.LOCK_GRANT),
+            ("all", EventKind.ROLLBACK),
+            ("both", EventKind.ROLLBACK),
+        ]
+
+    def test_unrouted_events_consume_a_seq(self):
+        bus = EventBus()
+        sink = _Only(EventKind.ROLLBACK)
+        bus.subscribe(sink)
+        assert bus.publish(EventKind.STEP) is None  # nobody takes it
+        assert not bus.wants(EventKind.LOCK_GRANT)  # guarded, not built
+        assert bus.wants(EventKind.ROLLBACK)
+        bus.publish(EventKind.ROLLBACK, "T1")
+        assert [e.seq for e in sink.events] == [2]
+        assert bus.seq == 3
+
+    def test_unsubscribe_reroutes(self):
+        bus = EventBus()
+        sink = _Only(EventKind.ROLLBACK)
+        bus.subscribe(sink)
+        assert bus.wants(EventKind.ROLLBACK)
+        bus.unsubscribe(sink)
+        assert not bus.wants(EventKind.ROLLBACK)
+        bus.subscribe(sink.events.append)  # no ``kinds``: every kind
+        assert all(bus.wants(kind) for kind in EventKind)
 
     def test_events_of_filters_by_kind(self):
         bus = EventBus()

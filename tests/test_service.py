@@ -343,6 +343,19 @@ class TestLifetimeBoundedness:
         assert live.transactions == set()
         assert not (live._entity_edges or live._pair_labels or live._succ)
 
+    def test_telemetry_does_not_grow_with_transactions_served(self):
+        core, _ = make_core()
+        d = Driver(core)
+        sizes = {}
+        for served in range(1, 4001):
+            txn = d.ok("begin", idem=False)["txn"]
+            d.ok("lock", txn=txn, entity="e000", idem=False)
+            d.ok("commit", txn=txn, idem=False)
+            if served in (100, 4000):
+                sizes[served] = core.telemetry.tracked_state_size()
+        assert sizes[4000] == sizes[100]
+        assert core.telemetry.metrics_obj()["done"] == 4000
+
     def test_status_reply_carries_graph_counters(self):
         core, d = self.ten_sessions()
         status = d.ok("status")
@@ -398,6 +411,29 @@ class TestRecoverySeeds:
         reopened = DurableWriteAheadLog.open_existing(path, {"e000": 0})
         state, committed = reopened.recover_state()
         assert state == {"e000": 3} and committed == {txn}
+
+    def test_reboot_before_any_wal_record_never_reissues_a_txn_id(
+        self, tmp_path
+    ):
+        """A ``begin`` answered before the first WAL record: the
+        journal alone must keep the restarted server from handing the
+        same id to a new client."""
+        from repro.service.server import build_core
+
+        paths = (tmp_path / "wal.jsonl", tmp_path / "journal.jsonl")
+        config = ServiceConfig(max_sessions=4, deadline_steps=30)
+        first, sink = build_core(2, 0, config, *paths)
+        assert Driver(first).ok("begin")["txn"] == "T1"
+        sink.flush()  # the reply boundary, then kill -9
+        assert len(first.wal) == 0
+        second, sink2 = build_core(2, 0, config, *paths)
+        d = Driver(second)
+        assert d.ok("begin")["txn"] == "T2"
+        reply, _, _ = d.send("lock", txn="T1", entity="e000")
+        assert reply["code"] == protocol.GONE
+        for core, journal in ((first, sink), (second, sink2)):
+            journal.close()
+            core.wal.close()
 
 
 class TestReplayOracle:

@@ -203,6 +203,96 @@ def test_snapshot_is_non_destructive():
 
 
 # ---------------------------------------------------------------------------
+# Routed: the service core's aggregator == a full fold, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _request_script(seed, length=300):
+    """A seeded mix of every verb over four entities and four session
+    slots: deadlocks, deadline sheds, 429s, aborts, idempotent retries
+    and requests naming gone transactions.  Each ``yield`` receives the
+    immediate reply (``None`` while the request is parked)."""
+    import random
+
+    rng = random.Random(seed)
+    verbs = (
+        ["begin"] + ["lock"] * 6 + ["read", "write", "unlock", "commit",
+                                    "abort", "tick", "metrics", "status"]
+    )
+    live = []
+    last = None
+    for n in range(length):
+        if last is not None and rng.random() < 0.1:
+            request = dict(last)  # a retry under the same idempotency key
+        else:
+            verb = rng.choice(verbs) if live else "begin"
+            request = {"verb": verb, "idem": f"k{n}"}
+            if verb not in ("begin", "tick", "metrics", "status"):
+                request["txn"] = (
+                    rng.choice(live) if rng.random() < 0.97 else "T999"
+                )
+                request["entity"] = f"e{rng.randrange(4):03d}"
+                request["mode"] = rng.choice("SX")
+                request["value"] = n
+        request["rid"] = f"r{n}"
+        reply = yield request
+        last = request
+        if reply is None:
+            continue
+        if request["verb"] == "begin" and reply["code"] == 200:
+            live.append(reply["txn"])
+        elif reply["code"] == 410 or (
+            request["verb"] in ("commit", "abort") and reply["code"] == 200
+        ):
+            if request.get("txn") in live:
+                live.remove(request["txn"])
+
+
+@pytest.mark.parametrize("seed", [2, 3, 7])  # each has a deadlock
+def test_routed_core_telemetry_equals_a_full_fold(seed):
+    """The core's aggregator is routed only the kinds it folds and
+    catches the rest up from the bus clock; after every request its
+    snapshots must equal a full fold of the same stream.  Two cores are
+    driven: one whose bus builds every event (the reference listens to
+    all kinds) and one that builds only what the core itself wants."""
+    from repro.observability.events import EventBus
+    from repro.service.core import ServiceConfig, ServiceCore
+    from repro.storage.database import Database
+
+    def core(bus=None):
+        return ServiceCore(
+            Database({f"e{i:03d}": 0 for i in range(4)}),
+            ServiceConfig(max_sessions=4, deadline_steps=30),
+            bus=bus,
+        )
+
+    bus = EventBus()
+    reference = StreamingAggregator()
+    bus.subscribe(reference)  # before the boot marker, as the core's
+    full, bare = core(bus), core()
+    script = _request_script(seed)
+    request = next(script)
+    while True:
+        reply, _ = full.handle(dict(request))
+        assert bare.handle(dict(request))[0] == reply
+        expected = (
+            json.dumps(reference.metrics_obj(), sort_keys=True),
+            json.dumps(reference.timeseries_obj(), sort_keys=True),
+        )
+        for routed in (full.telemetry, bare.telemetry):
+            assert (
+                json.dumps(routed.metrics_obj(), sort_keys=True),
+                json.dumps(routed.timeseries_obj(), sort_keys=True),
+            ) == expected
+        try:
+            request = script.send(reply)
+        except StopIteration:
+            break
+    assert reference.deadlocks and reference.rollbacks and reference.sheds
+    assert full.telemetry.events_seen > len(full.telemetry.windows)
+
+
+# ---------------------------------------------------------------------------
 # Bounded memory on a million-event run
 # ---------------------------------------------------------------------------
 
