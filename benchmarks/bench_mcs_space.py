@@ -30,7 +30,6 @@ def drive_adversarial(strategy, n):
     for k, name in enumerate(names):
         txn.pc += 1
         record = txn.record_lock_request(name, EXCLUSIVE)
-        strategy.on_lock_request(txn)
         record.granted = True
         strategy.on_lock_granted(txn, name, EXCLUSIVE, 0, record.ordinal)
         for held in names[: k + 1]:
@@ -68,7 +67,6 @@ def never_exceed(seeds=range(20), n=7):
         for i in range(n):
             txn.pc += 1
             record = txn.record_lock_request(f"e{i}", EXCLUSIVE)
-            strategy.on_lock_request(txn)
             record.granted = True
             strategy.on_lock_granted(txn, f"e{i}", EXCLUSIVE, 0,
                                      record.ordinal)

@@ -71,7 +71,6 @@ def run_alone(
     for op in program.operations:
         if isinstance(op, Lock):
             record = txn.record_lock_request(op.entity_name, op.mode)
-            strategy.on_lock_request(txn)
             record.granted = True
             strategy.on_lock_granted(
                 txn, op.entity_name, op.mode, None, record.ordinal

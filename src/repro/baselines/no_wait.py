@@ -68,7 +68,6 @@ class NoWaitScheduler(Scheduler):
 
     def _execute_lock(self, txn: Transaction, op: Lock) -> StepResult:
         txn.record_lock_request(op.entity_name, op.mode)
-        self.strategy.on_lock_request(txn)
         granted = self.lock_manager.lock(txn.txn_id, op.entity_name, op.mode)
         if granted:
             self._collisions.pop(txn.txn_id, None)

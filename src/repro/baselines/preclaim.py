@@ -98,7 +98,6 @@ class PreclaimScheduler(Scheduler):
             self._set_status(txn, TxnStatus.READY)
             for entity, mode in sorted(self._declared_locks(txn).items()):
                 record = txn.record_lock_request(entity, mode)
-                self.strategy.on_lock_request(txn)
                 granted = self.lock_manager.lock(txn_id, entity, mode)
                 if not granted:  # pragma: no cover - availability checked
                     raise SimulationError(

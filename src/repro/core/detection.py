@@ -14,14 +14,17 @@ through the requester:
 
 A :class:`Deadlock` is therefore defined by reachability, not enumeration:
 its members are the transactions reachable from the requester and reaching
-it; victim selection decides from the arcs between them, and the
-enumerated cycles are a capped record for traces, events and metrics.
+it, and victim selection decides from the arcs between them.  The simple
+cycles are a capped record for traces and events, enumerated from those
+arcs the first time something reads them: nothing pays unless it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
+from ..graphs import algorithms
 from ..graphs.concurrency import ConcurrencyGraph
 from ..locking.table import LockTable
 
@@ -38,11 +41,8 @@ class Deadlock:
     requester:
         The transaction whose wait response closed the cycle(s) — the
         paper's "transaction which caused the conflict".
-    cycles:
-        Simple cycles, each a transaction list in holder->waiter order
-        starting at the requester — the *record* of the deadlock, possibly
-        truncated by the detector's ``cycle_limit``; nothing decides from
-        it.
+    cycle_limit:
+        The most cycles :attr:`cycles` records.
     members:
         Every transaction reachable from the requester and reaching it in
         *graph* — exactly those on its cycles when, as after any wait
@@ -60,8 +60,8 @@ class Deadlock:
     """
 
     requester: TxnId
-    cycles: list[list[TxnId]]
     graph: InitVar[ConcurrencyGraph]
+    cycle_limit: int = 10_000
     members: set[TxnId] = field(init=False)
     arcs: dict[TxnId, dict[TxnId, list[EntityName]]] = field(init=False)
 
@@ -91,14 +91,14 @@ class Deadlock:
             for entity in entities
         }
 
-    def cycle_entities(self) -> list[EntityName]:
-        """The entity on each hop of each cycle, in cycle order (if several
-        entities label a hop, the lexicographically first)."""
-        return [
-            self.arcs[holder][cycle[(i + 1) % len(cycle)]][0]
-            for cycle in self.cycles
-            for i, holder in enumerate(cycle)
-        ]
+    @cached_property
+    def cycles(self) -> list[list[TxnId]]:
+        """Simple cycles in holder->waiter order from the requester, at most
+        :attr:`cycle_limit`: the record, enumerated from :attr:`arcs` when
+        first read; nothing decides from it."""
+        return algorithms.simple_cycles_through(
+            self.arcs, self.requester, self.cycle_limit
+        )
 
 
 class DeadlockDetector:
@@ -111,10 +111,10 @@ class DeadlockDetector:
     conflict neighbourhood, not with lock-table size.  :meth:`snapshot`
     keeps the from-scratch rebuild as the differential reference.
 
-    ``cycle_limit`` bounds the per-detection enumeration of simple cycles
-    (their number can be exponential at high contention).  It sizes the
-    record only: members and arcs come from reachability, so victim
-    selection breaks every cycle whatever the cap.
+    ``cycle_limit`` bounds each deadlock's record of simple cycles (their
+    number can be exponential at high contention).  It sizes the record
+    only: members and arcs come from reachability, so victim selection
+    breaks every cycle whatever the cap.
     """
 
     def __init__(self, table: LockTable, cycle_limit: int = 500) -> None:
@@ -125,14 +125,13 @@ class DeadlockDetector:
         """Detect deadlock after *requester* received a wait response.
 
         Returns a :class:`Deadlock` covering every cycle through the
-        requester, or ``None`` when the wait is safe.  Only a confirmed
-        cycle pays for enumeration.
+        requester, or ``None`` when the wait is safe.  Its cycles are
+        enumerated only if something reads them: nothing pays unless it reads.
         """
         live = self._table.waits_for
-        cycles = live.cycles_through(requester, limit=self._cycle_limit)
-        if not cycles:
+        if live.cycle_through(requester) is None:
             return None
-        return Deadlock(requester, cycles, live)
+        return Deadlock(requester, live, self._cycle_limit)
 
     def snapshot(self) -> ConcurrencyGraph:
         """Current concurrency graph, rebuilt from the lock table — the

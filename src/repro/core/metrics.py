@@ -133,7 +133,7 @@ class Metrics:
         self.blocks_by_entity[entity] += 1
 
     def record_deadlock_arcs(self, entities: Iterable[str]) -> None:
-        """Entities on the arcs of a detected deadlock's cycles."""
+        """Entities on a deadlock's arcs; no caller (a perf tracer hook)."""
         for entity in entities:
             self.deadlock_entities[entity] += 1
 

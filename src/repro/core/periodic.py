@@ -89,15 +89,14 @@ class PeriodicDetectionScheduler(Scheduler):
             nominal = max(
                 cycle, key=lambda txn_id: self._blocked_at.get(txn_id, -1)
             )
-            cycles = live.cycles_through(nominal)
-            deadlock = Deadlock(nominal, cycles, live)
+            deadlock = Deadlock(nominal, live, 10_000)
             self.metrics.bump("deadlocks")
             self.sweep_deadlocks += 1
             if self.bus.wants(EventKind.DEADLOCK):
                 self.bus.publish(
                     EventKind.DEADLOCK,
                     nominal,
-                    cycles=[list(c) for c in cycles],
+                    cycles=[list(c) for c in deadlock.cycles],
                     swept=True,
                 )
             for txn_id in deadlock.members:

@@ -158,9 +158,6 @@ class RollbackStrategy(abc.ABC):
 
     # -- notifications -------------------------------------------------------
 
-    def on_lock_request(self, txn: Transaction) -> None:
-        """A lock request is being issued (before grant or block)."""
-
     def on_lock_granted(
         self,
         txn: Transaction,

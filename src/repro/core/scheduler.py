@@ -370,8 +370,7 @@ class Scheduler:
     # -- lock handling ------------------------------------------------------
 
     def _execute_lock(self, txn: Transaction, op: Lock) -> StepResult:
-        record = txn.record_lock_request(op.entity_name, op.mode)
-        self.strategy.on_lock_request(txn)
+        txn.record_lock_request(op.entity_name, op.mode)
         granted = self.lock_manager.lock(txn.txn_id, op.entity_name, op.mode)
         if granted:
             self._complete_grant(
@@ -391,7 +390,6 @@ class Scheduler:
         if deadlock is None:
             return StepResult(txn.txn_id, StepOutcome.BLOCKED)
         self.metrics.bump("deadlocks")
-        self.metrics.record_deadlock_arcs(deadlock.cycle_entities())
         if self.bus.wants(EventKind.DEADLOCK):
             self.bus.publish(
                 EventKind.DEADLOCK,

@@ -394,12 +394,11 @@ class DistributedScheduler(Scheduler):
         for arc in live:
             if self.partition.site_of_entity(arc.entity) == site:
                 local.add_wait(*arc)
-        cycles = local.cycles_through(requester, limit=500)
-        if not cycles:
+        if local.cycle_through(requester) is None:
             return None
         # Members and arcs come from the site-local graph, never the
         # wider live one: a cross-site cycle stays invisible here.
-        return Deadlock(requester, cycles, local)
+        return Deadlock(requester, local, 500)
 
     def _apply_timestamp_rule(self, txn: Transaction, op: Lock) -> bool:
         """Wound-wait / wait-die for conflicts crossing site boundaries.
@@ -541,14 +540,13 @@ class DistributedScheduler(Scheduler):
         # point that distribution does not invalidate rollback
         # optimisation.  One extra notify per victim is charged below via
         # _notify_rollback.
-        cycles = live.cycles_through(initiator, limit=500)
-        deadlock = Deadlock(initiator, cycles, live)
+        deadlock = Deadlock(initiator, live, 500)
         self.metrics.bump("deadlocks")
         if self.bus.wants(EventKind.DEADLOCK):
             self.bus.publish(
                 EventKind.DEADLOCK,
                 initiator,
-                cycles=[list(c) for c in cycles],
+                cycles=[list(c) for c in deadlock.cycles],
                 probe=True,
             )
         self._resolve(deadlock)

@@ -344,18 +344,6 @@ class ConcurrencyGraph:
         from it and reaching it (no enumeration, so never truncated)."""
         return algorithms.on_cycles_through(self._succ, requester)
 
-    def cycle_arcs(self, cycle: list[TxnId]) -> list[WaitArc]:
-        """The labeled arcs realising *cycle* (one arc per hop; if several
-        entities label a hop, the lexicographically first is returned)."""
-        arcs: list[WaitArc] = []
-        for i, holder in enumerate(cycle):
-            waiter = cycle[(i + 1) % len(cycle)]
-            entities = sorted(self.entity_between(holder, waiter))
-            if not entities:
-                raise ValueError(f"no arc {holder} -> {waiter} in graph")
-            arcs.append(WaitArc(holder, waiter, entities[0]))
-        return arcs
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         arcs = ", ".join(f"{h}-[{e}]->{w}" for h, w, e in sorted(self))
         return f"ConcurrencyGraph({arcs})"

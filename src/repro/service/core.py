@@ -363,6 +363,9 @@ class ServiceCore:
                 rid, "abort", protocol.CONFLICT,
                 f"{txn_id} already committed",
             )
+        if self.scheduler.lock_manager.in_shrinking_phase(txn_id):
+            reason = f"{txn_id} already unlocked an entity; it can only commit"
+            return error_reply(rid, "abort", protocol.CONFLICT, reason)
         if not txn.done:
             self.scheduler.shed(txn_id, reason=CLIENT_ABORT)
         self._advance()

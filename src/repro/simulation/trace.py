@@ -2,8 +2,8 @@
 
 Used by the examples to narrate scenarios, by tests to assert on event
 order, and by the benchmarks to report per-run behaviour.  Each step of the
-engine appends one :class:`TraceEvent`; deadlock events carry the cycles
-and the chosen rollback actions.
+engine appends one :class:`TraceEvent`; deadlock events carry the
+``Deadlock`` (its cycles enumerated when read) and the rollback actions.
 
 The engine records every step here through :meth:`Trace.record`; when
 its scheduler has a live event bus installed it also publishes the
@@ -17,6 +17,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ..core.detection import Deadlock
 from ..core.scheduler import StepOutcome, StepResult
 
 
@@ -28,8 +29,12 @@ class TraceEvent:
     txn_id: str
     outcome: StepOutcome
     operation: str = ""
-    cycles: list[list[str]] = field(default_factory=list)
+    deadlock: Deadlock | None = None
     actions: list[str] = field(default_factory=list)
+
+    @property
+    def cycles(self) -> list[list[str]]:
+        return [] if self.deadlock is None else self.deadlock.cycles
 
     def __str__(self) -> str:
         base = f"[{self.step:>5}] {self.txn_id:<6} {self.outcome}"
@@ -54,9 +59,9 @@ class Trace:
             txn_id=result.txn_id,
             outcome=result.outcome,
             operation=operation,
+            deadlock=result.deadlock,
         )
         if result.deadlock is not None:
-            event.cycles = [list(c) for c in result.deadlock.cycles]
             event.actions = [str(a) for a in result.actions]
         self._events.append(event)
         return event

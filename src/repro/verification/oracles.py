@@ -18,7 +18,8 @@ Oracles and their provenance:
 ``cycles-through-requester``
     §3.2: every cycle closed by a single wait response passes through the
     requesting transaction, so every cycle a ``DEADLOCK`` event reports
-    must contain (and, as encoded, start at) the requester.
+    must be a path of the deadlock's arcs from the requester, and an
+    untruncated record must cover exactly the deadlock's members.
 ``no-commit-loss``
     Commit is irrevocable: a committed transaction stays committed, holds
     no locks, and is never chosen as a rollback victim afterwards.
@@ -64,7 +65,7 @@ Oracles and their provenance:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from ..core.scheduler import Scheduler, StepOutcome
 from ..core.transaction import TxnStatus
@@ -112,7 +113,7 @@ class Oracle(abc.ABC):
     def reset(self) -> None:
         """Clear per-run state."""
 
-    def _fail(self, message: str, event: TraceEvent) -> None:
+    def _fail(self, message: str, event: TraceEvent) -> NoReturn:
         raise OracleViolation(self.name, message, event)
 
 
@@ -148,25 +149,36 @@ class ForestOracle(Oracle):
 
 
 class CyclesThroughRequesterOracle(Oracle):
-    """§3.2: every reported deadlock cycle passes through the requester."""
+    """§3.2: every recorded cycle is a path of the deadlock's arcs from the
+    requester, and an untruncated record covers exactly its members."""
 
     name = "cycles-through-requester"
 
     def check(self, scheduler: Scheduler, event: TraceEvent) -> None:
         if event.outcome is not StepOutcome.DEADLOCK:
             return
-        if not event.cycles:
+        deadlock = event.deadlock
+        if deadlock is None or not deadlock.cycles:
             self._fail(
                 f"DEADLOCK event at step {event.step} reports no cycles",
                 event,
             )
-        for cycle in event.cycles:
-            if event.txn_id not in cycle:
+        for cycle in deadlock.cycles:
+            hops = zip(cycle, cycle[1:] + cycle[:1])
+            if cycle[0] != event.txn_id or any(
+                waiter not in deadlock.arcs.get(holder, {}) for holder, waiter in hops
+            ):
                 self._fail(
-                    f"cycle {cycle} at step {event.step} does not pass "
-                    f"through requester {event.txn_id}",
+                    f"cycle {cycle} at step {event.step} is not a path of the "
+                    f"deadlock's arcs from requester {event.txn_id}",
                     event,
                 )
+        missed = deadlock.members - {txn for cycle in deadlock.cycles for txn in cycle}
+        if missed and len(deadlock.cycles) < deadlock.cycle_limit:
+            self._fail(
+                f"cycles at step {event.step} miss members {sorted(missed)}",
+                event,
+            )
 
 
 class NoCommitLossOracle(Oracle):

@@ -1,7 +1,5 @@
 """Unit tests for repro.graphs.concurrency (Theorem 1 and §3 machinery)."""
 
-import pytest
-
 from repro.graphs import ConcurrencyGraph
 from repro.locking import EXCLUSIVE, SHARED, LockTable
 
@@ -133,18 +131,6 @@ class TestDetectionPrimitives:
         g = self.make_cycle_graph()
         g.add_wait("T1", "T9", "z")    # not on the cycle
         assert g.deadlocked_transactions("T1") == {"T1", "T2", "T3"}
-
-    def test_cycle_arcs(self):
-        g = self.make_cycle_graph()
-        arcs = g.cycle_arcs(["T1", "T2", "T3"])
-        assert [(a.holder, a.waiter, a.entity) for a in arcs] == [
-            ("T1", "T2", "a"), ("T2", "T3", "b"), ("T3", "T1", "c"),
-        ]
-
-    def test_cycle_arcs_missing_hop_rejected(self):
-        g = self.make_cycle_graph()
-        with pytest.raises(ValueError):
-            g.cycle_arcs(["T1", "T3", "T2"])
 
     def test_waits_of_and_holds_waited_on(self):
         g = self.make_cycle_graph()

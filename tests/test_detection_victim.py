@@ -1,9 +1,13 @@
 """Unit tests for repro.core.detection and repro.core.victim (§3)."""
 
+import random
+
 import pytest
 
 from repro.core.detection import Deadlock, DeadlockDetector
 from repro.core.mcs import MultiLockCopyStrategy
+from repro.core.periodic import PeriodicDetectionScheduler
+from repro.core.scheduler import Scheduler
 from repro.core.transaction import Transaction, TransactionProgram
 from repro.core.victim import (
     MinCostPolicy,
@@ -16,8 +20,15 @@ from repro.core.victim import (
 )
 from repro.core import ops
 from repro.errors import DeadlockUnresolvableError
-from repro.graphs import ConcurrencyGraph
+from repro.graphs import ConcurrencyGraph, algorithms
 from repro.locking import EXCLUSIVE, LockTable
+from repro.observability.events import NULL_BUS
+from repro.simulation import (
+    RandomInterleaving,
+    SimulationEngine,
+    WorkloadConfig,
+    generate_workload,
+)
 
 
 class TestDetector:
@@ -43,24 +54,22 @@ class TestDetector:
         graph.add_wait("T1", "T2", "a")
         graph.add_wait("T2", "T1", "b")
         graph.add_wait("T1", "T9", "z")   # T9 is outside the deadlock
-        deadlock = Deadlock("T2", [["T2", "T1"]], graph)
+        deadlock = Deadlock("T2", graph)
         assert deadlock.waited_entities_of("T1") == {"a"}
         assert deadlock.waited_entities_of("T2") == {"b"}
 
     def test_parallel_labels_on_one_hop(self):
         """A scenario graph may label one hop with several entities: all
-        of them are waited for, the first names the hop."""
+        of them are waited for, and the hop is still one arc of the
+        cycle record."""
         graph = ConcurrencyGraph()
         graph.add_wait("T1", "T2", "b")
         graph.add_wait("T1", "T2", "a")
         graph.add_wait("T2", "T1", "c")
-        deadlock = Deadlock("T2", graph.cycles_through("T2"), graph)
+        deadlock = Deadlock("T2", graph)
         assert deadlock.waited_entities_of("T1") == {"a", "b"}
         assert deadlock.arcs == {"T1": {"T2": ["a", "b"]}, "T2": {"T1": ["c"]}}
-        assert deadlock.cycle_entities() == ["c", "a"]
-        assert deadlock.cycle_entities() == [
-            arc.entity for arc in graph.cycle_arcs(["T2", "T1"])
-        ]
+        assert deadlock.cycles == graph.cycles_through("T2") == [["T2", "T1"]]
 
     def test_snapshot(self):
         table = LockTable()
@@ -82,8 +91,7 @@ def make_deadlock(arcs, requester, entry_orders, lock_states):
     graph = ConcurrencyGraph()
     for holder, waiter, entity in arcs:
         graph.add_wait(holder, waiter, entity)
-    cycles = graph.cycles_through(requester)
-    deadlock = Deadlock(requester, cycles, graph)
+    deadlock = Deadlock(requester, graph)
     strategy = MultiLockCopyStrategy()
     transactions = {}
     for txn_id, (entry, current_state, locks) in lock_states.items():
@@ -285,3 +293,105 @@ class TestLargeDeadlocks:
         ctx = self.make_big_cycle(20, requester="T01")
         actions = OrderedMinCostPolicy().select(ctx)
         assert [a.txn_id for a in actions] == ["T02"]
+
+
+def hot_engine(n_transactions, write_ratio, seed, make_scheduler=Scheduler):
+    """A benchmark-shaped hot-set run: ``n_transactions`` x 10 entities,
+    3-6 locks each."""
+    db, programs = generate_workload(
+        WorkloadConfig(
+            n_transactions=n_transactions, n_entities=10,
+            locks_per_txn=(3, 6), write_ratio=write_ratio,
+        ),
+        seed=seed,
+    )
+    engine = SimulationEngine(
+        make_scheduler(db), RandomInterleaving(rng=random.Random(seed + 1)),
+        max_steps=20_000,
+    )
+    for program in programs:
+        engine.add(program)
+    return engine
+
+
+def recorded_run(*args):
+    """Run :func:`hot_engine`, pairing each deadlock as resolution sees it
+    with the live graph's own enumeration at that moment."""
+    engine = hot_engine(*args)
+    scheduler = engine.scheduler
+    live = scheduler.lock_manager.table.waits_for
+    seen = []
+    resolve = scheduler._resolve
+
+    def recording(deadlock):
+        seen.append((deadlock, live.cycles_through(
+            deadlock.requester, limit=deadlock.cycle_limit
+        )))
+        return resolve(deadlock)
+
+    scheduler._resolve = recording
+    return engine.run(), seen
+
+
+def capped(db):
+    """A scheduler whose detector records at most two cycles."""
+    scheduler = Scheduler(db)
+    scheduler.detector = DeadlockDetector(
+        scheduler.lock_manager.table, cycle_limit=2
+    )
+    return scheduler
+
+
+def sweeping(db):
+    return PeriodicDetectionScheduler(db, interval=5)
+
+
+class TestLazyCycleRecord:
+    """``Deadlock.cycles`` is enumerated from the copied arcs on first
+    read, after resolution has changed the live graph; it must equal what
+    the live graph enumerated at detection time."""
+
+    @pytest.mark.parametrize(
+        "n_transactions,write_ratio,seed,make_scheduler,limit",
+        [
+            (16, 1.0, 0, Scheduler, 500),
+            (16, 0.5, 1, Scheduler, 500),
+            (24, 1.0, 2, Scheduler, 500),
+            (24, 0.5, 3, Scheduler, 500),
+            (24, 0.5, 3, capped, 2),
+            (16, 0.5, 1, sweeping, 10_000),
+        ],
+    )
+    def test_equals_live_enumeration_at_detection(
+        self, n_transactions, write_ratio, seed, make_scheduler, limit
+    ):
+        result, seen = recorded_run(
+            n_transactions, write_ratio, seed, make_scheduler
+        )
+        assert result.all_committed and seen
+        for deadlock, at_detection in seen:
+            assert deadlock.cycle_limit == limit
+            assert deadlock.cycles == at_detection
+        if write_ratio < 1.0:
+            assert any(len(d.cycles) > 1 for d, _ in seen)
+        if make_scheduler is capped:  # some records really are truncated
+            assert any(
+                len(algorithms.simple_cycles_through(d.arcs, d.requester)) > 2
+                for d, _ in seen
+            )
+
+    def test_unobserved_run_enumerates_nothing(self, monkeypatch):
+        calls = []
+        enumerate_ = algorithms.simple_cycles_through
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return enumerate_(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "simple_cycles_through", counting)
+        engine = hot_engine(16, 0.5, 1)
+        assert engine.scheduler.bus is NULL_BUS
+        result = engine.run()
+        assert result.metrics.deadlocks > 0 and calls == []
+        result.trace.fingerprint()  # reading the record enumerates it
+        assert len(calls) == result.metrics.deadlocks

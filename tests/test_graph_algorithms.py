@@ -4,9 +4,11 @@ Several algorithms are cross-checked against networkx (a test-only
 dependency) on randomly generated graphs.
 """
 
+import random
+
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graphs import algorithms as alg
 
@@ -335,13 +337,21 @@ def deadlocks(draw):
     return chosen, costs, candidates
 
 
+#: r -> v0 -> v1 -> r and r -> v1 -> r: the second cycle avoids v0.
+SPLIT = [("r", "v0"), ("v0", "v1"), ("v1", "r"), ("r", "v1")]
+
+
 @settings(max_examples=500, deadline=None)
 @given(deadlock=deadlocks(), shuffle=st.randoms(use_true_random=False))
+@example(deadlock=(SPLIT, {"v0": 1, "v1": 2}, {"v0"}), shuffle=random.Random(0))
+@example(deadlock=(SPLIT, {"v0": 1, "v1": 2}, set()), shuffle=random.Random(1))
+@example(deadlock=(SPLIT, {"v0": 1, "v1": 2}, {"v1"}), shuffle=random.Random(2))
 def test_separator_equals_exhaustive_reference(deadlock, shuffle):
     """Differential: the polynomial separator against the exhaustive
     solver over the complete cycle list — same cost, ``None`` exactly when
     the reference finds no cover, the same set whatever order the
-    adjacency arrives in."""
+    adjacency arrives in.  Random candidate subsets make ``None`` common
+    (the pinned examples cover both outcomes on one graph)."""
     arcs, costs, candidates = deadlock
     graph = {}
     for tail, head in arcs:

@@ -137,7 +137,6 @@ class Harness:
 
         self.txn.pc += 2
         record = self.txn.record_lock_request(entity, EXCLUSIVE)
-        self.strategy.on_lock_request(self.txn)
         record.granted = True
         self.strategy.on_lock_granted(
             self.txn, entity, EXCLUSIVE, global_value, record.ordinal

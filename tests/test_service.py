@@ -199,6 +199,32 @@ class TestCoreBasics:
         reply, _, _ = d.send("lock", txn=txn, entity="e001")
         assert reply["code"] == protocol.GONE
 
+    def test_abort_after_unlock_is_409_and_commit_still_succeeds(self):
+        """Past its first unlock a transaction cannot be rolled back: the
+        abort is refused as a conflict, changes nothing, and the
+        transaction can still commit."""
+        core, db = make_core()
+        d = Driver(core)
+        txn = d.ok("begin")["txn"]
+        d.ok("lock", txn=txn, entity="e000", mode="X")
+        d.ok("lock", txn=txn, entity="e001", mode="X")
+        d.ok("write", txn=txn, entity="e001", value=5)
+        d.ok("unlock", txn=txn, entity="e000")
+        def state():
+            status = d.ok("status")
+            del status["rid"], status["now"]  # every request ticks the clock
+            held = core.scheduler.lock_manager.locks_held(txn)
+            return status, held, core.scheduler.transactions[txn].status
+
+        before = state()
+        reply, _, _ = d.send("abort", txn=txn)
+        assert reply["code"] == protocol.CONFLICT, reply
+        assert "unlock" in reply["error"]
+        assert state() == before
+        assert d.ok("commit", txn=txn)["committed"] is True
+        assert db.snapshot()["e001"] == 5
+        assert core.idle
+
 
 class TestOverloadSurfaces:
     def test_admission_rejects_with_429(self):

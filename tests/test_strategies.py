@@ -1,8 +1,8 @@
 """Unit tests for the three rollback strategies (§4).
 
 The strategies are exercised through their hook API exactly as the
-scheduler calls them: ``begin`` -> (``on_lock_request`` +
-``record_lock_request`` + ``on_lock_granted``) per lock -> reads/writes ->
+scheduler calls them: ``begin`` -> (``record_lock_request`` +
+``on_lock_granted``) per lock -> reads/writes ->
 ``choose_target``/``rollback``.  A tiny harness keeps the transaction's
 lock records and the strategy in lockstep.
 """
@@ -43,7 +43,6 @@ class Harness:
         """Issue and immediately grant a lock request."""
         self.txn.pc += advance
         record = self.txn.record_lock_request(entity, mode)
-        self.strategy.on_lock_request(self.txn)
         record.granted = True
         self.strategy.on_lock_granted(
             self.txn, entity, mode, global_value, record.ordinal

@@ -208,7 +208,6 @@ class TestUndoLogStrategy:
         for k, name in enumerate(names):
             txn.pc += 1
             record = txn.record_lock_request(name, EXCLUSIVE)
-            strategy.on_lock_request(txn)
             record.granted = True
             strategy.on_lock_granted(txn, name, EXCLUSIVE, 0, record.ordinal)
             for held in names[: k + 1]:

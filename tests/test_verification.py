@@ -17,8 +17,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.detection import Deadlock
 from repro.core.scheduler import Scheduler, StepOutcome
 from repro.core.transaction import TransactionProgram, TxnStatus
+from repro.graphs import ConcurrencyGraph
 from repro.locking.modes import LockMode
 from repro.simulation import (
     RandomInterleaving,
@@ -140,6 +142,22 @@ def _event(outcome=StepOutcome.ADVANCED, txn_id="T1", **kwargs):
     return TraceEvent(step=0, txn_id=txn_id, outcome=outcome, **kwargs)
 
 
+def _deadlock_event(*cycles, cycle_limit=10_000):
+    """A DEADLOCK event for T1 in the two-cycle T1 <-> T2 plus the
+    three-cycle T1 -> T2 -> T3 -> T1; *cycles*, when given, replace
+    its enumerated record."""
+    graph = ConcurrencyGraph()
+    for holder, waiter, entity in (
+        ("T1", "T2", "a"), ("T2", "T1", "b"), ("T2", "T3", "c"),
+        ("T3", "T1", "d"),
+    ):
+        graph.add_wait(holder, waiter, entity)
+    deadlock = Deadlock("T1", graph, cycle_limit)
+    if cycles:
+        deadlock.cycles = list(cycles)
+    return _event(outcome=StepOutcome.DEADLOCK, deadlock=deadlock)
+
+
 class TestOracleSensitivity:
     def test_graph_acyclic_fires_on_undetected_cycle(self):
         # Grant locks directly through the lock manager, bypassing
@@ -167,21 +185,34 @@ class TestOracleSensitivity:
 
     def test_cycles_through_requester_fires_on_foreign_cycle(self):
         s = _bare_scheduler()
-        bad = _event(
-            outcome=StepOutcome.DEADLOCK,
-            txn_id="T1",
-            cycles=[["T2", "T3"]],  # does not contain the requester
-        )
-        with pytest.raises(OracleViolation) as exc:
-            CyclesThroughRequesterOracle().check(s, bad)
-        assert exc.value.oracle == "cycles-through-requester"
+        oracle = CyclesThroughRequesterOracle()
+        oracle.check(s, _deadlock_event())  # the enumerated record passes
+        for planted in (
+            [["T2", "T3"]],  # does not start at the requester
+            [["T1", "T3"]],  # no T1 -> T3 arc
+        ):
+            with pytest.raises(OracleViolation) as exc:
+                oracle.check(s, _deadlock_event(*planted))
+            assert exc.value.oracle == "cycles-through-requester"
 
     def test_cycles_through_requester_fires_on_empty_cycles(self):
         s = _bare_scheduler()
-        with pytest.raises(OracleViolation):
-            CyclesThroughRequesterOracle().check(
-                s, _event(outcome=StepOutcome.DEADLOCK, cycles=[])
-            )
+        oracle = CyclesThroughRequesterOracle()
+        empty = _deadlock_event()
+        empty.deadlock.cycles = []
+        for bad in (empty, _event(outcome=StepOutcome.DEADLOCK)):
+            with pytest.raises(OracleViolation):
+                oracle.check(s, bad)
+
+    def test_cycles_through_requester_fires_on_a_missed_member(self):
+        """An untruncated record must cover every member; one truncated
+        at its limit need not."""
+        s = _bare_scheduler()
+        oracle = CyclesThroughRequesterOracle()
+        with pytest.raises(OracleViolation) as exc:
+            oracle.check(s, _deadlock_event(["T1", "T2"]))
+        assert "T3" in str(exc.value)
+        oracle.check(s, _deadlock_event(["T1", "T2"], cycle_limit=1))
 
     def test_graph_consistency_fires_on_dropped_arc(self):
         s = _bare_scheduler()
