@@ -109,7 +109,6 @@ class PreclaimScheduler(Scheduler):
                 self.strategy.on_lock_granted(
                     txn, entity, mode, self.database[entity], record.ordinal
                 )
-            self._copies_dirty.add(txn_id)
 
     # -- execution ----------------------------------------------------------
 

@@ -67,14 +67,7 @@ class Deadlock:
 
     def __post_init__(self, graph: ConcurrencyGraph) -> None:
         self.members = graph.deadlocked_transactions(self.requester)
-        self.arcs = {
-            holder: {
-                waiter: sorted(entities)
-                for waiter, entities in graph.waiters_of(holder).items()
-                if waiter in self.members
-            }
-            for holder in self.members
-        }
+        self.arcs = graph.arcs_among(self.members)
 
     def waited_entities_of(self, txn: TxnId) -> set[EntityName]:
         """Entities *txn* holds that other deadlock members wait for

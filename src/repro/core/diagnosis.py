@@ -117,7 +117,7 @@ def diagnose(scheduler: "Scheduler", step: int | None = None) -> LivelockDiagnos
         )
     return LivelockDiagnosis(
         step=step,
-        runnable=sorted(scheduler.runnable()),
+        runnable=scheduler.runnable(),
         blocked=sorted(
             txn_id
             for txn_id, txn in scheduler.transactions.items()

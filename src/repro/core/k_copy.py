@@ -137,9 +137,9 @@ class KCopyStrategy(RollbackStrategy):
             or state.budget_used < self.extra_copies
         )
 
-    def _copies(self, cells: dict[str, Cell]) -> int:
-        """One per variable plus the retained extras."""
-        return sum(copy.copies_stored for copy in cells.values())
+    def _cell_copies(self, cell: CopyCell) -> int:
+        """The one copy plus the retained extras."""
+        return cell.copies_stored
 
     # -- rollback ----------------------------------------------------------
 

@@ -52,8 +52,8 @@ class MultiLockCopyStrategy(RollbackStrategy):
             value, txn.lock_count if state.monitoring else stack.top_index
         )
 
-    def _copies(self, cells: dict[str, Cell]) -> int:
-        return sum(map(len, cells.values()))
+    def _cell_copies(self, cell: ValueStack) -> int:
+        return len(cell)
 
     # -- rollback ----------------------------------------------------------
 
@@ -71,9 +71,4 @@ class MultiLockCopyStrategy(RollbackStrategy):
     def entity_copies_count(self, txn: Transaction) -> int:
         """Stored copies of exclusive-locked global entities only — the
         ``n(n+1)/2`` side of Theorem 3."""
-        return self._copies(self._state(txn).entities)
-
-    def local_copies_count(self, txn: Transaction) -> int:
-        """Stored copies of local variables — the ``n·|L|`` side of
-        Theorem 3 (the initial seed element included)."""
-        return self._copies(self._state(txn).locals)
+        return sum(map(len, self._state(txn).entities.values()))

@@ -40,7 +40,7 @@ Value = Any
 #: undo-log), a :class:`~repro.storage.copies.CopyCell`, a
 #: :class:`~repro.storage.copies.ValueStack`.  The base class never looks
 #: inside a cell — it goes through the ``_new_cell`` / ``_value`` /
-#: ``_assign`` / ``_copies`` hooks — and a bare-value cell *is* a
+#: ``_assign`` / ``_cell_copies`` hooks — and a bare-value cell *is* a
 #: :data:`Value`, so no narrower type exists.
 Cell = Any
 
@@ -67,6 +67,8 @@ class TxnStore:
     #: False after the transaction's last-lock declaration (§5): it can
     #: no longer be rolled back, so writes stop accumulating history.
     monitoring: bool = True
+    #: Stored copies, kept at the cell sites (Theorem 3 accounting).
+    copies: int = 0
 
     def cells(self) -> Iterator[Cell]:
         """Every cell a rollback may have to restore."""
@@ -95,6 +97,9 @@ class RollbackStrategy(abc.ABC):
 
     def __init__(self) -> None:
         self._states: dict[str, TxnStore] = {}
+        #: Stored copies across every live store (the sum of their
+        #: ``copies``), so ``copies_peak`` costs nothing per step.
+        self.copies = 0
         #: Optional fault hook installed by the chaos engine
         #: (:mod:`repro.resilience.faults`): called at the top of every
         #: partial-capable rollback and may raise
@@ -129,9 +134,9 @@ class RollbackStrategy(abc.ABC):
         the strategy needs while ``state.monitoring`` is on."""
         cells[name] = value
 
-    def _copies(self, cells: dict[str, Cell]) -> int:
-        """Stored values across *cells*."""
-        return len(cells)
+    def _cell_copies(self, cell: Cell) -> int:
+        """Stored values in *cell*."""
+        return 1
 
     def _seed_locals(self, txn: Transaction, state: TxnStore) -> None:
         state.locals = {
@@ -139,22 +144,55 @@ class RollbackStrategy(abc.ABC):
             for var, value in txn.program.initial_locals.items()
         }
 
-    @staticmethod
-    def _drop(state: TxnStore, entities: Iterable[str]) -> None:
+    def _drop(self, state: TxnStore, entities: Iterable[str]) -> None:
         for entity in entities:
-            state.entities.pop(entity, None)
-            state.shared_values.pop(entity, None)
+            if entity in state.entities:
+                cell = state.entities.pop(entity)
+                self._count(state, -self._cell_copies(cell))
+            if entity in state.shared_values:
+                del state.shared_values[entity]
+                self._count(state, -1)
+
+    # -- copies books: each site books what it changed ------------------------
+
+    def _count(self, state: TxnStore, delta: int) -> None:
+        state.copies += delta
+        self.copies += delta
+
+    def _update(
+        self,
+        txn: Transaction,
+        state: TxnStore,
+        cells: dict[str, Cell],
+        name: str,
+        value: Value,
+    ) -> None:
+        """:meth:`_assign`, booking what it did to the cell's copies."""
+        before = self._cell_copies(cells[name])
+        self._assign(txn, state, cells, name, value)
+        self._count(state, self._cell_copies(cells[name]) - before)
+
+    def _recount(self, txn: Transaction, state: TxnStore) -> None:
+        """Book *state* from scratch: only where it is rare."""
+        self._count(state, self.copies_count(txn) - state.copies)
 
     # -- lifecycle ---------------------------------------------------------
 
     def begin(self, txn: Transaction) -> None:
-        """Initialise per-transaction storage (locals from the program)."""
+        """Initialise per-transaction storage (locals from the program),
+        replacing any the transaction had."""
+        self.on_finish(txn)
         state = self._states[txn.txn_id] = self.store_type()
         self._seed_locals(txn, state)
+        self._recount(txn, state)
 
     def on_finish(self, txn: Transaction) -> None:
-        """Discard per-transaction storage after commit."""
-        self._states.pop(txn.txn_id, None)
+        """Discard per-transaction storage after commit.  Its booked count
+        leaves the total as booked: after a :class:`StorageFault` the
+        cells may be half-restored, so they are not recounted."""
+        state = self._states.pop(txn.txn_id, None)
+        if state is not None:
+            self.copies -= state.copies
 
     # -- notifications -------------------------------------------------------
 
@@ -170,11 +208,13 @@ class RollbackStrategy(abc.ABC):
         *ordinal* the lock index of the request."""
         state = self._state(txn)
         if mode.is_exclusive:
-            state.entities[entity] = self._new_cell(
+            cell = state.entities[entity] = self._new_cell(
                 entity, global_value, ordinal
             )
+            self._count(state, self._cell_copies(cell))
         else:
             state.shared_values[entity] = global_value
+            self._count(state, 1)
 
     def on_unlock(self, txn: Transaction, entity: str) -> None:
         """The entity was unlocked (shrinking phase); drop its copy."""
@@ -203,7 +243,7 @@ class RollbackStrategy(abc.ABC):
             raise LockError(
                 f"{txn.txn_id} has no exclusive-lock copy of {entity!r}"
             )
-        self._assign(txn, state, state.entities, entity, value)
+        self._update(txn, state, state.entities, entity, value)
 
     def read_local(self, txn: Transaction, var: str) -> Value:
         """Current value of a local variable."""
@@ -216,11 +256,12 @@ class RollbackStrategy(abc.ABC):
         """Assign a local variable."""
         state = self._state(txn)
         if var in state.locals:
-            self._assign(txn, state, state.locals, var, value)
+            self._update(txn, state, state.locals, var, value)
         else:
             # First assignment of an undeclared local: its cell is created
             # at lock state 0 like any local, seeded with this value.
-            state.locals[var] = self._new_cell(var, value, 0)
+            cell = state.locals[var] = self._new_cell(var, value, 0)
+            self._count(state, self._cell_copies(cell))
 
     def final_value(self, txn: Transaction, entity: str) -> Value:
         """The value to install as the new global value at unlock/commit."""
@@ -285,18 +326,18 @@ class RollbackStrategy(abc.ABC):
         self._restore(txn, state, ordinal)
         if ordinal == 0:
             self._seed_locals(txn, state)
+        self._recount(txn, state)
 
     # -- accounting -----------------------------------------------------------
 
     def copies_count(self, txn: Transaction) -> int:
-        """Number of stored value copies for *txn* (Theorem 3 accounting):
-        elements of MCS stacks, or single copies, including the captured
-        base values and the shared-lock snapshots."""
+        """Number of stored value copies for *txn* (Theorem 3 accounting),
+        recounted from its cells: elements of MCS stacks, or single
+        copies, including the captured base values and the shared-lock
+        snapshots."""
         state = self._state(txn)
-        return (
-            self._copies(state.entities)
-            + self._copies(state.locals)
-            + len(state.shared_values)
+        return sum(map(self._cell_copies, state.cells())) + len(
+            state.shared_values
         )
 
 

@@ -14,7 +14,7 @@ lock request per the paper's three rules:
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -147,15 +147,6 @@ class Scheduler:
         #: installed by a recovery manager; when present, lock grants, value
         #: installations, commits, and rollbacks are logged before they apply.
         self.wal: WriteAheadLog | None = None
-        # Incremental copies accounting: re-summing every transaction's
-        # copy count each step is the simulator's dominant cost at scale,
-        # so a running sum is maintained instead and only transactions the
-        # strategy actually touched this step are recounted.
-        # ``_copies_total()`` stays as the from-scratch differential
-        # oracle.
-        self._copies_cache: dict[TxnId, int] = {}
-        self._copies_sum = 0
-        self._copies_dirty: set[TxnId] = set()
         #: When True (default), a :class:`~repro.errors.StorageFault` raised
         #: by the strategy during a rollback degrades the victim to a total
         #: restart instead of propagating (graceful degradation).
@@ -167,12 +158,10 @@ class Scheduler:
         self.preemption_immune: set[TxnId] = set()
         # Status index, kept by ``_set_status`` (the one writer of
         # ``Transaction.status``) so no step rescans the population: the
-        # READY transactions as two parallel lists sorted by entry order
-        # (unique and increasing, so this *is* registration order), the
-        # BLOCKED count and the live (not done) count.  The from-scratch
-        # recounts live in ``GraphConsistencyOracle``.
-        self._ready_orders: list[int] = []
-        self._ready_ids: list[TxnId] = []
+        # READY ids sorted by id (the order every interleaving picks
+        # from), the BLOCKED count and the live (not done) count.  The
+        # from-scratch recounts live in ``GraphConsistencyOracle``.
+        self._ready: list[TxnId] = []
         self._blocked = 0
         self._live = 0
 
@@ -187,12 +176,9 @@ class Scheduler:
         self._entry_counter += 1
         txn = Transaction(program=program, entry_order=self._entry_counter)
         self.transactions[program.txn_id] = txn
-        # A new transaction is READY with the highest entry order so far.
-        self._ready_orders.append(txn.entry_order)
-        self._ready_ids.append(program.txn_id)
+        insort(self._ready, program.txn_id)
         self._live += 1
         self.strategy.begin(txn)
-        self._copies_dirty.add(program.txn_id)
         if self.bus.wants(EventKind.TXN_ADMIT):
             self.bus.publish(
                 EventKind.TXN_ADMIT,
@@ -210,11 +196,11 @@ class Scheduler:
     def runnable(self) -> list[TxnId]:
         """Transactions that can be stepped right now (READY, not done).
 
-        A fresh list in registration order — callers filter, sort and
-        test membership on it — copied from the status index, not
-        recomputed from the population.
+        A fresh list in id order — callers filter and test membership on
+        it — copied from the status index, not recomputed from the
+        population.
         """
-        return self._ready_ids.copy()
+        return self._ready.copy()
 
     @property
     def blocked_count(self) -> int:
@@ -239,11 +225,7 @@ class Scheduler:
                 f"{txn_id} is {txn.status}: only a committed or shed "
                 f"transaction can be forgotten"
             )
-        # A done transaction's cached copy count flushes to zero, so
-        # dropping the cache entry afterwards cannot skew the running sum.
-        self._flush_copies()
         del self.transactions[txn_id]
-        self._copies_cache.pop(txn_id, None)
 
     # -- status transitions --------------------------------------------------
 
@@ -261,18 +243,14 @@ class Scheduler:
         one: leave the old place, enter the new (the same place, when a
         READY victim is rolled back)."""
         if was is TxnStatus.READY:
-            at = bisect_left(self._ready_orders, txn.entry_order)
-            del self._ready_orders[at]
-            del self._ready_ids[at]
+            del self._ready[bisect_left(self._ready, txn.txn_id)]
         elif was is TxnStatus.BLOCKED:
             self._blocked -= 1
         else:
             self._live += 1
         now = txn.status
         if now is TxnStatus.READY:
-            at = bisect_left(self._ready_orders, txn.entry_order)
-            self._ready_orders.insert(at, txn.entry_order)
-            self._ready_ids.insert(at, txn.txn_id)
+            insort(self._ready, txn.txn_id)
         elif now is TxnStatus.BLOCKED:
             self._blocked += 1
         else:
@@ -331,8 +309,7 @@ class Scheduler:
             result = StepResult(txn_id, StepOutcome.ADVANCED)
         else:  # pragma: no cover - programs are validated at construction
             raise SimulationError(f"unknown operation {op!r}")
-        self._copies_dirty.add(txn_id)
-        self.metrics.observe_copies(self._flush_copies())
+        self.metrics.observe_copies(self.strategy.copies)
         return result
 
     def run_until_quiescent(self, max_steps: int = 1_000_000) -> None:
@@ -351,7 +328,11 @@ class Scheduler:
         """
         steps = 0
         while not self.all_done:
-            runnable = self.runnable()
+            # Each sweep visits the READY set in registration order.
+            runnable = sorted(
+                self.runnable(),
+                key=lambda txn_id: self.transactions[txn_id].entry_order,
+            )
             if not runnable:
                 raise SimulationError(
                     "no runnable transactions but not all committed: "
@@ -415,7 +396,6 @@ class Scheduler:
                 f"its pending request"
             )
         record.granted = True
-        self._copies_dirty.add(grant.txn)
         self.metrics.bump("locks_granted")
         if self.bus.wants(EventKind.LOCK_GRANT):
             self.bus.publish(
@@ -466,7 +446,6 @@ class Scheduler:
         grants = self.lock_manager.finish(txn.txn_id)
         self.strategy.on_finish(txn)
         self._set_status(txn, TxnStatus.COMMITTED)
-        self._copies_dirty.add(txn.txn_id)
         self.metrics.bump("commits")
         if self.bus.wants(EventKind.TXN_COMMIT):
             self.bus.publish(
@@ -610,7 +589,6 @@ class Scheduler:
         was = txn.status
         txn.apply_rollback(target_ordinal)  # leaves the victim READY
         self._reindex(txn, was)
-        self._copies_dirty.add(txn_id)
         if self.wal is not None:
             self.wal.log_rollback(txn_id, target_ordinal)
         self.metrics.record_rollback(
@@ -651,7 +629,6 @@ class Scheduler:
         grants += self.lock_manager.release_for_rollback(txn.txn_id, held)
         self.strategy.on_finish(txn)
         self._set_status(txn, TxnStatus.SHED)
-        self._copies_dirty.add(txn_id)
         self.preemption_immune.discard(txn_id)
         self.metrics.record_shed(txn_id, reason)
         if self.bus.wants(EventKind.TXN_SHED):
@@ -691,26 +668,9 @@ class Scheduler:
 
     # -- accounting -----------------------------------------------------------
 
-    def _flush_copies(self) -> int:
-        """Running copies total, recounting only touched transactions.
-
-        Equal to :meth:`_copies_total` after every step (asserted by the
-        differential tests); O(transactions touched this step) instead of
-        O(all live transactions).
-        """
-        if self._copies_dirty:
-            cache = self._copies_cache
-            for txn_id in self._copies_dirty:
-                txn = self.transactions[txn_id]
-                count = 0 if txn.done else self.strategy.copies_count(txn)
-                self._copies_sum += count - cache.get(txn_id, 0)
-                cache[txn_id] = count
-            self._copies_dirty.clear()
-        return self._copies_sum
-
     def _copies_total(self) -> int:
-        """From-scratch recount (the oracle :meth:`_flush_copies` must
-        agree with)."""
+        """From-scratch recount (the oracle the strategy's running
+        ``copies`` must agree with)."""
         return sum(
             self.strategy.copies_count(txn)
             for txn in self.transactions.values()

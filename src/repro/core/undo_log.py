@@ -115,6 +115,7 @@ class UndoLogStrategy(RollbackStrategy):
         else:
             kind, payload = _Kind.IMAGE, old_value
             state.images_logged += 1
+            self._count(state, 1)
         state.log.append(
             UndoRecord(txn.lock_count, is_entity, name, kind, payload)
         )

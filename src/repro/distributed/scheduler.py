@@ -237,8 +237,8 @@ class DistributedScheduler(Scheduler):
     def _entities_waited_on(self, txn_id: TxnId) -> set[str]:
         """Entities *txn_id* holds that some transaction currently waits
         for."""
-        waiters = self.lock_manager.table.waits_for.waiters_of(txn_id)
-        return {e for entities in waiters.values() for e in entities}
+        graph = self.lock_manager.table.waits_for
+        return {arc.entity for arc in graph.holds_waited_on(txn_id)}
 
     def _timeout(self, txn: Transaction) -> None:
         """Resolve a suspected invisible global deadlock.

@@ -245,16 +245,23 @@ class ConcurrencyGraph:
         """Arcs on which *holder* is the holding transaction."""
         return {
             WaitArc(holder, waiter, entity)
-            for waiter, entities in self.waiters_of(holder).items()
-            for entity in entities
+            for waiter in self._succ.get(holder, ())
+            for entity in self._pair_labels[holder, waiter]
         }
 
-    def waiters_of(self, holder: TxnId) -> dict[TxnId, set[EntityName]]:
-        """Who waits for *holder*, and over which entities
-        (waiter -> entities; a copy)."""
+    def arcs_among(
+        self, members: set[TxnId]
+    ) -> dict[TxnId, dict[TxnId, list[EntityName]]]:
+        """The arcs between *members*, ``holder -> waiter -> sorted
+        entities``: a copy, read off the live maps in place."""
+        succ, labels = self._succ, self._pair_labels
         return {
-            waiter: set(self._pair_labels[holder, waiter])
-            for waiter in self._succ.get(holder, ())
+            holder: {
+                waiter: sorted(labels[holder, waiter])
+                for waiter in succ.get(holder, ())
+                if waiter in members
+            }
+            for holder in members
         }
 
     def entity_between(self, holder: TxnId, waiter: TxnId) -> set[EntityName]:

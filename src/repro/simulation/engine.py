@@ -84,7 +84,9 @@ class SimulationEngine:
     livelock_window:
         If no commit happens within this many consecutive steps *and*
         rollbacks occurred in that window, the run is classified as
-        livelocked (mutual preemption).  ``0`` disables the check.
+        livelocked (mutual preemption).  On by default, so a livelocked
+        run stops instead of spinning to *max_steps*; ``0`` disables the
+        check.
     stop_on_livelock:
         When True, a detected livelock ends the run with
         ``livelock_detected=True`` instead of raising.
@@ -104,7 +106,7 @@ class SimulationEngine:
         scheduler: Scheduler,
         interleaving: InterleavingPolicy | None = None,
         max_steps: int = 1_000_000,
-        livelock_window: int = 0,
+        livelock_window: int = 20_000,
         stop_on_livelock: bool = True,
         on_step: StepObserver | None = None,
         overload: "OverloadGuard | None" = None,
@@ -119,16 +121,20 @@ class SimulationEngine:
         self.trace = Trace()
         self._pending_arrivals: list[tuple[int, TransactionProgram]] = []
 
-    def _record(
-        self, step: int, result: StepResult, operation: str
-    ) -> TraceEvent:
-        """Record one executed step in the trace and, when a bus sink
-        wants it, publish the same record as a STEP event (the run-wide
-        observability stream), so the trace and every bus subscriber
-        agree by construction.  Both callers advanced the bus clock to
-        *step* before the scheduler stepped.
+    def _step(self, step: int, txn_id: str) -> StepResult:
+        """Step *txn_id* as engine step *step*, record what ran in the
+        trace and, when a bus sink wants it, publish the same record as a
+        STEP event (the run-wide observability stream), so the trace and
+        every bus subscriber agree by construction; then notify
+        ``on_step``.  Both callers advanced the bus clock to *step*
+        first.  The trace keeps the operation itself: its text is
+        rendered only when something reads it.
         """
-        event = self.trace.record(step, result, operation=operation)
+        operation = self.scheduler.transaction(txn_id).current_operation()
+        result = self.scheduler.step(txn_id)
+        event = self.trace.record(
+            step, result, "commit" if operation is None else operation
+        )
         bus = self.scheduler.bus
         if bus.wants(EventKind.STEP):
             bus.publish(
@@ -139,7 +145,9 @@ class SimulationEngine:
                 cycles=event.cycles,
                 actions=event.actions,
             )
-        return event
+        if self.on_step is not None:
+            self.on_step(self, event)
+        return result
 
     def add(self, program: TransactionProgram) -> None:
         """Register one more program before (or during) a run."""
@@ -225,16 +233,8 @@ class SimulationEngine:
             runnable_sum += len(runnable)
             blocked_sum += self.scheduler.blocked_count
             txn_id = self.interleaving.choose(runnable, steps)
-            txn = self.scheduler.transaction(txn_id)
-            operation = txn.current_operation()
-            result = self.scheduler.step(txn_id)
             steps += 1
-            event = self._record(
-                steps, result,
-                operation.describe() if operation else "commit",
-            )
-            if self.on_step is not None:
-                self.on_step(self, event)
+            result = self._step(steps, txn_id)
             if result.outcome is StepOutcome.COMMITTED:
                 last_commit_step = steps
                 rollbacks_at_last_commit = self.scheduler.metrics.rollbacks
@@ -276,17 +276,9 @@ class SimulationEngine:
 
     def step_transaction(self, txn_id: str):
         """Step a specific transaction once (scenario scripting helper)."""
-        txn = self.scheduler.transaction(txn_id)
-        operation = txn.current_operation()
-        self.scheduler.bus.advance(len(self.trace) + 1)
-        result = self.scheduler.step(txn_id)
-        event = self._record(
-            len(self.trace) + 1, result,
-            operation.describe() if operation else "commit",
-        )
-        if self.on_step is not None:
-            self.on_step(self, event)
-        return result
+        step = len(self.trace) + 1
+        self.scheduler.bus.advance(step)
+        return self._step(step, txn_id)
 
     def run_to_block(self, txn_id: str, max_steps: int = 10_000):
         """Step *txn_id* until it blocks, commits, or hits a deadlock.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import random
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 TxnId = str
@@ -22,15 +23,17 @@ class InterleavingPolicy(abc.ABC):
 
     @abc.abstractmethod
     def choose(self, runnable: Sequence[TxnId], step: int) -> TxnId:
-        """Pick one of *runnable* (never empty) for step number *step*."""
+        """Pick one of *runnable* (never empty, in id order, as
+        :meth:`~repro.core.scheduler.Scheduler.runnable` returns it) for
+        step number *step*."""
 
     def reset(self) -> None:
         """Clear any internal state before a fresh run."""
 
 
 class RoundRobin(InterleavingPolicy):
-    """Cycle through transactions in registration order, skipping blocked
-    ones.  Fully deterministic."""
+    """Cycle through transactions in id order, skipping blocked ones.
+    Fully deterministic."""
 
     name = "round-robin"
 
@@ -38,12 +41,11 @@ class RoundRobin(InterleavingPolicy):
         self._last: TxnId | None = None
 
     def choose(self, runnable: Sequence[TxnId], step: int) -> TxnId:
-        ordered = sorted(runnable)
-        if self._last is None:
-            chosen = ordered[0]
-        else:
-            later = [t for t in ordered if t > self._last]
-            chosen = later[0] if later else ordered[0]
+        chosen = runnable[0]
+        if self._last is not None:
+            at = bisect_right(runnable, self._last)
+            if at < len(runnable):
+                chosen = runnable[at]
         self._last = chosen
         return chosen
 
@@ -78,7 +80,7 @@ class RandomInterleaving(InterleavingPolicy):
             self._rng = random.Random(seed)
 
     def choose(self, runnable: Sequence[TxnId], step: int) -> TxnId:
-        return self._rng.choice(sorted(runnable))
+        return self._rng.choice(runnable)
 
     def reset(self) -> None:
         if self._seed is not None:

@@ -2,8 +2,8 @@
 
 Used by the examples to narrate scenarios, by tests to assert on event
 order, and by the benchmarks to report per-run behaviour.  Each step of the
-engine appends one :class:`TraceEvent`; deadlock events carry the
-``Deadlock`` (its cycles enumerated when read) and the rollback actions.
+engine appends one :class:`TraceEvent`: the operation, ``Deadlock`` and
+rollback actions it saw, with text and cycles produced only when read.
 
 The engine records every step here through :meth:`Trace.record`; when
 its scheduler has a live event bus installed it also publishes the
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..core.detection import Deadlock
+from ..core.operations import Operation
 from ..core.scheduler import StepOutcome, StepResult
 
 
@@ -28,9 +29,16 @@ class TraceEvent:
     step: int
     txn_id: str
     outcome: StepOutcome
-    operation: str = ""
+    #: What ran: the :class:`~repro.core.operations.Operation`, or
+    #: ``"commit"``; kept as given and rendered by :attr:`operation`.
+    ran: Operation | str = ""
     deadlock: Deadlock | None = None
     actions: list[str] = field(default_factory=list)
+
+    @property
+    def operation(self) -> str:
+        """The step's text, rendered when read (``Operation.describe``)."""
+        return str(self.ran)
 
     @property
     def cycles(self) -> list[list[str]]:
@@ -38,8 +46,9 @@ class TraceEvent:
 
     def __str__(self) -> str:
         base = f"[{self.step:>5}] {self.txn_id:<6} {self.outcome}"
-        if self.operation:
-            base += f" {self.operation}"
+        operation = self.operation
+        if operation:
+            base += f" {operation}"
         if self.cycles:
             base += f" cycles={self.cycles} actions={self.actions}"
         return base
@@ -52,13 +61,13 @@ class Trace:
         self._events: list[TraceEvent] = []
 
     def record(
-        self, step: int, result: StepResult, operation: str = ""
+        self, step: int, result: StepResult, operation: Operation | str = ""
     ) -> TraceEvent:
         event = TraceEvent(
             step=step,
             txn_id=result.txn_id,
             outcome=result.outcome,
-            operation=operation,
+            ran=operation,
             deadlock=result.deadlock,
         )
         if result.deadlock is not None:

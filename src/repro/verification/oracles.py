@@ -53,13 +53,14 @@ Oracles and their provenance:
     (:attr:`~repro.locking.table.LockTable.waits_for`): after every
     step its arc and vertex sets equal a from-scratch
     :meth:`~repro.locking.table.LockTable.wait_edges` scan, and the
-    scheduler's running copies total equals a full recount.  Any
+    strategy's running copies total equals a full recount.  Any
     divergence means a lock-table mutation path (grant, block, release
     wake-up, rollback cancellation, shed) failed to maintain the live
     graph.  The same recount discipline covers the scheduler's status
     index: the base ``runnable()``, ``blocked_count`` and ``all_done``
-    equal a scan of every transaction's status, so a status written
-    past ``Scheduler._set_status`` is caught at that step.
+    equal a scan of every transaction's status (READY ids in id
+    order), so a status written past ``Scheduler._set_status`` is caught
+    at that step.
 """
 
 from __future__ import annotations
@@ -460,7 +461,7 @@ class GraphConsistencyOracle(Oracle):
                 f"spurious={sorted(live_nodes - rebuilt_nodes)}",
                 event,
             )
-        running = scheduler._flush_copies()
+        running = scheduler.strategy.copies
         recounted = scheduler._copies_total()
         if running != recounted:
             self._fail(
@@ -476,11 +477,11 @@ class GraphConsistencyOracle(Oracle):
             scheduler.all_done,
         )
         scanned = (
-            [
+            sorted(
                 txn_id
                 for txn_id, txn in population.items()
                 if txn.status is TxnStatus.READY
-            ],
+            ),
             sum(
                 txn.status is TxnStatus.BLOCKED
                 for txn in population.values()

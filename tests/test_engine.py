@@ -1,8 +1,14 @@
 """Unit tests for the simulation engine, interleavings, and traces."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro import Database, Scheduler, TransactionProgram, ops
+from repro.analysis.figures import Figure1Scenario
+from repro.core.operations import Operation
 from repro.core.scheduler import StepOutcome
 from repro.errors import SimulationError
 from repro.simulation import (
@@ -11,7 +17,10 @@ from repro.simulation import (
     Scripted,
     SimulationEngine,
     Trace,
+    WorkloadConfig,
+    generate_workload,
 )
+from repro.simulation import interleaving as interleaving_module
 
 
 def make_engine(interleaving=None, n=3, **kwargs):
@@ -180,3 +189,129 @@ class TestLivelockDetection:
         engine = make_engine(livelock_window=10_000)
         result = engine.run()
         assert not result.livelock_detected
+
+    def test_default_window_stops_figure2_livelock(self):
+        """Figure 1's system under unordered min-cost preempts forever: a
+        caller that passes no window gets a flagged result, not a spin to
+        the step budget."""
+        scenario = Figure1Scenario.build()
+        scheduler = Scheduler(scenario.database, policy="min-cost")
+        engine = SimulationEngine(scheduler, max_steps=50_000)
+        for program in scenario.programs.values():
+            engine.add(program)
+        result = engine.run()
+        assert result.livelock_detected and not result.all_committed
+        assert result.steps == 20_021
+
+
+# -- the runnable order contract ----------------------------------------------
+
+#: Unpadded ids sort as T1, T10, ..., T14, T2, ...: id order, registration
+#: order and numeric order all differ.
+OUT_OF_ORDER = WorkloadConfig(
+    n_transactions=14, n_entities=10, locks_per_txn=(2, 4), write_ratio=0.5
+)
+ORDER_STRATEGIES = ("total", "mcs", "single-copy", "undo-log", "k-copy:2")
+
+
+def out_of_order_programs(seed):
+    """The workload under unpadded ids, in a shuffled registration order."""
+    db, programs = generate_workload(OUT_OF_ORDER, seed)
+    programs = [
+        TransactionProgram(f"T{i + 1}", program.operations)
+        for i, program in enumerate(programs)
+    ]
+    random.Random(seed).shuffle(programs)
+    return db, programs
+
+
+def run_record(scheduler, extra=""):
+    """What a run did, as text: metrics, rollbacks and the final state."""
+    return json.dumps(
+        [
+            extra,
+            scheduler.metrics.summary(),
+            [vars(event) for event in scheduler.metrics.rollback_events],
+            scheduler.database.snapshot(),
+        ],
+        sort_keys=True,
+    )
+
+
+def order_contract_digest():
+    digest = hashlib.sha256()
+    for seed in range(2):
+        for strategy in ORDER_STRATEGIES:
+            for driver in ("random", "round-robin", "scripted"):
+                db, programs = out_of_order_programs(seed)
+                interleaving = {
+                    "random": RandomInterleaving(seed),
+                    "round-robin": RoundRobin(),
+                    "scripted": Scripted(
+                        [p.txn_id for p in reversed(programs)] * 3
+                    ),
+                }[driver]
+                scheduler = Scheduler(db, strategy)
+                engine = SimulationEngine(scheduler, interleaving)
+                for position, program in enumerate(programs):
+                    if position % 3 == 2:
+                        engine.add_at(position * 4, program)
+                    else:
+                        engine.add(program)
+                result = engine.run()
+                assert result.all_committed
+                digest.update(
+                    run_record(scheduler, result.trace.fingerprint()).encode()
+                )
+            db, programs = out_of_order_programs(seed)
+            scheduler = Scheduler(db, strategy)
+            for program in programs:
+                scheduler.register(program)
+            scheduler.run_until_quiescent()
+            digest.update(run_record(scheduler).encode())
+    return digest.hexdigest()
+
+
+class TestRunnableOrder:
+    def test_out_of_order_registration_digest(self):
+        """Shuffled registrations of unpadded ids, with dynamic arrivals,
+        under every built-in driver and five strategies: every choice is
+        pinned byte for byte (the digest was taken when the interleavings
+        still sorted a registration-ordered list)."""
+        assert order_contract_digest() == (
+            "1bf1f070ac3e42ed0d3afbc231a7746d67b5d4e6568eeb0e4b63b31832b1d556"
+        )
+
+    @pytest.mark.parametrize("interleaving", [RandomInterleaving(1),
+                                              RoundRobin()])
+    def test_engine_step_sorts_and_renders_nothing(
+        self, monkeypatch, interleaving
+    ):
+        """With no bus sink, a run neither sorts the runnable list nor
+        renders an operation's text: the trace keeps the operation."""
+        calls = {"sorted": 0, "describe": 0}
+
+        def counting_sorted(*args, **kwargs):
+            calls["sorted"] += 1
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(
+            interleaving_module, "sorted", counting_sorted, raising=False
+        )
+        for cls in Operation.__subclasses__():
+            def counting_describe(op, _describe=cls.describe):
+                calls["describe"] += 1
+                return _describe(op)
+
+            monkeypatch.setattr(cls, "describe", counting_describe)
+        db, programs = out_of_order_programs(0)
+        engine = SimulationEngine(Scheduler(db), interleaving)
+        for program in programs:
+            engine.add(program)
+        result = engine.run()
+        assert result.all_committed and result.steps > 100
+        assert calls == {"sorted": 0, "describe": 0}
+        # Reading the text renders it, and it is what describe() says.
+        event = result.trace.events()[0]
+        assert event.operation == event.ran.describe()
+        assert calls["describe"] == 2

@@ -1,9 +1,13 @@
-"""The scheduler's status index: ready list, blocked count, live count.
+"""The scheduler's status index and the strategy's copies books.
 
-``Scheduler`` keeps the READY ids (in registration order), the BLOCKED
-count and the not-done count at the status transitions it owns, so an
-engine step costs what its one lock request costs instead of three
-scans of the population.  Two kinds of evidence:
+``Scheduler`` keeps the READY ids (in id order, the order every
+interleaving picks from), the BLOCKED count and the not-done count at
+the status transitions it owns, so an engine step costs what its one
+lock request costs instead of three scans of the population.  The
+rollback strategy likewise books its stored copies where cells change,
+so ``copies_peak`` needs no recount per step; ``TestCopiesBooks`` holds
+the books to a from-scratch recount after every step.  Two kinds of
+evidence for the index:
 
 * cost — a counting ``dict`` in place of ``scheduler.transactions``
   shows whole-population iterations during ``engine.run()`` stay within
@@ -18,6 +22,7 @@ scans of the population.  Two kinds of evidence:
   schedulers.
 """
 
+import itertools
 import random
 
 import pytest
@@ -27,12 +32,13 @@ from repro.admission import OverloadConfig, overload_run
 from repro.baselines.no_wait import NoWaitScheduler
 from repro.baselines.preclaim import PreclaimScheduler
 from repro.core.detection import DeadlockDetector
+from repro.core.operations import Lock
 from repro.core.scheduler import Scheduler, StepOutcome
 from repro.core.transaction import TransactionProgram, TxnStatus
 from repro.distributed import ReplicatedScheduler, hash_view
 from repro.distributed.partition import round_robin_partition
 from repro.distributed.scheduler import DistributedScheduler
-from repro.errors import SimulationError
+from repro.errors import SimulationError, StorageFault
 from repro.resilience import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.simulation import (
     RandomInterleaving,
@@ -62,7 +68,7 @@ def scan(scheduler):
     """(runnable, blocked, all_done) recomputed from the population."""
     population = scheduler.transactions
     return (
-        [t for t, txn in population.items() if txn.status is READY],
+        sorted(t for t, txn in population.items() if txn.status is READY),
         sum(txn.status is BLOCKED for txn in population.values()),
         all(txn.done for txn in population.values()),
     )
@@ -177,14 +183,16 @@ class TestNoPopulationScanPerStep:
 
 class TestRunnableContract:
     def test_fresh_list_in_registration_order(self):
+        """Whatever the registration order, the list is in id order: the
+        order every interleaving picks from."""
         scheduler = Scheduler(Database({"a": 0}))
         for name in ("T3", "T1", "T2"):  # ids out of sort order on purpose
             scheduler.register(
                 TransactionProgram(name, [ops.lock_exclusive("a")])
             )
-        assert scheduler.runnable() == ["T3", "T1", "T2"]
+        assert scheduler.runnable() == ["T1", "T2", "T3"]
         scheduler.runnable().clear()  # a copy: the index is untouched
-        assert scheduler.runnable() == ["T3", "T1", "T2"]
+        assert scheduler.runnable() == ["T1", "T2", "T3"]
         scheduler.step("T3")
         assert scheduler.step("T1").outcome is StepOutcome.BLOCKED
         assert scheduler.step("T2").outcome is StepOutcome.BLOCKED
@@ -192,12 +200,11 @@ class TestRunnableContract:
         assert scheduler.blocked_count == 2
         scheduler.shed("T3")
         assert scheduler.runnable() == ["T1"]
-        # T2 wakes after T0 registered but was registered before it: the
-        # order is registration order, where a dict ordered by
-        # became-ready time would say ["T0", "T2"].
+        # T2 wakes after T0 registered: neither registration order nor
+        # became-ready order, only the ids decide.
         scheduler.register(TransactionProgram("T0", []))
         scheduler.shed("T1")
-        assert scheduler.runnable() == ["T2", "T0"]
+        assert scheduler.runnable() == ["T0", "T2"]
         assert index(scheduler) == scan(scheduler)
         assert not scheduler.all_done
 
@@ -374,8 +381,7 @@ class TestForget:
             scheduler.step("T1")
         scheduler.forget("T1")
         assert scheduler.transactions == {}
-        assert scheduler._copies_cache == {}
-        assert scheduler._flush_copies() == scheduler._copies_total() == 0
+        assert scheduler.strategy.copies == scheduler._copies_total() == 0
         assert index(scheduler) == scan(scheduler) == ([], 0, True)
 
     def test_forgetting_keeps_the_running_copies_sum(self):
@@ -383,5 +389,121 @@ class TestForget:
         while not scheduler.transaction("T1").done:
             scheduler.step("T1")
         scheduler.step("T2")  # holds a copy of "a" now
-        scheduler.forget("T1")  # its unflushed count must not leak
-        assert scheduler._flush_copies() == scheduler._copies_total() > 0
+        scheduler.forget("T1")  # its books closed at commit
+        assert scheduler.strategy.copies == scheduler._copies_total() > 0
+
+
+# -- the copies books --------------------------------------------------------
+
+
+BOOKS_STRATEGIES = (
+    "total", "mcs", "single-copy", "undo-log",
+    "k-copy:0", "k-copy:1", "k-copy:2", "k-copy:inf",
+)
+#: Shared locks, writes scattered over later lock states (k-copy
+#: retention) and explicit unlocks.
+SCATTERED = WorkloadConfig(
+    n_transactions=12, n_entities=8, locks_per_txn=(2, 4),
+    write_ratio=0.6, clustered_writes=False, explicit_unlocks=True,
+)
+#: Every lock, then the last-lock declaration, then the updates.
+THREE_PHASE = WorkloadConfig(
+    n_transactions=12, n_entities=8, locks_per_txn=(2, 4),
+    write_ratio=0.6, three_phase=True,
+)
+
+
+def with_local_writes(program):
+    """*program* plus a non-invertible local write after every lock, so
+    the undo log keeps before-images and k-copy retains local values."""
+    operations = []
+    for op in program.operations:
+        operations.append(op)
+        if isinstance(op, Lock):
+            operations.append(
+                ops.assign("acc", ops.var("acc") * ops.const(2))
+            )
+    return TransactionProgram(
+        program.txn_id, operations, initial_locals={"acc": 1}
+    )
+
+
+def fail_every_third_restore(strategy):
+    """The strategy's restore raises after changing the cells on every
+    third rollback: the scheduler degrades that victim to a restart from
+    a half-restored store whose cells no longer match its books."""
+    restore, calls = strategy._restore, itertools.count(1)
+
+    def flaky(txn, state, ordinal):
+        restore(txn, state, ordinal)
+        if next(calls) % 3 == 0:
+            raise StorageFault("restore failed after changing the cells")
+
+    strategy._restore = flaky
+
+
+class Books:
+    """StepObserver: the running copies total equals a recount after
+    every step.  Also sheds the highest live id every ``shed_every``
+    steps and forgets every finished transaction."""
+
+    def __init__(self, scheduler, shed_every=0):
+        self.scheduler = scheduler
+        self.shed_every = shed_every
+        self.checks = 0
+
+    def check(self):
+        assert self.scheduler.strategy.copies == (
+            self.scheduler._copies_total()
+        )
+        self.checks += 1
+
+    def __call__(self, engine, event):
+        self.check()
+        scheduler = self.scheduler
+        if self.shed_every and event.step % self.shed_every == 0:
+            live = [t for t, txn in scheduler.transactions.items()
+                    if not txn.done]
+            if live:
+                scheduler.shed(max(live))
+                self.check()
+        for txn_id in [t for t, txn in scheduler.transactions.items()
+                       if txn.done]:
+            scheduler.forget(txn_id)
+        self.check()
+
+
+class TestCopiesBooks:
+    @pytest.mark.parametrize("strategy", BOOKS_STRATEGIES)
+    def test_books_equal_recount_after_every_step(self, strategy):
+        degraded = 0
+        for config, seed in ((SCATTERED, 1), (THREE_PHASE, 2)):
+            db, programs = generate_workload(config, seed)
+            scheduler = Scheduler(db, strategy)
+            fail_every_third_restore(scheduler.strategy)
+            books = Books(scheduler, shed_every=37)
+            engine = engine_for(
+                scheduler, map(with_local_writes, programs), seed,
+                arrivals=True, on_step=books,
+            )
+            result = engine.run()
+            assert books.checks > 2 * result.steps
+            assert result.metrics.shed and result.metrics.rollbacks
+            assert scheduler.transactions == {}
+            assert scheduler.strategy.copies == 0
+            degraded += result.metrics.degraded_restarts
+        # Total restart is what a fault degrades *to*: it never restores.
+        assert (degraded > 0) == (strategy != "total")
+
+    @pytest.mark.parametrize("strategy", BOOKS_STRATEGIES)
+    def test_preclaim_admission(self, strategy):
+        db, programs = generate_workload(HOT_SX, seed=6)
+        scheduler = PreclaimScheduler(db, strategy=strategy)
+        books = Books(scheduler)
+        engine = engine_for(
+            scheduler, map(with_local_writes, programs), seed=15,
+            on_step=books,
+        )
+        result = engine.run()
+        assert result.metrics.commits == HOT_SX.n_transactions
+        assert books.checks == 2 * result.steps

@@ -277,7 +277,7 @@ class TestOracleSensitivity:
 
     def test_graph_consistency_fires_on_stale_copies_sum(self):
         s = _bare_scheduler()
-        s._copies_sum += 7  # desync the running total from the recount
+        s.strategy.copies += 7  # desync the running total from the recount
         with pytest.raises(OracleViolation) as exc:
             GraphConsistencyOracle().check(s, _event())
         assert "copies" in str(exc.value)
