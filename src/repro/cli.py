@@ -578,22 +578,18 @@ def cmd_lint(args) -> int:
         if args.predict:
             reports.extend(
                 predict_corpus(
-                    args.corpus,
-                    max_cycle_length=args.max_cycle_length,
-                    method=args.method,
+                    args.corpus, max_cycle_length=args.max_cycle_length
                 )
             )
         for journal in args.journal or ():
             reports.append(
                 predict_journal(
-                    journal,
-                    max_cycle_length=args.max_cycle_length,
-                    method=args.method,
+                    journal, max_cycle_length=args.max_cycle_length
                 )
             )
         for pred in reports:
             segments = (
-                f", {pred.segments} boot segment(s)"
+                f" [{pred.segments} boot segment(s)]"
                 if pred.segments > 1
                 else ""
             )
@@ -601,8 +597,8 @@ def cmd_lint(args) -> int:
                 f"{pred.case_path}: {pred.acquisitions} acquisitions, "
                 f"{pred.edges} lock-order edges, "
                 f"{pred.trace_deadlocks} deadlock(s) in the recorded "
-                f"trace, {len(pred.predicted)} predicted cycle(s) "
-                f"[{pred.method}{segments}]"
+                f"trace, {len(pred.predicted)} predicted cycle(s)"
+                f"{segments}"
             )
             for deadlock in pred.predicted:
                 print(f"  {deadlock.describe()}")
@@ -631,7 +627,7 @@ def cmd_trace(args) -> int:
     )
     from .observability.scenarios import record_scenario
     from .observability.spans import build_spans, validate_spans
-    from .observability.timeseries import build_timeseries
+    from .observability.streaming import StreamingAggregator
 
     if args.smoke:
         # CI gate: record the scenario twice from the same seed and
@@ -693,7 +689,10 @@ def cmd_trace(args) -> int:
         )
     else:
         spans = build_spans(events)
-        series = build_timeseries(events)
+        aggregator = StreamingAggregator()
+        for event in events:
+            aggregator(event)
+        series = aggregator.timeseries_obj()
         lines = [f"scenario             {args.scenario}"]
         for key, value in context.items():
             if key in ("scenario", "metrics"):
@@ -704,9 +703,9 @@ def cmd_trace(args) -> int:
             f"spans                {len(spans)}",
             f"graph snapshots      {len(graph_snapshots(events))}",
             f"block p50/p99        "
-            f"{series.p50_block}/{series.p99_block} steps",
+            f"{series['block_p50']}/{series['block_p99']} steps",
             f"peak active/blocked  "
-            f"{series.peak('active')}/{series.peak('blocked')}",
+            f"{series['peak_active']}/{series['peak_blocked']}",
             f"fingerprint          {fingerprint(events)}",
         ]
         payload = "\n".join(lines) + "\n"
@@ -718,40 +717,12 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _render_live_metrics(metrics: dict) -> str:
-    """Human rendering of one ``metrics`` verb snapshot."""
-    lines = [
-        f"server step          {metrics.get('step', 0)}",
-        f"events folded        {metrics.get('events', 0)}",
-        f"active/blocked       "
-        f"{metrics.get('active', 0)}/{metrics.get('blocked', 0)}",
-        f"commits/rollbacks    "
-        f"{metrics.get('commits', 0)}/{metrics.get('rollbacks', 0)}",
-        f"sheds/deadlocks      "
-        f"{metrics.get('sheds', 0)}/{metrics.get('deadlocks', 0)}",
-        f"states lost          {metrics.get('states_lost', 0)}",
-        f"block p50/p99        "
-        f"{metrics.get('block_p50', 0)}/{metrics.get('block_p99', 0)} "
-        f"steps",
-    ]
-    hot = ", ".join(
-        f"{entity}={count}"
-        for entity, count in metrics.get("hot_entities", [])
-    )
-    victims = ", ".join(
-        f"{txn}={count}"
-        for txn, count in metrics.get("rollback_victims", [])
-    )
-    lines.append(f"hot entities         {hot or '-'}")
-    lines.append(f"rollback victims     {victims or '-'}")
-    return "\n".join(lines)
-
-
 def _cmd_top_follow(args) -> int:
     """Poll a running server's ``metrics`` verb and render it live."""
     import json
     import time as _time
 
+    from .observability.top import render_top, report_from_metrics
     from .service.client import ServiceClient
 
     if not args.connect:
@@ -776,8 +747,8 @@ def _cmd_top_follow(args) -> int:
             if args.json:
                 print(json.dumps(metrics, sort_keys=True))
             else:
-                print(f"-- poll {iteration} --")
-                print(_render_live_metrics(metrics))
+                print(render_top(report_from_metrics(metrics, args.limit)))
+                print()
             if args.iterations and iteration >= args.iterations:
                 return 0
             _time.sleep(args.interval)
@@ -1263,20 +1234,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "reachable in alternate interleavings")
     p_lint.add_argument("--corpus", default="tests/regressions",
                         help="regression-case directory for --predict")
-    p_lint.add_argument("--method",
-                        choices=("partial-order", "gate-lock"),
-                        default="partial-order",
-                        help="feasibility model: the sound partial-order "
-                             "closure (vector clocks, depth 4) or the "
-                             "legacy gate-lock heuristic (depth 3)")
     p_lint.add_argument("--journal", action="append", default=None,
                         metavar="JSONL",
                         help="also predict from this service journal "
                              "(repeatable; boot segments become "
                              "happens-before barriers)")
-    p_lint.add_argument("--max-cycle-length", type=int, default=None,
-                        help="largest predicted cycle to search for "
-                             "(default: 4 partial-order, 3 gate-lock)")
+    p_lint.add_argument("--max-cycle-length", type=int, default=4,
+                        help="largest predicted cycle to search for")
     p_lint.set_defaults(fn=cmd_lint)
 
     p_advise = sub.add_parser(

@@ -3,7 +3,7 @@
 Only the event-bus primitives are re-exported here — every core module
 imports them (``from ..observability.events import ...``), and anything
 heavier would create import cycles back into the layers that publish.
-Consumers (recorder, spans, time series, exporters, scenarios) are
+Consumers (recorder, spans, streaming aggregator, exporters, scenarios) are
 imported by their full module path, typically lazily from the CLI.
 """
 

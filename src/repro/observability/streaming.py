@@ -1,20 +1,19 @@
 """Bounded-memory streaming telemetry over the event bus.
 
-The batch consumers (:func:`~repro.observability.timeseries.build_timeseries`,
-:func:`~repro.observability.top.build_top`) need the full recorded event
-list — fine for a scenario, impossible for a 10^6-step run or a live
-server.  :class:`StreamingAggregator` is an ordinary bus sink that folds
-the stream as it happens and retains **no raw events**:
+:class:`StreamingAggregator` is the one fold of the event stream into
+windows, block percentiles, top-K lists and run counters.  It is an
+ordinary bus sink that folds the stream as it happens and retains **no
+raw events**, so the same code serves a live server (the ``metrics``
+verb, ``/metrics``, ``repro top --follow``) and a recorded list fed
+through it (``repro top``, ``repro trace --format summary``):
 
-* the windowed time series is replicated *exactly* — the incremental fold
-  is line-for-line the batch fold, so the ``windows`` list is
-  byte-identical to ``build_timeseries`` on the same stream (the
-  differential tests in ``tests/test_streaming.py`` pin this);
+* windowed gauges (active, blocked, waits-for edges) are sampled at each
+  window close, with rollbacks, states lost and commits as per-window
+  deltas (``tests/test_streaming.py`` checks every window against a
+  direct scan of the raw list);
 * block-duration percentiles come from a :class:`LogHistogram` — a
-  log2-bucketed counting sketch whose state is itself reproducible from
-  the batch ``block_durations`` list, so streaming p50/p99 equal the
-  batch-histogram quantiles exactly (reported values are bucket upper
-  bounds, within 2x of the exact nearest rank);
+  log2-bucketed counting sketch whose p50/p99 are nearest-rank over
+  bucket upper bounds, within 2x of the exact durations;
 * hottest entities and rollback victims use :class:`SpaceSavingTopK`
   (Metwally et al. heavy hitters) — exact whenever the number of
   distinct keys fits the capacity, bounded-error otherwise;
@@ -37,11 +36,10 @@ bus clock, so they stay byte-identical to a fold of the full stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import asdict, dataclass
+from typing import Any
 
 from .events import Event, EventBus, EventKind
-from .timeseries import TimeSeries, WindowSample, build_timeseries
 
 #: The kinds :meth:`StreamingAggregator.__call__` reads.
 FOLDED_KINDS = frozenset({
@@ -66,8 +64,8 @@ class LogHistogram:
     Value ``v`` lands in bucket ``v.bit_length()`` (0 stays in bucket 0),
     so bucket ``b >= 1`` covers ``[2^(b-1), 2^b - 1]`` and at most
     ``bit_length(max_value) + 1`` buckets ever exist.  Quantiles use the
-    nearest-rank rule of :func:`~repro.observability.timeseries.percentile`
-    over bucket upper bounds: exact for 0/1 durations, within 2x above.
+    nearest-rank rule over bucket upper bounds: exact for 0/1 durations,
+    within 2x above.
     """
 
     __slots__ = ("buckets", "count")
@@ -80,13 +78,6 @@ class LogHistogram:
         bucket = value.bit_length() if value > 0 else 0
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.count += 1
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "LogHistogram":
-        histogram = cls()
-        for value in values:
-            histogram.add(value)
-        return histogram
 
     def copy(self) -> "LogHistogram":
         clone = LogHistogram()
@@ -190,33 +181,21 @@ class SiteGauges:
         }
 
 
-def batch_reference(
-    events: Iterable[Event], window_steps: int = 50
-) -> dict[str, Any]:
-    """The batch-side object :meth:`StreamingAggregator.timeseries_obj`
-    must reproduce byte-for-byte (the differential-test contract).
+@dataclass
+class WindowSample:
+    """Gauges and per-window deltas at the close of one window."""
 
-    Windows and gauge peaks come straight from
-    :func:`~repro.observability.timeseries.build_timeseries`; the
-    percentiles are routed through the same :class:`LogHistogram` the
-    streaming side keeps, built here from the batch duration list.
-    """
-    series = build_timeseries(events, window_steps=window_steps)
-    return reference_from_series(series)
+    window: int
+    step: int
+    active: int
+    blocked: int
+    wf_edges: int
+    rollbacks: int
+    states_lost: int
+    commits: int
 
-
-def reference_from_series(series: TimeSeries) -> dict[str, Any]:
-    histogram = LogHistogram.from_values(series.block_durations)
-    return {
-        "window_steps": series.window_steps,
-        "windows": [sample.to_obj() for sample in series.samples],
-        "block_p50": histogram.quantile(0.50),
-        "block_p99": histogram.quantile(0.99),
-        "block_count": histogram.count,
-        "peak_active": series.peak("active"),
-        "peak_blocked": series.peak("blocked"),
-        "peak_wf_edges": series.peak("wf_edges"),
-    }
+    def to_obj(self) -> dict[str, int]:
+        return asdict(self)
 
 
 class StreamingAggregator:
@@ -229,11 +208,11 @@ class StreamingAggregator:
     snapshots catch up the event count, the last step and the window
     closes from that bus's clock (see the module docstring).
 
-    The windowed fold is an exact incremental replica of
-    :func:`~repro.observability.timeseries.build_timeseries`: same
-    window-close loop, same done-guard, same end-of-run finalization
-    (performed non-destructively by the snapshot methods, so the
-    aggregator can be read live and keep streaming).
+    A window closes when the first event at or past its end arrives; the
+    window in flight and blocks still open are accounted at the last
+    step by the snapshot methods, non-destructively, so the aggregator
+    can be read live and keep streaming.  A transaction that committed
+    or was shed is never re-activated by a later event naming it.
     """
 
     def __init__(
@@ -259,8 +238,6 @@ class StreamingAggregator:
         self.states_lost = 0
         #: Transactions seen committed or shed, forgotten ones included.
         self.done = 0
-        # The incremental fold state — field for field the locals of
-        # build_timeseries, so the two stay trivially diffable.
         self._active: set[str] = set()
         self._done: set[str] = set()
         self._blocked_since: dict[str, int] = {}
@@ -270,6 +247,7 @@ class StreamingAggregator:
         self._win_states_lost = 0
         self._win_commits = 0
         self._last_step = 0
+        self._last_commit_step = 0
         self._any_events = False
         self._bus = bus
         if bus is not None:
@@ -342,6 +320,7 @@ class StreamingAggregator:
         if kind is EventKind.TXN_COMMIT:
             self._win_commits += 1
             self.commits += 1
+            self._last_commit_step = event.step
 
     def _advance_to(self, step: int) -> None:
         """Close every window that ends before *step*."""
@@ -408,7 +387,7 @@ class StreamingAggregator:
         return histogram
 
     def timeseries_obj(self) -> dict[str, Any]:
-        """Byte-identical to :func:`batch_reference` on the same stream."""
+        """Every window, block p50/p99 and the gauge peaks."""
         samples = self._final_samples()
         histogram = self._final_histogram()
 
@@ -447,6 +426,7 @@ class StreamingAggregator:
             "sheds": self.sheds,
             "deadlocks": self.deadlocks,
             "states_lost": self.states_lost,
+            "steps_since_commit": self._last_step - self._last_commit_step,
             "block_p50": histogram.quantile(0.50),
             "block_p99": histogram.quantile(0.99),
             "block_histogram": histogram.to_obj(),
@@ -504,6 +484,8 @@ def render_prometheus(metrics: dict[str, Any], prefix: str = "repro") -> str:
         lines.append(f"{family(name, 'counter', help_text)} {value}")
     for name, key, help_text in (
         ("step", "step", "Logical step of the last folded event"),
+        ("steps_since_commit", "steps_since_commit",
+         "Logical steps since the last commit"),
         ("active", "active", "Live transactions"),
         ("blocked", "blocked", "Transactions blocked on a lock"),
         ("block_steps_p50", "block_p50",

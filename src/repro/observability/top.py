@@ -1,21 +1,26 @@
-"""``repro top``: a text dashboard computed from the event stream.
+"""``repro top``: a text dashboard over the event stream.
 
-Given a recorded run and a step of interest, the dashboard shows what an
-operator would want on one screen: the hottest entities, the
-longest-blocked transactions, the worst rollback victims, and the state
-of the admission / watchdog / breaker machinery as of that step.  Pure
-function of the events — replayable from a JSONL export.
+One screen of what an operator wants: run counters, block-duration
+percentiles, steps since the last commit, the hottest entities and the
+worst rollback victims.  All of these come from the one fold,
+:class:`~repro.observability.streaming.StreamingAggregator`: a live
+server's ``metrics`` verb is a snapshot of it, and :func:`build_top`
+feeds it a recorded prefix, so :func:`report_from_metrics` reads either
+and :func:`render_top` draws both.  A recorded run adds what only the
+raw events carry — the longest-blocked transactions and the state of the
+admission / immunity / breaker / deadline machinery — and stays a pure
+function of the events, replayable from a JSONL export.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .events import Event, EventKind
 from .spans import BLOCKED, build_spans
-from .timeseries import build_timeseries
+from .streaming import StreamingAggregator
 
 
 @dataclass
@@ -25,7 +30,8 @@ class TopReport:
     at: int
     hottest_entities: list[tuple[str, int]]
     longest_blocked: list[tuple[str, int, str]]
-    rollback_victims: list[tuple[str, int, int]]
+    #: ``(txn, rollbacks, states lost)``; a live report has no states lost.
+    rollback_victims: list[tuple[Any, ...]]
     active: int
     blocked: int
     commits: int
@@ -38,6 +44,10 @@ class TopReport:
     deadline_rungs: Counter = field(default_factory=Counter)
     block_p50: int = 0
     block_p99: int = 0
+    steps_since_commit: int = 0
+    #: Read from a ``metrics`` snapshot, which carries no spans, no
+    #: immunity holder and no states lost per victim.
+    live: bool = False
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -57,7 +67,32 @@ class TopReport:
             "deadline_rungs": dict(sorted(self.deadline_rungs.items())),
             "block_p50": self.block_p50,
             "block_p99": self.block_p99,
+            "steps_since_commit": self.steps_since_commit,
         }
+
+
+def report_from_metrics(metrics: dict[str, Any], limit: int = 5) -> TopReport:
+    """The dashboard as far as one ``metrics_obj`` snapshot carries it."""
+    return TopReport(
+        at=metrics["step"],
+        hottest_entities=[tuple(e) for e in metrics["hot_entities"][:limit]],
+        longest_blocked=[],
+        rollback_victims=[
+            tuple(v) for v in metrics["rollback_victims"][:limit]
+        ],
+        active=metrics["active"],
+        blocked=metrics["blocked"],
+        commits=metrics["commits"],
+        sheds=metrics["sheds"],
+        deadlocks=metrics["deadlocks"],
+        admission_window=None,
+        admission_queue=0,
+        immunity_holder=None,
+        block_p50=metrics["block_p50"],
+        block_p99=metrics["block_p99"],
+        steps_since_commit=metrics["steps_since_commit"],
+        live=True,
+    )
 
 
 def build_top(
@@ -68,36 +103,17 @@ def build_top(
         at = max((event.step for event in events), default=0)
     window = [event for event in events if event.step <= at]
 
-    hot: Counter = Counter()
-    victims: Counter = Counter()
-    states_lost: Counter = Counter()
-    active: set[str] = set()
-    done: set[str] = set()
-    commits = 0
-    sheds = 0
-    deadlocks = 0
+    # No more distinct keys than events, so the top-K counts are exact.
+    aggregator = StreamingAggregator(capacity=max(1, len(window)))
     admission_window: int | None = None
     admission_queue = 0
     immunity_holder: str | None = None
     breaker_states: dict[str, str] = {}
     rungs: Counter = Counter()
     for event in window:
+        aggregator(event)
         kind = event.kind
-        if kind is EventKind.LOCK_BLOCK:
-            hot[str(event.data.get("entity", "?"))] += 1
-        elif kind is EventKind.ROLLBACK:
-            victims[event.txn] += 1
-            lost = event.data.get("states_lost", 0)
-            states_lost[event.txn] += int(lost) if isinstance(lost, int) else 0
-        elif kind is EventKind.TXN_ADMIT or kind is EventKind.STEP:
-            # The engine's STEP event lands after any TXN_COMMIT published
-            # inside the same scheduler step, so a terminated transaction
-            # must not be re-activated by its own final step.
-            if event.txn and event.txn not in done:
-                active.add(event.txn)
-        elif kind is EventKind.DEADLOCK:
-            deadlocks += 1
-        elif kind is EventKind.ADMISSION_WINDOW:
+        if kind is EventKind.ADMISSION_WINDOW:
             value = event.data.get("window")
             admission_window = int(value) if isinstance(value, int) else None
         elif kind is EventKind.ADMISSION_SUBMIT:
@@ -115,14 +131,6 @@ def build_top(
             )
         elif kind is EventKind.DEADLINE_RUNG:
             rungs[f"rung-{event.data.get('rung', '?')}"] += 1
-        if kind is EventKind.TXN_COMMIT:
-            commits += 1
-            active.discard(event.txn)
-            done.add(event.txn)
-        elif kind is EventKind.TXN_SHED:
-            sheds += 1
-            active.discard(event.txn)
-            done.add(event.txn)
 
     spans = build_spans(window)
     blocked_now = 0
@@ -138,27 +146,23 @@ def build_top(
             longest.append((txn, end - interval.start, interval.cause))
     longest.sort(key=lambda item: (-item[1], item[0]))
 
-    series = build_timeseries(window)
-    return TopReport(
+    report = report_from_metrics(aggregator.metrics_obj(limit), limit)
+    lost = aggregator.states_lost_by_victim.counts
+    return replace(
+        report,
         at=at,
-        hottest_entities=hot.most_common(limit),
         longest_blocked=longest[:limit],
         rollback_victims=[
-            (txn, count, states_lost[txn])
-            for txn, count in victims.most_common(limit)
+            (txn, count, lost.get(txn, 0))
+            for txn, count in report.rollback_victims
         ],
-        active=len(active),
         blocked=blocked_now,
-        commits=commits,
-        sheds=sheds,
-        deadlocks=deadlocks,
         admission_window=admission_window,
         admission_queue=admission_queue,
         immunity_holder=immunity_holder,
         breaker_states=breaker_states,
         deadline_rungs=rungs,
-        block_p50=series.p50_block,
-        block_p99=series.p99_block,
+        live=False,
     )
 
 
@@ -171,15 +175,17 @@ def render_top(report: TopReport) -> str:
         f"commits {report.commits:>4}   shed {report.sheds:>3}   "
         f"deadlocks {report.deadlocks:>4}",
         f"block p50/p99        {report.block_p50}/{report.block_p99} steps",
+        f"steps since commit   {report.steps_since_commit}",
     ]
     if report.admission_window is not None:
         lines.append(
             f"admission window     {report.admission_window} "
             f"(queue ~{report.admission_queue})"
         )
-    lines.append(
-        f"immunity holder      {report.immunity_holder or '(none)'}"
-    )
+    if not report.live:
+        lines.append(
+            f"immunity holder      {report.immunity_holder or '(none)'}"
+        )
     if report.breaker_states:
         states = ", ".join(
             f"site {site}: {state}"
@@ -196,16 +202,21 @@ def render_top(report: TopReport) -> str:
     lines.append("hottest entities (blocks)")
     for entity, count in report.hottest_entities or [("(none)", 0)]:
         lines.append(f"  {entity:<12} {count:>6}")
-    lines.append("longest blocked (txn, steps, entity)")
-    if report.longest_blocked:
+    if not report.live:
+        lines.append("longest blocked (txn, steps, entity)")
         for txn, duration, entity in report.longest_blocked:
             lines.append(f"  {txn:<8} {duration:>6}  on {entity}")
-    else:
-        lines.append("  (none)")
-    lines.append("rollback victims (txn, rollbacks, states lost)")
-    if report.rollback_victims:
-        for txn, count, lost in report.rollback_victims:
-            lines.append(f"  {txn:<8} {count:>6}  {lost:>6}")
-    else:
+        if not report.longest_blocked:
+            lines.append("  (none)")
+    lines.append(
+        "rollback victims (txn, rollbacks)"
+        if report.live
+        else "rollback victims (txn, rollbacks, states lost)"
+    )
+    for txn, count, *lost in report.rollback_victims:
+        lines.append(
+            f"  {txn:<8} {count:>6}" + "".join(f"  {n:>6}" for n in lost)
+        )
+    if not report.rollback_victims:
         lines.append("  (none)")
     return "\n".join(lines)

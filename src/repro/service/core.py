@@ -165,8 +165,9 @@ class ServiceCore:
         #: streams from the first event.
         self.telemetry = StreamingAggregator(bus=self.bus)
         # The boot marker: everything replay needs to reconstruct this
-        # core — initial state, config, and (after a crash) the recovery
-        # seeds.  Replay splits the journal into segments at these.
+        # core — initial state, config, whether a WAL publishes into the
+        # stream, and (after a crash) the recovery seeds.  Replay splits
+        # the journal into segments at these.
         if self.bus.wants(EventKind.SERVICE_RECOVER):
             self.bus.publish(
                 EventKind.SERVICE_RECOVER,
@@ -176,6 +177,7 @@ class ServiceCore:
                 state=self.database.snapshot(),
                 config=asdict(self.config),
                 dedup=dict(self._dedup),
+                **({"wal": True} if wal is not None else {}),
             )
 
     # -- bus observation -----------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Iterable
 
 from ..observability.events import Event, EventKind
 from ..observability.export import read_events_jsonl
+from ..resilience.wal import WriteAheadLog
 from ..storage.database import Database
 from .core import ServiceConfig, ServiceCore
 
@@ -75,9 +76,14 @@ def replay_journal(events: Iterable[Event]) -> list[Event]:
                 if data.get("recovered")
                 else None
             )
+            state = dict(data.get("state", {}))
             core = ServiceCore(
-                Database(dict(data.get("state", {}))),
+                Database(state),
                 config=config,
+                # A live WAL publishes its appends into the stream (the
+                # ``metrics`` verb counts them); an in-memory one here
+                # publishes the same.  Markers without the key had none.
+                wal=WriteAheadLog(state) if data.get("wal") else None,
                 recovered_committed=recovered,
                 txn_counter_start=int(data.get("txn_counter", 0)),
                 dedup_seed=dict(data.get("dedup", {})),

@@ -47,7 +47,6 @@ from .framework import (
     run_lint,
 )
 from .predict import (
-    METHODS,
     LockEdge,
     LockOrderGraph,
     PredictedDeadlock,
@@ -68,7 +67,6 @@ from .workload import (
 )
 
 __all__ = [
-    "METHODS",
     "AbstractLockEvent",
     "Checker",
     "Finding",

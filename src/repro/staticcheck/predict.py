@@ -18,7 +18,7 @@ refinements, PAPERS.md), this module
 2. builds the **lock-order graph** — an arc ``e1 -> e2`` whenever some
    transaction acquired ``e2`` while holding ``e1`` — and enumerates
    its cycles with one transaction per arc;
-3. applies the **predictive closure's feasibility check**: a cycle is
+3. applies the **partial-order feasibility check**: a cycle is
    reported only if its blocking acquisitions are pairwise *concurrent*
    under the partial order (vector clocks — a crash barrier between two
    acquisitions makes their reordering unreal), no two participants
@@ -37,19 +37,9 @@ to each blocking point, which makes the pairwise feasibility check
 exact and the serial-prefix witness complete *for this program class*:
 every feasible cycle is realizable, so ``repro lint --predict`` fails
 if any feasible prediction cannot be confirmed (that would mean the
-closure over-approximated).
-
-Two selectable methods (``method=`` on every entry point):
-
-``partial-order``
-    The sound closure above; default search depth 4 arcs.
-``gate-lock``
-    The legacy heuristic this repo shipped first: same guard and
-    mode-conflict tests but no vector clocks and a depth-3 default.
-    Kept as the baseline the regression suite compares against — the
-    partial-order method must find a superset of its confirmed
-    witnesses (see ``tests/regressions/clean_ring4_seed131_serial.json``
-    for a 4-ring it provably misses).
+closure over-approximated).  The default search depth is 4 arcs, deep
+enough for the 4-ring in
+``tests/regressions/clean_ring4_seed131_serial.json``.
 
 A confirmed cycle whose transaction set never deadlocked in the
 original trace is an **alternate-interleaving deadlock** — the run was
@@ -76,21 +66,6 @@ from ..verification.cases import ReplayCase
 from ..verification.faults import resolve_policy
 from ..verification.regressions import load_case
 from .events import AbstractLockEvent, concurrent, events_from_acquisitions, harvest_journal
-
-#: Selectable feasibility methods and their default search depths.
-METHODS = ("partial-order", "gate-lock")
-DEFAULT_CYCLE_LENGTH = {"partial-order": 4, "gate-lock": 3}
-
-
-def resolve_cycle_length(method: str, max_cycle_length: int | None) -> int:
-    """The search depth for *method* when the caller passed ``None``."""
-    if method not in METHODS:
-        raise ValueError(
-            f"unknown prediction method {method!r}; choose from {METHODS}"
-        )
-    if max_cycle_length is None:
-        return DEFAULT_CYCLE_LENGTH[method]
-    return max_cycle_length
 
 
 class _StopHarvest(Exception):
@@ -167,7 +142,6 @@ class PredictionReport:
     edges: int
     trace_deadlocks: int
     predicted: list[PredictedDeadlock] = field(default_factory=list)
-    method: str = "partial-order"
     #: Boot segments the trace spanned (journals only; engine traces = 1).
     segments: int = 1
 
@@ -225,15 +199,12 @@ class LockOrderGraph:
         return cls(events_from_acquisitions(acquisitions))
 
     def cycles(
-        self,
-        max_length: int = 3,
-        limit: int = 200,
-        method: str = "partial-order",
+        self, max_length: int = 3, limit: int = 200
     ) -> list[tuple[LockEdge, ...]]:
         """Feasible cycles with one distinct transaction per arc.
 
         Enumerates simple cycles in the entity graph up to *max_length*
-        arcs, applying *method*'s feasibility check; stops after *limit*
+        arcs, applying the feasibility check; stops after *limit*
         candidates.
         """
         found: list[tuple[LockEdge, ...]] = []
@@ -250,7 +221,7 @@ class LockOrderGraph:
                         key = _canonical(cycle)
                         if key in keys:
                             continue
-                        if _feasible(cycle, method=method):
+                        if _feasible(cycle):
                             keys.add(key)
                             found.append(cycle)
                         continue
@@ -276,18 +247,15 @@ def _canonical(
     return tuple(arcs[pivot:] + arcs[:pivot])
 
 
-def _feasible(
-    cycle: tuple[LockEdge, ...], method: str = "partial-order"
-) -> bool:
-    """Feasibility of the joint blocking state under *method*.
+def _feasible(cycle: tuple[LockEdge, ...]) -> bool:
+    """Feasibility of the joint blocking state.
 
     Each participant sits at its acquisition point, holding its guard
-    set and requesting the next participant's held entity.  Both
-    methods require the ring to actually block (each requested mode
-    conflicts with the next holder's mode) and every pairwise guard
-    intersection to be mode-compatible (an incompatible common guard
-    would serialise the two acquisition points).  The partial-order
-    method additionally requires the blocking acquisitions to be
+    set and requesting the next participant's held entity.  The ring
+    must actually block (each requested mode conflicts with the next
+    holder's mode), every pairwise guard intersection must be
+    mode-compatible (an incompatible common guard would serialise the
+    two acquisition points), and the blocking acquisitions must be
     pairwise *concurrent* under the harvested happens-before order —
     two events separated by a boot-segment barrier cannot be reordered
     into a joint blocking state, however compatible their guards look.
@@ -307,14 +275,13 @@ def _feasible(
                 other = a.get(entity)
                 if other is not None and not other.compatible_with(mode):
                     return False
-            if method == "partial-order":
-                ev_i, ev_j = cycle[i].event, cycle[j].event
-                if (
-                    ev_i is not None
-                    and ev_j is not None
-                    and not concurrent(ev_i, ev_j)
-                ):
-                    return False
+            ev_i, ev_j = cycle[i].event, cycle[j].event
+            if (
+                ev_i is not None
+                and ev_j is not None
+                and not concurrent(ev_i, ev_j)
+            ):
+                return False
     return True
 
 
@@ -493,12 +460,10 @@ def _sequence_program(
 def predict_case(
     case: ReplayCase,
     case_path: str = "",
-    max_cycle_length: int | None = None,
+    max_cycle_length: int = 4,
     limit: int = 200,
-    method: str = "partial-order",
 ) -> PredictionReport:
     """Predict deadlocks reachable from *case*'s workload family."""
-    max_length = resolve_cycle_length(method, max_cycle_length)
     acquisitions, trace_deadlocks, _result = _harvest(case)
     graph = LockOrderGraph.from_acquisitions(acquisitions)
     observed = {
@@ -515,11 +480,8 @@ def predict_case(
         acquisitions=len(acquisitions),
         edges=len(graph.edges),
         trace_deadlocks=len(trace_deadlocks),
-        method=method,
     )
-    for cycle in graph.cycles(
-        max_length=max_length, limit=limit, method=method
-    ):
+    for cycle in graph.cycles(max_length=max_cycle_length, limit=limit):
         witness = _witness_schedule(cycle, by_id)
         if witness is None:
             continue
@@ -538,9 +500,8 @@ def predict_case(
 
 def predict_journal(
     journal: str | Path,
-    max_cycle_length: int | None = None,
+    max_cycle_length: int = 4,
     limit: int = 200,
-    method: str = "partial-order",
     strategy: str = "mcs",
     policy: str = "ordered-min-cost",
 ) -> PredictionReport:
@@ -552,7 +513,6 @@ def predict_journal(
     recorded sequence, and confirms every prediction by engine replay —
     the same contract as the replay-case path.
     """
-    max_length = resolve_cycle_length(method, max_cycle_length)
     trace = harvest_journal(journal)
     graph = LockOrderGraph(trace.events)
     observed = set(trace.observed_deadlocks)
@@ -565,12 +525,9 @@ def predict_journal(
         acquisitions=len(trace.events),
         edges=len(graph.edges),
         trace_deadlocks=len(observed),
-        method=method,
         segments=trace.segments,
     )
-    for cycle in graph.cycles(
-        max_length=max_length, limit=limit, method=method
-    ):
+    for cycle in graph.cycles(max_length=max_cycle_length, limit=limit):
         witness = _witness_schedule(cycle, programs)
         if witness is None:
             continue
@@ -597,9 +554,8 @@ def predict_journal(
 
 def predict_corpus(
     corpus: str | Path,
-    max_cycle_length: int | None = None,
+    max_cycle_length: int = 4,
     limit: int = 200,
-    method: str = "partial-order",
 ) -> list[PredictionReport]:
     """Run prediction over every regression case under *corpus*."""
     corpus = Path(corpus)
@@ -616,7 +572,6 @@ def predict_corpus(
                 case_path=str(path),
                 max_cycle_length=max_cycle_length,
                 limit=limit,
-                method=method,
-            )
+                    )
         )
     return reports

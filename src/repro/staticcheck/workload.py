@@ -19,7 +19,7 @@ structural risk translates directly into a recommended MPL.  Concretely:
 * templates are grouped into **workload classes** by their structural
   signature (reader vs writer, lock count) or supplied explicitly;
 * every feasible pairwise inversion is counted, after the same
-  gate-lock filter the dynamic predictor applies (a common earlier
+  guard-lock filter the dynamic predictor applies (a common earlier
   entity locked in incompatible modes by both templates serialises the
   pair — the inversion can never close);
 * a pair's deadlock score is ``1 - exp(-h)`` where the hazard ``h``

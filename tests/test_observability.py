@@ -41,8 +41,8 @@ from repro.observability.spans import (
     preemption_links,
     validate_spans,
 )
-from repro.observability.timeseries import build_timeseries, percentile
-from repro.observability.top import build_top, render_top
+from repro.observability.streaming import LogHistogram, StreamingAggregator
+from repro.observability.top import build_top, render_top, report_from_metrics
 
 #: One recording per scenario per module run — the expensive fixture.
 _CACHE = {}
@@ -401,21 +401,29 @@ def test_metrics_summary_full_schema():
 
 
 def test_percentile_nearest_rank():
-    assert percentile([], 0.99) == 0
-    assert percentile([5], 0.50) == 5
-    assert percentile(list(range(1, 101)), 0.50) == 50
-    assert percentile(list(range(1, 101)), 0.99) == 99
+    # Block percentiles are nearest-rank over log2 bucket upper bounds.
+    assert LogHistogram().quantile(0.99) == 0
+    one = LogHistogram()
+    one.add(5)
+    assert one.quantile(0.50) == 7
+    hundred = LogHistogram()
+    for value in range(1, 101):
+        hundred.add(value)
+    assert hundred.quantile(0.50) == 63  # rank 50 holds 50, in [32, 63]
+    assert hundred.quantile(0.99) == 127  # rank 99 holds 99, in [64, 127]
 
 
 def test_timeseries_windows_cover_the_run():
     recorder, context = recorded("run")
-    series = build_timeseries(recorder.events, window_steps=50)
-    assert series.samples
-    assert series.samples[-1].step >= context["steps"] - 1
-    assert sum(s.commits for s in series.samples) == len(
-        context["committed"]
-    )
-    assert series.p99_block >= series.p50_block >= 0
+    aggregator = StreamingAggregator(window_steps=50)
+    for event in recorder.events:
+        aggregator(event)
+    series = aggregator.timeseries_obj()
+    windows = series["windows"]
+    assert windows
+    assert windows[-1]["step"] >= context["steps"] - 1
+    assert sum(w["commits"] for w in windows) == len(context["committed"])
+    assert series["block_p99"] >= series["block_p50"] >= 0
 
 
 def test_top_report_is_consistent_and_renders():
@@ -436,6 +444,20 @@ def test_top_mid_run_sees_live_state():
     report = build_top(recorder.events, at=context["steps"] // 2)
     assert report.commits < context["committed"]
     assert report.active > 0
+
+
+def test_live_top_renders_a_metrics_snapshot():
+    # ``top --follow`` draws the ``metrics`` verb through render_top,
+    # omitting what a snapshot does not carry.
+    aggregator = StreamingAggregator()
+    for event in recorded("overload")[0].events:
+        aggregator(event)
+    metrics = aggregator.metrics_obj()
+    text = render_top(report_from_metrics(metrics, limit=3))
+    assert text.startswith(f"repro top @ step {metrics['step']}\n")
+    assert f"steps since commit   {metrics['steps_since_commit']}" in text
+    assert "rollback victims (txn, rollbacks)\n" in text
+    assert "longest blocked" not in text and "immunity" not in text
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -1,14 +1,12 @@
 """Partial-order prediction: vector clocks, journal harvesting, and the
-superset guarantee over the gate-lock heuristic.
+confirmed set over the regression corpus.
 
 The headline regression lives in ``clean_ring4_seed131_serial.json``: a
-pure four-transaction ring recorded under a serial schedule.  The old
-gate-lock method (capped at depth 3, single-trace) reports nothing; the
-partial-order method finds the ring, synthesizes a witness, and the
-engine replay confirms it.  Soundness is the other direction: every
-confirmation — on every method — must replay to a real deadlock, so the
-partial-order set must be a superset of the gate-lock set without ever
-adding a false confirm.
+pure four-transaction ring recorded under a serial schedule.  A search
+capped at depth 3 reports nothing; at the default depth 4 the
+prediction finds the ring, synthesizes a witness, and the engine replay
+confirms it.  Soundness is the other direction: every confirmation must
+replay to a real deadlock, and the corpus's confirmed set is pinned.
 """
 
 import json
@@ -163,38 +161,42 @@ def test_journal_observed_deadlock_is_classified_observed(tmp_path):
     assert len(observed) == 1 and observed[0].confirmed
 
 
-# -- the superset guarantee ---------------------------------------------------
-
-
-def confirmed_set(method):
-    return {
-        (report.case_path, frozenset(p.txns), tuple(sorted(p.entities)))
-        for report in predict_corpus(REGRESSIONS, method=method)
-        for p in report.predicted
-        if p.confirmed
-    }
+# -- the confirmed set --------------------------------------------------------
 
 
 def test_partial_order_confirms_a_superset_of_gate_lock():
-    gate = confirmed_set("gate-lock")
-    partial = confirmed_set("partial-order")
-    assert gate <= partial
-    # the seed-26 two-ring survives the upgrade ...
-    assert any(txns == frozenset({"T003", "T004"}) for _p, txns, _e in gate)
-    # ... and the seed-131 four-ring is partial-order-only
-    extra = partial - gate
-    assert any(
-        txns == frozenset({"T001", "T002", "T003", "T004"})
-        for _p, txns, _e in extra
-    )
+    # The corpus's confirmed set, pinned: the seed-26 two-ring (the
+    # one a pairwise heuristic also finds) and the seed-131 four-ring.
+    confirmed = {
+        (
+            Path(report.case_path).name,
+            frozenset(p.txns),
+            tuple(sorted(p.entities)),
+        )
+        for report in predict_corpus(REGRESSIONS)
+        for p in report.predicted
+        if p.confirmed
+    }
+    assert confirmed == {
+        (
+            "clean_mcs_seed26_serial.json",
+            frozenset({"T003", "T004"}),
+            ("e000", "e001"),
+        ),
+        (
+            "clean_ring4_seed131_serial.json",
+            frozenset({"T001", "T002", "T003", "T004"}),
+            ("e000", "e001", "e002", "e003"),
+        ),
+    }
 
 
 def test_ring4_seed131_needs_the_partial_order_method():
     path = REGRESSIONS / "clean_ring4_seed131_serial.json"
     case, expect = load_case(path)
     assert expect == "clean"
-    assert predict_case(case, method="gate-lock").predicted == []
-    report = predict_case(case, method="partial-order")
+    assert predict_case(case, max_cycle_length=3).predicted == []
+    report = predict_case(case)
     assert report.trace_deadlocks == 0
     assert len(report.alternates) == 1
     predicted = report.alternates[0]
@@ -205,7 +207,7 @@ def test_ring4_seed131_needs_the_partial_order_method():
 
 def test_no_method_ever_false_confirms():
     # every confirmation replayed to a real engine deadlock (report.ok
-    # fails on any feasible-but-unrealizable cycle)
-    for method in ("gate-lock", "partial-order"):
-        for report in predict_corpus(REGRESSIONS, method=method):
-            assert report.ok, (method, report.case_path)
+    # fails on any feasible-but-unrealizable cycle), at every depth
+    for depth in (3, 4):
+        for report in predict_corpus(REGRESSIONS, max_cycle_length=depth):
+            assert report.ok, (depth, report.case_path)

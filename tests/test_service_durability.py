@@ -150,6 +150,36 @@ class TestOneRecordRule:
         wal.close()
 
 
+def test_verify_replays_metrics_of_a_wal_backed_core(tmp_path):
+    """A ``metrics`` reply counts the events the WAL published; replay
+    must attach a WAL to each segment the boot marker says had one."""
+    wal_path, journal_path = tmp_path / "w.jsonl", tmp_path / "j.jsonl"
+    for boot in range(2):  # a fresh boot, then a recovery
+        core, sink = build_core(
+            ENTITIES, 0, ServiceConfig(), wal_path, journal_path
+        )
+        rids = iter(range(100))
+
+        def send(verb, **fields):
+            rid = f"b{boot}.{next(rids)}"
+            return core.handle({"rid": rid, "verb": verb, **fields})[0]
+
+        txn = send("begin")["txn"]
+        send("lock", txn=txn, entity="e001", mode="X")
+        send("write", txn=txn, entity="e001", value=boot + 1)
+        send("commit", txn=txn)
+        assert send("metrics")["commits"] == 1
+        sink.close()
+        core.wal.close()
+    assert verify_journal(journal_path) == []
+    markers = [
+        event.data
+        for event in read_events_jsonl(journal_path)
+        if event.kind is EventKind.SERVICE_RECOVER
+    ]
+    assert [marker.get("wal") for marker in markers] == [True, True]
+
+
 # -- the crash-state harness --------------------------------------------------
 
 

@@ -4,9 +4,13 @@ The contract under test (see ``docs/OBSERVABILITY.md``):
 
 * :class:`~repro.observability.streaming.StreamingAggregator` folded
   over any event stream produces **byte-identical** JSON to
-  :func:`~repro.observability.streaming.batch_reference` (which routes
-  ``build_timeseries`` output through the same log-histogram), checked
-  on the named scenarios and on hypothesis-generated streams;
+  :func:`reference`, a test-local recomputation that shares no code
+  with the fold: each window's gauges and deltas come from a direct
+  scan of the raw list, and block p50/p99 from :func:`nearest_rank` over
+  bucket-rounded durations — checked on the named scenarios and on
+  hypothesis-generated streams;
+* offline ``repro top`` reads the same fold as the live ``metrics``
+  verb;
 * its tracked state is bounded by the live population (windows
   excluded), independent of how many events flow through — checked on a
   million-event synthetic run;
@@ -16,6 +20,7 @@ The contract under test (see ``docs/OBSERVABILITY.md``):
 """
 
 import json
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -24,14 +29,19 @@ from repro.observability.streaming import (
     LogHistogram,
     SpaceSavingTopK,
     StreamingAggregator,
-    batch_reference,
     render_prometheus,
 )
-from repro.observability.timeseries import percentile
 
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_SETTLES = (
+    EventKind.LOCK_GRANT,
+    EventKind.ROLLBACK,
+    EventKind.TXN_COMMIT,
+    EventKind.TXN_SHED,
+)
 
 
 def fold(events, window_steps=50):
@@ -41,11 +51,121 @@ def fold(events, window_steps=50):
     return aggregator
 
 
+def histogram_of(values):
+    histogram = LogHistogram()
+    for value in values:
+        histogram.add(value)
+    return histogram
+
+
+def nearest_rank(values, percent):
+    """The value at rank ceil(percent/100 * n) of the sorted sample."""
+    if not values:
+        return 0
+    ordered = sorted(values)
+    rank = -(-len(ordered) * percent // 100)
+    return ordered[max(rank, 1) - 1]
+
+
+def bucket_round(duration):
+    """A duration's log2 bucket upper bound: 0, 1, 3, 7, 15, ..."""
+    return (1 << duration.bit_length()) - 1
+
+
+def block_durations(events):
+    """Per transaction: a block runs from its first LOCK_BLOCK to the
+    next grant, rollback, commit or shed; one still open ends at the
+    last step."""
+    last = events[-1].step if events else 0
+    durations = []
+    for txn in sorted({event.txn for event in events}):
+        since = None
+        for event in events:
+            if event.txn != txn:
+                continue
+            if event.kind is EventKind.LOCK_BLOCK and since is None:
+                since = event.step
+            elif event.kind in _SETTLES and since is not None:
+                durations.append(event.step - since)
+                since = None
+        if since is not None:
+            durations.append(last - since)
+    return durations
+
+
+def gauges(prefix):
+    """Active, blocked and waits-for edges after *prefix*."""
+    started = {
+        event.txn
+        for event in prefix
+        if event.txn
+        and event.kind in (EventKind.TXN_ADMIT, EventKind.STEP)
+    }
+    finished = {
+        event.txn
+        for event in prefix
+        if event.kind in (EventKind.TXN_COMMIT, EventKind.TXN_SHED)
+    }
+    last_settle = {}
+    for event in prefix:
+        if event.kind is EventKind.LOCK_BLOCK or event.kind in _SETTLES:
+            last_settle[event.txn] = event.kind
+    samples = [
+        event.data["wf_edges"]
+        for event in prefix
+        if event.kind is EventKind.SAMPLE
+    ]
+    return {
+        "active": len(started - finished),
+        "blocked": sum(
+            kind is EventKind.LOCK_BLOCK for kind in last_settle.values()
+        ),
+        "wf_edges": samples[-1] if samples else 0,
+    }
+
+
+def reference(events, window_steps=50):
+    """What ``timeseries_obj()`` must say about *events* (steps are
+    non-decreasing), recomputed window by window from the raw list:
+    gauges over every event up to the window's close, deltas over the
+    window's own events."""
+    steps = [event.step for event in events]
+    by_prefix = {}  # consecutive empty windows share one prefix
+    windows = []
+    for window in range(steps[-1] // window_steps + 1 if steps else 0):
+        start = window * window_steps
+        close = min(start + window_steps - 1, steps[-1])
+        end = bisect_right(steps, close)
+        if end not in by_prefix:
+            by_prefix[end] = gauges(events[:end])
+        inside = events[bisect_left(steps, start):end]
+        rollbacks = [e for e in inside if e.kind is EventKind.ROLLBACK]
+        windows.append({
+            "window": window,
+            "step": close,
+            **by_prefix[end],
+            "rollbacks": len(rollbacks),
+            "states_lost": sum(e.data["states_lost"] for e in rollbacks),
+            "commits": sum(e.kind is EventKind.TXN_COMMIT for e in inside),
+        })
+    rounded = [bucket_round(d) for d in block_durations(events)]
+    return {
+        "window_steps": window_steps,
+        "windows": windows,
+        "block_p50": nearest_rank(rounded, 50),
+        "block_p99": nearest_rank(rounded, 99),
+        "block_count": len(rounded),
+        "peak_active": max((w["active"] for w in windows), default=0),
+        "peak_blocked": max((w["blocked"] for w in windows), default=0),
+        "peak_wf_edges": max((w["wf_edges"] for w in windows), default=0),
+    }
+
+
 def assert_identical(events, window_steps=50):
     streamed = fold(events, window_steps).timeseries_obj()
-    batch = batch_reference(events, window_steps=window_steps)
+    expected = reference(events, window_steps=window_steps)
     assert json.dumps(streamed, sort_keys=True) == json.dumps(
-        batch, sort_keys=True
+        expected, sort_keys=True
     )
 
 
@@ -70,23 +190,18 @@ class TestLogHistogram:
         # quantile IS the nearest-rank percentile — the exactness the
         # batch/streaming equivalence relies on.
         values = [0, 1, 1, 2, 3, 5, 9, 17, 170, 1000]
-        histogram = LogHistogram.from_values(values)
-        rounded = sorted(
-            LogHistogram.upper_bound(
-                v.bit_length() if v > 0 else 0
-            )
-            for v in values
-        )
-        for fraction in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-            assert histogram.quantile(fraction) == percentile(
-                rounded, fraction
+        histogram = histogram_of(values)
+        rounded = [bucket_round(v) for v in values]
+        for percent in (0, 25, 50, 90, 99, 100):
+            assert histogram.quantile(percent / 100) == nearest_rank(
+                rounded, percent
             )
 
     def test_empty(self):
         assert LogHistogram().quantile(0.99) == 0
 
     def test_copy_is_independent(self):
-        histogram = LogHistogram.from_values([1, 2, 3])
+        histogram = histogram_of([1, 2, 3])
         clone = histogram.copy()
         clone.add(100)
         assert histogram.count == 3 and clone.count == 4
@@ -120,7 +235,7 @@ class TestSpaceSavingTopK:
 
 
 # ---------------------------------------------------------------------------
-# Differential: streaming == batch, byte for byte
+# Differential: the fold == a direct scan of the raw list, byte for byte
 # ---------------------------------------------------------------------------
 
 _SCENARIO_SEEDS = [("run", 0), ("chaos", 1), ("overload", 2),
@@ -199,7 +314,55 @@ def test_snapshot_is_non_destructive():
         aggregator(event)
     assert json.dumps(
         aggregator.timeseries_obj(), sort_keys=True
-    ) == json.dumps(batch_reference(events), sort_keys=True)
+    ) == json.dumps(reference(events), sort_keys=True)
+
+
+@pytest.mark.parametrize("scenario,seed", _SCENARIO_SEEDS)
+def test_offline_top_reads_the_live_fold(scenario, seed):
+    """``repro top`` on a recording shows what the ``metrics`` verb of a
+    server that published the same stream would."""
+    from repro.observability.scenarios import record_scenario
+    from repro.observability.top import build_top
+
+    recorder, _ = record_scenario(scenario, seed=seed)
+    report = build_top(recorder.events)
+    live = fold(recorder.events).metrics_obj()
+    shared = (
+        "active", "commits", "sheds", "deadlocks", "block_p50",
+        "block_p99", "steps_since_commit",
+    )
+    assert {key: getattr(report, key) for key in shared} == {
+        key: live[key] for key in shared
+    }
+    assert report.hottest_entities == [
+        tuple(item) for item in live["hot_entities"][:5]
+    ]
+    assert [victim[:2] for victim in report.rollback_victims] == [
+        tuple(item) for item in live["rollback_victims"][:5]
+    ]
+
+
+def test_steps_since_commit_shows_a_commit_free_stretch():
+    """Figure 2's livelock as an operator sees it: rollbacks keep
+    coming, commits stop, and the gauge grows with every step."""
+    from repro.observability.top import build_top, render_top
+
+    events = [Event(seq=0, step=0, kind=EventKind.TXN_ADMIT, txn="T1"),
+              Event(seq=1, step=3, kind=EventKind.TXN_COMMIT, txn="T1")]
+    for step in range(4, 400):
+        kind = EventKind.ROLLBACK if step % 2 else EventKind.STEP
+        events.append(Event(seq=len(events), step=step, kind=kind,
+                            txn=f"T{2 + step % 2}",
+                            data={"states_lost": 1} if step % 2 else {}))
+    aggregator = fold(events[:2])
+    assert aggregator.metrics_obj()["steps_since_commit"] == 0
+    for event in events[2:]:
+        aggregator(event)
+    metrics = aggregator.metrics_obj()
+    assert metrics["steps_since_commit"] == 399 - 3
+    assert metrics["commits"] == 1 and metrics["rollbacks"] == 198
+    assert "\nrepro_steps_since_commit 396\n" in render_prometheus(metrics)
+    assert "steps since commit   396" in render_top(build_top(events))
 
 
 # ---------------------------------------------------------------------------
