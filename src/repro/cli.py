@@ -819,7 +819,6 @@ def cmd_serve(args) -> int:
             args.entities,
             args.initial,
             config,
-            wal_path=args.wal,
             journal_path=args.journal,
             port_file=args.port_file,
             tick_interval=args.tick_interval,
@@ -1168,10 +1167,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of entities e000..eNNN")
     p_serve.add_argument("--initial", type=int, default=0,
                          help="initial value of every entity")
-    p_serve.add_argument("--wal", default=None,
-                         help="durable WAL path (enables crash recovery)")
     p_serve.add_argument("--journal", default=None,
-                         help="request-journal path (enables --verify)")
+                         help="request-journal path: the durable log "
+                              "(enables crash recovery and --verify)")
     p_serve.add_argument("--max-sessions", type=int, default=8,
                          help="admission MPL; over capacity answers 429")
     p_serve.add_argument("--deadline", type=int, default=60,

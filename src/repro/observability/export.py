@@ -71,10 +71,11 @@ class JsonlStreamSink:
     :func:`to_jsonl`) and flushes, so a ``kill -9`` loses at most the
     event being written — unless ``buffered=True``, where lines wait
     for the owner's :meth:`flush` (the service's reply boundary, see
-    :mod:`repro.service.journal`).  ``append=True`` reopens an existing
-    file without truncation, the restart half of the segment-stitching
-    contract: re-attaching a recorder after a crash continues the same
-    stream, on a line of its own (:func:`open_jsonl_append`).
+    :meth:`repro.service.server.LockServer._handle`).  ``append=True``
+    reopens an existing file without truncation, the restart half of
+    the segment-stitching contract: re-attaching a recorder after a
+    crash continues the same stream, on a line of its own
+    (:func:`open_jsonl_append`).
     """
 
     def __init__(
@@ -103,6 +104,10 @@ class JsonlStreamSink:
         """Hand every line written so far to the operating system."""
         self._handle.flush()
         self.flushes += 1
+
+    def fileno(self) -> int:
+        """The file descriptor (what the owner ``fsync``s)."""
+        return self._handle.fileno()
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -142,8 +147,7 @@ def read_jsonl_objects(path: str | Path) -> list[dict[str, Any]]:
     Only newline-terminated lines are records: an unterminated final
     line — a write a crash cut short — is dropped even when it happens
     to parse; a terminated line that does not parse raises.  Blank lines
-    are skipped.  Both durable logs (the event journal and the service
-    WAL) are read back through here.
+    are skipped.  The service's journal is read back through here.
     """
     lines = Path(path).read_text().split("\n")[:-1]
     return [json.loads(line) for line in lines if line.strip()]

@@ -37,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any
 
-from ..observability.events import NULL_BUS, EventBus, EventKind
+from ..observability.events import NULL_BUS, Event, EventBus, EventKind
 
 Value = Any
 
@@ -69,6 +69,22 @@ class WalRecord:
             f"{self.kind}:{self.txn_id}:{self.entity}:{self.value!r}:"
             f"{self.target}"
         )
+
+
+def record_from_event(event: Event) -> WalRecord:
+    """The :class:`WalRecord` a ``wal.append`` event was published for.
+
+    The event carries every field of the record, so a stream that holds
+    these events (the service's journal) is itself a write-ahead log.
+    """
+    data = event.data
+    return WalRecord(
+        WalKind(data["record"]),
+        event.txn,
+        data["entity"],
+        data["value"],
+        data["target"],
+    )
 
 
 @dataclass(frozen=True)
@@ -116,6 +132,7 @@ class WriteAheadLog:
                 lsn=len(self.records) - 1,
                 record=str(record.kind),
                 entity=record.entity,
+                value=record.value,
                 target=record.target,
             )
 
@@ -130,12 +147,6 @@ class WriteAheadLog:
 
     def log_rollback(self, txn_id: str, target: int) -> None:
         self._append(WalRecord(WalKind.ROLLBACK, txn_id, target=target))
-
-    def flush(self) -> None:
-        """No-op here; the service's durable subclass owns a file."""
-
-    def close(self) -> None:
-        """No-op here, as :meth:`flush`."""
 
     # -- checkpoints ---------------------------------------------------------
 

@@ -11,8 +11,8 @@ splits along a strict determinism boundary:
   clocks, no randomness; the live server and replay verification share
   this exact code.
 * :mod:`~repro.service.server` — the asyncio shell: TCP framing, parked
-  futures for blocked lock requests, graceful drain on SIGTERM, WAL
-  recovery on restart.
+  futures for blocked lock requests, graceful drain on SIGTERM, crash
+  recovery from the journal on restart.
 * :mod:`~repro.service.client` — the bundled client with per-request
   timeouts, exponential backoff with decorrelated jitter, a bounded
   retry budget, and automatic idempotency keys.
@@ -28,7 +28,6 @@ See ``docs/SERVICE.md`` for the protocol and the robustness contracts.
 
 from .client import RetryBudgetExhausted, RetryPolicy, ServiceClient
 from .core import ServiceConfig, ServiceCore
-from .journal import DurableWriteAheadLog
 from .protocol import ServiceError, error_reply, ok_reply
 from .proxy import FaultProxy
 from .replay import ReplayDivergence, verify_journal
@@ -36,7 +35,6 @@ from .server import LockServer, build_core, serve
 from .session import SessionProgram
 
 __all__ = [
-    "DurableWriteAheadLog",
     "FaultProxy",
     "LockServer",
     "ReplayDivergence",

@@ -4,18 +4,18 @@ Everything stateful and decision-making lives in the core; this module
 owns only what a network process must: TCP framing, routing deferred
 replies back to the right connection, an idle ticker that advances
 logical time while clients wait (journaled as ``tick`` requests so
-replay sees the same instants), the per-request flush that makes the
-reply the durability boundary (the contract is in
-:mod:`~repro.service.journal`), graceful drain on SIGTERM, and crash
-recovery on startup.
+replay sees the same instants), the reply boundary that makes replies
+durable, graceful drain on SIGTERM, and crash recovery on startup.
 
-Recovery composes the two durable artifacts:
+The request journal is the service's one durable log.  Every event the
+core publishes is a journal line, the write-ahead records included
+(``wal.append``, carrying everything redo needs), so recovery reads one
+file once:
 
-* the WAL (:class:`~repro.service.journal.DurableWriteAheadLog`)
-  rebuilds the database — committed installs redone, in-flight
+* its committed ``install`` records rebuild the database — in-flight
   transactions discarded;
-* the journal seeds the idempotency window for *committed* transactions
-  and restores the transaction-id counter, so a client retrying a
+* its requests seed the idempotency window for *committed* transactions
+  and restore the transaction-id counter, so a client retrying a
   ``commit`` whose ack was lost in the crash still gets its
   exactly-once success instead of a 410.
 
@@ -27,6 +27,7 @@ call it in arrival order.
 from __future__ import annotations
 
 import asyncio
+import os
 import re
 import signal
 from pathlib import Path
@@ -35,10 +36,10 @@ from typing import Any
 from ..observability.events import Event, EventBus, EventKind
 from ..observability.export import JsonlStreamSink, read_events_jsonl
 from ..observability.streaming import render_prometheus
+from ..resilience.wal import WriteAheadLog, record_from_event
 from ..storage.database import Database
 from . import protocol
 from .core import ServiceConfig, ServiceCore
-from .journal import DurableWriteAheadLog
 
 _TXN_ID = re.compile(r"^T(\d+)$")
 
@@ -81,40 +82,51 @@ def build_core(
     entities: int,
     initial: int,
     config: ServiceConfig,
-    wal_path: str | Path | None,
+    ignored_wal_path: str | Path | None,
     journal_path: str | Path | None,
 ) -> tuple[ServiceCore, JsonlStreamSink | None]:
     """Construct a (possibly recovered) core plus its journal sink.
 
     Entity names follow the workload generator's ``e000`` convention.
-    When the WAL file already holds records, this boot is a recovery:
-    the database is rebuilt by redo.  Whenever the journal exists it
-    seeds the transaction counter — a ``begin`` may have been answered
-    before any WAL record was written — and the dedup window, with the
-    commits the WAL shows.
+    A core with a journal logs its write-ahead records in memory and
+    publishes them into the journal; a core without one has no WAL.
+    When the journal already holds records, this boot is a recovery:
+    the database is rebuilt by redo of its ``wal.append`` events.
+    Whenever the journal exists it seeds the transaction counter — a
+    ``begin`` may have been answered before any record was logged — and
+    the dedup window, with the commits those records show.
+
+    *ignored_wal_path* is accepted and ignored: it was the path of a
+    second, separate WAL file, and callers written for that signature
+    still pass one.
     """
     initial_state = {f"e{i:03d}": initial for i in range(entities)}
     bus = EventBus()
     sink: JsonlStreamSink | None = None
+    wal: WriteAheadLog | None = None
     recovered_committed: set[str] | None = None
-    committed: set[str] = set()
     txn_counter = 0
     dedup_seed: dict[str, dict] = {}
-    wal = None
-    if wal_path is not None:
-        wal = DurableWriteAheadLog.open_existing(wal_path, initial_state)
-        if len(wal):
-            initial_state, committed = wal.recover_state()
-            recovered_committed = committed
-    if journal_path is not None and Path(journal_path).exists():
-        txn_counter, dedup_seed = recovery_seeds(
-            read_events_jsonl(journal_path), committed
-        )
     if journal_path is not None:
+        events = (
+            read_events_jsonl(journal_path)
+            if Path(journal_path).exists()
+            else []
+        )
+        history = WriteAheadLog(initial_state)
+        history.records = [
+            record_from_event(event)
+            for event in events
+            if event.kind is EventKind.WAL_APPEND
+        ]
+        if history.records:
+            initial_state, recovered_committed = history.recover_state()
+        txn_counter, dedup_seed = recovery_seeds(
+            events, recovered_committed or set()
+        )
         sink = JsonlStreamSink(journal_path, append=True, buffered=True)
         bus.subscribe(sink)
-        if wal is not None:
-            wal.before_force = sink.flush  # journal first, see .journal
+        wal = WriteAheadLog(initial_state)
     core = ServiceCore(
         Database(initial_state),
         config=config,
@@ -135,7 +147,8 @@ class LockServer:
     core:
         The deterministic core (freshly built or recovered).
     sink:
-        The journal sink, flushed at each reply (may be ``None``).
+        The journal sink, flushed at each reply and forced at each
+        commit (may be ``None``).
     tick_interval:
         Wall-clock seconds between idle ticks while requests are
         parked; logical time must advance for deadlines to fire even
@@ -232,8 +245,6 @@ class LockServer:
             await self._metrics_server.wait_closed()
         if self.sink is not None:
             self.sink.close()
-        if self.core.wal is not None:
-            self.core.wal.close()
 
     # -- the request path ------------------------------------------------------
 
@@ -250,12 +261,15 @@ class LockServer:
         rid = request.get("rid")
         if writer is not None and rid is not None:
             self._waiters[rid] = writer
+        commits = self.core.scheduler.metrics.commits
         reply, completions = self.core.handle(request)
-        # The reply boundary: journal, then WAL, before anything leaves.
+        # The reply boundary: the journal reaches the operating system
+        # before anything leaves, and the disk when this request
+        # committed something (force at COMMIT: one fsync per commit).
         if self.sink is not None:
             self.sink.flush()
-        if self.core.wal is not None:
-            self.core.wal.flush()
+            if self.core.scheduler.metrics.commits != commits:
+                os.fsync(self.sink.fileno())
         if reply is not None and rid is not None:
             self._deliver(rid, reply)
         for done_rid, done_reply in completions:
@@ -355,7 +369,6 @@ async def serve(
     entities: int,
     initial: int,
     config: ServiceConfig,
-    wal_path: str | None,
     journal_path: str | None,
     port_file: str | None = None,
     tick_interval: float = 0.05,
@@ -364,9 +377,7 @@ async def serve(
     metrics_port_file: str | None = None,
 ) -> int:
     """Run a lock server until drained (the ``repro serve`` body)."""
-    core, sink = build_core(
-        entities, initial, config, wal_path, journal_path
-    )
+    core, sink = build_core(entities, initial, config, None, journal_path)
     server = LockServer(
         core,
         sink,

@@ -3,20 +3,21 @@
 This is the CI gate behind ``repro serve --smoke``.  One run exercises
 the whole robustness surface in sequence:
 
-1. boot a server subprocess with a durable WAL and journal;
+1. boot a server subprocess with a journal, its one durable log;
 2. aim concurrent clients at one hot entity, each performing
    read-modify-write increments in its own transactions;
 3. ``SIGKILL`` the server mid-storm — no warning, no flush;
-4. restart on the same WAL/journal: the database recovers by redo, the
-   idempotency window re-seeds from the journal, and the clients' retry
+4. restart on the same journal: the database recovers by redo, the
+   idempotency window re-seeds from it, and the clients' retry
    ladders carry them across the outage (dead transactions answer 410
    and are restarted by the client loop) — steps 3 and 4 once per
    ``kill_after`` value, so a second crash lands on files a first
    recovery already repaired and appended to;
 5. ``SIGTERM`` for a graceful drain once the storm completes;
-6. verify the two oracles — **no lost or doubled increment** (the WAL's
-   recovered state must equal the clients' count of acknowledged
-   commits, modulo commits whose outcome the client never learned) and
+6. verify the two oracles — **no lost or doubled increment** (the hot
+   entity's last committed install in the journal must equal the
+   clients' count of acknowledged commits, modulo commits whose outcome
+   the client never learned) and
    **zero replay divergence** (the journal re-executed through a fresh
    simulated core reproduces every reply, victim, rollback depth, and
    commit).
@@ -34,8 +35,8 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+from ..observability.export import read_jsonl_objects
 from .client import RetryBudgetExhausted, RetryPolicy, ServiceClient
-from .journal import DurableWriteAheadLog
 from .protocol import ServiceError
 from .replay import verify_journal
 
@@ -51,7 +52,6 @@ def _free_port() -> int:
 
 def _spawn_server(
     port: int,
-    wal: Path,
     journal: Path,
     entities: int = 4,
     max_sessions: int = 8,
@@ -70,7 +70,6 @@ def _spawn_server(
             "--host", "127.0.0.1",
             "--port", str(port),
             "--entities", str(entities),
-            "--wal", str(wal),
             "--journal", str(journal),
             "--max-sessions", str(max_sessions),
             "--deadline", str(deadline),
@@ -172,14 +171,12 @@ def run_smoke(
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    wal = workdir / "smoke.wal.jsonl"
     journal = workdir / "smoke.journal.jsonl"
-    for stale in (wal, journal):
-        if stale.exists():
-            stale.unlink()
+    if journal.exists():
+        journal.unlink()
     port = _free_port()
 
-    proc = _spawn_server(port, wal, journal, entities=entities)
+    proc = _spawn_server(port, journal, entities=entities)
     try:
         _wait_listening(port, proc)
         deadline = time.monotonic() + wall_clock_budget
@@ -192,9 +189,9 @@ def run_smoke(
 
         for delay in kill_after:
             time.sleep(delay)
-            proc.kill()  # SIGKILL: the crash the WAL must absorb
+            proc.kill()  # SIGKILL: the crash the journal must absorb
             proc.wait()
-            proc = _spawn_server(port, wal, journal, entities=entities)
+            proc = _spawn_server(port, journal, entities=entities)
             _wait_listening(port, proc)
 
         for worker in workers:
@@ -215,14 +212,26 @@ def run_smoke(
     unknown = sum(w.unknown for w in workers)
     problems = [e for w in workers for e in w.errors]
 
-    # Oracle 1: no lost, no doubled increment.  The recovered value must
+    # Oracle 1: no lost, no doubled increment.  The durable value must
     # account for every acknowledged commit exactly once; commits with
-    # unknown outcomes may each have applied or not.
-    initial_state = {f"e{i:03d}": 0 for i in range(entities)}
-    recovery = DurableWriteAheadLog.open_existing(wal, initial_state)
-    state, committed_txns = recovery.recover_state()
-    recovery.close()
-    final = int(state.get(HOT_ENTITY, 0))
+    # unknown outcomes may each have applied or not.  It is read by a
+    # scan of its own, not through the server's recovery it checks.
+    records = [
+        (obj["txn"], obj["data"])
+        for obj in read_jsonl_objects(journal)
+        if obj["kind"] == "wal.append"
+    ]
+    committed_txns = {
+        txn for txn, data in records if data["record"] == "commit"
+    }
+    final = 0
+    for txn, data in records:
+        if (
+            data["record"] == "install"
+            and data["entity"] == HOT_ENTITY
+            and txn in committed_txns
+        ):
+            final = int(data["value"])
     if not committed <= final <= committed + unknown:
         problems.append(
             f"commit-loss oracle: recovered {HOT_ENTITY}={final}, "
@@ -240,7 +249,7 @@ def run_smoke(
         "acknowledged_commits": committed,
         "unknown_outcome_commits": unknown,
         "recovered_value": final,
-        "wal_committed_txns": len(committed_txns),
+        "journal_committed_txns": len(committed_txns),
         "replay_divergences": len(divergences),
         "journal_events": (
             journal.read_text().count("\n") if journal.exists() else 0

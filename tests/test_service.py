@@ -12,11 +12,11 @@ import json
 import pytest
 
 from repro.observability.events import EventBus, EventKind
+from repro.observability.export import read_events_jsonl
 from repro.service import protocol
 from repro.service.core import ServiceConfig, ServiceCore
-from repro.service.journal import DurableWriteAheadLog
 from repro.service.replay import verify_events
-from repro.service.server import recovery_seeds
+from repro.service.server import build_core, recovery_seeds
 from repro.service.session import SessionProgram
 from repro.storage.database import Database
 
@@ -392,14 +392,14 @@ class TestLifetimeBoundedness:
 
 
 class TestRecoverySeeds:
+    """Recovery reads one file: the journal's ``wal.append`` records
+    rebuild the database, its requests seed the counter and dedup."""
+
+    config = ServiceConfig(max_sessions=4, deadline_steps=30)
+
     def test_wal_recovery_and_dedup_seeding(self, tmp_path):
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append)
-        wal = DurableWriteAheadLog(
-            tmp_path / "wal.jsonl", {"e000": 0, "e001": 0}
-        )
-        core, _ = make_core(entities=2, bus=bus, wal=wal)
+        path = tmp_path / "journal.jsonl"
+        core, sink = build_core(2, 0, self.config, None, path)
         d = Driver(core)
         t1 = d.ok("begin")["txn"]
         d.ok("lock", txn=t1, entity="e000")
@@ -409,34 +409,35 @@ class TestRecoverySeeds:
         t2 = d.ok("begin")["txn"]
         d.ok("lock", txn=t2, entity="e001")
         d.ok("write", txn=t2, entity="e001", value=5)
-        wal.close()
+        sink.close()
 
-        reopened = DurableWriteAheadLog.open_existing(
-            tmp_path / "wal.jsonl", {"e000": 0, "e001": 0}
-        )
-        state, committed = reopened.recover_state()
-        assert state == {"e000": 9, "e001": 0}
-        assert committed == {t1}
-        counter, dedup = recovery_seeds(events, committed)
+        counter, dedup = recovery_seeds(read_events_jsonl(path), {t1})
         assert counter == 2
         assert dedup[commit_rid]["committed"] is True
         assert list(dedup) == [commit_rid]  # t2 never committed
+        recovered, sink = build_core(2, 0, self.config, None, path)
+        assert recovered.database.snapshot() == {"e000": 9, "e001": 0}
+        assert recovered.txn_counter == 2
+        assert recovered.dedup_snapshot() == dedup
+        sink.close()
 
     def test_torn_wal_final_line_is_discarded(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        wal = DurableWriteAheadLog(path, {"e000": 0})
-        core, _ = make_core(entities=1, wal=wal)
+        path = tmp_path / "journal.jsonl"
+        core, sink = build_core(1, 0, self.config, None, path)
         d = Driver(core)
         txn = d.ok("begin")["txn"]
         d.ok("lock", txn=txn, entity="e000")
         d.ok("write", txn=txn, entity="e000", value=3)
         d.ok("commit", txn=txn)
-        wal.close()
-        with path.open("a") as handle:
-            handle.write('{"kind": "commit", "txn')  # torn write
-        reopened = DurableWriteAheadLog.open_existing(path, {"e000": 0})
-        state, committed = reopened.recover_state()
-        assert state == {"e000": 3} and committed == {txn}
+        sink.close()
+        intact = path.read_text()
+        torn = '{"data": {"entity": "e000", "record": "install", "val'
+        path.write_text(intact + torn)  # a write the crash cut short
+        recovered, sink = build_core(1, 0, self.config, None, path)
+        sink.close()
+        assert recovered.database.snapshot() == {"e000": 3}
+        assert path.read_text().startswith(intact)
+        assert torn not in path.read_text()
 
     def test_reboot_before_any_wal_record_never_reissues_a_txn_id(
         self, tmp_path
@@ -444,22 +445,18 @@ class TestRecoverySeeds:
         """A ``begin`` answered before the first WAL record: the
         journal alone must keep the restarted server from handing the
         same id to a new client."""
-        from repro.service.server import build_core
-
-        paths = (tmp_path / "wal.jsonl", tmp_path / "journal.jsonl")
-        config = ServiceConfig(max_sessions=4, deadline_steps=30)
-        first, sink = build_core(2, 0, config, *paths)
+        path = tmp_path / "journal.jsonl"
+        first, sink = build_core(2, 0, self.config, None, path)
         assert Driver(first).ok("begin")["txn"] == "T1"
         sink.flush()  # the reply boundary, then kill -9
         assert len(first.wal) == 0
-        second, sink2 = build_core(2, 0, config, *paths)
+        second, sink2 = build_core(2, 0, self.config, None, path)
         d = Driver(second)
         assert d.ok("begin")["txn"] == "T2"
         reply, _, _ = d.send("lock", txn="T1", entity="e000")
         assert reply["code"] == protocol.GONE
-        for core, journal in ((first, sink), (second, sink2)):
-            journal.close()
-            core.wal.close()
+        sink.close()
+        sink2.close()
 
 
 class TestReplayOracle:

@@ -1,26 +1,28 @@
 """The service's durability contract, proven at every crash state.
 
-The contract (``repro.service.journal``): the reply is the boundary.
-Between replies the WAL and the journal are buffered; a ``COMMIT`` is
-forced inline, journal first; ``LockServer._handle`` flushes journal
-then WAL before the first reply leaves.  Two suites hold it up:
+The contract (``LockServer._handle``): the journal is the one durable
+log and the reply is the boundary.  Between replies the journal is
+buffered; after each request it is flushed before the first reply
+leaves, and ``fsync``ed first when the request committed something.
+Two suites hold it up:
 
 * **the one record rule** — a record exists iff its terminating newline
   is on disk; readers drop an unterminated tail, append-openers cut it,
   so a crash *followed by an append* can no longer fuse two records and
   stop the second recovery from booting;
 * **the crash-state harness** — a scripted in-process run (no sockets)
-  whose file handles record every ``(wal size, journal size, replies
-  delivered)`` a ``kill -9`` could leave behind, each of which — and any
-  byte offset inside a write — must recover with no acknowledged commit
-  lost, none applied twice, and both files still usable afterwards.
+  whose file handle records every ``(journal size, replies delivered)``
+  a ``kill -9`` could leave behind, each of which — any byte offset
+  inside a write, and what a power loss leaves (the file as of its last
+  returned ``fsync``) — must recover with no acknowledged commit lost,
+  none applied twice, and the journal still usable afterwards.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -33,16 +35,13 @@ from repro.observability.export import (
     read_events_jsonl,
     read_jsonl_objects,
 )
-from repro.resilience.wal import WriteAheadLog
-from repro.service import journal as journal_module
 from repro.service.core import ServiceConfig
-from repro.service.journal import DurableWriteAheadLog
 from repro.service.replay import verify_journal
 from repro.service.server import LockServer, build_core
 from repro.service.smoke import run_smoke
 
 ENTITIES = 4
-FRAGMENT = '{"kind": "commit", "txn'  # test_torn_wal_final_line_is_discarded's
+FRAGMENT = '{"kind": "commit", "txn'  # a record a crash cut short
 
 
 # -- the one record rule ------------------------------------------------------
@@ -88,49 +87,31 @@ class TestOneRecordRule:
         open_jsonl_append(path).close()
         assert path.read_text() == ""
 
-    def test_wal_survives_a_crash_after_a_repaired_tail(self, tmp_path):
-        """The double crash: a torn tail, a recovery that appends, and a
-        second recovery that must still read every line."""
-        path = tmp_path / "wal.jsonl"
-        initial = {"e000": 0}
-        wal = DurableWriteAheadLog(path, initial)
-        wal.log_install("T1", "e000", 3)
-        wal.log_commit("T1")
-        wal.close()
-        with path.open("a") as handle:
-            handle.write(FRAGMENT)  # crash mid-write
-        wal = DurableWriteAheadLog.open_existing(path, initial)
-        assert wal.recover_state() == ({"e000": 3}, {"T1"})
-        wal.log_install("T2", "e000", 4)
-        wal.log_commit("T2")
-        wal.close()
-        with path.open("a") as handle:
-            handle.write('{"kind": "install", "txn": "T3"}')  # no newline
-        wal = DurableWriteAheadLog.open_existing(path, initial)
-        assert wal.recover_state() == ({"e000": 4}, {"T1", "T2"})
-        assert len(wal) == 4
-        wal.close()
-        wal.close()  # idempotent
-        assert FRAGMENT not in path.read_text()
-
     def test_journal_survives_a_crash_after_a_repaired_tail(self, tmp_path):
-        wal_path, journal_path = tmp_path / "w.jsonl", tmp_path / "j.jsonl"
+        """The double crash, three times over: a torn tail, a recovery
+        that appends, and a later recovery that must still read every
+        line."""
+        journal_path = tmp_path / "j.jsonl"
         for boot in range(3):
-            harness = Harness(wal_path, journal_path)
+            harness = Harness(journal_path)
             assert harness.counter() == boot
             harness.transaction(f"boot{boot}", "e001")
             harness.close()
             with journal_path.open("a") as handle:
-                handle.write('{"data": {"verb": "beg')
-            with wal_path.open("a") as handle:
-                handle.write(FRAGMENT)
+                handle.write(FRAGMENT)  # crash mid-write
+        harness = Harness(journal_path)
+        assert harness.counter() == 3
+        harness.close()
+        assert FRAGMENT not in journal_path.read_text()
         assert verify_journal(journal_path) == []
         markers = [
             event
             for event in read_events_jsonl(journal_path)
             if event.kind is EventKind.SERVICE_RECOVER
         ]
-        assert [m.data["recovered"] for m in markers] == [False, True, True]
+        assert [m.data["recovered"] for m in markers] == [
+            False, True, True, True,
+        ]
 
     def test_buffered_sink_waits_for_flush(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -144,19 +125,14 @@ class TestOneRecordRule:
         sink.close()
         sink.close()  # idempotent
 
-    def test_in_memory_wal_has_the_same_lifecycle(self):
-        wal = WriteAheadLog({})
-        wal.flush()
-        wal.close()
-
 
 def test_verify_replays_metrics_of_a_wal_backed_core(tmp_path):
     """A ``metrics`` reply counts the events the WAL published; replay
     must attach a WAL to each segment the boot marker says had one."""
-    wal_path, journal_path = tmp_path / "w.jsonl", tmp_path / "j.jsonl"
+    journal_path = tmp_path / "j.jsonl"
     for boot in range(2):  # a fresh boot, then a recovery
         core, sink = build_core(
-            ENTITIES, 0, ServiceConfig(), wal_path, journal_path
+            ENTITIES, 0, ServiceConfig(), None, journal_path
         )
         rids = iter(range(100))
 
@@ -170,7 +146,6 @@ def test_verify_replays_metrics_of_a_wal_backed_core(tmp_path):
         send("commit", txn=txn)
         assert send("metrics")["commits"] == 1
         sink.close()
-        core.wal.close()
     assert verify_journal(journal_path) == []
     markers = [
         event.data
@@ -187,12 +162,12 @@ class Harness:
     """A served core without sockets: ``LockServer._handle(request,
     None)`` on files in a temporary directory, replies collected."""
 
-    def __init__(self, wal_path: Path, journal_path: Path) -> None:
+    def __init__(self, journal_path: Path) -> None:
         self.core, self.sink = build_core(
             ENTITIES,
             0,
             ServiceConfig(max_sessions=8, deadline_steps=200),
-            wal_path,
+            None,
             journal_path,
         )
         self.server = LockServer(self.core, self.sink)
@@ -247,7 +222,6 @@ class Harness:
 
     def close(self) -> None:
         self.sink.close()
-        self.core.wal.close()
 
 
 def scenario(harness: Harness) -> None:
@@ -288,13 +262,12 @@ def scenario(harness: Harness) -> None:
 
 @dataclass(frozen=True)
 class CrashState:
-    """What a ``kill -9`` at one instant leaves behind, and what the
-    outside world had seen by then."""
+    """What a crash at one instant leaves behind, and what the outside
+    world had seen by then."""
 
-    wal: int  # bytes of the WAL the operating system holds
-    journal: int
+    journal: int  # bytes of the journal that survive
     delivered: int  # replies that had left the server
-    forced: int  # COMMIT forces (fsyncs) that had returned
+    forced: int  # fsyncs that had returned
     submitted: int  # requests that had reached the server
 
 
@@ -322,35 +295,36 @@ class RecordingHandle:
 class Recording:
     """One uncut run of :func:`scenario` and every state it passed."""
 
-    wal_bytes: bytes
     journal_bytes: bytes
     requests: list
     delivered: list
     states: list
     fsync_fds: list
-    wal_fd: int
-    forces: int
+    #: ``synced[k]``: the journal's size once the k-th fsync returned
+    #: (``synced[0] == 0``: before the first, nothing is durable).
+    synced: list
+    journal_fd: int
     journal_flushes: int
 
 
-def record(tmp_path: Path, wal_buffer: int, journal_buffer: int) -> Recording:
-    """Run the scenario with both handles instrumented.
+def record(tmp_path: Path, buffering: int) -> Recording:
+    """Run the scenario with the journal's handle instrumented.
 
     A buffer size of ``-1`` keeps the handle ``build_core`` opened; a
     small one reopens it so that it writes through mid-request (``1``:
-    at every line), which is where a flush order that only holds at the
+    at every line), which is where an order that only holds at the
     explicit flushes would show.
     """
-    wal_path, journal_path = tmp_path / "wal.jsonl", tmp_path / "j.jsonl"
-    harness = Harness(wal_path, journal_path)
-    wal, sink = harness.core.wal, harness.sink
+    journal_path = tmp_path / "j.jsonl"
+    harness = Harness(journal_path)
+    sink = harness.sink
     states: list[CrashState] = []
     fsync_fds: list[int] = []
+    synced: list[int] = [0]
 
     def note() -> None:
         state = CrashState(
-            os.fstat(wal._handle.fileno()).st_size,
-            os.fstat(sink._handle.fileno()).st_size,
+            os.fstat(sink.fileno()).st_size,
             len(harness.delivered),
             len(fsync_fds),
             len(harness.requests),
@@ -358,16 +332,12 @@ def record(tmp_path: Path, wal_buffer: int, journal_buffer: int) -> Recording:
         if not states or states[-1] != state:
             states.append(state)
 
-    for owner, path, buffering in (
-        (wal, wal_path, wal_buffer),
-        (sink, journal_path, journal_buffer),
-    ):
-        handle = owner._handle
-        if buffering > 0:
-            handle.close()
-            handle = path.open("a", buffering=buffering)
-            handle.reconfigure(write_through=True)
-        owner._handle = RecordingHandle(handle, note)
+    handle = sink._handle
+    if buffering > 0:
+        handle.close()
+        handle = journal_path.open("a", buffering=buffering)
+        handle.reconfigure(write_through=True)
+    sink._handle = RecordingHandle(handle, note)
 
     real_fsync = os.fsync
 
@@ -375,33 +345,32 @@ def record(tmp_path: Path, wal_buffer: int, journal_buffer: int) -> Recording:
         note()  # flushed, not yet forced
         real_fsync(fd)
         fsync_fds.append(fd)
+        synced.append(os.fstat(fd).st_size)
         note()
 
     real_handle = harness.server._handle
 
     def handle_then_probe(request, writer) -> None:
         real_handle(request, writer)
-        # Nothing stays buffered across a reply: flushing the files
-        # behind the proxies' backs finds nothing left to write.
-        sizes = wal_path.stat().st_size, journal_path.stat().st_size
-        wal._handle.inner.flush()
+        # Nothing stays buffered across a reply: flushing the file
+        # behind the proxy's back finds nothing left to write.
+        size = journal_path.stat().st_size
         sink._handle.inner.flush()
-        assert sizes == (wal_path.stat().st_size, journal_path.stat().st_size)
+        assert size == journal_path.stat().st_size
 
     harness.server._handle = handle_then_probe
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(journal_module.os, "fsync", fsync)
+        monkeypatch.setattr(os, "fsync", fsync)
         scenario(harness)
     note()
     recording = Recording(
-        wal_bytes=wal_path.read_bytes(),
         journal_bytes=journal_path.read_bytes(),
         requests=harness.requests,
         delivered=harness.delivered,
         states=states,
         fsync_fds=fsync_fds,
-        wal_fd=wal._handle.fileno(),
-        forces=wal.forces,
+        synced=synced,
+        journal_fd=sink.fileno(),
         journal_flushes=sink.flushes,
     )
     harness.close()
@@ -410,48 +379,50 @@ def record(tmp_path: Path, wal_buffer: int, journal_buffer: int) -> Recording:
 
 @pytest.fixture(
     scope="module",
-    params=[(-1, -1), (128, 128), (1, -1)],
-    ids=["default", "buf128", "wal-unbuffered"],
+    params=[-1, 128, 1],
+    ids=["default", "buf128", "line-buffered"],
 )
 def recording(request, tmp_path_factory):
-    return record(tmp_path_factory.mktemp("uncut"), *request.param)
+    return record(tmp_path_factory.mktemp("uncut"), request.param)
 
 
 def check_crash_state(recording: Recording, state: CrashState) -> None:
     """Recover from *state* and hold the contract's five clauses:
-    (i) no acknowledged commit lost, (ii) journal first, (iii) retries
-    answered without a double apply, (iv) a clean replay, (v) a second
-    crash on the repaired files still boots."""
+    (i) no acknowledged commit lost, (ii) every commit's request ahead
+    of it, (iii) retries answered without a double apply, (iv) a clean
+    replay, (v) a second crash on the repaired file still boots."""
     with tempfile.TemporaryDirectory() as tmp:
-        wal_path, journal_path = Path(tmp, "wal.jsonl"), Path(tmp, "j.jsonl")
-        wal_path.write_bytes(recording.wal_bytes[: state.wal])
+        journal_path = Path(tmp, "j.jsonl")
         journal_path.write_bytes(recording.journal_bytes[: state.journal])
 
-        # (ii) journal first, on the bytes themselves.
-        journal = read_jsonl_objects(journal_path)
-        wal_records = read_jsonl_objects(wal_path)
-        journaled_ids = {obj["txn"] for obj in journal}
-        commit_requests = {
-            obj["txn"]
-            for obj in journal
-            if obj["kind"] == "service.request"
-            and obj["data"]["verb"] == "commit"
-        }
-        committed = {
-            obj["txn"] for obj in wal_records if obj["kind"] == "commit"
-        }
-        assert {obj["txn"] for obj in wal_records} <= journaled_ids
-        assert committed <= commit_requests
+        # (ii) a COMMIT record follows its commit request, in one file.
+        requested: set[str] = set()
+        committed: set[str] = set()
+        for obj in read_jsonl_objects(journal_path):
+            if (
+                obj["kind"] == "service.request"
+                and obj["data"]["verb"] == "commit"
+            ):
+                requested.add(obj["txn"])
+            elif (
+                obj["kind"] == "wal.append"
+                and obj["data"]["record"] == "commit"
+            ):
+                assert obj["txn"] in requested, obj
+                committed.add(obj["txn"])
 
         # (i) nothing acknowledged is lost; nothing unforced is needed.
-        harness = Harness(wal_path, journal_path)
+        harness = Harness(journal_path)
         seen = recording.delivered[: state.delivered]
-        acknowledged = sum(
-            1 for _, reply in seen if reply["verb"] == "commit" and reply["ok"]
-        )
+        acknowledged = {
+            reply["txn"]
+            for _, reply in seen
+            if reply["verb"] == "commit" and reply["ok"]
+        }
+        assert acknowledged <= committed
         assert harness.counter() == len(committed)
-        assert acknowledged <= state.forced <= len(committed)
-        assert len(committed) <= state.forced + 1  # flushed, fsync pending
+        assert len(acknowledged) <= state.forced <= len(committed)
+        assert len(committed) <= state.forced + 1  # written, fsync pending
 
         # (iii) every client retries what it never heard back about.
         answered = {rid for rid, _ in seen}
@@ -467,13 +438,14 @@ def check_crash_state(recording: Recording, state: CrashState) -> None:
                 assert reply["code"] == 410, (request, reply)
         assert harness.counter() == len(committed)  # no double apply
 
-        # (v) a second crash, after the repaired tails were appended to.
+        # (v) a second crash, after the repaired tail was appended to,
+        # tearing z's COMMIT record.
         harness.transaction("z", "e003")
         harness.close()
-        for path, cut in ((wal_path, 5), (journal_path, 7)):
-            with path.open("rb+") as handle:
-                handle.truncate(path.stat().st_size - cut)
-        harness = Harness(wal_path, journal_path)
+        text = journal_path.read_bytes()
+        line = text.rindex(b"\n", 0, text.rindex(b'"record": "commit"')) + 1
+        journal_path.write_bytes(text[: line + 9])
+        harness = Harness(journal_path)
         assert harness.counter() == len(committed)  # z's COMMIT was torn
         harness.transaction("z2", "e003")
         assert harness.counter() == len(committed) + 1
@@ -490,32 +462,36 @@ class TestCrashStates:
             if reply["verb"] == "commit" and reply["ok"]
         )
         assert commits == 4
-        assert recording.forces == commits
-        assert recording.fsync_fds == [recording.wal_fd] * commits
-        assert recording.journal_flushes <= len(recording.requests) + commits
+        assert recording.fsync_fds == [recording.journal_fd] * commits
+        assert recording.journal_flushes == len(recording.requests)
 
     def test_every_recorded_state_recovers(self, recording):
         assert len(recording.states) > 2 * len(recording.requests)
         for state in recording.states:
             check_crash_state(recording, state)
 
+    def test_power_loss_keeps_every_acknowledged_commit(self, recording):
+        """An operating-system crash or power loss: the journal keeps
+        what its last returned fsync made durable, and loses the rest."""
+        lost = dict.fromkeys(
+            replace(state, journal=recording.synced[state.forced])
+            for state in recording.states
+        )
+        assert len(lost) > len(recording.synced)
+        for state in lost:
+            check_crash_state(recording, state)
+
     @settings(max_examples=25)
     @given(data=st.data())
     def test_any_offset_inside_a_write_recovers(self, recording, data):
-        """A ``write(2)`` cut short: between two recorded states one file
+        """A ``write(2)`` cut short: between two recorded states the file
         grew, and any prefix of that growth can be what survives."""
         index = data.draw(st.integers(1, len(recording.states) - 1))
         before, after = recording.states[index - 1 : index + 1]
-        # One file operation separates two recorded states, so at most
-        # one of these ranges is more than a point.
-        wal = data.draw(st.integers(before.wal, after.wal))
         journal = data.draw(st.integers(before.journal, after.journal))
         check_crash_state(
             recording,
-            CrashState(
-                wal, journal, before.delivered, before.forced,
-                before.submitted,
-            ),
+            replace(before, journal=journal),
         )
 
 
@@ -529,6 +505,7 @@ class TestProcessCrashes:
         )
         assert report["ok"], report["problems"]
         assert report["acknowledged_commits"] == 480
+        assert [p.name for p in tmp_path.iterdir()] == ["smoke.journal.jsonl"]
         boots = [
             event.data["recovered"]
             for event in read_events_jsonl(tmp_path / "smoke.journal.jsonl")

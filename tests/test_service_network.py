@@ -52,14 +52,12 @@ class ServerHarness:
         self,
         tmp_path,
         config=None,
-        wal=True,
         proxy_plan=None,
         tick_interval=0.01,
     ):
         self.config = config or ServiceConfig(
             max_sessions=8, deadline_steps=80
         )
-        self.wal_path = (tmp_path / "wal.jsonl") if wal else None
         self.journal_path = tmp_path / "journal.jsonl"
         self.proxy_plan = proxy_plan
         self.tick_interval = tick_interval
@@ -77,7 +75,7 @@ class ServerHarness:
 
         async def boot():
             core, sink = build_core(
-                4, 0, self.config, self.wal_path, self.journal_path
+                4, 0, self.config, None, self.journal_path
             )
             self.server = LockServer(
                 core, sink, tick_interval=self.tick_interval,
@@ -298,7 +296,7 @@ class TestInProcessRestart:
                 client.lock(limbo, "e001", "X")
                 client.write(limbo, "e001", 5)
         # First server exited (drained); boot a successor on the same
-        # WAL + journal, as after a crash.
+        # journal, as after a crash.
         with ServerHarness(tmp_path, config=config) as harness:
             assert read_value(harness.client_port, HOT) == 7
             assert read_value(harness.client_port, "e001") == 0
