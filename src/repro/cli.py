@@ -175,6 +175,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .simulation import Sweep, tabulate
+    from .verification.harness import is_ordered_policy
 
     sweep = Sweep(base=_config_from_args(args), seeds=range(args.seeds))
     if args.axis == "strategy":
@@ -192,7 +193,20 @@ def cmd_sweep(args) -> int:
         metrics=("deadlocks", "rollbacks", "total_rollbacks",
                  "states_lost", "overshoot_states", "copies_peak"),
     ))
-    return 0 if all(c.serializable for c in cells) else 1
+    policies = (
+        list(POLICIES) if args.axis == "policy" else [args.policy] * len(cells)
+    )
+    # Theorem 2: an ordered policy never livelocks, so a livelock under
+    # one is a failure; an unordered cell only reports its count.
+    livelocked = [
+        cell.label
+        for cell, policy in zip(cells, policies)
+        if cell.livelocks and is_ordered_policy(policy)
+    ]
+    for label in livelocked:
+        print(f"livelock under an ordered policy in cell {label}")
+    ok = all(c.serializable for c in cells) and not livelocked
+    return 0 if ok else 1
 
 
 def cmd_fuzz(args) -> int:

@@ -218,9 +218,12 @@ class ReplicatedScheduler(DistributedScheduler):
         and re-issues once a replica may be back.
         """
         self.metrics.bump("unavailable_stalls")
-        self._stalled_until[txn.txn_id] = max(
-            self._stalled_until.get(txn.txn_id, 0),
-            self._clock + UNAVAILABLE_BACKOFF,
+        self._stall(
+            txn.txn_id,
+            max(
+                self._stalled_until.get(txn.txn_id, 0),
+                self._clock + UNAVAILABLE_BACKOFF,
+            ),
         )
         self._blocked_since.pop(txn.txn_id, None)
         return StepResult(txn.txn_id, StepOutcome.BLOCKED, actions=[])

@@ -34,6 +34,9 @@ rollback notifications.
 from __future__ import annotations
 
 import random
+from collections import deque
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from ..admission.breaker import BreakerState, CircuitBreaker
 from ..core.detection import Deadlock
@@ -53,6 +56,10 @@ WOUND_WAIT = "wound-wait"
 WAIT_DIE = "wait-die"
 PROBE = "probe"
 
+#: The place the clock's timeout pass stands at between two passes: after
+#: every timer's.
+_BETWEEN_PASSES = float("inf")
+
 
 class DistributedScheduler(Scheduler):
     """A scheduler whose entities live on multiple sites.
@@ -65,7 +72,7 @@ class DistributedScheduler(Scheduler):
     partition:
         Entity and transaction placement.
     cross_site_mode:
-        ``"wound-wait"`` (default) or ``"wait-die"``.
+        ``"wound-wait"`` (default), ``"wait-die"`` or ``"probe"``.
     wait_timeout:
         Engine steps a transaction may stay blocked before the timeout
         mechanism frees its contested locks.  Must be positive.
@@ -159,8 +166,22 @@ class DistributedScheduler(Scheduler):
         #: until the wait timeout clears them.
         self.link_filter = None
         self._blocked_since: dict[TxnId, int] = {}
+        #: ``(since, place, txn)`` per ``_blocked_since`` write, in write
+        #: order: the wait timers, which the clock pops when due.
+        self._timers: deque[tuple[int, int, TxnId]] = deque()
+        #: Each timer's place in the firing order (see on_engine_step).
+        self._timer_place: dict[TxnId, int] = {}
+        self._next_place = 0
+        #: ``(clock, place)`` at which a transaction first left BLOCKED
+        #: since its timer was last written; ``place`` is that of the
+        #: timer then being handled, or _BETWEEN_PASSES.
+        self._unblocked_at: dict[TxnId, tuple[int, float]] = {}
+        self._passing = _BETWEEN_PASSES
         self._retry_attempts: dict[TxnId, int] = {}
+        #: Only stalls still in force (``until > clock``), and a heap of
+        #: ``(until, txn)`` per write for the clock to expire them.
         self._stalled_until: dict[TxnId, int] = {}
+        self._stall_ends: list[tuple[int, TxnId]] = []
         self._backoff_rng = random.Random(backoff_seed)
         self._clock = 0
 
@@ -182,14 +203,20 @@ class DistributedScheduler(Scheduler):
         every driver (engine or direct stepping) keeps making progress.
         """
         ready = super().runnable()
-        if not self._stalled_until:
+        stalled = self._stalled_until
+        if not stalled:
             return ready
-        active = [
-            txn_id
-            for txn_id in ready
-            if self._stalled_until.get(txn_id, 0) <= self._clock
-        ]
+        active = [txn_id for txn_id in ready if txn_id not in stalled]
         return active if active else ready
+
+    def _stall(self, txn_id: TxnId, until: int) -> None:
+        """Keep *txn_id* out of :meth:`runnable` until the clock reaches
+        *until* (a stall already over is no stall: it is dropped)."""
+        if until > self._clock:
+            self._stalled_until[txn_id] = until
+            heappush(self._stall_ends, (until, txn_id))
+        else:
+            self._stalled_until.pop(txn_id, None)
 
     def _penalise_retry(self, txn_id: TxnId, target_ordinal: int) -> int:
         """Account one distributed retry; return the (possibly escalated)
@@ -210,29 +237,102 @@ class DistributedScheduler(Scheduler):
             self.backoff_cap,
             self.backoff_base * (2 ** min(attempts - 1, 30)),
         ) + self._backoff_rng.randrange(self.backoff_base)
-        self._stalled_until[txn_id] = self._clock + delay
+        self._stall(txn_id, self._clock + delay)
         self.metrics.bump("backoff_stalls")
         return target_ordinal
 
     # -- engine hook: clock and timeouts -----------------------------------
 
     def on_engine_step(self, step: int) -> None:
-        """Advance the wait clock and fire overdue timeouts.
+        """Advance the wait clock, end the stalls that are over and handle
+        the wait timers that are due.
 
         Called once per engine iteration (including idle iterations when
-        everything is blocked).
+        everything is blocked).  The clock behaves as if it visited every
+        timer on every step in place order, discarding a timer whose
+        transaction is not BLOCKED and firing (:meth:`_timeout`) one that
+        has waited ``wait_timeout`` steps.  It pays only for what is due:
+
+        * Every ``_blocked_since`` write stores the current clock, and the
+          clock only grows, so ``_timers`` (one entry per write, in write
+          order) is sorted by deadline and the due timers are a prefix.
+        * A due timer is handled on the step it falls due: it fires or
+          is reset.  So the timers due at a step were all written on one
+          step, ``wait_timeout`` steps earlier, and they are handled in
+          place order.  A timer written for a transaction that the clock
+          has passed while it was not BLOCKED takes a new place, after
+          every other; any other write keeps the timer's place.  One
+          step's resets are written in place order and its one block
+          comes after them, so place order is write order with one
+          exception: a timeout on this pass unblocks a transaction the
+          pass has already gone by, and the transaction blocks again on
+          the same step (two Lock operations in a row).
+          :meth:`_reindex` notes when a transaction leaves BLOCKED, so
+          that :meth:`_arm_timer` can tell the cases apart.
+        * A transaction becomes BLOCKED only in
+          :meth:`Scheduler._execute_lock`, and :meth:`_execute_lock`
+          writes ``_blocked_since`` after every call that did not grant.
+          So an entry whose ``_blocked_since`` value still equals its
+          ``since``, and whose transaction is BLOCKED, is a timer the
+          clock has never discarded.
         """
-        self._clock += 1
-        for txn_id, until in list(self._stalled_until.items()):
-            if until <= self._clock:
+        self._clock = clock = self._clock + 1
+        stall_ends = self._stall_ends
+        while stall_ends and stall_ends[0][0] <= clock:
+            until, txn_id = heappop(stall_ends)
+            if self._stalled_until.get(txn_id) == until:
                 del self._stalled_until[txn_id]
-        for txn_id, since in list(self._blocked_since.items()):
+        timers = self._timers
+        due_at = clock - self.wait_timeout
+        if not timers or timers[0][0] > due_at:
+            return
+        due = []
+        while timers and timers[0][0] <= due_at:
+            due.append(timers.popleft())
+        if len(due) > 1:
+            due.sort(key=itemgetter(1))
+        for since, place, txn_id in due:
+            if self._blocked_since.get(txn_id) != since:
+                continue  # rewritten or cleared since
             txn = self.transactions.get(txn_id)
             if txn is None or txn.status is not TxnStatus.BLOCKED:
-                self._blocked_since.pop(txn_id, None)
                 continue
-            if self._clock - since >= self.wait_timeout:
-                self._timeout(txn)
+            self._passing = place
+            self._timeout(txn)
+        self._passing = _BETWEEN_PASSES
+
+    def _arm_timer(self, txn: Transaction) -> None:
+        """Write *txn*'s wait timer at the current clock: on a block, and
+        on a no-waiter reset."""
+        txn_id = txn.txn_id
+        clock = self._clock
+        place = self._timer_place.get(txn_id)
+        left = self._unblocked_at.get(txn_id)
+        if (
+            txn_id not in self._blocked_since
+            or left is not None and (left[0] < clock or left[1] < place)
+        ):
+            # No timer, or the clock has passed this one (on an earlier
+            # step, or later on this step's pass) while its transaction
+            # was not BLOCKED: a new timer, placed after every other.
+            place = self._next_place
+            self._next_place += 1
+            self._timer_place[txn_id] = place
+        self._blocked_since[txn_id] = clock
+        self._timers.append((clock, place, txn_id))
+        if txn.status is TxnStatus.BLOCKED:
+            self._unblocked_at.pop(txn_id, None)
+        else:  # a victim of its own block: unblocked from the write on
+            self._unblocked_at[txn_id] = (clock, _BETWEEN_PASSES)
+
+    def _reindex(self, txn: Transaction, was: TxnStatus) -> None:
+        """Note where the clock stood when *txn* first left BLOCKED after
+        its timer was written (see :meth:`_arm_timer`)."""
+        if was is TxnStatus.BLOCKED:
+            self._unblocked_at.setdefault(
+                txn.txn_id, (self._clock, self._passing)
+            )
+        super()._reindex(txn, was)
 
     def _entities_waited_on(self, txn_id: TxnId) -> set[str]:
         """Entities *txn_id* holds that some transaction currently waits
@@ -250,7 +350,7 @@ class DistributedScheduler(Scheduler):
         """
         waited_entities = self._entities_waited_on(txn.txn_id)
         if not waited_entities:
-            self._blocked_since[txn.txn_id] = self._clock
+            self._arm_timer(txn)
             return
         ideal = min(
             txn.record_for_entity(entity).ordinal
@@ -329,8 +429,9 @@ class DistributedScheduler(Scheduler):
             Scheduler.force_rollback(
                 self, txn.txn_id, 0, requester=txn.txn_id, ideal_ordinal=0
             )
-        self._stalled_until[txn.txn_id] = max(
-            self._stalled_until.get(txn.txn_id, 0), breaker.reopen_at()
+        self._stall(
+            txn.txn_id,
+            max(self._stalled_until.get(txn.txn_id, 0), breaker.reopen_at()),
         )
         self._blocked_since.pop(txn.txn_id, None)
         return StepResult(txn.txn_id, StepOutcome.BLOCKED, actions=[])
@@ -369,7 +470,7 @@ class DistributedScheduler(Scheduler):
             owner, home, MessageType.LOCK_DENIED_WAIT, txn.txn_id,
             op.entity_name,
         )
-        self._blocked_since[txn.txn_id] = self._clock
+        self._arm_timer(txn)
         if result.outcome is StepOutcome.DEADLOCK:
             return result
         # No site-local deadlock; apply the timestamp rule to cross-site
@@ -579,6 +680,8 @@ class DistributedScheduler(Scheduler):
         else:
             super().shed(txn_id, reason)
         self._blocked_since.pop(txn_id, None)
+        self._timer_place.pop(txn_id, None)
+        self._unblocked_at.pop(txn_id, None)
         self._retry_attempts.pop(txn_id, None)
         self._stalled_until.pop(txn_id, None)
 
@@ -626,5 +729,7 @@ class DistributedScheduler(Scheduler):
                     home, owner, MessageType.VALUE_SHIP, txn.txn_id, entity
                 )
         self._blocked_since.pop(txn.txn_id, None)
+        self._timer_place.pop(txn.txn_id, None)
+        self._unblocked_at.pop(txn.txn_id, None)
         self._retry_attempts.pop(txn.txn_id, None)
         self._stalled_until.pop(txn.txn_id, None)

@@ -93,6 +93,50 @@ class TestCliSweep:
         assert code == 0
         assert "n=2" in out and "n=8" in out
 
+    @staticmethod
+    def _livelock_first_run(monkeypatch):
+        """Report the sweep's first engine run as livelocked."""
+        from dataclasses import replace
+
+        from repro.simulation import sweeps
+
+        class FirstRunLivelocks(sweeps.SimulationEngine):
+            runs = 0
+
+            def run(self):
+                result = super().run()
+                FirstRunLivelocks.runs += 1
+                if FirstRunLivelocks.runs == 1:
+                    result = replace(result, livelock_detected=True)
+                return result
+
+        monkeypatch.setattr(sweeps, "SimulationEngine", FirstRunLivelocks)
+
+    def test_sweep_fails_on_livelock_under_ordered_policy(
+        self, capsys, monkeypatch
+    ):
+        self._livelock_first_run(monkeypatch)
+        code = main(["sweep", "--transactions", "5", "--entities", "5",
+                     "--seeds", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        first = out.splitlines()[2].split()[0]  # header, rule, first cell
+        assert f"livelock under an ordered policy in cell {first}" in out
+        assert out.count("livelock under an ordered policy") == 1
+
+    def test_sweep_reports_livelock_under_unordered_policy(
+        self, capsys, monkeypatch
+    ):
+        self._livelock_first_run(monkeypatch)
+        code = main(["sweep", "--transactions", "5", "--entities", "5",
+                     "--seeds", "1", "--policy", "min-cost"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "livelock under an ordered policy" not in out
+        header, _rule, first = out.splitlines()[:3]
+        column = header.split().index("livelocks")
+        assert first.split()[column] == "1"
+
 
 class TestRenderOnLiveSystem:
     def test_dot_from_scheduler_snapshot(self):

@@ -5,6 +5,8 @@ rejoin, view changes over in-flight transactions, the no-stale-read
 oracle, the partition/heal scenario suite, and the crash-at-every-step
 acceptance sweep over a 5-site rf=2 topology."""
 
+import random
+
 import pytest
 
 from repro import TransactionProgram, ops
@@ -22,6 +24,7 @@ from repro.distributed.scenarios import (
     run_scenario,
     scenario_names,
 )
+from repro.errors import SimulationError
 from repro.resilience.chaos import chaos_run, crash_recovery_sweep
 from repro.resilience.faults import FaultEvent, FaultKind, FaultPlan
 from repro.simulation import (
@@ -391,6 +394,34 @@ class TestScenarios:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_scenario("nope")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SimulationError,
+    reason="the probe misses a 5-cycle homed on three sites (ROADMAP "
+    "item 3), so with no effective timeout every transaction blocks",
+)
+def test_probe_finds_global_deadlock_without_timeout():
+    config = WorkloadConfig(
+        100, 200, (2, 4), write_ratio=0.6, skew="hotspot"
+    )
+    db, programs = generate_workload(config, seed=6054)
+    view = hash_view(db.names(), programs, 8, rf=2)
+    scheduler = ReplicatedScheduler(
+        db, view, strategy="mcs", policy="ordered-min-cost",
+        cross_site_mode="probe", wait_timeout=10**6,
+    )
+    engine = SimulationEngine(
+        scheduler, RandomInterleaving(rng=random.Random(6055)),
+        max_steps=40_000,
+    )
+    for program in programs:
+        engine.add(program)
+    result = engine.run()
+    assert result.final_state == expected_final_state(
+        *generate_workload(config, seed=6054)
+    )
 
 
 class TestChaosIntegration:
