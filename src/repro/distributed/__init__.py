@@ -3,20 +3,22 @@ scheduler combining site-local detection, timestamp ordering, and timeouts
 with partial rollback."""
 
 from .network import Message, MessageLog, MessageType
-from .partition import Partition, explicit_partition, round_robin_partition
 from .replication import ReadRecord, ReplicaDirectory, ReplicatedScheduler
 from .scheduler import PROBE, WAIT_DIE, WOUND_WAIT, DistributedScheduler
-from .views import DEFAULT_VNODES, HashRing, View, hash_view, stable_hash
+from .views import (
+    DEFAULT_VNODES, FixedRing, HashRing, View, explicit_partition, hash_view,
+    round_robin_partition, stable_hash,
+)
 
 __all__ = [
     "DEFAULT_VNODES",
     "DistributedScheduler",
+    "FixedRing",
     "HashRing",
     "Message",
     "MessageLog",
     "MessageType",
     "PROBE",
-    "Partition",
     "ReadRecord",
     "ReplicaDirectory",
     "ReplicatedScheduler",

@@ -168,9 +168,8 @@ class ReplicaDirectory:
 class ReplicatedScheduler(DistributedScheduler):
     """Available-copies replication on top of the distributed scheduler.
 
-    Parameters are those of :class:`DistributedScheduler` except that
-    ``partition`` must be a :class:`~repro.distributed.views.View` (its
-    ``rf`` fixes the replication factor).  Site liveness is driven by the
+    Parameters are those of :class:`DistributedScheduler`; the view's
+    ``rf`` fixes the replication factor.  Site liveness is driven by the
     fault injector through :meth:`site_failed` / :meth:`site_recovered`;
     partitions through :meth:`on_partition` / :meth:`on_heal`.
     """
@@ -183,12 +182,6 @@ class ReplicatedScheduler(DistributedScheduler):
         policy="ordered-min-cost",
         **kwargs,
     ) -> None:
-        if not isinstance(view, View):
-            raise TypeError(
-                "ReplicatedScheduler requires a View (see "
-                "repro.distributed.views.hash_view); use "
-                "DistributedScheduler for a static Partition"
-            )
         super().__init__(
             database, view, strategy=strategy, policy=policy, **kwargs
         )
@@ -196,19 +189,7 @@ class ReplicatedScheduler(DistributedScheduler):
         #: Every served read, for the no-stale-read oracle.
         self.read_log: list[ReadRecord] = []
 
-    @property
-    def view(self) -> View:
-        return self.partition
-
     # -- availability gate ---------------------------------------------------
-
-    def _available_targets(self, entity: str, mode: LockMode) -> list[int]:
-        if mode is LockMode.EXCLUSIVE:
-            return self.replication.up_replicas(entity)
-        # A read can also be served by an up-but-stale replica via an
-        # on-demand catch-up from durable state, so reads need only an
-        # up replica too; _serve_read pays the catch-up when it happens.
-        return self.replication.up_replicas(entity)
 
     def _stall_unavailable(self, txn: Transaction, entity: str) -> StepResult:
         """No replica of *entity* is up: stall without queueing.
@@ -229,7 +210,9 @@ class ReplicatedScheduler(DistributedScheduler):
         return StepResult(txn.txn_id, StepOutcome.BLOCKED, actions=[])
 
     def _execute_lock(self, txn: Transaction, op: Lock) -> StepResult:
-        if not self._available_targets(op.entity_name, op.mode):
+        # Reads and writes alike need an up replica: a read served by an
+        # up-but-stale one pays an on-demand catch-up in _serve_read.
+        if not self.replication.up_replicas(op.entity_name):
             return self._stall_unavailable(txn, op.entity_name)
         return super()._execute_lock(txn, op)
 
@@ -245,8 +228,8 @@ class ReplicatedScheduler(DistributedScheduler):
     def _acquire_replica_locks(self, txn_id: TxnId, entity: str) -> None:
         """Write-all-available: one lock round-trip per extra up replica
         (the primary's round-trip is already charged by the base class)."""
-        home = self.partition.home_of(txn_id)
-        primary = self.partition.site_of_entity(entity)
+        home = self.view.home_of(txn_id)
+        primary = self.view.site_of_entity(entity)
         for site in self.replication.up_replicas(entity):
             if site == primary:
                 continue
@@ -259,7 +242,7 @@ class ReplicatedScheduler(DistributedScheduler):
 
     def _serve_read(self, txn_id: TxnId, entity: str) -> None:
         """Read-one: pick the serving replica and log the versions."""
-        home = self.partition.home_of(txn_id)
+        home = self.view.home_of(txn_id)
         fresh = self.replication.fresh_replicas(entity)
         if fresh:
             site = home if home in fresh else fresh[0]
@@ -268,7 +251,7 @@ class ReplicatedScheduler(DistributedScheduler):
             # durable log (an on-demand catch-up) before serving — the
             # available-copies recovery rule, charged as one catch-up.
             up = self.replication.up_replicas(entity)
-            site = up[0] if up else self.partition.site_of_entity(entity)
+            site = up[0] if up else self.view.site_of_entity(entity)
             self._catch_up_entity(entity, site)
         self.read_log.append(
             ReadRecord(
@@ -287,11 +270,11 @@ class ReplicatedScheduler(DistributedScheduler):
 
     def _install(self, txn_id: TxnId, entity: str, value) -> None:
         super()._install(txn_id, entity, value)
-        home = self.partition.home_of(txn_id)
+        home = self.view.home_of(txn_id)
         applied, missed = self.replication.record_write(
             entity, home, self._reachable
         )
-        primary = self.partition.site_of_entity(entity)
+        primary = self.view.site_of_entity(entity)
         for site in applied:
             if site != primary:
                 # The primary's value ship is charged by the base class
@@ -393,10 +376,10 @@ class ReplicatedScheduler(DistributedScheduler):
         """
         if policy not in ("migrate", "rollback"):
             raise ValueError("view-change policy must be migrate or rollback")
-        moved = self.partition.moved_entities(successor)
-        replica_changed = self.partition.replica_changes(successor)
-        old_view = self.partition
-        self.partition = successor
+        moved = self.view.moved_entities(successor)
+        replica_changed = self.view.replica_changes(successor)
+        old_view = self.view
+        self.view = successor
         self.replication.view = successor
         for site in successor.sites:
             self.replication.site_up.setdefault(site, True)

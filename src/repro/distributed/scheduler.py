@@ -48,7 +48,7 @@ from ..locking.modes import LockMode
 from ..observability.events import EventKind
 from ..storage.database import Database
 from .network import MessageLog, MessageType
-from .partition import Partition
+from .views import View
 
 TxnId = str
 
@@ -69,8 +69,10 @@ class DistributedScheduler(Scheduler):
     database, strategy, policy:
         As for :class:`~repro.core.scheduler.Scheduler`; the policy applies
         to site-local deadlocks only.
-    partition:
-        Entity and transaction placement.
+    view:
+        Entity and transaction placement, static
+        (:func:`~repro.distributed.views.round_robin_partition`) or
+        consistent-hashed (:func:`~repro.distributed.views.hash_view`).
     cross_site_mode:
         ``"wound-wait"`` (default), ``"wait-die"`` or ``"probe"``.
     wait_timeout:
@@ -109,7 +111,7 @@ class DistributedScheduler(Scheduler):
     def __init__(
         self,
         database: Database,
-        partition: Partition,
+        view: View,
         strategy="mcs",
         policy="ordered-min-cost",
         cross_site_mode: str = WOUND_WAIT,
@@ -142,7 +144,7 @@ class DistributedScheduler(Scheduler):
             raise ValueError(
                 "backoff must satisfy 1 <= backoff_base <= backoff_cap"
             )
-        self.partition = partition
+        self.view = view
         self.cross_site_mode = cross_site_mode
         self.wait_timeout = wait_timeout
         self.retry_budget = retry_budget
@@ -189,8 +191,8 @@ class DistributedScheduler(Scheduler):
 
     def register(self, program: TransactionProgram) -> Transaction:
         for entity in program.entities_accessed:
-            self.partition.site_of_entity(entity)  # raises if unassigned
-        self.partition.home_of(program.txn_id)
+            self.view.site_of_entity(entity)  # raises if unassigned
+        self.view.home_of(program.txn_id)
         return super().register(program)
 
     # -- retry backoff ------------------------------------------------------
@@ -437,8 +439,8 @@ class DistributedScheduler(Scheduler):
         return StepResult(txn.txn_id, StepOutcome.BLOCKED, actions=[])
 
     def _execute_lock(self, txn: Transaction, op: Lock) -> StepResult:
-        home = self.partition.home_of(txn.txn_id)
-        owner = self.partition.site_of_entity(op.entity_name)
+        home = self.view.home_of(txn.txn_id)
+        owner = self.view.site_of_entity(op.entity_name)
         breaker = self._breaker_for(owner)
         if breaker is not None:
             before = breaker.state
@@ -490,10 +492,10 @@ class DistributedScheduler(Scheduler):
         live = self.lock_manager.table.waits_for
         if live.cycle_through(requester) is None:
             return None  # a site-local cycle is a cycle of the full graph
-        site = self.partition.site_of_entity(entity)
+        site = self.view.site_of_entity(entity)
         local = ConcurrencyGraph()
         for arc in live:
-            if self.partition.site_of_entity(arc.entity) == site:
+            if self.view.site_of_entity(arc.entity) == site:
                 local.add_wait(*arc)
         if local.cycle_through(requester) is None:
             return None
@@ -507,7 +509,7 @@ class DistributedScheduler(Scheduler):
         Returns True when the rule rolled someone back (the conflict is
         resolved or being resolved); False when waiting is allowed.
         """
-        home = self.partition.home_of(txn.txn_id)
+        home = self.view.home_of(txn.txn_id)
         # blockers_of returns a set; iterate in entry order so wound/die
         # decisions are deterministic across processes (string hashing is
         # randomised per interpreter run).
@@ -520,11 +522,11 @@ class DistributedScheduler(Scheduler):
         )
         cross = [
             b for b in blockers
-            if self.partition.home_of(b.txn_id) != home
+            if self.view.home_of(b.txn_id) != home
             # A wound/die decision needs a message to (or a timestamp
             # learned from) the blocker's home; a severed link leaves the
             # wait standing for the timeout rule instead.
-            and self._reachable(home, self.partition.home_of(b.txn_id))
+            and self._reachable(home, self.view.home_of(b.txn_id))
         ]
         if self.cross_site_mode == PROBE:
             # Edge-chasing detects real global deadlocks even when every
@@ -551,6 +553,10 @@ class DistributedScheduler(Scheduler):
                     # waits instead (the timeout ladder still guarantees
                     # progress).
                     continue
+                if self.lock_manager.past_last_lock(blocker.txn_id):
+                    # Past its last lock it cannot deadlock (paper §5) and
+                    # requests nothing more: the requester's wait is bounded.
+                    continue
                 record = blocker.record_for_entity(op.entity_name)
                 if record is None or not record.granted:
                     continue  # queued ahead, holds nothing to free
@@ -559,8 +565,8 @@ class DistributedScheduler(Scheduler):
                 ideal = record.ordinal
                 target = self.strategy.choose_target(blocker, ideal)
                 self.message_log.send(
-                    self.partition.home_of(txn.txn_id),
-                    self.partition.home_of(blocker.txn_id),
+                    self.view.home_of(txn.txn_id),
+                    self.view.home_of(blocker.txn_id),
                     MessageType.WOUND,
                     blocker.txn_id,
                     op.entity_name,
@@ -616,8 +622,8 @@ class DistributedScheduler(Scheduler):
         while frontier:
             current = frontier.pop()
             for blocker in adjacency.get(current, ()):  # probe hop
-                current_home = self.partition.home_of(current)
-                blocker_home = self.partition.home_of(blocker)
+                current_home = self.view.home_of(current)
+                blocker_home = self.view.home_of(blocker)
                 if not self._reachable(current_home, blocker_home):
                     # The probe dies at the partition boundary; cycles
                     # crossing it stay invisible until the timeout rule.
@@ -689,11 +695,11 @@ class DistributedScheduler(Scheduler):
         """Ship rollback notifications to remote sites whose entities the
         rollback releases (the §3.3 communication cost of partial
         rollback)."""
-        home = self.partition.home_of(txn.txn_id)
+        home = self.view.home_of(txn.txn_id)
         for record in txn.records_from(target):
             if not record.granted:
                 continue
-            owner = self.partition.site_of_entity(record.entity)
+            owner = self.view.site_of_entity(record.entity)
             self.message_log.send(
                 home, owner, MessageType.ROLLBACK_NOTIFY, txn.txn_id,
                 record.entity,
@@ -702,8 +708,8 @@ class DistributedScheduler(Scheduler):
     # -- unlock/commit messages -------------------------------------------------
 
     def _execute_unlock(self, txn: Transaction, op) -> None:
-        home = self.partition.home_of(txn.txn_id)
-        owner = self.partition.site_of_entity(op.entity_name)
+        home = self.view.home_of(txn.txn_id)
+        owner = self.view.site_of_entity(op.entity_name)
         mode = self.lock_manager.holds(txn.txn_id, op.entity_name)
         super()._execute_unlock(txn, op)
         self.message_log.send(
@@ -716,11 +722,11 @@ class DistributedScheduler(Scheduler):
             )
 
     def _commit(self, txn: Transaction) -> None:
-        home = self.partition.home_of(txn.txn_id)
+        home = self.view.home_of(txn.txn_id)
         held = self.lock_manager.locks_held(txn.txn_id)
         super()._commit(txn)
         for entity, mode in held.items():
-            owner = self.partition.site_of_entity(entity)
+            owner = self.view.site_of_entity(entity)
             self.message_log.send(
                 home, owner, MessageType.UNLOCK, txn.txn_id, entity
             )

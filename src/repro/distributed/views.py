@@ -1,14 +1,14 @@
-"""Dynamic entity placement: consistent-hash rings and topology views.
+"""Entity placement: one :class:`View` over a fixed or a hash ring.
 
-The static :class:`~repro.distributed.partition.Partition` pins every
-entity to one site forever; a production deployment adds and removes
-sites while transactions are in flight.  A :class:`View` is one immutable
-epoch of the topology: a seeded consistent-hash ring (virtual nodes per
-site) mapping every entity to its *primary* site and — when the view is
-replicated — to its ``rf``-site replica set, plus the transaction home
-map.  :meth:`View.add_site` / :meth:`View.remove_site` produce the next
-epoch; consistent hashing guarantees the reshuffle is *minimal* — only
-keys owned by the added/removed site move — and fully deterministic from
+A :class:`View` is one immutable epoch of the topology: every entity's
+*primary* site (and, when replicated, its ``rf``-site replica set) plus
+the transaction home map.  Its ring is a :class:`FixedRing` — the static
+partition of the paper's §3.3, which pins every entity to one site
+forever — or a seeded consistent-hash :class:`HashRing` for a deployment
+that adds and removes sites while transactions are in flight.
+:meth:`View.add_site` / :meth:`View.remove_site` produce the next epoch;
+consistent hashing guarantees the reshuffle is *minimal* — only keys
+owned by the added/removed site move — and fully deterministic from
 ``(seed, vnodes, site set)``, so two processes computing the same view
 change agree on every placement without coordination.
 
@@ -103,22 +103,43 @@ class HashRing:
         return HashRing(sites, vnodes=self.vnodes, seed=self.seed)
 
 
+class FixedRing:
+    """A given key->site map over sites ``0 .. n_sites - 1``: one site
+    per key, :class:`KeyError` for a key with no site, no view change."""
+
+    def __init__(self, entity_sites: Mapping[str, int], n_sites: int) -> None:
+        self.sites: tuple[int, ...] = tuple(range(n_sites))
+        self._entity_sites = dict(entity_sites)
+
+    def owner(self, key: str) -> int:
+        site = self._entity_sites.get(key)
+        if site is None:
+            raise KeyError(f"{key!r} is not assigned to any site")
+        return site
+
+    def owners(self, key: str, n: int) -> tuple[int, ...]:
+        return (self.owner(key),)
+
+    def with_sites(self, sites: Iterable[int]) -> "FixedRing":
+        raise ValueError("a fixed placement cannot change its sites")
+
+
 class View:
     """One epoch of the cluster topology.
 
-    Exposes the :class:`~repro.distributed.partition.Partition` query API
-    (``site_of_entity`` / ``home_of`` / ``entities_at`` / ``is_local`` /
-    ``n_sites`` / ``home_sites``) so every consumer of a static partition
-    — the distributed scheduler, the fault injector, the chaos loop —
-    accepts a view unchanged.  Entity placement is immutable within a
-    view; transaction homes accumulate as programs register (a home never
-    moves with a view change — the transaction keeps executing where it
-    started, only its *entities* move).
+    Answers the placement queries (``site_of_entity`` / ``home_of`` /
+    ``entities_at`` / ``is_local`` / ``n_sites`` / ``home_sites``) of the
+    distributed scheduler, the fault injector and the chaos loop.  Entity
+    placement is immutable within a view; transaction homes accumulate as
+    programs register (a home never moves with a view change — the
+    transaction keeps executing where it started, only its *entities*
+    move).  Over a :class:`FixedRing`, an unknown entity or transaction
+    raises :class:`KeyError` and a view change raises :class:`ValueError`.
     """
 
     def __init__(
         self,
-        ring: HashRing,
+        ring: HashRing | FixedRing,
         entities: Iterable[str],
         rf: int = 1,
         version: int = 0,
@@ -139,7 +160,7 @@ class View:
             entity: ring.owners(entity, rf) for entity in self.entities
         }
 
-    # -- Partition-compatible queries ------------------------------------
+    # -- placement queries --------------------------------------------------
 
     @property
     def sites(self) -> tuple[int, ...]:
@@ -272,6 +293,51 @@ class View:
         return load
 
 
+def _home_programs(view: View, programs: Iterable[TransactionProgram]):
+    """Home each transaction at the primary site of the first entity it
+    locks (minimising its remote traffic for prefix-local programs);
+    lockless programs carry no affinity, so they spread round-robin."""
+    lockless = 0
+    for program in programs:
+        lock_ops = program.lock_operations
+        if lock_ops:
+            site = view.site_of_entity(lock_ops[0][1].entity_name)
+        else:
+            site = lockless % view.n_sites
+            lockless += 1
+        view.assign_home(program.txn_id, site)
+    return view
+
+
+def round_robin_partition(
+    entities: Iterable[str],
+    programs: Iterable[TransactionProgram],
+    n_sites: int,
+) -> View:
+    """A static view: entities spread across sites round-robin in name
+    order, transactions homed by :func:`_home_programs`."""
+    if n_sites < 1:
+        raise ValueError("n_sites must be positive")
+    entity_sites = {
+        entity: i % n_sites for i, entity in enumerate(sorted(entities))
+    }
+    return _home_programs(
+        View(FixedRing(entity_sites, n_sites), entity_sites), programs
+    )
+
+
+def explicit_partition(
+    entity_sites: Mapping[str, int],
+    home_sites: Mapping[str, int],
+) -> View:
+    """A static view from explicit assignments (scenario tests)."""
+    sites = set(entity_sites.values()) | set(home_sites.values())
+    n_sites = (max(sites) + 1) if sites else 1
+    return View(
+        FixedRing(entity_sites, n_sites), entity_sites, home_sites=home_sites
+    )
+
+
 def hash_view(
     entities: Iterable[str],
     programs: Iterable[TransactionProgram],
@@ -281,25 +347,10 @@ def hash_view(
     seed: int = 0,
 ) -> View:
     """Build the initial view for a workload (the dynamic counterpart of
-    :func:`~repro.distributed.partition.round_robin_partition`).
-
-    Transactions are homed at the primary site of the first entity they
-    lock (minimising remote traffic for prefix-local programs); lockless
-    programs are spread round-robin across sites.
+    :func:`round_robin_partition`): entities placed by a seeded
+    consistent-hash ring, transactions homed by :func:`_home_programs`.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be positive")
     ring = HashRing(range(n_sites), vnodes=vnodes, seed=seed)
-    view = View(ring, entities, rf=rf, version=0)
-    lockless = 0
-    for program in programs:
-        lock_ops = program.lock_operations
-        if lock_ops:
-            view.assign_home(
-                program.txn_id,
-                view.site_of_entity(lock_ops[0][1].entity_name),
-            )
-        else:
-            view.assign_home(program.txn_id, lockless % n_sites)
-            lockless += 1
-    return view
+    return _home_programs(View(ring, entities, rf=rf), programs)

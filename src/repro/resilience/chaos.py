@@ -134,32 +134,21 @@ def _build_scheduler(
     state: dict,
     strategy: str,
     policy,
-    partition,
+    view,
+    replicate: int,
     cross_site_mode: str,
     wait_timeout: int,
     backoff_seed: int,
 ):
     database = Database(dict(state))
-    if partition is None:
+    if view is None:
         return Scheduler(database, strategy=strategy, policy=policy)
-    from ..distributed.scheduler import DistributedScheduler
-    from ..distributed.views import View
+    from ..distributed import DistributedScheduler, ReplicatedScheduler
 
-    if isinstance(partition, View):
-        from ..distributed.replication import ReplicatedScheduler
-
-        return ReplicatedScheduler(
-            database,
-            partition,
-            strategy=strategy,
-            policy=policy,
-            cross_site_mode=cross_site_mode,
-            wait_timeout=wait_timeout,
-            backoff_seed=backoff_seed,
-        )
-    return DistributedScheduler(
+    cls = ReplicatedScheduler if replicate > 0 else DistributedScheduler
+    return cls(
         database,
-        partition,
+        view,
         strategy=strategy,
         policy=policy,
         cross_site_mode=cross_site_mode,
@@ -226,18 +215,15 @@ def chaos_run(
             stalls=stalls,
             degrade=degrade,
         )
-    partition = None
-    if sites > 0 and replicate > 0:
-        from ..distributed.views import hash_view
+    view = None
+    if sites > 0:
+        from ..distributed import hash_view, round_robin_partition
 
-        partition = hash_view(
-            database.snapshot().keys(), programs, sites, rf=replicate
-        )
-    elif sites > 0:
-        from ..distributed.partition import round_robin_partition
-
-        partition = round_robin_partition(
-            database.snapshot().keys(), programs, sites
+        entities = database.snapshot().keys()
+        view = (
+            hash_view(entities, programs, sites, rf=replicate)
+            if replicate > 0
+            else round_robin_partition(entities, programs, sites)
         )
 
     injector = FaultInjector(plan)
@@ -262,7 +248,7 @@ def chaos_run(
 
     for segment in range(max_segments):
         scheduler = _build_scheduler(
-            state, strategy, policy, partition, cross_site_mode,
+            state, strategy, policy, view, replicate, cross_site_mode,
             wait_timeout, backoff_seed=_segment_seed(chaos_seed, segment),
         )
         suite = OracleSuite(

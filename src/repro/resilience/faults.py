@@ -342,9 +342,9 @@ class FaultInjector:
 
         engine.on_step = observe
         wrapper = _StallAwareInterleaving(engine.interleaving, self)
-        if getattr(scheduler, "partition", None) is not None:
-            # Bind the *scheduler*, not its current partition object:
-            # view changes replace scheduler.partition mid-run and the
+        if getattr(scheduler, "view", None) is not None:
+            # Bind the *scheduler*, not its current view object:
+            # view changes replace scheduler.view mid-run and the
             # wrapper must follow the live topology.
             wrapper.bind_scheduler(scheduler)
         engine.interleaving = wrapper
@@ -458,12 +458,12 @@ class FaultInjector:
 
     # -- stall queries ------------------------------------------------------
 
-    def blocked_txns(self, partition=None) -> set[str]:
+    def blocked_txns(self, view=None) -> set[str]:
         """Transactions that must not be scheduled right now: explicitly
-        stalled ones, plus (given a partition) those homed on down sites."""
+        stalled ones, plus (given a view) those homed on down sites."""
         blocked = set(self.stalled_until)
-        if partition is not None and self.down_until:
-            for txn_id, home in partition.home_sites.items():
+        if view is not None and self.down_until:
+            for txn_id, home in view.home_sites.items():
                 if home in self.down_until:
                     blocked.add(txn_id)
         return blocked
@@ -512,14 +512,14 @@ class _StallAwareInterleaving:
         self.scheduler = scheduler
 
     @property
-    def partition(self):
-        """The scheduler's *current* partition (view changes swap it)."""
+    def view(self):
+        """The scheduler's *current* view (view changes swap it)."""
         if self.scheduler is None:
             return None
-        return getattr(self.scheduler, "partition", None)
+        return getattr(self.scheduler, "view", None)
 
     def choose(self, runnable, step):
-        blocked = self.injector.blocked_txns(self.partition)
+        blocked = self.injector.blocked_txns(self.view)
         if blocked:
             active = [t for t in runnable if t not in blocked]
             if active:

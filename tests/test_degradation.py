@@ -10,7 +10,7 @@ aborting the run.
 import pytest
 
 from repro.core.scheduler import Scheduler
-from repro.distributed.partition import round_robin_partition
+from repro.distributed import round_robin_partition
 from repro.distributed.scheduler import DistributedScheduler
 from repro.errors import StorageFault
 from repro.resilience import FaultEvent, FaultInjector, FaultKind, FaultPlan

@@ -13,8 +13,9 @@ from repro.distributed import (
     DistributedScheduler,
     MessageLog,
     MessageType,
-    Partition,
+    ReplicatedScheduler,
     explicit_partition,
+    hash_view,
     round_robin_partition,
 )
 from repro.simulation import (
@@ -56,11 +57,18 @@ class TestPartition:
         assert homes == [0, 1, 2, 0, 1]
 
     def test_unknown_entity_rejected(self):
-        part = Partition(1, {"a": 0}, {"T1": 0})
+        part = explicit_partition({"a": 0}, {"T1": 0})
         with pytest.raises(KeyError):
             part.site_of_entity("zzz")
         with pytest.raises(KeyError):
             part.home_of("T9")
+
+    def test_static_view_has_no_view_change(self):
+        part = explicit_partition({"a": 0, "b": 1}, {"T1": 0})
+        with pytest.raises(ValueError):
+            part.add_site(2)
+        with pytest.raises(ValueError):
+            part.remove_site(1)
 
     def test_is_local(self):
         part = explicit_partition({"a": 0, "b": 1}, {"T1": 0})
@@ -207,6 +215,44 @@ class TestCrossSiteRules:
         assert scheduler.metrics.rollback_events[0].victim == "YOUNG"
         final = engine.run()
         assert final.final_state == {"a0": 11, "b1": 11}
+
+
+class TestWoundPastLastLock:
+    """Wound-wait never wounds a holder that declared its last lock or
+    began unlocking: such a transaction cannot deadlock (paper §5) and
+    must not be rolled back."""
+
+    @staticmethod
+    def run(seed, make_scheduler):
+        cfg = WorkloadConfig(
+            n_transactions=100, n_entities=200, locks_per_txn=(2, 4),
+            write_ratio=0.6, skew="hotspot", three_phase=True,
+        )
+        db, programs = generate_workload(cfg, seed=seed)
+        expected = expected_final_state(db, programs)
+        engine = SimulationEngine(
+            make_scheduler(db, programs), RandomInterleaving(seed=seed + 1),
+            max_steps=200_000,
+        )
+        for program in programs:
+            engine.add(program)
+        result = engine.run()
+        assert result.final_state == expected
+        assert result.metrics.commits == cfg.n_transactions
+
+    @pytest.mark.parametrize("mode", [WOUND_WAIT, WAIT_DIE, PROBE])
+    @pytest.mark.parametrize("seed", [1028, 1029])
+    def test_replicated_three_phase_completes(self, mode, seed):
+        self.run(seed, lambda db, programs: ReplicatedScheduler(
+            db, hash_view(db.names(), programs, 8, rf=2),
+            cross_site_mode=mode, wait_timeout=150,
+        ))
+
+    def test_static_three_phase_completes(self):
+        self.run(1028, lambda db, programs: DistributedScheduler(
+            db, round_robin_partition(db.names(), programs, 4),
+            cross_site_mode=WOUND_WAIT, wait_timeout=150,
+        ))
 
 
 class TestProbeMode:

@@ -12,7 +12,7 @@ from repro.distributed.network import (
     MessageLog,
     MessageType,
 )
-from repro.distributed.partition import round_robin_partition
+from repro.distributed import round_robin_partition
 from repro.distributed.scheduler import DistributedScheduler
 from repro.resilience import FaultInjector, FaultPlan, FaultEvent, FaultKind
 from repro.simulation.engine import SimulationEngine

@@ -144,14 +144,6 @@ class TestReplicatedExecution:
         result = engine.run()
         assert result.final_state == expected
 
-    def test_requires_view_not_partition(self):
-        from repro.distributed import round_robin_partition
-
-        db = Database({"a": 0})
-        partition = round_robin_partition(["a"], [], 2)
-        with pytest.raises(TypeError):
-            ReplicatedScheduler(db, partition)
-
 
 class TestSiteFailRecover:
     def _write_program(self, txn_id, entity):
@@ -242,7 +234,7 @@ class TestViewChange:
         moved_held = [e for e in entities if e in moved]
         assert moved, "adding a site must move some entities"
         scheduler.change_view(successor, policy="migrate")
-        assert scheduler.partition is successor
+        assert scheduler.view is successor
         assert scheduler.metrics.view_changes == 1
         assert scheduler.metrics.lock_migrations == len(moved_held)
         assert scheduler.metrics.view_rollbacks == 0

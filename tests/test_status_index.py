@@ -35,8 +35,11 @@ from repro.core.detection import DeadlockDetector
 from repro.core.operations import Lock
 from repro.core.scheduler import Scheduler, StepOutcome
 from repro.core.transaction import TransactionProgram, TxnStatus
-from repro.distributed import ReplicatedScheduler, hash_view
-from repro.distributed.partition import round_robin_partition
+from repro.distributed import (
+    ReplicatedScheduler,
+    hash_view,
+    round_robin_partition,
+)
 from repro.distributed.scheduler import DistributedScheduler
 from repro.errors import SimulationError, StorageFault
 from repro.resilience import FaultEvent, FaultInjector, FaultKind, FaultPlan
