@@ -21,7 +21,7 @@ system needs on top of the core scheduler:
     its rollback count), and raises a structured
     :class:`~repro.errors.LivelockDetected` when the bound is violated.
 :class:`~repro.admission.breaker.CircuitBreaker`
-    Per-site failure circuit breakers for the distributed scheduler.
+    The lock service's failure circuit breaker (``ServiceCore``).
 :class:`~repro.admission.guard.OverloadGuard`
     Bundles the above into the single object
     :class:`~repro.simulation.engine.SimulationEngine` ticks each step.

@@ -1,19 +1,16 @@
-"""Per-site circuit breakers for the distributed scheduler.
+"""The lock service's circuit breaker.
 
-A site whose requests keep failing (rollbacks forced on its lock holders,
-wait timeouts on its entities) is not helped by more traffic — each retry
-consumes budget and deepens the convoy.  The breaker is the classic
-three-state machine, made fully deterministic (step-count time, no wall
-clock):
+A service whose transactions keep failing (sheds, deadline expiries) is
+not helped by more traffic — each retry deepens the convoy.  The breaker
+is the classic three-state machine, made fully deterministic (step-count
+time, no wall clock):
 
 * ``CLOSED`` — requests flow; failures within a sliding window are
   counted, and reaching the threshold trips the breaker.
-* ``OPEN`` — requests are rejected for a fixed cool-down; the distributed
-  scheduler reroutes them to degradation (a total-restart fallback)
-  without charging the victim's retry budget.
-* ``HALF_OPEN`` — after the cool-down a limited number of probe requests
-  is allowed through: one success closes the breaker, one failure re-opens
-  it for another full cool-down.
+* ``OPEN`` — requests are rejected (``503``) for a fixed cool-down.
+* ``HALF_OPEN`` — after the cool-down one probe request is allowed
+  through: its success closes the breaker, its failure re-opens it for
+  another full cool-down.
 """
 
 from __future__ import annotations
@@ -44,9 +41,6 @@ class CircuitBreaker:
         Sliding-window length (steps) over which failures are counted.
     cooldown:
         Steps an OPEN breaker rejects requests before probing again.
-    half_open_probes:
-        Requests let through while HALF_OPEN before the verdict: if all
-        of them succeed the breaker closes; any failure re-opens it.
     """
 
     def __init__(
@@ -54,18 +48,14 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         window: int = 50,
         cooldown: int = 100,
-        half_open_probes: int = 1,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be positive")
-        if window < 1 or cooldown < 1 or half_open_probes < 1:
-            raise ValueError(
-                "window, cooldown and half_open_probes must be positive"
-            )
+        if window < 1 or cooldown < 1:
+            raise ValueError("window and cooldown must be positive")
         self.failure_threshold = failure_threshold
         self.window = window
         self.cooldown = cooldown
-        self.half_open_probes = half_open_probes
         self.state = BreakerState.CLOSED
         self.opened_count = 0
         self._failures: deque[int] = deque()
@@ -91,7 +81,7 @@ class CircuitBreaker:
             if now < self.reopen_at():
                 return False
             self.state = BreakerState.HALF_OPEN
-            self._probes_left = self.half_open_probes
+            self._probes_left = 1
         if self.state is BreakerState.HALF_OPEN:
             if self._probes_left <= 0:
                 return False

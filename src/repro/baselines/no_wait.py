@@ -37,13 +37,11 @@ class NoWaitScheduler(Scheduler):
         backoff_base: int = 4,
         backoff_cap: int = 64,
         seed: int = 0,
-        check_consistency: bool = True,
     ) -> None:
         super().__init__(
             database,
             strategy=strategy,
             policy="ordered-min-cost",  # never consulted: nothing waits
-            check_consistency=check_consistency,
         )
         self._rng = random.Random(seed)
         self._backoff_base = backoff_base

@@ -39,13 +39,11 @@ class PreclaimScheduler(Scheduler):
         self,
         database: Database,
         strategy="mcs",
-        check_consistency: bool = True,
     ) -> None:
         super().__init__(
             database,
             strategy=strategy,
             policy="ordered-min-cost",  # never consulted
-            check_consistency=check_consistency,
         )
         self._admitted: set[TxnId] = set()
         self._admission_queue: list[TxnId] = []

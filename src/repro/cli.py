@@ -48,7 +48,7 @@ Commands
 ``top``
     The operator dashboard for a recorded scenario: hottest entities,
     longest-blocked transactions, rollback victims, and the state of the
-    admission / watchdog / breaker machinery as of a step.
+    admission / watchdog / deadline machinery as of a step.
 
 ``fuzz``, ``chaos``, ``overload``, ``lint``, ``advise --smoke`` and
 ``trace --smoke`` exit non-zero when anything fires, so CI can gate on
@@ -91,10 +91,26 @@ POLICY_HELP = ("victim policy; min-cost (Figure 2) and requester (re-closes "
                "the same cycle) are not livelock-free")
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integers >= *minimum*, so a bad flag is a
+    usage error (exit 2) before anything runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # "invalid int value" for a non-integer
+    return parse
+
+
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--transactions", type=int, default=10,
+    parser.add_argument("--transactions", type=_int_at_least(1), default=10,
                         help="number of concurrent transactions")
-    parser.add_argument("--entities", type=int, default=10,
+    parser.add_argument("--entities", type=_int_at_least(1), default=10,
                         help="number of database entities")
     parser.add_argument("--locks", type=int, nargs=2, default=(2, 5),
                         metavar=("MIN", "MAX"),
@@ -966,8 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto",
                         help="arm the Theorem 2 oracles regardless of the "
                              "policy name ('auto' infers from the name)")
-    p_fuzz.add_argument("--transactions", type=int, default=5)
-    p_fuzz.add_argument("--entities", type=int, default=5)
+    p_fuzz.add_argument("--transactions", type=_int_at_least(1), default=5)
+    p_fuzz.add_argument("--entities", type=_int_at_least(1), default=5)
     p_fuzz.add_argument("--locks", type=int, nargs=2, default=(2, 4),
                         metavar=("MIN", "MAX"))
     p_fuzz.add_argument("--write-ratio", type=float, default=0.75,
@@ -998,8 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "derives from it")
     p_chaos.add_argument("--workload-seed", type=int, default=None,
                          help="workload seed (defaults to --seed)")
-    p_chaos.add_argument("--transactions", type=int, default=5)
-    p_chaos.add_argument("--entities", type=int, default=6)
+    p_chaos.add_argument("--transactions", type=_int_at_least(1), default=5)
+    p_chaos.add_argument("--entities", type=_int_at_least(1), default=6)
     p_chaos.add_argument("--locks", type=int, nargs=2, default=(2, 4),
                          metavar=("MIN", "MAX"))
     p_chaos.add_argument("--write-ratio", type=float, default=1.0)
@@ -1073,8 +1089,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_over.add_argument("--smoke", action="store_true",
                         help="small fixed-shape run for CI gating "
                              "(ignores the workload flags)")
-    p_over.add_argument("--transactions", type=int, default=32)
-    p_over.add_argument("--entities", type=int, default=6)
+    p_over.add_argument("--transactions", type=_int_at_least(1), default=32)
+    p_over.add_argument("--entities", type=_int_at_least(1), default=6)
     p_over.add_argument("--locks", type=int, nargs=2, default=(2, 4),
                         metavar=("MIN", "MAX"))
     p_over.add_argument("--write-ratio", type=float, default=1.0)
@@ -1130,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", default=None, metavar="FILE",
                          help="write the export to FILE instead of "
                               "stdout")
-    p_trace.add_argument("--sample-every", type=int, default=25,
+    p_trace.add_argument("--sample-every", type=_int_at_least(0), default=25,
                          help="steps between waits-for graph snapshots "
                               "(0 = no snapshots)")
     p_trace.add_argument("--smoke", action="store_true",
@@ -1153,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "of run)")
     p_top.add_argument("--limit", type=int, default=5,
                        help="rows per ranking table")
-    p_top.add_argument("--sample-every", type=int, default=25)
+    p_top.add_argument("--sample-every", type=_int_at_least(0), default=25)
     p_top.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
     p_top.add_argument("--follow", action="store_true",
@@ -1262,8 +1278,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_advise.add_argument("--seed", type=int, default=0,
                           help="workload generation seed")
-    p_advise.add_argument("--transactions", type=int, default=32)
-    p_advise.add_argument("--entities", type=int, default=6)
+    p_advise.add_argument("--transactions", type=_int_at_least(1), default=32)
+    p_advise.add_argument("--entities", type=_int_at_least(1), default=6)
     p_advise.add_argument("--locks", type=int, nargs=2, default=(2, 4),
                           metavar=("MIN", "MAX"))
     p_advise.add_argument("--write-ratio", type=float, default=1.0)
@@ -1291,6 +1307,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    locks = getattr(args, "locks", None)
+    if locks is not None and not 1 <= locks[0] <= locks[1] <= args.entities:
+        parser.error(
+            f"--locks {locks[0]} {locks[1]} must satisfy "
+            f"1 <= MIN <= MAX <= --entities ({args.entities})"
+        )
     return args.fn(args)
 
 

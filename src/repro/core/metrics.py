@@ -52,14 +52,9 @@ class Metrics:
     deadline_partials: int = 0
     deadline_restarts: int = 0
     immunity_grants: int = 0
-    breaker_opens: int = 0
-    breaker_rejections: int = 0
     timeout_rollbacks: int = 0
     unavailable_stalls: int = 0
     replica_catchups: int = 0
-    view_changes: int = 0
-    lock_migrations: int = 0
-    view_rollbacks: int = 0
     stale_write_skips: int = 0
     rollback_events: list[RollbackEvent] = field(default_factory=list)
     rollbacks_by_victim: Counter = field(default_factory=Counter)
@@ -189,14 +184,9 @@ class Metrics:
             "deadline_partials": self.deadline_partials,
             "deadline_restarts": self.deadline_restarts,
             "immunity_grants": self.immunity_grants,
-            "breaker_opens": self.breaker_opens,
-            "breaker_rejections": self.breaker_rejections,
             "timeout_rollbacks": self.timeout_rollbacks,
             "unavailable_stalls": self.unavailable_stalls,
             "replica_catchups": self.replica_catchups,
-            "view_changes": self.view_changes,
-            "lock_migrations": self.lock_migrations,
-            "view_rollbacks": self.view_rollbacks,
             "stale_write_skips": self.stale_write_skips,
             "rollbacks_by_victim": {
                 victim: count

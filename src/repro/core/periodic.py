@@ -38,14 +38,8 @@ class PeriodicDetectionScheduler(Scheduler):
         strategy: RollbackStrategy | str = "mcs",
         policy: VictimPolicy | str = "ordered-min-cost",
         interval: int = 50,
-        check_consistency: bool = True,
     ) -> None:
-        super().__init__(
-            database,
-            strategy=strategy,
-            policy=policy,
-            check_consistency=check_consistency,
-        )
+        super().__init__(database, strategy=strategy, policy=policy)
         if interval < 1:
             raise ValueError("interval must be positive")
         self.interval = interval

@@ -112,9 +112,9 @@ class Scheduler:
         ``"ordered-min-cost"``, ``"requester"``, ``"youngest"``,
         ``"oldest"``).  Defaults to ordered min-cost (the livelock-free
         optimiser of Theorem 2).
-    check_consistency:
-        When True (default), registered database constraints are checked
-        after every commit, so serializability bugs fail loudly.
+
+    Registered database constraints are checked after every commit that
+    leaves no exclusive lock held, so serializability bugs fail loudly.
     """
 
     def __init__(
@@ -122,7 +122,6 @@ class Scheduler:
         database: Database,
         strategy: RollbackStrategy | str = "mcs",
         policy: VictimPolicy | str = "ordered-min-cost",
-        check_consistency: bool = True,
     ) -> None:
         self.database = database
         self.strategy = (
@@ -141,7 +140,6 @@ class Scheduler:
         #: live bus here.
         self.bus: EventBus = NULL_BUS
         self.transactions: dict[TxnId, Transaction] = {}
-        self._check_consistency = check_consistency
         self._entry_counter = 0
         #: Optional write-ahead log (:class:`repro.resilience.wal.WriteAheadLog`)
         #: installed by a recovery manager; when present, lock grants, value
@@ -457,7 +455,7 @@ class Scheduler:
             self.wal.log_commit(txn.txn_id)
         for grant in grants:
             self._complete_grant(grant)
-        if self._check_consistency and self._constraint_quiescent():
+        if self._constraint_quiescent():
             self.database.check_consistency()
 
     def _install(self, txn_id: TxnId, entity: str, value: Any) -> None:
@@ -614,12 +612,12 @@ class Scheduler:
     def shed(self, txn_id: TxnId, reason: str = DEADLINE_EXCEEDED) -> None:
         """Remove *txn_id* from the system without committing it.
 
-        The last rung of the deadline-escalation ladder (and the circuit
-        breaker's degradation path): cancel any pending wait, release every
-        held lock *without installing values* (the transaction's writes are
-        abandoned, never made global), tear down its strategy storage, and
-        mark it :attr:`~repro.core.transaction.TxnStatus.SHED` — a terminal
-        status recorded in metrics so the outcome is always explicit.
+        The last rung of the deadline-escalation ladder: cancel any
+        pending wait, release every held lock *without installing values*
+        (the transaction's writes are abandoned, never made global), tear
+        down its strategy storage, and mark it
+        :attr:`~repro.core.transaction.TxnStatus.SHED` — a terminal status
+        recorded in metrics so the outcome is always explicit.
         """
         txn = self.transaction(txn_id)
         if txn.done:

@@ -41,7 +41,6 @@ class MessageType(enum.Enum):
     WOUND = "wound"
     PROBE = "probe"
     REPLICA_CATCHUP = "replica-catchup"
-    LOCK_MIGRATE = "lock-migrate"
 
     def __str__(self) -> str:
         return self.value

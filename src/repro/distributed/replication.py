@@ -22,20 +22,15 @@ scheduler's :attr:`ReplicatedScheduler.read_log` and fails the run the
 moment any read was served by a replica whose applied version lagged the
 committed version — the safety half of the available-copies argument.
 
-In-flight transactions and view changes: when a
-:meth:`ReplicatedScheduler.change_view` moves an entity's primary while
-someone holds a lock on it, the holder's lock state either *migrates*
-(one LOCK_MIGRATE message per held lock, old primary to new) or the
-holder is *partially rolled back* just far enough to release the moved
-entities — the paper's §2 rollback-point semantics applied to topology
-maintenance rather than deadlock.
+The view is fixed for the whole run (no site joins or leaves), so a
+replica falls behind only while its site is down or cut off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.scheduler import Scheduler, StepOutcome, StepResult
+from ..core.scheduler import StepOutcome, StepResult
 from ..core.transaction import Transaction
 from ..core.operations import Lock
 from ..locking.modes import LockMode
@@ -360,91 +355,3 @@ class ReplicatedScheduler(DistributedScheduler):
         for site in sorted(self.replication.behind):
             if self.replication.is_up(site):
                 self._catch_up_site(site)
-
-    # -- view changes --------------------------------------------------------
-
-    def change_view(self, successor: View, policy: str = "migrate") -> View:
-        """Install the next topology epoch.
-
-        ``policy`` decides the fate of in-flight transactions holding
-        locks on entities whose primary moved: ``"migrate"`` ships each
-        held lock's state to the new primary (one LOCK_MIGRATE message);
-        ``"rollback"`` partially rolls the holder back to its last
-        rollback point *before* the earliest moved lock — just far
-        enough to release every moved entity (§2 semantics).  Returns
-        the installed view.
-        """
-        if policy not in ("migrate", "rollback"):
-            raise ValueError("view-change policy must be migrate or rollback")
-        moved = self.view.moved_entities(successor)
-        replica_changed = self.view.replica_changes(successor)
-        old_view = self.view
-        self.view = successor
-        self.replication.view = successor
-        for site in successor.sites:
-            self.replication.site_up.setdefault(site, True)
-        self.metrics.bump("view_changes")
-        if self.bus.wants(EventKind.VIEW_CHANGE):
-            self.bus.publish(
-                EventKind.VIEW_CHANGE,
-                version=successor.version,
-                sites=list(successor.sites),
-                moved=len(moved),
-            )
-        # New replicas copy their entity before they may serve reads.
-        for entity in sorted(replica_changed):
-            old_set, new_set = replica_changed[entity]
-            for site in sorted(set(new_set) - set(old_set)):
-                if self.replication.fresh(entity, site):
-                    continue  # never written, or already caught up
-                if self.replication.is_up(site):
-                    self._catch_up_entity(entity, site)
-                else:
-                    self.replication.behind.setdefault(site, set()).add(
-                        entity
-                    )
-        self._handle_moved_locks(old_view, moved, policy)
-        return successor
-
-    def _handle_moved_locks(
-        self, old_view: View, moved: dict[str, tuple[int, int]], policy: str
-    ) -> None:
-        for txn in sorted(
-            self.transactions.values(), key=lambda t: t.entry_order
-        ):
-            if txn.done:
-                continue
-            held_moved = [
-                record
-                for record in txn.lock_records
-                if record.granted and record.entity in moved
-            ]
-            if not held_moved:
-                continue
-            if policy == "migrate":
-                for record in held_moved:
-                    old_site, new_site = moved[record.entity]
-                    self.message_log.send(
-                        old_site,
-                        new_site,
-                        MessageType.LOCK_MIGRATE,
-                        txn.txn_id,
-                        record.entity,
-                    )
-                self.metrics.bump("lock_migrations", by=len(held_moved))
-                continue
-            ideal = min(record.ordinal for record in held_moved)
-            target = self.strategy.choose_target(txn, ideal)
-            self.metrics.bump("view_rollbacks")
-            # Bypass the retry ladder: the topology moved, the
-            # transaction did nothing wrong (same reasoning as the
-            # breaker's degradation path).
-            self._notify_rollback(txn, target)
-            Scheduler.force_rollback(
-                self,
-                txn.txn_id,
-                target,
-                requester=txn.txn_id,
-                ideal_ordinal=ideal,
-            )
-            self._blocked_since.pop(txn.txn_id, None)

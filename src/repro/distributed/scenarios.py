@@ -270,20 +270,6 @@ def run_scenario(
     )
 
 
-def run_all_scenarios(
-    workload_seed: int = 0, chaos_seed: int = 0, strategy: str = "mcs"
-) -> list[ScenarioOutcome]:
-    return [
-        run_scenario(
-            name,
-            workload_seed=workload_seed,
-            chaos_seed=chaos_seed,
-            strategy=strategy,
-        )
-        for name in scenario_names()
-    ]
-
-
 # -- regression-case integration (kind="distributed") ----------------------
 
 

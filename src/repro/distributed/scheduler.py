@@ -38,7 +38,6 @@ from collections import deque
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from ..admission.breaker import BreakerState, CircuitBreaker
 from ..core.detection import Deadlock
 from ..core.scheduler import Scheduler, StepOutcome, StepResult
 from ..core.transaction import Transaction, TransactionProgram, TxnStatus
@@ -55,6 +54,14 @@ TxnId = str
 WOUND_WAIT = "wound-wait"
 WAIT_DIE = "wait-die"
 PROBE = "probe"
+
+#: Distributed rollbacks (die, wound, timeout, local victim) a transaction
+#: may take before the ladder escalates the next one to a total restart.
+RETRY_BUDGET = 8
+#: Each retry stalls the victim ``min(BACKOFF_CAP, BACKOFF_BASE *
+#: 2**(attempt-1))`` clock steps plus a jitter in ``[0, BACKOFF_BASE)``.
+BACKOFF_BASE = 2
+BACKOFF_CAP = 64
 
 #: The place the clock's timeout pass stands at between two passes: after
 #: every timer's.
@@ -78,34 +85,18 @@ class DistributedScheduler(Scheduler):
     wait_timeout:
         Engine steps a transaction may stay blocked before the timeout
         mechanism frees its contested locks.  Must be positive.
-    retry_budget:
-        How many times a transaction may be rolled back by the
-        distributed machinery (die, wound, timeout, local victim) before
-        the ladder escalates it to a *total* restart — the livelock
-        watchdog in the spirit of Theorem 2.  Escalation resets the
-        count.
-    backoff_base / backoff_cap:
-        Every retry stalls the victim for
-        ``min(cap, base * 2**(attempt-1)) + jitter`` clock steps before
-        it may be scheduled again (jitter in ``[0, base)``), replacing
-        the previous unbounded immediate retry.  A stalled transaction
-        yields only while a competitor can use the time; when nothing
-        else is runnable the backoff ends early (idling would help
-        nobody).
     backoff_seed:
         Seed of the private jitter generator — same seed, same jitter
         sequence, fully reproducible runs.
-    breaker_threshold:
-        Denied/rolled-back requests within ``breaker_window`` clock steps
-        that trip a site's circuit breaker (``0`` disables breakers, the
-        default).  While a site's breaker is OPEN, lock requests against
-        its entities are rerouted to degradation — the requester totally
-        restarts (abandoning held progress) and stalls until the breaker
-        half-opens — *without* consuming its retry budget: the site is
-        the problem, not the transaction.
-    breaker_window / breaker_cooldown:
-        Sliding failure-count window and OPEN-state cool-down, in clock
-        steps.
+
+    Every distributed rollback charges the victim's retry ladder: it
+    stalls for an exponential backoff (:data:`BACKOFF_BASE`,
+    :data:`BACKOFF_CAP`) before it may be scheduled again, and once it
+    has spent :data:`RETRY_BUDGET` retries a partial rollback escalates
+    to a *total* restart — the livelock watchdog in the spirit of
+    Theorem 2.  Escalation resets the count.  A stalled transaction
+    yields only while a competitor can use the time; when nothing else
+    is runnable the backoff ends early (idling would help nobody).
     """
 
     def __init__(
@@ -116,21 +107,9 @@ class DistributedScheduler(Scheduler):
         policy="ordered-min-cost",
         cross_site_mode: str = WOUND_WAIT,
         wait_timeout: int = 200,
-        check_consistency: bool = True,
-        retry_budget: int = 8,
-        backoff_base: int = 2,
-        backoff_cap: int = 64,
         backoff_seed: int = 0,
-        breaker_threshold: int = 0,
-        breaker_window: int = 50,
-        breaker_cooldown: int = 100,
     ) -> None:
-        super().__init__(
-            database,
-            strategy=strategy,
-            policy=policy,
-            check_consistency=check_consistency,
-        )
+        super().__init__(database, strategy=strategy, policy=policy)
         if cross_site_mode not in (WOUND_WAIT, WAIT_DIE, PROBE):
             raise ValueError(
                 f"cross_site_mode must be {WOUND_WAIT!r}, {WAIT_DIE!r} or "
@@ -138,26 +117,9 @@ class DistributedScheduler(Scheduler):
             )
         if wait_timeout < 1:
             raise ValueError("wait_timeout must be positive")
-        if retry_budget < 1:
-            raise ValueError("retry_budget must be positive")
-        if backoff_base < 1 or backoff_cap < backoff_base:
-            raise ValueError(
-                "backoff must satisfy 1 <= backoff_base <= backoff_cap"
-            )
         self.view = view
         self.cross_site_mode = cross_site_mode
         self.wait_timeout = wait_timeout
-        self.retry_budget = retry_budget
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        if breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be non-negative")
-        self.breaker_threshold = breaker_threshold
-        self.breaker_window = breaker_window
-        self.breaker_cooldown = breaker_cooldown
-        #: Per-site circuit breakers, created on first request to a site
-        #: (only when ``breaker_threshold > 0``).
-        self.breakers: dict[str, CircuitBreaker] = {}
         self.message_log = MessageLog()
         #: Optional reachability predicate ``(site_a, site_b) -> bool``
         #: installed by the partition machinery (see
@@ -231,14 +193,13 @@ class DistributedScheduler(Scheduler):
         """
         attempts = self._retry_attempts.get(txn_id, 0) + 1
         self._retry_attempts[txn_id] = attempts
-        if attempts > self.retry_budget and target_ordinal > 0:
+        if attempts > RETRY_BUDGET and target_ordinal > 0:
             self.metrics.bump("restart_escalations")
             self._retry_attempts[txn_id] = 0
             target_ordinal = 0
         delay = min(
-            self.backoff_cap,
-            self.backoff_base * (2 ** min(attempts - 1, 30)),
-        ) + self._backoff_rng.randrange(self.backoff_base)
+            BACKOFF_CAP, BACKOFF_BASE * (2 ** min(attempts - 1, 30))
+        ) + self._backoff_rng.randrange(BACKOFF_BASE)
         self._stall(txn_id, self._clock + delay)
         self.metrics.bump("backoff_stalls")
         return target_ordinal
@@ -377,97 +338,19 @@ class DistributedScheduler(Scheduler):
 
     # -- lock handling with placement, messages, and timestamp rules ----------
 
-    def _breaker_for(self, site: str) -> CircuitBreaker | None:
-        """The (lazily created) breaker guarding *site*, if enabled."""
-        if not self.breaker_threshold:
-            return None
-        if site not in self.breakers:
-            self.breakers[site] = CircuitBreaker(
-                failure_threshold=self.breaker_threshold,
-                window=self.breaker_window,
-                cooldown=self.breaker_cooldown,
-            )
-        return self.breakers[site]
-
-    def _publish_breaker(
-        self, site: str, breaker: CircuitBreaker, before: BreakerState
-    ) -> None:
-        """Publish a BREAKER_TRANSITION if the last interaction moved the
-        breaker's state machine (transitions happen inside allow /
-        record_success / record_failure, so callers snapshot the state
-        before the call and report here)."""
-        if breaker.state is not before and self.bus.wants(
-            EventKind.BREAKER_TRANSITION
-        ):
-            self.bus.publish(
-                EventKind.BREAKER_TRANSITION,
-                site=site,
-                before=str(before),
-                after=str(breaker.state),
-                opened_count=breaker.opened_count,
-            )
-
-    def _reject_open_site(
-        self, txn: Transaction, breaker: CircuitBreaker, site: str
-    ) -> StepResult:
-        """Degradation path for a request against an OPEN site.
-
-        The requester abandons its held progress with a total restart
-        (bypassing :meth:`_penalise_retry` — the site is at fault, not the
-        transaction, so no retry budget is charged) and stalls until the
-        breaker half-opens, so it does not spin re-issuing the request
-        against a site that cannot answer.
-        """
-        self.metrics.bump("breaker_rejections")
-        if self.bus.wants(EventKind.BREAKER_REJECT):
-            self.bus.publish(
-                EventKind.BREAKER_REJECT,
-                txn.txn_id,
-                site=site,
-                reopen_at=breaker.reopen_at(),
-            )
-        if txn.lock_records:
-            self._notify_rollback(txn, 0)
-            Scheduler.force_rollback(
-                self, txn.txn_id, 0, requester=txn.txn_id, ideal_ordinal=0
-            )
-        self._stall(
-            txn.txn_id,
-            max(self._stalled_until.get(txn.txn_id, 0), breaker.reopen_at()),
-        )
-        self._blocked_since.pop(txn.txn_id, None)
-        return StepResult(txn.txn_id, StepOutcome.BLOCKED, actions=[])
-
     def _execute_lock(self, txn: Transaction, op: Lock) -> StepResult:
         home = self.view.home_of(txn.txn_id)
         owner = self.view.site_of_entity(op.entity_name)
-        breaker = self._breaker_for(owner)
-        if breaker is not None:
-            before = breaker.state
-            allowed = breaker.allow(self._clock)
-            self._publish_breaker(owner, breaker, before)
-            if not allowed:
-                return self._reject_open_site(txn, breaker, owner)
         self.message_log.send(
             home, owner, MessageType.LOCK_REQUEST, txn.txn_id, op.entity_name
         )
         result = super()._execute_lock(txn, op)
         if result.outcome is StepOutcome.GRANTED:
-            if breaker is not None:
-                before = breaker.state
-                breaker.record_success(self._clock)
-                self._publish_breaker(owner, breaker, before)
             self.message_log.send(
                 owner, home, MessageType.LOCK_GRANT, txn.txn_id,
                 op.entity_name,
             )
             return result
-        if breaker is not None:
-            before = breaker.state
-            tripped = breaker.record_failure(self._clock)
-            self._publish_breaker(owner, breaker, before)
-            if tripped:
-                self.metrics.bump("breaker_opens")
         self.message_log.send(
             owner, home, MessageType.LOCK_DENIED_WAIT, txn.txn_id,
             op.entity_name,
@@ -685,11 +568,7 @@ class DistributedScheduler(Scheduler):
             super().shed(txn_id)
         else:
             super().shed(txn_id, reason)
-        self._blocked_since.pop(txn_id, None)
-        self._timer_place.pop(txn_id, None)
-        self._unblocked_at.pop(txn_id, None)
-        self._retry_attempts.pop(txn_id, None)
-        self._stalled_until.pop(txn_id, None)
+        self._drop_retry_state(txn_id)
 
     def _notify_rollback(self, txn: Transaction, target: int) -> None:
         """Ship rollback notifications to remote sites whose entities the
@@ -734,8 +613,12 @@ class DistributedScheduler(Scheduler):
                 self.message_log.send(
                     home, owner, MessageType.VALUE_SHIP, txn.txn_id, entity
                 )
-        self._blocked_since.pop(txn.txn_id, None)
-        self._timer_place.pop(txn.txn_id, None)
-        self._unblocked_at.pop(txn.txn_id, None)
-        self._retry_attempts.pop(txn.txn_id, None)
-        self._stalled_until.pop(txn.txn_id, None)
+        self._drop_retry_state(txn.txn_id)
+
+    def _drop_retry_state(self, txn_id: TxnId) -> None:
+        """Forget a finished transaction's wait timer and retry ladder."""
+        self._blocked_since.pop(txn_id, None)
+        self._timer_place.pop(txn_id, None)
+        self._unblocked_at.pop(txn_id, None)
+        self._retry_attempts.pop(txn_id, None)
+        self._stalled_until.pop(txn_id, None)

@@ -1,22 +1,14 @@
 """Entity placement: one :class:`View` over a fixed or a hash ring.
 
-A :class:`View` is one immutable epoch of the topology: every entity's
-*primary* site (and, when replicated, its ``rf``-site replica set) plus
-the transaction home map.  Its ring is a :class:`FixedRing` — the static
-partition of the paper's §3.3, which pins every entity to one site
-forever — or a seeded consistent-hash :class:`HashRing` for a deployment
-that adds and removes sites while transactions are in flight.
-:meth:`View.add_site` / :meth:`View.remove_site` produce the next epoch;
-consistent hashing guarantees the reshuffle is *minimal* — only keys
-owned by the added/removed site move — and fully deterministic from
-``(seed, vnodes, site set)``, so two processes computing the same view
-change agree on every placement without coordination.
-
-What happens to in-flight transactions holding locks on moved entities is
-the scheduler's decision (migrate the lock state, or partially roll the
-holder back just far enough to release the moved entities — paper §2
-rollback-point semantics); see
-:meth:`repro.distributed.replication.ReplicatedScheduler.change_view`.
+A :class:`View` is the topology of a run: every entity's *primary* site
+(and, when replicated, its ``rf``-site replica set) plus the transaction
+home map.  Its ring is a :class:`FixedRing` — the static partition of
+the paper's §3.3, which pins every entity to one site — or a seeded
+consistent-hash :class:`HashRing`, a pure function of
+``(seed, vnodes, site set)``, so two processes building the same view
+agree on every placement without coordination.  The site set is fixed
+for the whole run: sites may crash and recover, but none joins or
+leaves.
 """
 
 from __future__ import annotations
@@ -98,14 +90,10 @@ class HashRing:
                     break
         return tuple(found)
 
-    def with_sites(self, sites: Iterable[int]) -> "HashRing":
-        """A ring over a different site set, same seed and vnodes."""
-        return HashRing(sites, vnodes=self.vnodes, seed=self.seed)
-
 
 class FixedRing:
     """A given key->site map over sites ``0 .. n_sites - 1``: one site
-    per key, :class:`KeyError` for a key with no site, no view change."""
+    per key, :class:`KeyError` for a key with no site."""
 
     def __init__(self, entity_sites: Mapping[str, int], n_sites: int) -> None:
         self.sites: tuple[int, ...] = tuple(range(n_sites))
@@ -120,21 +108,16 @@ class FixedRing:
     def owners(self, key: str, n: int) -> tuple[int, ...]:
         return (self.owner(key),)
 
-    def with_sites(self, sites: Iterable[int]) -> "FixedRing":
-        raise ValueError("a fixed placement cannot change its sites")
-
 
 class View:
-    """One epoch of the cluster topology.
+    """The cluster topology of one run.
 
     Answers the placement queries (``site_of_entity`` / ``home_of`` /
-    ``entities_at`` / ``is_local`` / ``n_sites`` / ``home_sites``) of the
-    distributed scheduler, the fault injector and the chaos loop.  Entity
-    placement is immutable within a view; transaction homes accumulate as
-    programs register (a home never moves with a view change — the
-    transaction keeps executing where it started, only its *entities*
-    move).  Over a :class:`FixedRing`, an unknown entity or transaction
-    raises :class:`KeyError` and a view change raises :class:`ValueError`.
+    ``replica_sites`` / ``n_sites`` / ``home_sites``) of the distributed
+    scheduler, the fault injector and the chaos loop.  Entity placement
+    is immutable; transaction homes accumulate as programs register.
+    Over a :class:`FixedRing`, an unknown entity or transaction raises
+    :class:`KeyError`.
     """
 
     def __init__(
@@ -142,7 +125,6 @@ class View:
         ring: HashRing | FixedRing,
         entities: Iterable[str],
         rf: int = 1,
-        version: int = 0,
         home_sites: Mapping[str, int] | None = None,
     ) -> None:
         if rf < 1:
@@ -150,7 +132,6 @@ class View:
         self.ring = ring
         self.entities: tuple[str, ...] = tuple(sorted(set(entities)))
         self.rf = rf
-        self.version = version
         self.home_sites: dict[str, int] = dict(home_sites or {})
         #: Placement cache: computed once per view, read many times.
         self._primary: dict[str, int] = {
@@ -194,16 +175,6 @@ class View:
             raise ValueError(f"site {site} is not in this view")
         self.home_sites[txn_id] = site
 
-    def entities_at(self, site: int) -> set[str]:
-        return {
-            entity
-            for entity, owner in self._primary.items()
-            if owner == site
-        }
-
-    def is_local(self, txn_id: str, entity: str) -> bool:
-        return self.home_of(txn_id) == self.site_of_entity(entity)
-
     # -- replication queries ----------------------------------------------
 
     def replica_sites(self, entity: str) -> tuple[int, ...]:
@@ -214,83 +185,6 @@ class View:
             self.site_of_entity(entity)  # populates both caches
             replicas = self._replicas[entity]
         return replicas
-
-    # -- view changes ------------------------------------------------------
-
-    def add_site(self, site: int) -> "View":
-        """The next epoch with *site* joined."""
-        if site in self.ring.sites:
-            raise ValueError(f"site {site} is already in the view")
-        return View(
-            self.ring.with_sites(self.ring.sites + (site,)),
-            self.entities,
-            rf=self.rf,
-            version=self.version + 1,
-            home_sites=self.home_sites,
-        )
-
-    def remove_site(self, site: int) -> "View":
-        """The next epoch with *site* departed.
-
-        Transactions homed at the departed site are re-homed by hash over
-        the surviving sites (their home *site* is gone; their lock state
-        is global and survives).
-        """
-        if site not in self.ring.sites:
-            raise ValueError(f"site {site} is not in the view")
-        if len(self.ring.sites) == 1:
-            raise ValueError("cannot remove the last site")
-        survivors = tuple(s for s in self.ring.sites if s != site)
-        ring = self.ring.with_sites(survivors)
-        homes = {
-            txn_id: (
-                home if home != site else ring.owner(f"txn:{txn_id}")
-            )
-            for txn_id, home in self.home_sites.items()
-        }
-        return View(
-            ring,
-            self.entities,
-            rf=self.rf,
-            version=self.version + 1,
-            home_sites=homes,
-        )
-
-    def moved_entities(self, successor: "View") -> dict[str, tuple[int, int]]:
-        """Entities whose *primary* owner changes between this view and
-        *successor*: ``{entity: (old_site, new_site)}``.
-
-        Consistent hashing makes this the minimal set: a single
-        ``add_site``/``remove_site`` step moves only keys the new site
-        claims (or the departed site owned) — the property tests pin it.
-        """
-        moved: dict[str, tuple[int, int]] = {}
-        for entity in self.entities:
-            old = self.site_of_entity(entity)
-            new = successor.site_of_entity(entity)
-            if old != new:
-                moved[entity] = (old, new)
-        return moved
-
-    def replica_changes(
-        self, successor: "View"
-    ) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Entities whose replica *set* changes: ``{entity: (old, new)}``."""
-        changed: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for entity in self.entities:
-            old = self.replica_sites(entity)
-            new = successor.replica_sites(entity)
-            if set(old) != set(new):
-                changed[entity] = (old, new)
-        return changed
-
-    def load_by_site(self) -> dict[int, int]:
-        """Entity count per site (primary placement) — the balance the
-        property tests bound."""
-        load = {site: 0 for site in self.ring.sites}
-        for owner in self._primary.values():
-            load[owner] += 1
-        return load
 
 
 def _home_programs(view: View, programs: Iterable[TransactionProgram]):

@@ -1,7 +1,7 @@
 """The event bus: one deterministically-ordered stream for the whole run.
 
 Every layer of the system — scheduler, victim selection, admission,
-deadlines, watchdog, breakers, distributed messaging, WAL, and the
+deadlines, watchdog, distributed messaging, WAL, and the
 simulation engine itself — publishes :class:`Event` records to an
 :class:`EventBus`.  Consumers (the
 :class:`~repro.observability.recorder.RunRecorder`, the streaming
@@ -62,8 +62,6 @@ class EventKind(enum.Enum):
     IMMUNITY_GRANT = "watchdog.immunity-grant"
     IMMUNITY_HANDOFF = "watchdog.immunity-handoff"
     IMMUNITY_RELEASE = "watchdog.immunity-release"
-    BREAKER_TRANSITION = "breaker.transition"
-    BREAKER_REJECT = "breaker.reject"
 
     # -- distributed messaging ---------------------------------------------
     MESSAGE_SEND = "message.send"
@@ -74,7 +72,6 @@ class EventKind(enum.Enum):
     # -- distributed topology / replication ---------------------------------
     SITE_FAILED = "site.failed"
     SITE_RECOVERED = "site.recovered"
-    VIEW_CHANGE = "view.change"
     REPLICA_CATCHUP = "replica.catchup"
     PARTITION_START = "network.partition"
     PARTITION_HEAL = "network.heal"

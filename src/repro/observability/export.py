@@ -9,7 +9,7 @@ Three output shapes for one event stream:
   by ``chrome://tracing`` and Perfetto: one timeline row per transaction,
   complete ("X") slices for the span and its blocked / rolling-back
   intervals, instant ("i") markers for deadlocks, immunity grants,
-  breaker transitions, and crashes.  Timestamps are logical engine steps
+  deadline rungs, and crashes.  Timestamps are logical engine steps
   (the ``ts`` unit is microseconds to a viewer, but only relative layout
   matters).
 * :func:`graph_snapshots` — the recorder's periodic waits-for SAMPLE
@@ -27,7 +27,7 @@ from typing import Any, Iterable, TextIO
 from ..graphs.concurrency import ConcurrencyGraph
 from ..graphs.render import concurrency_to_dot
 from .events import Event, EventKind
-from .spans import Span, build_spans
+from .spans import build_spans
 
 #: Event kinds rendered as instant markers on a Chrome timeline.
 _INSTANT_KINDS = {
@@ -35,7 +35,6 @@ _INSTANT_KINDS = {
     EventKind.VICTIM_SELECT: "victim",
     EventKind.IMMUNITY_GRANT: "immunity-grant",
     EventKind.IMMUNITY_HANDOFF: "immunity-handoff",
-    EventKind.BREAKER_TRANSITION: "breaker",
     EventKind.CRASH: "crash",
     EventKind.DEADLINE_RUNG: "deadline",
     EventKind.DEGRADE_RESTART: "degrade",
@@ -277,9 +276,3 @@ def graph_snapshots(events: Iterable[Event]) -> list[tuple[int, str]]:
             (event.step, concurrency_to_dot(graph, title=f"step_{event.step}"))
         )
     return snapshots
-
-
-def spans_summary(spans: dict[str, Span]) -> list[dict[str, Any]]:
-    """JSON-ready span list, ordered by start step (summary exporter)."""
-    ordered = sorted(spans.values(), key=lambda span: (span.start, span.txn))
-    return [span.to_obj() for span in ordered]

@@ -8,7 +8,7 @@ server's ``metrics`` verb is a snapshot of it, and :func:`build_top`
 feeds it a recorded prefix, so :func:`report_from_metrics` reads either
 and :func:`render_top` draws both.  A recorded run adds what only the
 raw events carry — the longest-blocked transactions and the state of the
-admission / immunity / breaker / deadline machinery — and stays a pure
+admission / immunity / deadline machinery — and stays a pure
 function of the events, replayable from a JSONL export.
 """
 
@@ -40,7 +40,6 @@ class TopReport:
     admission_window: int | None
     admission_queue: int
     immunity_holder: str | None
-    breaker_states: dict[str, str] = field(default_factory=dict)
     deadline_rungs: Counter = field(default_factory=Counter)
     block_p50: int = 0
     block_p99: int = 0
@@ -63,7 +62,6 @@ class TopReport:
             "admission_window": self.admission_window,
             "admission_queue": self.admission_queue,
             "immunity_holder": self.immunity_holder,
-            "breaker_states": dict(sorted(self.breaker_states.items())),
             "deadline_rungs": dict(sorted(self.deadline_rungs.items())),
             "block_p50": self.block_p50,
             "block_p99": self.block_p99,
@@ -108,7 +106,6 @@ def build_top(
     admission_window: int | None = None
     admission_queue = 0
     immunity_holder: str | None = None
-    breaker_states: dict[str, str] = {}
     rungs: Counter = Counter()
     for event in window:
         aggregator(event)
@@ -125,10 +122,6 @@ def build_top(
         elif kind is EventKind.IMMUNITY_RELEASE:
             if immunity_holder == event.txn:
                 immunity_holder = None
-        elif kind is EventKind.BREAKER_TRANSITION:
-            breaker_states[str(event.data.get("site", "?"))] = str(
-                event.data.get("after", "?")
-            )
         elif kind is EventKind.DEADLINE_RUNG:
             rungs[f"rung-{event.data.get('rung', '?')}"] += 1
 
@@ -160,7 +153,6 @@ def build_top(
         admission_window=admission_window,
         admission_queue=admission_queue,
         immunity_holder=immunity_holder,
-        breaker_states=breaker_states,
         deadline_rungs=rungs,
         live=False,
     )
@@ -186,12 +178,6 @@ def render_top(report: TopReport) -> str:
         lines.append(
             f"immunity holder      {report.immunity_holder or '(none)'}"
         )
-    if report.breaker_states:
-        states = ", ".join(
-            f"site {site}: {state}"
-            for site, state in sorted(report.breaker_states.items())
-        )
-        lines.append(f"breakers             {states}")
     if report.deadline_rungs:
         rungs = ", ".join(
             f"{name} x{count}"

@@ -341,13 +341,9 @@ class FaultInjector:
             self._on_event(eng, event)
 
         engine.on_step = observe
-        wrapper = _StallAwareInterleaving(engine.interleaving, self)
-        if getattr(scheduler, "view", None) is not None:
-            # Bind the *scheduler*, not its current view object:
-            # view changes replace scheduler.view mid-run and the
-            # wrapper must follow the live topology.
-            wrapper.bind_scheduler(scheduler)
-        engine.interleaving = wrapper
+        engine.interleaving = _StallAwareInterleaving(
+            engine.interleaving, self, getattr(scheduler, "view", None)
+        )
         self._scheduler = scheduler
         self._sync_scheduler(scheduler)
 
@@ -502,21 +498,14 @@ class _StallAwareInterleaving:
     the run.
     """
 
-    def __init__(self, inner, injector: FaultInjector) -> None:
+    def __init__(self, inner, injector: FaultInjector, view) -> None:
         self.inner = inner
         self.injector = injector
-        self.scheduler = None
+        #: The distributed scheduler's placement (fixed for the run; None
+        #: for a single-site scheduler), so transactions homed on down
+        #: sites are skipped too.
+        self.view = view
         self.name = f"stall-aware({inner.name})"
-
-    def bind_scheduler(self, scheduler) -> None:
-        self.scheduler = scheduler
-
-    @property
-    def view(self):
-        """The scheduler's *current* view (view changes swap it)."""
-        if self.scheduler is None:
-            return None
-        return getattr(self.scheduler, "view", None)
 
     def choose(self, runnable, step):
         blocked = self.injector.blocked_txns(self.view)

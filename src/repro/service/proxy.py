@@ -150,26 +150,3 @@ class FaultProxy:
             "delayed": self.delayed,
             "severed": self.severed,
         }
-
-
-async def run_proxy(
-    upstream_host: str,
-    upstream_port: int,
-    seed: int,
-    horizon: int = 200,
-    message_faults: int = 20,
-    severs: int = 0,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    delay: float = 0.2,
-) -> FaultProxy:
-    """Generate a plan from *seed* and start a proxy applying it."""
-    plan = FaultPlan.generate(
-        seed,
-        horizon,
-        message_faults=message_faults,
-        crashes=severs,
-    )
-    proxy = FaultProxy(upstream_host, upstream_port, plan, delay=delay)
-    await proxy.start(host, port)
-    return proxy

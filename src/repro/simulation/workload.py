@@ -94,30 +94,6 @@ class WorkloadConfig:
             pass
 
 
-def hot_contention_config(
-    n_transactions: int = 8,
-    n_entities: int = 3,
-    locks_per_txn: tuple[int, int] = (2, 3),
-) -> WorkloadConfig:
-    """The high-contention preset: many writers over very few entities.
-
-    Every lock is exclusive and every access lands in a tiny hotspot-
-    skewed entity set, so nearly every concurrent pair conflicts — the
-    regime where deadlocks, rollback storms, and (under unconstrained
-    min-cost selection) Figure-2 mutual preemption actually occur.  Used
-    by the ``hot`` fuzz profile and the overload stress tests.
-    """
-    return WorkloadConfig(
-        n_transactions=n_transactions,
-        n_entities=n_entities,
-        locks_per_txn=locks_per_txn,
-        write_ratio=1.0,
-        skew="hotspot",
-        hotspot_fraction=0.5,
-        hotspot_probability=0.9,
-    )
-
-
 def entity_name(index: int) -> str:
     """Canonical generated entity names: ``e000``, ``e001``, ..."""
     return f"e{index:03d}"

@@ -125,17 +125,6 @@ class WorkloadClass:
     name: str
     templates: list[TransactionTemplate]
 
-    @classmethod
-    def from_programs(
-        cls, name: str, programs: Iterable[TransactionProgram]
-    ) -> "WorkloadClass":
-        return cls(
-            name=name,
-            templates=[
-                TransactionTemplate.from_program(p) for p in programs
-            ],
-        )
-
 
 def classify_templates(
     templates: Iterable[TransactionTemplate],

@@ -91,14 +91,6 @@ class FuzzFailure:
     case: ReplayCase | None = None
     shrunk: ShrinkResult | None = None
 
-    @property
-    def minimal_schedule(self) -> list[str] | None:
-        if self.shrunk is not None:
-            return self.shrunk.case.schedule
-        if self.case is not None:
-            return self.case.schedule
-        return None
-
 
 @dataclass
 class FuzzReport:

@@ -80,9 +80,7 @@ class TestCircuitBreaker:
         assert b.opened_count == 2
 
     def test_half_open_probe_budget(self):
-        b = CircuitBreaker(
-            failure_threshold=1, window=10, cooldown=5, half_open_probes=1
-        )
+        b = CircuitBreaker(failure_threshold=1, window=10, cooldown=5)
         b.record_failure(0)
         assert b.allow(5)       # the single probe
         assert not b.allow(5)   # second concurrent request is rejected

@@ -29,6 +29,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--strategy", "zzz"])
 
+    @pytest.mark.parametrize("argv", [
+        "run --transactions 0",
+        "run --entities 0",
+        "overload --transactions 0",
+        "trace --sample-every -1",
+        "compare --transactions 1 --entities 1",
+    ])
+    def test_bad_workload_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1 and errors[0].startswith("repro")
+
 
 class TestCommands:
     def test_run_exit_zero_and_summary(self, capsys):

@@ -11,7 +11,12 @@ import pytest
 
 from repro.core.scheduler import Scheduler
 from repro.distributed import round_robin_partition
-from repro.distributed.scheduler import DistributedScheduler
+from repro.distributed.scheduler import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    RETRY_BUDGET,
+    DistributedScheduler,
+)
 from repro.errors import StorageFault
 from repro.resilience import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.simulation.engine import SimulationEngine
@@ -95,14 +100,6 @@ def build_distributed(**kwargs):
 
 
 class TestDistributedBackoff:
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            build_distributed(retry_budget=0)
-        with pytest.raises(ValueError):
-            build_distributed(backoff_base=0)
-        with pytest.raises(ValueError):
-            build_distributed(backoff_base=8, backoff_cap=4)
-
     def test_backoff_stalls_victim(self):
         scheduler, programs = build_distributed()
         for program in programs:
@@ -113,34 +110,30 @@ class TestDistributedBackoff:
         assert "T001" not in scheduler.runnable()
 
     def test_backoff_grows_exponentially_and_caps(self):
-        scheduler, _ = build_distributed(
-            backoff_base=2, backoff_cap=16
-        )
-        delays = []
-        for _ in range(6):
-            scheduler._penalise_retry("T001", 2)
-            delays.append(
-                scheduler._stalled_until["T001"] - scheduler._clock
-            )
-        # Jitter adds at most backoff_base - 1, so the deterministic part
-        # doubles: 2, 4, 8, then clamps at the cap.
-        assert delays[0] < delays[1] < delays[2]
-        assert all(d <= 16 + 1 for d in delays)
+        scheduler, _ = build_distributed()
+        for attempt in range(1, RETRY_BUDGET + 1):
+            scheduler._penalise_retry("T001", 0)
+            delay = scheduler._stalled_until["T001"] - scheduler._clock
+            # min(cap, base * 2**(attempt-1)) plus a jitter in [0, base).
+            floor = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
+            assert floor <= delay < floor + BACKOFF_BASE
+        assert floor == BACKOFF_CAP  # the ladder reaches the cap
 
     def test_budget_exhaustion_escalates_to_total_restart(self):
-        scheduler, _ = build_distributed(retry_budget=3)
+        scheduler, _ = build_distributed()
         targets = [
-            scheduler._penalise_retry("T001", 5) for _ in range(4)
+            scheduler._penalise_retry("T001", 5)
+            for _ in range(RETRY_BUDGET + 1)
         ]
-        assert targets[:3] == [5, 5, 5]
-        assert targets[3] == 0
+        assert targets[:RETRY_BUDGET] == [5] * RETRY_BUDGET
+        assert targets[RETRY_BUDGET] == 0
         assert scheduler.metrics.restart_escalations == 1
         # The ladder resets after escalating.
         assert scheduler._retry_attempts["T001"] == 0
 
     def test_total_target_never_counts_as_escalation(self):
-        scheduler, _ = build_distributed(retry_budget=1)
-        for _ in range(4):
+        scheduler, _ = build_distributed()
+        for _ in range(RETRY_BUDGET + 2):
             assert scheduler._penalise_retry("T001", 0) == 0
         assert scheduler.metrics.restart_escalations == 0
 

@@ -4,7 +4,6 @@ cross-site rules, timeouts, and end-to-end serializability."""
 import pytest
 
 from repro import TransactionProgram, ops
-from repro.admission import BreakerState
 from repro.core.scheduler import StepOutcome
 from repro.distributed import (
     PROBE,
@@ -18,6 +17,7 @@ from repro.distributed import (
     hash_view,
     round_robin_partition,
 )
+from repro.distributed.scheduler import RETRY_BUDGET
 from repro.simulation import (
     RandomInterleaving,
     SimulationEngine,
@@ -32,8 +32,8 @@ class TestPartition:
     def test_round_robin_spreads(self):
         programs = [TransactionProgram("T1", [ops.lock_exclusive("a")])]
         part = round_robin_partition(["a", "b", "c", "d"], programs, 2)
-        assert part.entities_at(0) == {"a", "c"}
-        assert part.entities_at(1) == {"b", "d"}
+        sites = [part.site_of_entity(e) for e in ("a", "b", "c", "d")]
+        assert sites == [0, 1, 0, 1]
 
     def test_home_follows_first_lock(self):
         programs = [
@@ -62,18 +62,6 @@ class TestPartition:
             part.site_of_entity("zzz")
         with pytest.raises(KeyError):
             part.home_of("T9")
-
-    def test_static_view_has_no_view_change(self):
-        part = explicit_partition({"a": 0, "b": 1}, {"T1": 0})
-        with pytest.raises(ValueError):
-            part.add_site(2)
-        with pytest.raises(ValueError):
-            part.remove_site(1)
-
-    def test_is_local(self):
-        part = explicit_partition({"a": 0, "b": 1}, {"T1": 0})
-        assert part.is_local("T1", "a")
-        assert not part.is_local("T1", "b")
 
     def test_explicit_partition_site_count(self):
         part = explicit_partition({"a": 0, "b": 2}, {"T1": 1})
@@ -396,19 +384,18 @@ class TestTimeout:
 
 class TestRetryLadder:
     """Edge cases of the distributed retry ladder: the escalation
-    boundary, early backoff expiry, and circuit-breaker interaction."""
+    boundary, early backoff expiry, and the books a finished
+    transaction leaves behind."""
 
-    def _single_site(self, **kwargs):
+    def _single_site(self):
         db = Database({"a": 0, "b": 0})
         part = explicit_partition(
             {"a": 0, "b": 0}, {"T1": 0, "T2": 0}
         )
-        return db, DistributedScheduler(db, part, strategy="mcs", **kwargs)
+        return db, DistributedScheduler(db, part, strategy="mcs")
 
     def test_escalates_exactly_when_budget_exceeded(self):
-        _, sched = self._single_site(
-            retry_budget=2, backoff_base=1, backoff_cap=4
-        )
+        _, sched = self._single_site()
         sched.register(TransactionProgram("T1", [
             ops.lock_exclusive("a"),
             ops.lock_exclusive("b"),
@@ -420,11 +407,11 @@ class TestRetryLadder:
         t1 = sched.transaction("T1")
         assert t1.lock_count == 2
 
-        # Attempts 1 and 2 sit inside the budget: the partial target
-        # (lock state 2: just before the second lock) is honoured both
-        # times, including the attempt that lands exactly on the boundary
-        # (attempts == retry_budget).
-        for expected_attempts in (1, 2):
+        # Attempts 1 .. RETRY_BUDGET sit inside the budget: the partial
+        # target (lock state 2: just before the second lock) is honoured
+        # every time, including the attempt that lands exactly on the
+        # boundary (attempts == RETRY_BUDGET).
+        for expected_attempts in range(1, RETRY_BUDGET + 1):
             sched.force_rollback("T1", 2, requester="T2")
             assert t1.lock_count == 1          # kept lock "a"
             assert sched.metrics.restart_escalations == 0
@@ -432,28 +419,28 @@ class TestRetryLadder:
             sched.step("T1")                   # re-acquire b
             assert t1.lock_count == 2
 
-        # Attempt 3 exceeds the budget: the partial rollback escalates to
+        # One more exceeds the budget: the partial rollback escalates to
         # a total restart and the attempt counter resets.
         sched.force_rollback("T1", 2, requester="T2")
         assert t1.lock_count == 0
         assert sched.metrics.restart_escalations == 1
         assert sched._retry_attempts["T1"] == 0
-        assert sched.metrics.backoff_stalls == 3
+        assert sched.metrics.backoff_stalls == RETRY_BUDGET + 1
 
     def test_total_restart_target_never_escalates(self):
-        _, sched = self._single_site(retry_budget=1, backoff_base=1)
+        _, sched = self._single_site()
         sched.register(TransactionProgram("T1", [
             ops.lock_exclusive("a"),
             ops.write("a", ops.entity("a") + ops.const(1)),
         ]))
         sched.step("T1")
-        for _ in range(3):                     # already total: no escalation
+        for _ in range(RETRY_BUDGET + 2):      # already total: no escalation
             sched.force_rollback("T1", 0, requester="T2")
             sched.step("T1")
         assert sched.metrics.restart_escalations == 0
 
     def test_backoff_ends_early_when_nothing_else_runnable(self):
-        _, sched = self._single_site(backoff_base=8, backoff_cap=64)
+        _, sched = self._single_site()
         sched.register(TransactionProgram("T1", [
             ops.lock_exclusive("a"),
             ops.write("a", ops.entity("a") + ops.const(1)),
@@ -474,50 +461,36 @@ class TestRetryLadder:
         assert sched._stalled_until["T1"] > 0
         assert sched.runnable() == ["T1"]
 
-    def test_breaker_rejection_spares_retry_budget(self):
-        db = Database({"a": 0, "b": 0, "c": 0})
-        part = explicit_partition(
-            {"a": 0, "c": 0, "b": 1}, {"T1": 0, "T2": 0, "T3": 1}
-        )
-        sched = DistributedScheduler(
-            db, part, breaker_threshold=1, breaker_window=10,
-            breaker_cooldown=5,
-        )
+    @pytest.mark.parametrize("finish", ["commit", "shed"])
+    def test_finished_transaction_leaves_no_retry_state(self, finish):
+        _, sched = self._single_site()
         sched.register(TransactionProgram("T1", [
             ops.lock_exclusive("a"),
             ops.write("a", ops.entity("a") + ops.const(1)),
-            ops.assign("pad", ops.const(0)),
         ]))
-        sched.register(TransactionProgram("T2", [ops.lock_exclusive("a")]))
-        sched.register(TransactionProgram("T3", [
-            ops.lock_exclusive("b"),
-            ops.lock_exclusive("c"),
-            ops.write("c", ops.entity("c") + ops.const(1)),
+        sched.register(TransactionProgram("T2", [
+            ops.lock_exclusive("a"),
+            ops.write("a", ops.entity("a") + ops.const(2)),
         ]))
-        assert sched.step("T1").outcome is StepOutcome.GRANTED
-        # T2's denied request trips site 0's breaker (threshold 1).
+        sched.step("T1")
         assert sched.step("T2").outcome is StepOutcome.BLOCKED
-        assert sched.metrics.breaker_opens == 1
-        site0 = part.site_of_entity("a")
-        assert sched.breakers[site0].state is BreakerState.OPEN
-
-        # T3 holds b (site 1) and then asks site 0 for the *free* entity
-        # c: the open breaker rejects it outright.  Degradation costs T3 a
-        # total restart and a stall until the breaker half-opens, but no
-        # retry budget — the site is at fault, not the transaction.
-        assert sched.step("T3").outcome is StepOutcome.GRANTED
-        result = sched.step("T3")
-        assert result.outcome is StepOutcome.BLOCKED
-        t3 = sched.transaction("T3")
-        assert t3.lock_count == 0                   # restarted
-        assert sched.metrics.breaker_rejections == 1
-        assert "T3" not in sched._retry_attempts    # budget untouched
-        assert sched._stalled_until["T3"] == sched.breakers[site0].reopen_at()
-
-        # After the cooldown the next request is the half-open probe; its
-        # success closes the breaker and the site is healthy again.
-        for step in range(6):
-            sched.on_engine_step(step)
-        assert sched.step("T3").outcome is StepOutcome.GRANTED  # b again
-        assert sched.step("T3").outcome is StepOutcome.GRANTED  # c probes
-        assert sched.breakers[site0].state is BreakerState.CLOSED
+        # Rolled back out of its wait: a timer, a note of when it left
+        # BLOCKED, one retry and a backoff stall are all on the books.
+        sched.force_rollback("T2", 0, requester="T1")
+        books = (
+            sched._blocked_since,
+            sched._timer_place,
+            sched._unblocked_at,
+            sched._retry_attempts,
+            sched._stalled_until,
+        )
+        assert all("T2" in book for book in books)
+        if finish == "shed":
+            sched.shed("T2")
+        else:
+            while not sched.transaction("T1").done:
+                sched.step("T1")
+            while not sched.transaction("T2").done:
+                sched.step("T2")
+            assert sched.transaction("T2").status.name == "COMMITTED"
+        assert not any("T2" in book for book in books)

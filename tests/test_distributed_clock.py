@@ -173,17 +173,6 @@ def test_small_shape(monkeypatch, mode, wait_timeout):
     )
 
 
-def test_breakers(monkeypatch):
-    """Open breakers stall requesters until the site half-opens."""
-    (_trace, summary, _db, _error), _fired = _clocks_agree(
-        monkeypatch,
-        lambda: _engine_run(
-            SMALL, 4, 5, wait_timeout=20, breaker_threshold=3
-        ),
-    )
-    assert summary["breaker_rejections"] > 0
-
-
 def test_timer_keeps_its_place(monkeypatch):
     """Three-phase programs take their locks back to back, so a
     transaction a timeout unblocks can block again on the same step

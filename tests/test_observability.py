@@ -381,10 +381,9 @@ def test_metrics_summary_full_schema():
         "copies_peak", "storage_faults", "degraded_restarts",
         "backoff_stalls", "restart_escalations", "admitted", "shed",
         "admission_queue_peak", "deadline_expiries", "deadline_partials",
-        "deadline_restarts", "immunity_grants", "breaker_opens",
-        "breaker_rejections", "timeout_rollbacks", "unavailable_stalls",
-        "replica_catchups", "view_changes", "lock_migrations",
-        "view_rollbacks", "stale_write_skips", "rollbacks_by_victim",
+        "deadline_restarts", "immunity_grants", "timeout_rollbacks",
+        "unavailable_stalls", "replica_catchups", "stale_write_skips",
+        "rollbacks_by_victim",
         "hottest_entities", "mutual_preemption_pairs",
     }
     assert set(summary) == expected

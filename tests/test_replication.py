@@ -1,8 +1,7 @@
 """Tests for available-copies replication
 (:mod:`repro.distributed.replication`): directory bookkeeping, read-one /
 write-all-available accounting, site fail/recover with catch-up before
-rejoin, view changes over in-flight transactions, the no-stale-read
-oracle, the partition/heal scenario suite, and the crash-at-every-step
+rejoin, the no-stale-read oracle, the partition/heal scenario suite, and the crash-at-every-step
 acceptance sweep over a 5-site rf=2 topology."""
 
 import random
@@ -205,97 +204,6 @@ class TestSiteFailRecover:
         scheduler.site_recovered(0)
         scheduler.site_recovered(0)
         assert scheduler.replication.is_up(0)
-
-
-class TestViewChange:
-    def _held_setup(self):
-        db = Database({e: 0 for e in (f"e{i}" for i in range(40))})
-        view = View(HashRing(range(3)), db.names(), rf=2)
-        scheduler = ReplicatedScheduler(db, view)
-        # Hold exclusive locks on every entity so some are guaranteed to
-        # move when a site joins.
-        entities = sorted(db.names())[:10]
-        program = TransactionProgram(
-            "T1",
-            [ops.lock_exclusive(entity) for entity in entities],
-        )
-        txn = scheduler.register(program)
-        view.assign_home("T1", 0)
-        for _ in entities:
-            scheduler.step("T1")
-        held = {r.entity for r in txn.lock_records if r.granted}
-        assert held == set(entities)
-        return scheduler, txn, view, entities
-
-    def test_migrate_ships_lock_state(self):
-        scheduler, txn, view, entities = self._held_setup()
-        successor = view.add_site(3)
-        moved = view.moved_entities(successor)
-        moved_held = [e for e in entities if e in moved]
-        assert moved, "adding a site must move some entities"
-        scheduler.change_view(successor, policy="migrate")
-        assert scheduler.view is successor
-        assert scheduler.metrics.view_changes == 1
-        assert scheduler.metrics.lock_migrations == len(moved_held)
-        assert scheduler.metrics.view_rollbacks == 0
-        migrates = [
-            m for m in scheduler.message_log.messages
-            if m.kind is MessageType.LOCK_MIGRATE
-        ]
-        assert {m.entity for m in migrates} == set(moved_held)
-        for message in migrates:
-            old, new = moved[message.entity]
-            assert (message.sender, message.receiver) == (old, new)
-        # The holder keeps its locks and can still commit.
-        while not txn.done:
-            scheduler.step("T1")
-        assert scheduler.metrics.commits == 1
-
-    def test_rollback_releases_moved_entities(self):
-        scheduler, txn, view, entities = self._held_setup()
-        successor = view.add_site(3)
-        moved = view.moved_entities(successor)
-        moved_held = [e for e in entities if e in moved]
-        assert moved_held
-        scheduler.change_view(successor, policy="rollback")
-        assert scheduler.metrics.view_rollbacks == 1
-        held_after = scheduler.lock_manager.locks_held("T1")
-        assert not set(moved_held) & set(held_after), (
-            "rollback must release every moved entity"
-        )
-        # Partial, not total: the rollback target is the last rollback
-        # point before the earliest moved lock, so earlier locks survive
-        # when the earliest moved entity is not the first lock.
-        earliest_moved = min(
-            ordinal
-            for ordinal, entity in enumerate(entities, start=1)
-            if entity in moved
-        )
-        assert len(held_after) == earliest_moved - 1
-
-    def test_new_replica_catches_up_on_view_change(self):
-        db = Database({"a": 0})
-        view = View(HashRing([0, 1]), ["a"], rf=2)
-        scheduler = ReplicatedScheduler(db, view)
-        writer = scheduler.register(
-            TransactionProgram(
-                "T1", [ops.lock_exclusive("a"), ops.write("a", ops.const(1))]
-            )
-        )
-        view.assign_home("T1", view.site_of_entity("a"))
-        while not writer.done:
-            scheduler.step("T1")
-        successor = view.add_site(2)
-        scheduler.change_view(successor)
-        for site in successor.replica_sites("a"):
-            assert scheduler.replication.fresh("a", site)
-
-    def test_invalid_policy_rejected(self):
-        db = Database({"a": 0})
-        view = View(HashRing([0, 1]), ["a"], rf=1)
-        scheduler = ReplicatedScheduler(db, view)
-        with pytest.raises(ValueError):
-            scheduler.change_view(view.add_site(2), policy="shrug")
 
 
 class TestNoStaleReadOracle:

@@ -213,13 +213,6 @@ class TestConsistencyChecking:
         with pytest.raises(ConsistencyViolation):
             s.run_until_quiescent()
 
-    def test_check_skipped_when_disabled(self, db):
-        db.add_constraint(lambda s: s["a"] == 10, name="frozen-a")
-        s = Scheduler(db, check_consistency=False)
-        s.register(increment("T1", "a"))
-        s.run_until_quiescent()
-        assert db["a"] == 11
-
     def test_check_deferred_while_x_locks_held(self, db):
         """A commit while another transaction holds exclusive locks must
         not evaluate constraints (partial updates may be visible)."""

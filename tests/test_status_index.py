@@ -324,7 +324,7 @@ class TestIndexEqualsScan:
         partition = round_robin_partition(db.names(), programs, 3)
         scheduler = DistributedScheduler(
             db, partition, strategy="mcs", policy="ordered-min-cost",
-            wait_timeout=8, backoff_base=2, backoff_cap=8,
+            wait_timeout=8,
         )
         _watch, result = run_watched(scheduler, programs, seed=17)
         assert result.final_state == expected

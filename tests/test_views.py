@@ -7,12 +7,10 @@ examples:
   rings and identical placements, across processes (the hash is
   blake2b, never ``hash()``);
 * **bounded imbalance** — with the default virtual-node count, the
-  max/min per-site entity load stays within a small constant factor;
-* **minimal movement** — a single ``add_site``/``remove_site`` step
-  moves only the keys the joining site claims (or the leaving site
-  owned): every moved entity's new (old) owner is the added (removed)
-  site, and the moved fraction is roughly 1/n.
+  max/min per-site entity load stays within a small constant factor.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -89,82 +87,16 @@ class TestBalance:
     def test_load_imbalance_bounded(self, n_sites, seed):
         ring = HashRing(range(n_sites), vnodes=DEFAULT_VNODES, seed=seed)
         view = View(ring, ENTITY_POOL)
-        load = view.load_by_site()
-        assert sum(load.values()) == len(ENTITY_POOL)
+        load = Counter(view.site_of_entity(e) for e in ENTITY_POOL)
         mean = len(ENTITY_POOL) / n_sites
         # Every site carries something and nobody carries more than a
         # small multiple of the mean — the vnode count is chosen so this
         # holds for every seed, not merely on average.
-        assert min(load.values()) > 0
+        assert set(load) == set(range(n_sites))
         assert max(load.values()) <= 3.0 * mean
 
 
-class TestMinimalMovement:
-    @given(
-        n_sites=st.integers(min_value=2, max_value=10),
-        seed=seeds,
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_add_site_moves_only_to_new_site(self, n_sites, seed):
-        ring = HashRing(range(n_sites), seed=seed)
-        view = View(ring, ENTITY_POOL, rf=2)
-        grown = view.add_site(n_sites)
-        moved = view.moved_entities(grown)
-        for entity, (old, new) in moved.items():
-            assert new == n_sites, (
-                f"{entity} moved {old}->{new}, not to the joined site"
-            )
-        # Expected share is |entities|/(n+1); allow generous slack since a
-        # single draw can be lumpy, but rule out wholesale reshuffles.
-        assert len(moved) <= 3.0 * len(ENTITY_POOL) / (n_sites + 1)
-
-    @given(
-        n_sites=st.integers(min_value=3, max_value=10),
-        seed=seeds,
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_remove_site_moves_only_from_removed_site(self, n_sites, seed):
-        ring = HashRing(range(n_sites), seed=seed)
-        view = View(ring, ENTITY_POOL, rf=2)
-        victim = n_sites // 2
-        shrunk = view.remove_site(victim)
-        moved = view.moved_entities(shrunk)
-        for entity, (old, new) in moved.items():
-            assert old == victim, (
-                f"{entity} moved {old}->{new} though site {victim} left"
-            )
-            assert new != victim
-        assert set(moved) == view.entities_at(victim)
-
-    @given(seed=seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_is_identity(self, seed):
-        ring = HashRing(range(4), seed=seed)
-        view = View(ring, ENTITY_POOL, rf=2)
-        back = view.add_site(9).remove_site(9)
-        assert not view.moved_entities(back)
-        assert back.version == view.version + 2
-
-
 class TestViewSemantics:
-    def test_version_increments_and_last_site_protected(self):
-        view = View(HashRing([0, 1]), ["a", "b"])
-        grown = view.add_site(2)
-        assert grown.version == 1
-        with pytest.raises(ValueError):
-            grown.add_site(2)
-        shrunk = grown.remove_site(2).remove_site(1)
-        with pytest.raises(ValueError):
-            shrunk.remove_site(0)
-
-    def test_remove_site_rehomes_transactions(self):
-        view = View(HashRing([0, 1, 2]), ["a"])
-        view.assign_home("t1", 1)
-        view.assign_home("t2", 2)
-        shrunk = view.remove_site(1)
-        assert shrunk.home_of("t2") == 2
-        assert shrunk.home_of("t1") in (0, 2)
-
     def test_hash_view_homes_lockless_round_robin(self):
         from repro import TransactionProgram
 
