@@ -233,16 +233,6 @@ def _op_reads_writes(op: Operation) -> tuple[set[str], set[str], bool]:
     return set(), set(), True
 
 
-def _require_static(program: TransactionProgram, what: str) -> None:
-    from ..core.interactive import InteractiveProgram
-
-    if isinstance(program, InteractiveProgram):
-        raise TypeError(
-            f"{what} needs the full operation sequence a priori; "
-            f"interactive scripts materialise operations at run time"
-        )
-
-
 def cluster_writes(program: TransactionProgram) -> TransactionProgram:
     """Hoist data operations as early as their dependencies allow.
 
@@ -256,7 +246,6 @@ def cluster_writes(program: TransactionProgram) -> TransactionProgram:
 
     Operations with opaque (callable) expressions are never moved.
     """
-    _require_static(program, "cluster_writes")
     result: list[Operation] = []
     for op in program.operations:
         if isinstance(op, (Lock, Unlock, DeclareLastLock)):
@@ -304,7 +293,6 @@ def three_phase_variant(program: TransactionProgram) -> TransactionProgram:
     covered), a last-lock declaration is inserted, data operations follow
     in original order, and explicit unlocks (if any) run at the end.
     """
-    _require_static(program, "three_phase_variant")
     locks = [op for op in program.operations if isinstance(op, Lock)]
     unlocks = [op for op in program.operations if isinstance(op, Unlock)]
     data = [

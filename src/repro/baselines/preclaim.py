@@ -51,14 +51,6 @@ class PreclaimScheduler(Scheduler):
     # -- admission ---------------------------------------------------------
 
     def register(self, program: TransactionProgram) -> Transaction:
-        from ..core.interactive import InteractiveProgram
-
-        if isinstance(program, InteractiveProgram):
-            raise SimulationError(
-                "predeclaration requires the full lock set a priori; an "
-                "interactive script discovers its locks as it runs — "
-                "exactly the situation the paper says forces detection"
-            )
         txn = super().register(program)
         self._admission_queue.append(txn.txn_id)
         return txn

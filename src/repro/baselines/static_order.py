@@ -37,13 +37,6 @@ def static_order_variant(
         lexicographic on entity name).  All transactions in a system must
         use the same key for the deadlock-freedom guarantee to hold.
     """
-    from ..core.interactive import InteractiveProgram
-
-    if isinstance(program, InteractiveProgram):
-        raise TypeError(
-            "static lock ordering needs the lock set a priori; "
-            "interactive scripts discover theirs at run time"
-        )
     order_key = order_key or (lambda name: name)
     locks = sorted(
         (op for op in program.operations if isinstance(op, Lock)),

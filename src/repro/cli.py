@@ -107,6 +107,18 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _host_port(text: str) -> tuple[str, int]:
+    """An argparse ``type`` for ``HOST:PORT`` (host defaults to
+    127.0.0.1), so a malformed address is a usage error."""
+    host, _, port = text.rpartition(":")
+    try:
+        return host or "127.0.0.1", int(port)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT, got {text!r}"
+        ) from None
+
+
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transactions", type=_int_at_least(1), default=10,
                         help="number of concurrent transactions")
@@ -753,22 +765,19 @@ def _cmd_top_follow(args) -> int:
     import time as _time
 
     from .observability.top import render_top, report_from_metrics
-    from .service.client import ServiceClient
+    from .service.client import RetryBudgetExhausted, ServiceClient
 
-    if not args.connect:
-        print("top --follow needs --connect HOST:PORT")
-        return 2
-    host, _, port = args.connect.rpartition(":")
-    try:
-        bound = int(port)
-    except ValueError:
-        print(f"bad --connect address {args.connect!r}")
-        return 2
+    host, port = args.connect
     iteration = 0
-    with ServiceClient(host or "127.0.0.1", bound, name="repro-top") as c:
+    with ServiceClient(host, port, name="repro-top") as c:
         while True:
             iteration += 1
-            reply = c.metrics()
+            try:
+                reply = c.metrics()
+            except RetryBudgetExhausted as exc:
+                print(f"repro top: cannot reach {host}:{port}: {exc}",
+                      file=sys.stderr)
+                return 1
             metrics = {
                 k: v
                 for k, v in reply.items()
@@ -790,7 +799,9 @@ def cmd_top(args) -> int:
     from .observability.scenarios import record_scenario
     from .observability.top import build_top, render_top
 
-    if args.follow or args.connect:
+    if args.follow and args.connect is None:
+        args.usage_error("--follow needs --connect HOST:PORT")
+    if args.connect is not None:
         return _cmd_top_follow(args)
     recorder, _context = record_scenario(
         args.scenario, seed=args.seed, sample_every=args.sample_every
@@ -1175,13 +1186,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--follow", action="store_true",
                        help="poll a running server's metrics verb "
                             "instead of recording a scenario")
-    p_top.add_argument("--connect", default=None, metavar="HOST:PORT",
+    p_top.add_argument("--connect", type=_host_port, default=None,
+                       metavar="HOST:PORT",
                        help="server address for --follow")
     p_top.add_argument("--interval", type=float, default=1.0,
                        help="seconds between --follow polls")
     p_top.add_argument("--iterations", type=int, default=0,
                        help="stop --follow after N polls (0 = forever)")
-    p_top.set_defaults(fn=cmd_top)
+    p_top.set_defaults(fn=cmd_top, usage_error=p_top.error)
 
     p_serve = sub.add_parser(
         "serve",

@@ -7,7 +7,6 @@ k-copy), victim policies, deadlock detection, and the scheduler.
 
 from . import operations as ops
 from .detection import Deadlock, DeadlockDetector
-from .interactive import InteractiveProgram, TxnContext
 from .k_copy import KCopyStrategy, eager_allocator, threshold_allocator
 from .mcs import MultiLockCopyStrategy
 from .metrics import Metrics, RollbackEvent
@@ -17,7 +16,6 @@ from .rollback import (
     available_strategies,
     make_strategy,
 )
-from .savepoints import Savepoint, SavepointManager
 from .scheduler import Scheduler, StepOutcome, StepResult
 from .single_copy import SingleCopyStrategy
 from .total import TotalRestartStrategy
@@ -43,7 +41,6 @@ from .victim import (
 
 __all__ = [
     "Deadlock",
-    "InteractiveProgram",
     "KCopyStrategy",
     "DeadlockDetector",
     "LockRecord",
@@ -57,8 +54,6 @@ __all__ = [
     "RollbackAction",
     "RollbackEvent",
     "RollbackStrategy",
-    "Savepoint",
-    "SavepointManager",
     "Scheduler",
     "SingleCopyStrategy",
     "StepOutcome",
@@ -66,7 +61,6 @@ __all__ = [
     "TotalRestartStrategy",
     "UndoLogStrategy",
     "Transaction",
-    "TxnContext",
     "TransactionProgram",
     "TxnStatus",
     "VictimContext",

@@ -282,7 +282,6 @@ class Scheduler:
             value = self.strategy.read_entity(txn, op.entity_name)
             self.strategy.write_local(txn, op.into, value)
             txn.pc += 1
-            txn.program.on_op_completed(txn.pc - 1, value)
             result = StepResult(txn_id, StepOutcome.ADVANCED)
         elif isinstance(op, Write):
             ctx = _StrategyContext(self, txn)
@@ -290,20 +289,17 @@ class Scheduler:
                 txn, op.entity_name, evaluate(op.expr, ctx)
             )
             txn.pc += 1
-            txn.program.on_op_completed(txn.pc - 1, None)
             result = StepResult(txn_id, StepOutcome.ADVANCED)
         elif isinstance(op, Assign):
             ctx = _StrategyContext(self, txn)
             value = evaluate(op.expr, ctx)
             self.strategy.write_local(txn, op.var_name, value)
             txn.pc += 1
-            txn.program.on_op_completed(txn.pc - 1, value)
             result = StepResult(txn_id, StepOutcome.ADVANCED)
         elif isinstance(op, DeclareLastLock):
             self.lock_manager.declare_last_lock(txn.txn_id)
             self.strategy.on_declare_last_lock(txn)
             txn.pc += 1
-            txn.program.on_op_completed(txn.pc - 1, None)
             result = StepResult(txn_id, StepOutcome.ADVANCED)
         else:  # pragma: no cover - programs are validated at construction
             raise SimulationError(f"unknown operation {op!r}")
@@ -413,7 +409,6 @@ class Scheduler:
         )
         self._set_status(txn, TxnStatus.READY)
         txn.pc += 1
-        txn.program.on_op_completed(txn.pc - 1, None)
 
     def _execute_unlock(self, txn: Transaction, op: Unlock) -> None:
         mode = self.lock_manager.holds(txn.txn_id, op.entity_name)
@@ -429,7 +424,6 @@ class Scheduler:
         grants = self.lock_manager.unlock(txn.txn_id, op.entity_name)
         self.strategy.on_unlock(txn, op.entity_name)
         txn.pc += 1
-        txn.program.on_op_completed(txn.pc - 1, None)
         for grant in grants:
             self._complete_grant(grant)
 

@@ -2,10 +2,9 @@
 
 :class:`TransactionProgram` is the static artefact — an identifier, an
 operation sequence, and initial local-variable values — validated at
-construction against the paper's model: two-phase (no lock after unlock),
-each entity locked at most once, reads covered by any lock and writes by an
-exclusive lock, no operations after the last-lock declaration other than
-reads/writes/assigns/unlocks.
+construction against the paper's model by :class:`ProgramRules`: two-phase
+(no lock after an unlock or the last-lock declaration), each entity locked
+at most once, reads covered by any lock and writes by an exclusive lock.
 
 :class:`Transaction` is the runtime instance managed by the scheduler: a
 program counter, state index, lock-request records (the lock states), and
@@ -35,6 +34,65 @@ from .operations import (
 Value = object
 
 
+class ProgramRules:
+    """The well-formedness rules of a 2PL program, checked one op at a time.
+
+    :meth:`admit` judges each operation against those admitted before it:
+
+    * two-phase — no lock request after an unlock or after
+      ``declare_last_lock``;
+    * each entity is locked at most once;
+    * a read needs a held lock, a write a held exclusive lock, and an
+      unlock a held lock;
+    * ``declare_last_lock`` is issued at most once.
+
+    A declarative :class:`TransactionProgram` runs it over its whole list
+    at construction; a lock-service session runs it on every append.
+    """
+
+    def __init__(self) -> None:
+        self.held: dict[str, LockMode] = {}
+        self.locked: set[str] = set()
+        self.unlocked = False
+        self.declared_last = False
+
+    def admit(self, op: Operation) -> str | None:
+        """Why *op* may not come next, or ``None`` after recording it."""
+        if isinstance(op, Lock):
+            if self.unlocked:
+                return "lock request after an unlock (two-phase rule)"
+            if self.declared_last:
+                return "lock request after declare_last_lock"
+            if op.entity_name in self.locked:
+                return (
+                    f"entity {op.entity_name!r} locked twice "
+                    f"(the model locks each entity at most once)"
+                )
+            self.held[op.entity_name] = op.mode
+            self.locked.add(op.entity_name)
+        elif isinstance(op, Unlock):
+            if op.entity_name not in self.held:
+                return f"unlock of {op.entity_name!r} which is not held"
+            del self.held[op.entity_name]
+            self.unlocked = True
+        elif isinstance(op, Read):
+            if op.entity_name not in self.held:
+                return f"read of {op.entity_name!r} without a lock"
+        elif isinstance(op, Write):
+            mode = self.held.get(op.entity_name)
+            if mode is None or not mode.is_exclusive:
+                return (
+                    f"write to {op.entity_name!r} without an exclusive lock"
+                )
+        elif isinstance(op, DeclareLastLock):
+            if self.declared_last:
+                return "declare_last_lock issued twice"
+            self.declared_last = True
+        elif not isinstance(op, Assign):
+            return f"unknown operation {op!r}"
+        return None
+
+
 class TransactionProgram:
     """A validated, re-executable transaction program.
 
@@ -52,8 +110,7 @@ class TransactionProgram:
     Raises
     ------
     ProtocolViolation
-        If the sequence violates the two-phase rule or accesses an entity
-        without an appropriate lock.
+        If the sequence breaks one of the :class:`ProgramRules`.
     """
 
     def __init__(
@@ -65,89 +122,11 @@ class TransactionProgram:
         self.txn_id = txn_id
         self.operations: list[Operation] = list(operations)
         self.initial_locals: dict[str, Value] = dict(initial_locals or {})
-        self._validate()
-
-    def _validate(self) -> None:
-        held: dict[str, LockMode] = {}
-        unlocked_any = False
-        declared_last = False
-        ever_locked: set[str] = set()
+        rules = ProgramRules()
         for position, op in enumerate(self.operations):
-            where = f"{self.txn_id}[{position}]"
-            if isinstance(op, Lock):
-                if unlocked_any:
-                    raise ProtocolViolation(
-                        f"{where}: lock request after an unlock (two-phase "
-                        f"rule)"
-                    )
-                if declared_last:
-                    raise ProtocolViolation(
-                        f"{where}: lock request after declare_last_lock"
-                    )
-                if op.entity_name in ever_locked:
-                    raise ProtocolViolation(
-                        f"{where}: entity {op.entity_name!r} locked twice "
-                        f"(the model locks each entity at most once)"
-                    )
-                held[op.entity_name] = op.mode
-                ever_locked.add(op.entity_name)
-            elif isinstance(op, Unlock):
-                if op.entity_name not in held:
-                    raise ProtocolViolation(
-                        f"{where}: unlock of {op.entity_name!r} which is not "
-                        f"held"
-                    )
-                del held[op.entity_name]
-                unlocked_any = True
-            elif isinstance(op, Read):
-                if op.entity_name not in held:
-                    raise ProtocolViolation(
-                        f"{where}: read of {op.entity_name!r} without a lock"
-                    )
-            elif isinstance(op, Write):
-                mode = held.get(op.entity_name)
-                if mode is None or not mode.is_exclusive:
-                    raise ProtocolViolation(
-                        f"{where}: write to {op.entity_name!r} without an "
-                        f"exclusive lock"
-                    )
-            elif isinstance(op, DeclareLastLock):
-                if declared_last:
-                    raise ProtocolViolation(
-                        f"{where}: declare_last_lock issued twice"
-                    )
-                declared_last = True
-            elif not isinstance(op, Assign):
-                raise ProtocolViolation(
-                    f"{where}: unknown operation {op!r}"
-                )
-
-    # -- dynamic-program hooks (overridden by InteractiveProgram) -----------
-
-    def op_at(self, pc: int) -> Operation | None:
-        """The operation at position *pc*, or ``None`` past the end.
-
-        Static programs index their operation list; dynamic programs may
-        materialise operations on demand.
-        """
-        if pc >= len(self.operations):
-            return None
-        return self.operations[pc]
-
-    def on_op_completed(self, pc: int, result: object) -> None:
-        """Called by the scheduler after the operation at *pc* completed.
-
-        *result* is the value produced (a read's value; ``None`` for
-        operations without one).  Static programs ignore it; interactive
-        programs deliver it into the driving generator.
-        """
-
-    def on_rollback(self, pc: int) -> None:
-        """Called after a rollback rewound the program counter to *pc*.
-
-        Dynamic programs truncate their materialised suffix and replay
-        their generator up to *pc*.
-        """
+            reason = rules.admit(op)
+            if reason is not None:
+                raise ProtocolViolation(f"{txn_id}[{position}]: {reason}")
 
     # -- static structure queries ------------------------------------------
 
@@ -251,7 +230,8 @@ class Transaction:
 
     def current_operation(self) -> Operation | None:
         """The next operation to execute, or ``None`` at end of program."""
-        return self.program.op_at(self.pc)
+        operations = self.program.operations
+        return operations[self.pc] if self.pc < len(operations) else None
 
     def record_lock_request(self, entity: str, mode: LockMode) -> LockRecord:
         """Create the lock record for a newly issued request."""
@@ -309,7 +289,6 @@ class Transaction:
             self.pc = self.lock_records[ordinal - 1].pc
         self.lock_records = [r for r in self.lock_records if r.ordinal < ordinal]
         self.status = TxnStatus.READY
-        self.program.on_rollback(self.pc)
 
     def describe(self) -> str:  # pragma: no cover - debugging aid
         held = ", ".join(

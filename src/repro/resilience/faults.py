@@ -328,7 +328,7 @@ class FaultInjector:
         pre-existing observer, which runs first)."""
         scheduler = engine.scheduler
         scheduler.degrade_on_fault = self.plan.degrade
-        scheduler.strategy.fault_hook = self._on_rollback
+        scheduler.strategy.fault_hook = self._on_strategy_rollback
         message_log = getattr(scheduler, "message_log", None)
         if message_log is not None:
             message_log.fault_filter = self._on_send
@@ -429,7 +429,7 @@ class FaultInjector:
             return DeliveryAction.DROP
         return self._message_actions.get(index, DeliveryAction.DELIVER)
 
-    def _on_rollback(self, strategy, txn, ordinal) -> None:
+    def _on_strategy_rollback(self, strategy, txn, ordinal) -> None:
         """Strategy fault hook: fail the matching rollback invocations."""
         index = self.rollbacks_seen
         self.rollbacks_seen += 1

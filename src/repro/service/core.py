@@ -20,6 +20,9 @@ Robustness wiring, all through existing subsystems:
   override supported); the ladder escalates partial rollback → total
   restart → shed, and a shed session's outstanding requests complete
   with **503**.
+* stale reads — a session rolled back to or below a read it has
+  already answered is shed (:data:`STALE_READ`, **503**): the client
+  computed its later requests from that value.
 * breaker — a :class:`~repro.admission.breaker.CircuitBreaker` fed by
   commit/shed outcomes; while open, ``begin`` answers **503**.
 * idempotency — requests carrying an ``idem`` key are deduplicated
@@ -42,11 +45,12 @@ from ..admission.breaker import CircuitBreaker
 from ..admission.controller import AdmissionController
 from ..admission.deadlines import DeadlineEnforcer
 from ..admission.policies import FixedMplPolicy
+from ..core import operations as ops
 from ..core.metrics import DEADLINE_EXCEEDED
+from ..core.operations import Read
 from ..core.scheduler import Scheduler
 from ..core.transaction import TxnStatus
 from ..errors import ReproError, SimulationError
-from ..locking.modes import LockMode
 from ..observability.events import Event, EventBus, EventKind
 from ..observability.streaming import StreamingAggregator
 from ..observability.tracing import TraceContext, Tracer
@@ -58,6 +62,10 @@ from .session import SessionProgram
 
 #: Shed reason recorded for client-initiated aborts.
 CLIENT_ABORT = "client-abort"
+#: Shed reason for a session rolled back below a read it already
+#: answered: the client computed its later writes from that value, and
+#: re-executing the read could hand the server a different one.
+STALE_READ = "stale-read"
 
 
 @dataclass
@@ -154,6 +162,8 @@ class ServiceCore:
         self._dedup: "OrderedDict[str, dict]" = OrderedDict(dedup_seed or {})
         self._idem_in_flight: dict[str, Any] = {}
         self._shed_reason: dict[str, str] = {}
+        #: Index of the last read each session has answered.
+        self._answered_read: dict[str, int] = {}
         #: Causal tracing: merges client-carried trace contexts into a
         #: process Lamport clock and stamps reply echoes.
         self.tracer = Tracer(site=0)
@@ -389,30 +399,21 @@ class ServiceCore:
                     f"unknown entity {entity!r}",
                 )
         if verb == "lock":
-            mode = (
-                LockMode.SHARED
+            op = (
+                ops.lock_shared(entity)
                 if str(request.get("mode", "X")).upper() == "S"
-                else LockMode.EXCLUSIVE
+                else ops.lock_exclusive(entity)
             )
-            reason = session.validate_lock(entity, mode)
-            if reason is not None:
-                return error_reply(rid, verb, protocol.CONFLICT, reason)
-            index = session.append_lock(entity, mode)
         elif verb == "unlock":
-            reason = session.validate_unlock(entity)
-            if reason is not None:
-                return error_reply(rid, verb, protocol.CONFLICT, reason)
-            index = session.append_unlock(entity)
+            op = ops.unlock(entity)
         elif verb == "read":
-            reason = session.validate_read(entity)
-            if reason is not None:
-                return error_reply(rid, verb, protocol.CONFLICT, reason)
-            index = session.append_read(entity)
+            op = ops.read(entity, into=f"__r{len(session.operations)}")
         else:  # write
-            reason = session.validate_write(entity)
-            if reason is not None:
-                return error_reply(rid, verb, protocol.CONFLICT, reason)
-            index = session.append_write(entity, request.get("value"))
+            op = ops.write(entity, ops.const(request.get("value")))
+        reason = session.append(op)
+        if reason is not None:
+            return error_reply(rid, verb, protocol.CONFLICT, reason)
+        index = len(session.operations) - 1
         self._park(rid, txn_id, verb, index, request.get("idem"))
         self._advance()
         return None
@@ -467,7 +468,11 @@ class ServiceCore:
         A session is steppable while READY with unexecuted operations
         (including re-execution after a rollback) or while committing.
         Deadlock resolutions inside a step may rewind other sessions,
-        so the sweep repeats until nothing moved.
+        so the sweep repeats until nothing moved.  A session rewound to
+        or below a read it has answered is shed instead (see
+        :data:`STALE_READ`).  A read's value is recorded right after its
+        step: a read never blocks, and a later step may commit the
+        transaction and tear down its storage.
         """
         budget = self.config.pump_budget
         scheduler = self.scheduler
@@ -478,6 +483,7 @@ class ServiceCore:
                 txn = scheduler.transactions.get(txn_id)
                 if txn is None:
                     continue
+                answered = self._answered_read.get(txn_id, -1)
                 while (
                     not txn.done
                     and txn.status is TxnStatus.READY
@@ -486,8 +492,16 @@ class ServiceCore:
                         or session.committing
                     )
                 ):
-                    scheduler.step(txn_id)
                     progressed = True
+                    if txn.pc <= answered:
+                        scheduler.shed(txn_id, reason=STALE_READ)
+                        break
+                    op = txn.current_operation()
+                    scheduler.step(txn_id)
+                    if isinstance(op, Read):
+                        session.results[txn.pc - 1] = (
+                            scheduler.strategy.read_local(txn, op.into)
+                        )
                     budget -= 1
                     if budget <= 0:
                         raise SimulationError(
@@ -555,6 +569,7 @@ class ServiceCore:
             extra: dict[str, Any] = {"txn": parked.txn_id}
             if parked.verb == "read":
                 extra["value"] = session.results.get(parked.op_index)
+                self._answered_read[parked.txn_id] = parked.op_index
             return ok_reply(parked.rid, parked.verb, **extra)
         return None
 
@@ -618,6 +633,7 @@ class ServiceCore:
             self.scheduler.forget(txn_id)
             self.admission.admitted_at.pop(txn_id, None)
             self._shed_reason.pop(txn_id, None)
+            self._answered_read.pop(txn_id, None)
             self.tracer.forget(txn_id)
             self.telemetry.forget(txn_id)
 

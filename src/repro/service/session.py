@@ -5,10 +5,9 @@ objects, whose re-executability is what makes the paper's partial
 rollback sound: after a rollback the retained prefix is simply run
 again.  A network session builds its program *one request at a time* —
 :class:`SessionProgram` is the bridge: an operation list that only ever
-grows at the tail, with every append validated against the list built so
-far (the same static rules
-:meth:`~repro.core.transaction.TransactionProgram._validate` enforces up
-front for declarative programs).
+grows at the tail, with every append judged by the same
+:class:`~repro.core.transaction.ProgramRules` a declarative program is
+checked against at construction.
 
 Append-time validation is the crash-consistency trick: because each
 appended operation is legal *as a static program*, re-execution after a
@@ -19,162 +18,43 @@ ever reaches the scheduler.
 A session commits by setting :attr:`committing`; the pump then steps the
 transaction past its final operation, which is exactly the scheduler's
 commit condition (``current_operation() is None``).  Until then the pump
-must *not* step a transaction sitting at its frontier — that is what
-:meth:`frontier_reached` guards.
+must *not* step a transaction sitting at its frontier.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..core import operations as ops
-from ..core.operations import Lock, Operation, Read, Unlock, Write
-from ..core.transaction import TransactionProgram
-from ..locking.modes import LockMode
-
-
-class SessionValidationError(Exception):
-    """An appended operation would violate the session's own history."""
+from ..core.operations import Operation
+from ..core.transaction import ProgramRules, TransactionProgram
 
 
 class SessionProgram(TransactionProgram):
     """A transaction program grown request by request.
 
     The operation list is append-only: rollback re-execution replays the
-    same prefix (``on_rollback`` keeps the list — the paper's model),
-    and new requests extend the tail.  ``results[pc]`` records the value
-    each read delivered, so the service can answer the client.
+    same prefix (the paper's model), and new requests extend the tail.
+    ``results[pc]`` records the value each read delivered, so the service
+    can answer the client.
     """
 
     def __init__(self, txn_id: str) -> None:
-        # Bypass the parent constructor: the list starts empty and is
-        # validated incrementally on append instead.
-        self.txn_id = txn_id
-        self.operations: list[Operation] = []
-        self.initial_locals: dict[str, Any] = {}
+        super().__init__(txn_id, [])
         self.committing = False
         self.results: dict[int, Any] = {}
-        #: Modes held *per the op list* (not the live lock table): the
-        #: validation substrate.
-        self._modes: dict[str, LockMode] = {}
-        self._unlocked = False
+        self._rules = ProgramRules()
 
-    # -- append-time validation ---------------------------------------------
-
-    def held_mode(self, entity: str) -> LockMode | None:
-        """The mode the op list says the session holds on *entity*."""
-        return self._modes.get(entity)
-
-    def validate_lock(self, entity: str, mode: LockMode) -> str | None:
-        """Why a lock append would be illegal, or ``None`` if fine."""
+    def append(self, op: Operation) -> str | None:
+        """Append *op*, or return why the session may not issue it."""
         if self.committing:
             return "transaction is committing"
-        if self._unlocked:
-            return "lock after unlock violates the two-phase rule"
-        if entity in self._modes:
-            return f"already holds a {self._modes[entity]} lock on {entity!r}"
-        return None
-
-    def validate_unlock(self, entity: str) -> str | None:
-        if self.committing:
-            return "transaction is committing"
-        if entity not in self._modes:
-            return f"holds no lock on {entity!r}"
-        return None
-
-    def validate_read(self, entity: str) -> str | None:
-        if self.committing:
-            return "transaction is committing"
-        if entity not in self._modes:
-            return f"read of {entity!r} without a lock"
-        return None
-
-    def validate_write(self, entity: str) -> str | None:
-        if self.committing:
-            return "transaction is committing"
-        if self._modes.get(entity) is not LockMode.EXCLUSIVE:
-            return f"write of {entity!r} without an exclusive lock"
-        return None
-
-    # -- appends -------------------------------------------------------------
-
-    def append_lock(self, entity: str, mode: LockMode) -> int:
-        """Append a lock op; returns its index.  Caller validated."""
-        reason = self.validate_lock(entity, mode)
-        if reason is not None:
-            raise SessionValidationError(reason)
-        op = (
-            ops.lock_exclusive(entity)
-            if mode is LockMode.EXCLUSIVE
-            else ops.lock_shared(entity)
-        )
-        self.operations.append(op)
-        self._modes[entity] = mode
-        return len(self.operations) - 1
-
-    def append_unlock(self, entity: str) -> int:
-        reason = self.validate_unlock(entity)
-        if reason is not None:
-            raise SessionValidationError(reason)
-        self.operations.append(ops.unlock(entity))
-        del self._modes[entity]
-        self._unlocked = True
-        return len(self.operations) - 1
-
-    def append_read(self, entity: str) -> int:
-        reason = self.validate_read(entity)
-        if reason is not None:
-            raise SessionValidationError(reason)
-        index = len(self.operations)
-        self.operations.append(ops.read(entity, into=f"__r{index}"))
-        return index
-
-    def append_write(self, entity: str, value: Any) -> int:
-        reason = self.validate_write(entity)
-        if reason is not None:
-            raise SessionValidationError(reason)
-        self.operations.append(ops.write(entity, ops.const(value)))
-        return len(self.operations) - 1
-
-    # -- TransactionProgram hooks ---------------------------------------------
-
-    def op_at(self, pc: int) -> Operation | None:
-        if pc < len(self.operations):
-            return self.operations[pc]
-        # The frontier.  Returning None here means "commit" to the
-        # scheduler, so the pump only steps past it when committing.
-        return None
-
-    def on_op_completed(self, pc: int, result: Any) -> None:
-        if isinstance(self.operations[pc], Read):
-            self.results[pc] = result
-
-    def on_rollback(self, pc: int) -> None:
-        # The list is declarative and append-only: re-execution replays
-        # the identical prefix, so nothing to rewind.  Read results past
-        # the rollback point will be overwritten on re-execution.
-        pass
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def lock_operations(self) -> list[tuple[int, Lock]]:
-        return [
-            (i, op)
-            for i, op in enumerate(self.operations)
-            if isinstance(op, Lock)
-        ]
-
-    @property
-    def entities_accessed(self) -> set[str]:
-        return {op.entity_name for _i, op in self.lock_operations}
+        reason = self._rules.admit(op)
+        if reason is None:
+            self.operations.append(op)
+        return reason
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SessionProgram({self.txn_id!r}, {len(self.operations)} ops, "
             f"committing={self.committing})"
         )
-
-
-#: Operation classes a session may append, for reference by the core.
-APPENDABLE = (Lock, Unlock, Read, Write)

@@ -121,7 +121,7 @@ class TestAdmissionPolicies:
         with pytest.raises(ValueError):
             FixedMplPolicy(mpl=0)
 
-    def test_aimd_halves_on_rollback_storm(self):
+    def test_aimd_halves_in_rollback_storm(self):
         p = AimdPolicy(initial=8, window_steps=10, rollback_threshold=0.5,
                        probe_boost=0.0)
         assert p.capacity(snap(0)) == 8          # window not yet elapsed

@@ -35,6 +35,8 @@ class TestParser:
         "overload --transactions 0",
         "trace --sample-every -1",
         "compare --transactions 1 --entities 1",
+        "top --follow",
+        "top --connect host:abc",
     ])
     def test_bad_workload_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -49,6 +51,36 @@ class TestParser:
 
 
 class TestCommands:
+    def test_top_unreachable_server_is_one_line_and_exit_one(
+        self, capsys, monkeypatch
+    ):
+        from repro.service import client
+
+        class Unreachable:
+            def __init__(self, host, port, name):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def metrics(self):
+                raise client.RetryBudgetExhausted(
+                    "metrics gave up after 8 attempts", []
+                )
+
+        monkeypatch.setattr(client, "ServiceClient", Unreachable)
+        code = main(["top", "--follow", "--connect", "127.0.0.1:9"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro top: cannot reach 127.0.0.1:9: "
+            "[503] metrics gave up after 8 attempts"
+        ]
+
     def test_run_exit_zero_and_summary(self, capsys):
         code = main(["run", "--transactions", "5", "--entities", "5",
                      "--seed", "2"])

@@ -1,24 +1,17 @@
 """Cross-feature integration tests: combinations of subsystems.
 
-Each test exercises a pairing that no single-module suite covers:
-interactive scripts under distributed scheduling, savepoints during real
-contention, k-copy in the distributed setting, the periodic sweeper with
-the undo-log strategy, dynamic arrivals under the ordered policy, and the
-sweep harness over scheduler variants.
+Each test exercises a pairing that no single-module suite covers: an
+external partial rollback during real contention, k-copy in the
+distributed setting, the periodic sweeper with the undo-log strategy,
+dynamic arrivals under the ordered policy, and the sweep harness over
+scheduler variants.
 """
 
 import pytest
 
 from repro import Database, Scheduler, TransactionProgram, ops
-from repro.core.interactive import InteractiveProgram
 from repro.core.periodic import PeriodicDetectionScheduler
-from repro.core.savepoints import SavepointManager
-from repro.distributed import (
-    PROBE,
-    DistributedScheduler,
-    explicit_partition,
-    round_robin_partition,
-)
+from repro.distributed import DistributedScheduler, round_robin_partition
 from repro.simulation import (
     RandomInterleaving,
     SimulationEngine,
@@ -28,44 +21,13 @@ from repro.simulation import (
 )
 
 
-class TestInteractiveDistributed:
-    def test_scripts_across_sites(self):
-        def mover(t):
-            yield t.lock_x("left")
-            value = yield t.read("left")
-            yield t.write("left", value - 5)
-            yield t.lock_x("right")
-            other = yield t.read("right")
-            yield t.write("right", other + 5)
-
-        def counter(t):
-            yield t.lock_x("right")
-            value = yield t.read("right")
-            yield t.write("right", value - 1)
-            yield t.lock_x("left")
-            other = yield t.read("left")
-            yield t.write("left", other + 1)
-
-        db = Database({"left": 100, "right": 100})
-        partition = explicit_partition(
-            {"left": 0, "right": 1}, {"M": 0, "C": 1}
-        )
-        scheduler = DistributedScheduler(
-            db, partition, cross_site_mode=PROBE, wait_timeout=100
-        )
-        engine = SimulationEngine(scheduler, max_steps=100_000)
-        engine.add(InteractiveProgram("M", mover))
-        engine.add(InteractiveProgram("C", counter))
-        result = engine.run()
-        assert result.final_state == {"left": 96, "right": 104}
-        assert result.metrics.commits == 2
-
-
 class TestSavepointsUnderContention:
     def test_savepoint_rollback_while_others_run(self):
+        """An external partial rollback to a lock state (what a savepoint
+        rollback is) grants the waiter on the undone lock, and the
+        re-executed prefix still yields the serial outcome."""
         db = Database({"a": 0, "b": 0, "c": 0})
         scheduler = Scheduler(db, strategy="mcs")
-        manager = SavepointManager(scheduler)
         engine = SimulationEngine(scheduler, max_steps=50_000)
         engine.add(TransactionProgram("APP", [
             ops.lock_exclusive("a"),
@@ -80,36 +42,13 @@ class TestSavepointsUnderContention:
             ops.write("b", ops.entity("b") + ops.const(10)),
         ]))
         engine.run_for("APP", 4)            # holds a, b
-        manager.create("APP", "have-ab")    # lock state 2
-        # Roll back past b: OTHER (blocked on b) is granted immediately.
         engine.run_to_block("OTHER")
-        manager.rollback_to_nearest("APP", "have-ab")
-        target = manager.rollback_to_nearest("APP", "have-ab")
-        assert target <= 2
+        # Roll back past b: OTHER (blocked on b) is granted immediately.
+        scheduler.force_rollback("APP", 2, requester="APP")
+        assert scheduler.transaction("APP").pc == 2
+        assert scheduler.lock_manager.holds("OTHER", "b") is not None
         result = engine.run()
         assert result.final_state == {"a": 1, "b": 11, "c": 1}
-
-    def test_savepoints_on_interactive_program(self):
-        def script(t):
-            yield t.lock_x("a")
-            value = yield t.read("a")
-            yield t.write("a", value + 1)
-            yield t.lock_x("b")
-            other = yield t.read("b")
-            yield t.write("b", other + value)
-
-        db = Database({"a": 7, "b": 0})
-        scheduler = Scheduler(db, strategy="mcs")
-        manager = SavepointManager(scheduler)
-        scheduler.register(InteractiveProgram("S", script))
-        for _ in range(3):
-            scheduler.step("S")
-        mark = manager.create("S", "after-a")
-        for _ in range(2):
-            scheduler.step("S")
-        manager.rollback_to("S", "after-a")
-        scheduler.run_until_quiescent()
-        assert db.snapshot() == {"a": 8, "b": 7}
 
 
 class TestKCopyDistributed:

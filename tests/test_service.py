@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+from repro.core import ops
+from repro.core.transaction import Transaction
 from repro.observability.events import EventBus, EventKind
 from repro.observability.export import read_events_jsonl
 from repro.service import protocol
@@ -99,29 +101,27 @@ class TestProtocol:
 class TestSessionProgram:
     def test_two_phase_rule_enforced_at_append(self):
         s = SessionProgram("T1")
-        from repro.locking.modes import LockMode
-
-        assert s.validate_lock("a", LockMode.EXCLUSIVE) is None
-        s.append_lock("a", LockMode.EXCLUSIVE)
-        s.append_unlock("a")
-        assert s.validate_lock("b", LockMode.EXCLUSIVE) is not None
+        assert s.append(ops.lock_exclusive("a")) is None
+        assert s.append(ops.unlock("a")) is None
+        assert "two-phase" in s.append(ops.lock_exclusive("b"))
+        assert len(s.operations) == 2  # the refused op was not appended
 
     def test_write_requires_exclusive(self):
         s = SessionProgram("T1")
-        from repro.locking.modes import LockMode
+        s.append(ops.lock_shared("a"))
+        assert "exclusive" in s.append(ops.write("a", ops.const(1)))
+        assert s.append(ops.read("a", into="__r1")) is None
 
-        s.append_lock("a", LockMode.SHARED)
-        assert s.validate_write("a") is not None
-        assert s.validate_read("a") is None
-
-    def test_op_at_frontier_is_none(self):
+    def test_current_operation_at_frontier_is_none(self):
         s = SessionProgram("T1")
-        assert s.op_at(0) is None
-        from repro.locking.modes import LockMode
-
-        index = s.append_lock("a", LockMode.EXCLUSIVE)
-        assert s.op_at(index) is not None
-        assert s.op_at(index + 1) is None
+        txn = Transaction(program=s)
+        assert txn.current_operation() is None
+        s.append(ops.lock_exclusive("a"))
+        assert txn.current_operation() is s.operations[0]
+        txn.pc = 1
+        assert txn.current_operation() is None
+        s.committing = True
+        assert s.append(ops.unlock("a")) == "transaction is committing"
 
 
 class TestCoreBasics:
@@ -167,6 +167,51 @@ class TestCoreBasics:
         assert status["commits"] == 2
         assert status["deadlocks"] >= 1
         assert status["rollbacks"] >= 1
+
+    def test_rollback_below_answered_read_sheds_the_session(self):
+        """A client computes its writes from the reads it was answered;
+        re-executing an answered read after a rollback could return a
+        different value, so the session is shed rather than replayed
+        (replaying its constant write would lose T1's update)."""
+        core, db = make_core(entities=2)
+        d = Driver(core)
+        t1 = d.ok("begin")["txn"]
+        t2 = d.ok("begin")["txn"]
+        d.ok("lock", txn=t1, entity="e001")
+        d.ok("lock", txn=t2, entity="e000")
+        assert d.ok("read", txn=t2, entity="e000")["value"] == 0
+        d.ok("write", txn=t2, entity="e000", value=1)
+        _, _, parked = d.send("lock", txn=t2, entity="e001")
+        d.send("lock", txn=t1, entity="e000")  # deadlock: T2 rolled back
+        d.ok("write", txn=t1, entity="e000", value=10)
+        d.ok("commit", txn=t1)
+        _, _, commit = d.send("commit", txn=t2)
+        d.tick_until_idle()
+        assert db.snapshot()["e000"] == 10  # T1's committed write stands
+        shed = d.replies[parked]
+        assert shed["code"] == protocol.UNAVAILABLE, shed
+        assert "stale-read" in shed["error"]
+        assert d.replies[commit]["code"] == protocol.GONE
+
+    def test_rollback_above_answered_read_replays(self):
+        core, db = make_core(entities=3)
+        d = Driver(core)
+        t1 = d.ok("begin")["txn"]
+        t2 = d.ok("begin")["txn"]
+        d.ok("lock", txn=t1, entity="e001")
+        d.ok("lock", txn=t2, entity="e002")
+        assert d.ok("read", txn=t2, entity="e002")["value"] == 0
+        d.ok("lock", txn=t2, entity="e000")
+        d.ok("write", txn=t2, entity="e000", value=1)
+        _, _, parked = d.send("lock", txn=t2, entity="e001")
+        d.send("lock", txn=t1, entity="e000")  # deadlock: T2 rolled back
+        assert core.scheduler.transactions[t2].pc == 2  # past its read
+        d.ok("write", txn=t1, entity="e000", value=10)
+        d.ok("commit", txn=t1)
+        assert d.replies[parked]["code"] == protocol.OK
+        assert d.ok("commit", txn=t2)["committed"] is True
+        assert db.snapshot()["e000"] == 1
+        assert core.scheduler.metrics.rollbacks == 1
 
     def test_unknown_entity_404_unknown_txn_410_bad_verb_400(self):
         core, _ = make_core()

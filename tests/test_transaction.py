@@ -12,6 +12,23 @@ from repro.core.transaction import (
 )
 from repro.errors import ProtocolViolation
 from repro.locking import EXCLUSIVE, SHARED
+from repro.service.session import SessionProgram
+
+
+def assert_rejected(operations, match=None):
+    """Both entry points refuse *operations* at the same position: a
+    session's ``append`` refuses there first, and the constructor raises
+    there with the same reason."""
+    session = SessionProgram("T1")
+    refusals = (
+        (position, reason)
+        for position, op in enumerate(operations)
+        if (reason := session.append(op)) is not None
+    )
+    position, reason = next(refusals)
+    with pytest.raises(ProtocolViolation, match=match) as raised:
+        TransactionProgram("T1", operations)
+    assert str(raised.value) == f"T1[{position}]: {reason}"
 
 
 class TestProgramValidation:
@@ -25,42 +42,36 @@ class TestProgramValidation:
         assert len(p) == 4
 
     def test_lock_after_unlock_rejected(self):
-        with pytest.raises(ProtocolViolation, match="two-phase"):
-            TransactionProgram("T1", [
-                ops.lock_exclusive("a"),
-                ops.unlock("a"),
-                ops.lock_exclusive("b"),
-            ])
+        assert_rejected([
+            ops.lock_exclusive("a"),
+            ops.unlock("a"),
+            ops.lock_exclusive("b"),
+        ], "two-phase")
 
     def test_double_lock_rejected(self):
-        with pytest.raises(ProtocolViolation, match="locked twice"):
-            TransactionProgram("T1", [
-                ops.lock_shared("a"),
-                ops.lock_exclusive("a"),
-            ])
+        assert_rejected([
+            ops.lock_shared("a"),
+            ops.lock_exclusive("a"),
+        ], "locked twice")
 
     def test_unlock_unheld_rejected(self):
-        with pytest.raises(ProtocolViolation, match="not.*held|not held"):
-            TransactionProgram("T1", [ops.unlock("a")])
+        assert_rejected([ops.unlock("a")], "not.*held|not held")
 
     def test_read_without_lock_rejected(self):
-        with pytest.raises(ProtocolViolation, match="without a lock"):
-            TransactionProgram("T1", [ops.read("a", into="x")])
+        assert_rejected([ops.read("a", into="x")], "without a lock")
 
     def test_read_after_unlock_rejected(self):
-        with pytest.raises(ProtocolViolation):
-            TransactionProgram("T1", [
-                ops.lock_shared("a"),
-                ops.unlock("a"),
-                ops.read("a", into="x"),
-            ])
+        assert_rejected([
+            ops.lock_shared("a"),
+            ops.unlock("a"),
+            ops.read("a", into="x"),
+        ])
 
     def test_write_without_exclusive_rejected(self):
-        with pytest.raises(ProtocolViolation, match="exclusive"):
-            TransactionProgram("T1", [
-                ops.lock_shared("a"),
-                ops.write("a", ops.const(1)),
-            ])
+        assert_rejected([
+            ops.lock_shared("a"),
+            ops.write("a", ops.const(1)),
+        ], "exclusive")
 
     def test_shared_read_allowed(self):
         TransactionProgram("T1", [
@@ -69,19 +80,17 @@ class TestProgramValidation:
         ])
 
     def test_lock_after_declaration_rejected(self):
-        with pytest.raises(ProtocolViolation, match="declare_last_lock"):
-            TransactionProgram("T1", [
-                ops.lock_exclusive("a"),
-                ops.declare_last_lock(),
-                ops.lock_exclusive("b"),
-            ])
+        assert_rejected([
+            ops.lock_exclusive("a"),
+            ops.declare_last_lock(),
+            ops.lock_exclusive("b"),
+        ], "declare_last_lock")
 
     def test_double_declaration_rejected(self):
-        with pytest.raises(ProtocolViolation, match="twice"):
-            TransactionProgram("T1", [
-                ops.declare_last_lock(),
-                ops.declare_last_lock(),
-            ])
+        assert_rejected([
+            ops.declare_last_lock(),
+            ops.declare_last_lock(),
+        ], "twice")
 
     def test_lock_operations_listing(self):
         p = TransactionProgram("T1", [
