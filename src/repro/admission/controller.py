@@ -136,7 +136,7 @@ class AdmissionController:
             _arrival, program, risk, skipped = self._pop_next()
             scheduler.register(program)
             self.admitted_at[program.txn_id] = step
-            scheduler.metrics.bump("admitted")
+            scheduler.metrics.admitted += 1
             if skipped:
                 self.reorders += 1
             bus = scheduler.bus

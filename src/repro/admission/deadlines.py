@@ -91,7 +91,7 @@ class DeadlineEnforcer:
                 # another period instead of an escalation.
                 self._deadline[txn_id] = step + period
                 continue
-            scheduler.metrics.bump("deadline_expiries")
+            scheduler.metrics.deadline_expiries += 1
             rung = self._rung[txn_id] = self._rung[txn_id] + 1
             if scheduler.bus.wants(EventKind.DEADLINE_RUNG):
                 scheduler.bus.publish(
@@ -107,13 +107,13 @@ class DeadlineEnforcer:
                 scheduler.force_rollback(
                     txn_id, target, requester=txn_id, ideal_ordinal=ideal
                 )
-                scheduler.metrics.bump("deadline_partials")
+                scheduler.metrics.deadline_partials += 1
                 self._deadline[txn_id] = step + period
             elif rung == 2:
                 scheduler.force_rollback(
                     txn_id, 0, requester=txn_id, ideal_ordinal=0
                 )
-                scheduler.metrics.bump("deadline_restarts")
+                scheduler.metrics.deadline_restarts += 1
                 self._deadline[txn_id] = step + period
             else:
                 scheduler.shed(txn_id)

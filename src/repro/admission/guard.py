@@ -59,7 +59,7 @@ class OverloadGuard:
             self.controller.submit(program)
             return
         self.scheduler.register(program)
-        self.scheduler.metrics.bump("admitted")
+        self.scheduler.metrics.admitted += 1
         self.scheduler.bus.publish(
             EventKind.ADMISSION_ADMIT, program.txn_id, immediate=True
         )

@@ -166,7 +166,7 @@ class StarvationWatchdog:
             )
         self._current_immune = eldest
         scheduler.preemption_immune.add(eldest)
-        scheduler.metrics.bump("immunity_grants")
+        scheduler.metrics.immunity_grants += 1
         if scheduler.bus.wants(EventKind.IMMUNITY_GRANT):
             scheduler.bus.publish(
                 EventKind.IMMUNITY_GRANT,

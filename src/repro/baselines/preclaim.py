@@ -95,7 +95,7 @@ class PreclaimScheduler(Scheduler):
                         f"{entity!r} despite availability check"
                     )
                 record.granted = True
-                self.metrics.bump("locks_granted")
+                self.metrics.locks_granted += 1
                 self.strategy.on_lock_granted(
                     txn, entity, mode, self.database[entity], record.ordinal
                 )
@@ -108,12 +108,12 @@ class PreclaimScheduler(Scheduler):
             self._try_admissions()
             if txn_id not in self._admitted:
                 self._set_status(txn, TxnStatus.BLOCKED)
-                self.metrics.bump("blocks")
+                self.metrics.blocks += 1
                 return StepResult(txn_id, StepOutcome.BLOCKED)
         op = txn.current_operation()
         if isinstance(op, Lock):
             # Already held from admission: the request is a no-op.
-            self.metrics.bump("ops_executed")
+            self.metrics.ops_executed += 1
             txn.ops_executed_total += 1
             txn.pc += 1
             return StepResult(txn_id, StepOutcome.GRANTED)

@@ -28,11 +28,11 @@ Commands
     (see ``docs/RESILIENCE.md``).
 ``lint``
     The repo's own static analysis: determinism / lock-discipline /
-    registration rules (RR001–RR007) plus ``--predict``, which lifts
-    each recorded regression trace (or ``--journal`` service journal)
-    into abstract lock events with vector clocks and reports deadlocks
-    reachable in *alternate* interleavings, cross-validated by engine
-    replay (see ``docs/STATIC_ANALYSIS.md``).
+    seeding / await rules (RR001, RR002, RR004, RR006) plus
+    ``--predict``, which lifts each recorded regression trace (or
+    ``--journal`` service journal) into abstract lock events with vector
+    clocks and reports deadlocks reachable in *alternate* interleavings,
+    cross-validated by engine replay (see ``docs/STATIC_ANALYSIS.md``).
 ``advise``
     Static workload risk analysis without executing anything: lock-order
     inversion structure over the generated (or journal-harvested)
@@ -84,7 +84,7 @@ from .simulation import (
 )
 
 #: Derived from the registries, so a newly registered strategy or
-#: policy shows up in ``--help`` without touching this module (RR003).
+#: policy shows up in ``--help`` without touching this module.
 STRATEGIES = available_strategies()
 POLICIES = available_policies()
 POLICY_HELP = ("victim policy; min-cost (Figure 2) and requester (re-closes "
@@ -569,9 +569,27 @@ def cmd_lint(args) -> int:
             print(f"{rule}  {title}")
         return 0
 
+    # A wrong input must not read as a clean run: an unknown rule would
+    # run no checker and a missing path would lint nothing.
     select = None
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
+        rules = [rule for rule, _ in all_rules()]
+        unknown = [s for s in select if s.upper() not in rules]
+        if unknown or not select:
+            args.usage_error(
+                f"--select: unknown rule(s) "
+                f"{', '.join(unknown) or repr(args.select)}; "
+                f"valid rules: {', '.join(rules)}"
+            )
+    for path in args.paths:
+        if not Path(path).exists():
+            args.usage_error(f"no such file or directory: {path}")
+    if args.predict and not Path(args.corpus).is_dir():
+        args.usage_error(f"--corpus: no such directory: {args.corpus}")
+    for journal in args.journal or ():
+        if not Path(journal).is_file():
+            args.usage_error(f"--journal: no such file: {journal}")
     report = run_lint(
         [Path(p) for p in args.paths], default_checkers(), select=select
     )
@@ -1281,7 +1299,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "happens-before barriers)")
     p_lint.add_argument("--max-cycle-length", type=int, default=4,
                         help="largest predicted cycle to search for")
-    p_lint.set_defaults(fn=cmd_lint)
+    p_lint.set_defaults(fn=cmd_lint, usage_error=p_lint.error)
 
     p_advise = sub.add_parser(
         "advise",

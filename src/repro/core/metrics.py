@@ -63,20 +63,6 @@ class Metrics:
     deadlock_entities: Counter = field(default_factory=Counter)
     shed_outcomes: dict[str, str] = field(default_factory=dict)
 
-    def bump(self, counter: str, by: int = 1) -> None:
-        """Increment a named counter — the sanctioned mutation path.
-
-        Subsystems must not assign to counter attributes directly
-        (staticcheck rule RR005 enforces this): funnelling every
-        increment through one call site keeps the counters auditable and
-        lets the observability layer trust that published events and
-        counter moves cannot drift apart silently.
-        """
-        current = getattr(self, counter)
-        if not isinstance(current, int):
-            raise AttributeError(f"{counter!r} is not an integer counter")
-        setattr(self, counter, current + by)
-
     def record_rollback(
         self,
         victim: str,

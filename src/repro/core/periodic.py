@@ -84,7 +84,7 @@ class PeriodicDetectionScheduler(Scheduler):
                 cycle, key=lambda txn_id: self._blocked_at.get(txn_id, -1)
             )
             deadlock = Deadlock(nominal, live, 10_000)
-            self.metrics.bump("deadlocks")
+            self.metrics.deadlocks += 1
             self.sweep_deadlocks += 1
             if self.bus.wants(EventKind.DEADLOCK):
                 self.bus.publish(

@@ -229,8 +229,9 @@ class Scheduler:
 
     def _set_status(self, txn: Transaction, status: TxnStatus) -> None:
         """Move *txn* to *status*: the single writer of
-        ``Transaction.status`` outside :meth:`Transaction.apply_rollback`
-        (lint rule RR007), so the status index cannot drift."""
+        ``Transaction.status`` outside :meth:`Transaction.apply_rollback`,
+        so the status index cannot drift (the ``graph-consistency``
+        oracle recounts it against the transactions' statuses)."""
         was = txn.status
         if was is not status:  # an immediate grant finds it READY already
             txn.status = status
@@ -271,7 +272,7 @@ class Scheduler:
         if op is None:
             self._commit(txn)
             return StepResult(txn_id, StepOutcome.COMMITTED)
-        self.metrics.bump("ops_executed")
+        self.metrics.ops_executed += 1
         txn.ops_executed_total += 1
         if isinstance(op, Lock):
             result = self._execute_lock(txn, op)
@@ -364,7 +365,7 @@ class Scheduler:
         deadlock = self._detect(txn.txn_id)
         if deadlock is None:
             return StepResult(txn.txn_id, StepOutcome.BLOCKED)
-        self.metrics.bump("deadlocks")
+        self.metrics.deadlocks += 1
         if self.bus.wants(EventKind.DEADLOCK):
             self.bus.publish(
                 EventKind.DEADLOCK,
@@ -390,7 +391,7 @@ class Scheduler:
                 f"its pending request"
             )
         record.granted = True
-        self.metrics.bump("locks_granted")
+        self.metrics.locks_granted += 1
         if self.bus.wants(EventKind.LOCK_GRANT):
             self.bus.publish(
                 EventKind.LOCK_GRANT,
@@ -438,7 +439,7 @@ class Scheduler:
         grants = self.lock_manager.finish(txn.txn_id)
         self.strategy.on_finish(txn)
         self._set_status(txn, TxnStatus.COMMITTED)
-        self.metrics.bump("commits")
+        self.metrics.commits += 1
         if self.bus.wants(EventKind.TXN_COMMIT):
             self.bus.publish(
                 EventKind.TXN_COMMIT,
@@ -555,10 +556,9 @@ class Scheduler:
         # (zero under MCS; the whole locked prefix under total restart).
         # Must be computed before the lock records are truncated.
         if ideal > target_ordinal:
-            self.metrics.bump(
-                "overshoot_states",
-                by=txn.lock_state_state_index(ideal)
-                - txn.lock_state_state_index(target_ordinal),
+            self.metrics.overshoot_states += (
+                txn.lock_state_state_index(ideal)
+                - txn.lock_state_state_index(target_ordinal)
             )
         grants = self.lock_manager.cancel_wait(txn.txn_id)
         grants += self.lock_manager.release_for_rollback(
@@ -567,7 +567,7 @@ class Scheduler:
         try:
             self.strategy.rollback(txn, target_ordinal)
         except StorageFault:
-            self.metrics.bump("storage_faults")
+            self.metrics.storage_faults += 1
             if not self.degrade_on_fault:
                 raise
             # Graceful degradation: the victim's partial-rollback state is
@@ -638,7 +638,7 @@ class Scheduler:
         wholesale and recreated as at transaction start; the caller then
         rewinds the transaction to lock state 0.
         """
-        self.metrics.bump("degraded_restarts")
+        self.metrics.degraded_restarts += 1
         self.bus.publish(EventKind.DEGRADE_RESTART, txn.txn_id)
         remaining = sorted(self.lock_manager.locks_held(txn.txn_id))
         grants = self.lock_manager.release_for_rollback(

@@ -193,7 +193,7 @@ class ReplicatedScheduler(DistributedScheduler):
         (the request is not sent anywhere), so the requester backs off
         and re-issues once a replica may be back.
         """
-        self.metrics.bump("unavailable_stalls")
+        self.metrics.unavailable_stalls += 1
         self._stall(
             txn.txn_id,
             max(
@@ -278,7 +278,7 @@ class ReplicatedScheduler(DistributedScheduler):
                     primary, site, MessageType.VALUE_SHIP, txn_id, entity
                 )
         if missed:
-            self.metrics.bump("stale_write_skips", by=len(missed))
+            self.metrics.stale_write_skips += len(missed)
 
     # -- site liveness (driven by the fault injector) -----------------------
 
@@ -323,7 +323,7 @@ class ReplicatedScheduler(DistributedScheduler):
         if donor is None:
             donor = self._donor_for(entity, site)
         self.replication.catch_up(entity, site)
-        self.metrics.bump("replica_catchups")
+        self.metrics.replica_catchups += 1
         if donor is not None:
             self.message_log.send(
                 donor, site, MessageType.REPLICA_CATCHUP, "", entity

@@ -194,14 +194,14 @@ class DistributedScheduler(Scheduler):
         attempts = self._retry_attempts.get(txn_id, 0) + 1
         self._retry_attempts[txn_id] = attempts
         if attempts > RETRY_BUDGET and target_ordinal > 0:
-            self.metrics.bump("restart_escalations")
+            self.metrics.restart_escalations += 1
             self._retry_attempts[txn_id] = 0
             target_ordinal = 0
         delay = min(
             BACKOFF_CAP, BACKOFF_BASE * (2 ** min(attempts - 1, 30))
         ) + self._backoff_rng.randrange(BACKOFF_BASE)
         self._stall(txn_id, self._clock + delay)
-        self.metrics.bump("backoff_stalls")
+        self.metrics.backoff_stalls += 1
         return target_ordinal
 
     # -- engine hook: clock and timeouts -----------------------------------
@@ -320,7 +320,7 @@ class DistributedScheduler(Scheduler):
             for entity in waited_entities
         )
         target = self.strategy.choose_target(txn, ideal)
-        self.metrics.bump("timeout_rollbacks")
+        self.metrics.timeout_rollbacks += 1
         self.force_rollback(
             txn.txn_id, target, requester=txn.txn_id, ideal_ordinal=ideal
         )
@@ -531,7 +531,7 @@ class DistributedScheduler(Scheduler):
         # optimisation.  One extra notify per victim is charged below via
         # _notify_rollback.
         deadlock = Deadlock(initiator, live, 500)
-        self.metrics.bump("deadlocks")
+        self.metrics.deadlocks += 1
         if self.bus.wants(EventKind.DEADLOCK):
             self.bus.publish(
                 EventKind.DEADLOCK,

@@ -12,9 +12,8 @@ Two pillars:
 * :mod:`~repro.staticcheck.framework` plus
   :mod:`~repro.staticcheck.checkers` — a small AST lint framework with
   project-specific rules (RR001 nondeterminism hazards, RR002 lock-API
-  discipline, RR003 registration completeness, RR004 seeded-Random
-  plumbing, RR005 metrics-mutation discipline, RR006 await discipline,
-  RR007 status-mutation discipline), exposed as ``repro lint``;
+  discipline, RR004 seeded-Random plumbing, RR006 await discipline),
+  exposed as ``repro lint``;
 * :mod:`~repro.staticcheck.predict` (with
   :mod:`~repro.staticcheck.events`) — sound partial-order deadlock
   prediction: abstract lock events with vector clocks harvested from

@@ -41,7 +41,9 @@ _PRIVATE_STATE = {
     "_shrinking",
     "_declared_last_lock",
 }
-_MUTATING_TABLE_API = {"request", "release", "release_all", "cancel_wait"}
+_MUTATING_TABLE_API = {
+    "request", "release", "release_many", "release_all", "cancel_wait",
+}
 
 
 class LockDisciplineChecker(Checker):

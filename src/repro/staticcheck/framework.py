@@ -1,11 +1,8 @@
 """The checker framework: findings, suppression, file walking.
 
-A :class:`Checker` inspects parsed modules and yields :class:`Finding`
-objects.  Checkers come in two granularities: per-module
+A :class:`Checker` inspects one parsed module at a time
 (:meth:`Checker.check_module`, e.g. "this call is nondeterministic")
-and whole-project (:meth:`Checker.check_project`, e.g. "this strategy
-class is registered nowhere") — the latter sees every linted module at
-once, which is what cross-file registration checks need.
+and yields :class:`Finding` objects.
 
 Suppression follows the repo's own pragma, not a third-party tool's::
 
@@ -107,8 +104,7 @@ class Checker:
     """Base class for lint rules.
 
     Subclasses set :attr:`rule` (the ``RR00x`` code) and :attr:`title`,
-    and override one or both hooks.  Both default to "no findings" so a
-    rule can be purely module-local or purely cross-project.
+    and override :meth:`check_module`.
     """
 
     rule: str = "RR000"
@@ -116,9 +112,6 @@ class Checker:
     severity: str = "error"
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, modules: Sequence[Module]) -> Iterable[Finding]:
         return ()
 
     def finding(
@@ -254,7 +247,6 @@ def run_lint(
     for checker in checkers:
         for module in modules:
             raw.extend(checker.check_module(module))
-        raw.extend(checker.check_project(modules))
     by_path = {str(module.path): module for module in modules}
     findings: list[Finding] = []
     suppressed: list[tuple[Finding, Suppression]] = []

@@ -13,6 +13,8 @@ def bypass_two_phase(manager: LockManager, txn: str, entity: str) -> None:
     # violation: mutating the table behind the manager's back
     manager.table.request(txn, entity, LockMode.EXCLUSIVE)
     manager.table.release(txn, entity)
+    # violation: a rollback's release that skips the shrinking-phase guard
+    manager.table.release_many(txn, [entity])
 
 
 def own_bare_table() -> LockTable:
