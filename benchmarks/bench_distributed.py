@@ -32,7 +32,6 @@ from repro.distributed import (
     WAIT_DIE,
     WOUND_WAIT,
     DistributedScheduler,
-    ReplicatedScheduler,
     hash_view,
     round_robin_partition,
 )
@@ -150,7 +149,7 @@ def _replicated_run(n_sites, rf, n_transactions, n_entities, seed,
     db, programs = generate_workload(cfg, seed)
     expected = expected_final_state(db, programs)
     view = hash_view(db.names(), programs, n_sites, rf=rf)
-    scheduler = ReplicatedScheduler(
+    scheduler = DistributedScheduler(
         db, view, strategy="mcs", policy="ordered-min-cost",
         wait_timeout=150,
     )

@@ -1072,10 +1072,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="random network partitions to draw from the "
                               "seed (requires --sites >= 2)")
     p_chaos.add_argument("--replicate", type=int, default=0,
-                         help="replication factor: >= 1 runs the "
-                              "replicated scheduler over a "
-                              "consistent-hash view (available copies, "
-                              "read-one/write-all-available)")
+                         help="placement of the distributed run: 0 "
+                              "is a fixed round-robin ring (one copy "
+                              "per entity), >= 1 a consistent-hash "
+                              "ring with that replication factor")
     p_chaos.add_argument("--partition-heal", action="store_true",
                          help="run the named partition/heal scenario "
                               "suite instead of the random campaign")

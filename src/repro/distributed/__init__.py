@@ -1,9 +1,10 @@
-"""Distributed substrate (§3.3): sites, messages, and the distributed
-scheduler combining site-local detection, timestamp ordering, and timeouts
-with partial rollback."""
+"""Distributed substrate (§3.3): sites, messages, placement, and the one
+distributed scheduler, which combines site-local detection, timestamp
+ordering and timeouts with partial rollback over available copies (a
+static placement is replication factor 1)."""
 
 from .network import Message, MessageLog, MessageType
-from .replication import ReadRecord, ReplicaDirectory, ReplicatedScheduler
+from .replicas import ReadRecord, ReplicaDirectory
 from .scheduler import PROBE, WAIT_DIE, WOUND_WAIT, DistributedScheduler
 from .views import (
     DEFAULT_VNODES, FixedRing, HashRing, View, explicit_partition, hash_view,
@@ -21,7 +22,6 @@ __all__ = [
     "PROBE",
     "ReadRecord",
     "ReplicaDirectory",
-    "ReplicatedScheduler",
     "View",
     "WAIT_DIE",
     "WOUND_WAIT",

@@ -72,6 +72,18 @@ class Message:
     lclock: int = 0
 
 
+def reachable(groups: list[set[int]] | None, a: int, b: int) -> bool:
+    """Whether sites *a* and *b* can talk while the network is split
+    into *groups* (``None``: the network is whole).  A site talks to
+    itself; a site no group names reaches no one."""
+    if a == b or groups is None:
+        return True
+    for group in groups:
+        if a in group:
+            return b in group
+    return False
+
+
 #: Fault filter signature: ``(send_index, message) -> DeliveryAction``.
 #: ``send_index`` counts attempted inter-site sends from 0, so a seeded
 #: fault plan can target exact sends deterministically.

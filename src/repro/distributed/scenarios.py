@@ -1,4 +1,4 @@
-"""Named partition/heal chaos scenarios over the replicated scheduler.
+"""Named partition/heal chaos scenarios over replicated placements.
 
 Each scenario is a fully seeded recipe — workload shape, topology,
 replication factor, and an explicit :class:`~repro.resilience.faults.FaultPlan`

@@ -1,4 +1,4 @@
-"""Distributed concurrency control (§3.3).
+"""Distributed concurrency control (§3.3) over available copies.
 
 The paper observes that maintaining a *global* concurrency graph across
 sites is impractical, so a distributed system combines three mechanisms —
@@ -26,9 +26,28 @@ all of which compose with partial rollback:
    to both mechanisms; a bounded wait timeout rolls a long-blocked
    transaction back to free its contested locks, guaranteeing progress.
 
+Each entity lives on the ``rf`` sites of its
+:meth:`~repro.distributed.views.View.replica_sites` set; a static
+partition is ``rf = 1``.  Over any placement the scheduler follows the
+*available copies* discipline:
+
+* **read-one** — a shared lock is served by any *up, fresh* replica
+  (the reader's home site first, then the primary); a replica on
+  another site ships the value.
+* **write-all-available** — an exclusive update is applied at every up,
+  reachable replica; replicas that are down or cut off by a partition
+  miss the write and are marked *stale*.
+* **catch-up before rejoin** — a recovering (or healed) replica copies
+  the missed versions from a fresh peer before it serves reads again.
+
+An entity none of whose replicas is up is unavailable: a request for it
+stalls without queueing.  Every served read lands in
+:attr:`DistributedScheduler.read_log`, which the ``no-stale-read``
+oracle replays.
+
 Message accounting follows every remote interaction: lock request/grant
-round-trips, value shipping for remote exclusive updates, wounds, and
-rollback notifications.
+round-trips, value shipping for remote reads and exclusive updates,
+wounds, probes, catch-ups and rollback notifications.
 """
 
 from __future__ import annotations
@@ -46,7 +65,8 @@ from ..graphs.concurrency import ConcurrencyGraph
 from ..locking.modes import LockMode
 from ..observability.events import EventKind
 from ..storage.database import Database
-from .network import MessageLog, MessageType
+from .network import MessageLog, MessageType, reachable
+from .replicas import ReadRecord, ReplicaDirectory
 from .views import View
 
 TxnId = str
@@ -62,6 +82,10 @@ RETRY_BUDGET = 8
 #: 2**(attempt-1))`` clock steps plus a jitter in ``[0, BACKOFF_BASE)``.
 BACKOFF_BASE = 2
 BACKOFF_CAP = 64
+#: Steps a transaction stalls after hitting an unavailable entity before
+#: it retries the request (sites recover on the same clock, so a short
+#: constant beats an exponential ladder here).
+UNAVAILABLE_BACKOFF = 8
 
 #: The place the clock's timeout pass stands at between two passes: after
 #: every timer's.
@@ -78,8 +102,10 @@ class DistributedScheduler(Scheduler):
         to site-local deadlocks only.
     view:
         Entity and transaction placement, static
-        (:func:`~repro.distributed.views.round_robin_partition`) or
-        consistent-hashed (:func:`~repro.distributed.views.hash_view`).
+        (:func:`~repro.distributed.views.round_robin_partition`, one
+        copy per entity) or consistent-hashed
+        (:func:`~repro.distributed.views.hash_view`, whose ``rf`` fixes
+        the replication factor).
     cross_site_mode:
         ``"wound-wait"`` (default), ``"wait-die"`` or ``"probe"``.
     wait_timeout:
@@ -97,6 +123,10 @@ class DistributedScheduler(Scheduler):
     Theorem 2.  Escalation resets the count.  A stalled transaction
     yields only while a competitor can use the time; when nothing else
     is runnable the backoff ends early (idling would help nobody).
+
+    Site liveness is driven through :meth:`site_failed` /
+    :meth:`site_recovered`, partitions through :meth:`on_partition` /
+    :meth:`on_heal` (the fault injector calls them).
     """
 
     def __init__(
@@ -121,14 +151,16 @@ class DistributedScheduler(Scheduler):
         self.cross_site_mode = cross_site_mode
         self.wait_timeout = wait_timeout
         self.message_log = MessageLog()
-        #: Optional reachability predicate ``(site_a, site_b) -> bool``
-        #: installed by the partition machinery (see
-        #: :meth:`repro.distributed.replication.ReplicatedScheduler.on_partition`).
-        #: When set, the timestamp rule and probes skip blockers that are
-        #: unreachable from the requester's home — a wound or probe
-        #: message cannot cross a severed link, so those conflicts stand
-        #: until the wait timeout clears them.
-        self.link_filter = None
+        self.replication = ReplicaDirectory(view)
+        #: Every served read, for the no-stale-read oracle.
+        self.read_log: list[ReadRecord] = []
+        #: The site groups of the active partition (None while the
+        #: network is whole).  The timestamp rule and probes skip
+        #: blockers unreachable from the requester's home — a wound or
+        #: probe cannot cross a severed link, so those conflicts stand
+        #: until the wait timeout clears them — and a write misses the
+        #: replicas it cannot reach.
+        self.partition_groups: list[set[int]] | None = None
         self._blocked_since: dict[TxnId, int] = {}
         #: ``(since, place, txn)`` per ``_blocked_since`` write, in write
         #: order: the wait timers, which the clock pops when due.
@@ -330,15 +362,26 @@ class DistributedScheduler(Scheduler):
 
     def _reachable(self, site_a: int, site_b: int) -> bool:
         """Whether a message can travel between two sites right now."""
-        if site_a == site_b:
-            return True
-        if self.link_filter is None:
-            return True
-        return self.link_filter(site_a, site_b)
+        return reachable(self.partition_groups, site_a, site_b)
 
     # -- lock handling with placement, messages, and timestamp rules ----------
 
     def _execute_lock(self, txn: Transaction, op: Lock) -> StepResult:
+        if not self.replication.up_replicas(op.entity_name):
+            # No replica is up (reads and writes alike need one; a read
+            # from an up-but-stale one pays a catch-up in _serve_read).
+            # Stall without queueing: a queued request would plant a lock
+            # record no site saw.  Back off, then re-issue.
+            self.metrics.unavailable_stalls += 1
+            self._stall(
+                txn.txn_id,
+                max(
+                    self._stalled_until.get(txn.txn_id, 0),
+                    self._clock + UNAVAILABLE_BACKOFF,
+                ),
+            )
+            self._blocked_since.pop(txn.txn_id, None)
+            return StepResult(txn.txn_id, StepOutcome.BLOCKED, actions=[])
         home = self.view.home_of(txn.txn_id)
         owner = self.view.site_of_entity(op.entity_name)
         self.message_log.send(
@@ -364,6 +407,76 @@ class DistributedScheduler(Scheduler):
         if resolved:
             return StepResult(txn.txn_id, StepOutcome.DEADLOCK, actions=[])
         return result
+
+    # -- read-one / write-all-available ------------------------------------
+
+    def _complete_grant(self, grant) -> None:
+        super()._complete_grant(grant)
+        if grant.mode is LockMode.EXCLUSIVE:
+            self._acquire_replica_locks(grant.txn, grant.entity)
+        else:
+            self._serve_read(grant.txn, grant.entity)
+
+    def _acquire_replica_locks(self, txn_id: TxnId, entity: str) -> None:
+        """Write-all-available: one lock round-trip per extra up replica
+        (the primary's round-trip is charged by :meth:`_execute_lock`)."""
+        home = self.view.home_of(txn_id)
+        primary = self.view.site_of_entity(entity)
+        for site in self.replication.up_replicas(entity):
+            if site == primary:
+                continue
+            self.message_log.send(
+                home, site, MessageType.LOCK_REQUEST, txn_id, entity
+            )
+            self.message_log.send(
+                site, home, MessageType.LOCK_GRANT, txn_id, entity
+            )
+
+    def _serve_read(self, txn_id: TxnId, entity: str) -> None:
+        """Read-one: pick the serving replica, log the versions, and ship
+        the value home if the replica is remote."""
+        home = self.view.home_of(txn_id)
+        fresh = self.replication.fresh_replicas(entity)
+        if fresh:
+            site = home if home in fresh else fresh[0]
+        else:
+            # Every fresh copy is down: the surviving replica replays its
+            # durable log (an on-demand catch-up) before serving — the
+            # available-copies recovery rule, charged as one catch-up.
+            up = self.replication.up_replicas(entity)
+            site = up[0] if up else self.view.site_of_entity(entity)
+            self._catch_up_entity(entity, site)
+        self.read_log.append(
+            ReadRecord(
+                txn_id,
+                entity,
+                site,
+                self.replication.applied_version(entity, site),
+                self.replication.committed_version(entity),
+                self._clock,
+            )
+        )
+        if site != home:
+            self.message_log.send(
+                site, home, MessageType.VALUE_SHIP, txn_id, entity
+            )
+
+    def _install(self, txn_id: TxnId, entity: str, value) -> None:
+        super()._install(txn_id, entity, value)
+        home = self.view.home_of(txn_id)
+        applied, missed = self.replication.record_write(
+            entity, home, self._reachable
+        )
+        primary = self.view.site_of_entity(entity)
+        for site in applied:
+            if site != primary:
+                # The primary's value ship is charged on unlock/commit;
+                # extra replicas cost one ship each.
+                self.message_log.send(
+                    primary, site, MessageType.VALUE_SHIP, txn_id, entity
+                )
+        if missed:
+            self.metrics.stale_write_skips += len(missed)
 
     def _detect(self, requester: TxnId) -> Deadlock | None:
         """Site-local detection: only cycles whose arcs all lie on one site
@@ -622,3 +735,71 @@ class DistributedScheduler(Scheduler):
         self._unblocked_at.pop(txn_id, None)
         self._retry_attempts.pop(txn_id, None)
         self._stalled_until.pop(txn_id, None)
+
+    # -- site liveness and partitions (driven by the fault injector) ------
+
+    def site_failed(self, site: int) -> None:
+        """Mark *site* down; its replicas leave the read and write sets."""
+        if not self.replication.is_up(site):
+            return
+        self.replication.site_up[site] = False
+        self.bus.publish(EventKind.SITE_FAILED, site=site)
+
+    def site_recovered(self, site: int) -> None:
+        """Mark *site* up again and catch its replicas up before they
+        rejoin the read set."""
+        if self.replication.is_up(site):
+            return
+        self.replication.site_up[site] = True
+        self.bus.publish(EventKind.SITE_RECOVERED, site=site)
+        self._catch_up_site(site)
+
+    def on_partition(self, groups: list[set[int]]) -> None:
+        """A network partition: sites in different groups cannot talk,
+        nor can a site no group names (see
+        :func:`~repro.distributed.network.reachable`)."""
+        self.partition_groups = groups
+        if self.bus.wants(EventKind.PARTITION_START):
+            self.bus.publish(
+                EventKind.PARTITION_START,
+                groups=[sorted(group) for group in groups],
+            )
+
+    def on_heal(self) -> None:
+        """The partition heals: restore links, catch cut-off replicas up."""
+        self.partition_groups = None
+        self.bus.publish(EventKind.PARTITION_HEAL)
+        for site in sorted(self.replication.behind):
+            if self.replication.is_up(site):
+                self._catch_up_site(site)
+
+    def _catch_up_site(self, site: int) -> None:
+        caught_up = 0
+        for entity in self.replication.debt(site):
+            donor = self._donor_for(entity, site)
+            if donor is None:
+                continue  # no reachable fresh peer; retry at next heal
+            self._catch_up_entity(entity, site, donor=donor)
+            caught_up += 1
+        if caught_up:
+            self.bus.publish(
+                EventKind.REPLICA_CATCHUP, site=site, entities=caught_up
+            )
+
+    def _donor_for(self, entity: str, site: int) -> int | None:
+        for peer in self.replication.fresh_replicas(entity):
+            if peer != site and self._reachable(peer, site):
+                return peer
+        return None
+
+    def _catch_up_entity(
+        self, entity: str, site: int, donor: int | None = None
+    ) -> None:
+        if donor is None:
+            donor = self._donor_for(entity, site)
+        self.replication.catch_up(entity, site)
+        self.metrics.replica_catchups += 1
+        if donor is not None:
+            self.message_log.send(
+                donor, site, MessageType.REPLICA_CATCHUP, "", entity
+            )

@@ -135,7 +135,6 @@ def _build_scheduler(
     strategy: str,
     policy,
     view,
-    replicate: int,
     cross_site_mode: str,
     wait_timeout: int,
     backoff_seed: int,
@@ -143,10 +142,9 @@ def _build_scheduler(
     database = Database(dict(state))
     if view is None:
         return Scheduler(database, strategy=strategy, policy=policy)
-    from ..distributed import DistributedScheduler, ReplicatedScheduler
+    from ..distributed import DistributedScheduler
 
-    cls = ReplicatedScheduler if replicate > 0 else DistributedScheduler
-    return cls(
+    return DistributedScheduler(
         database,
         view,
         strategy=strategy,
@@ -187,16 +185,15 @@ def chaos_run(
     With ``plan=None`` the plan is generated from ``chaos_seed`` and the
     fault-count knobs; pass an explicit plan to replay a known schedule
     (the crash sweep and the regression loader do).  ``sites > 0`` runs
-    the distributed scheduler over a round-robin partition, exposing the
-    network, site-crash, and partition fault kinds; ``replicate >= 1``
-    upgrades to the replicated scheduler over a consistent-hash view
-    with that replication factor (available copies, read-one /
-    write-all-available, catch-up before rejoin).  ``instrument`` is
-    called with
-    each segment's engine before it runs (first in the attach order, so
-    an attached observability recorder's bus is live before the recovery
-    manager copies it onto the WAL) — the recorder re-attaches across
-    crash segments and stitches one continuous event stream.
+    the distributed scheduler (available copies), exposing the network,
+    site-crash, and partition fault kinds; ``replicate`` picks its
+    placement: 0 is a fixed round-robin ring (one copy per entity),
+    ``>= 1`` a consistent-hash ring with that replication factor.
+    ``instrument`` is called with each segment's engine before it runs
+    (first in the attach order, so an attached observability recorder's
+    bus is live before the recovery manager copies it onto the WAL) —
+    the recorder re-attaches across crash segments and stitches one
+    continuous event stream.
     """
     database, programs = generate_workload(config, seed=workload_seed)
     expected = expected_final_state(database, programs)
@@ -248,8 +245,8 @@ def chaos_run(
 
     for segment in range(max_segments):
         scheduler = _build_scheduler(
-            state, strategy, policy, view, replicate, cross_site_mode,
-            wait_timeout, backoff_seed=_segment_seed(chaos_seed, segment),
+            state, strategy, policy, view, cross_site_mode, wait_timeout,
+            backoff_seed=_segment_seed(chaos_seed, segment),
         )
         suite = OracleSuite(
             make_oracles(

@@ -37,7 +37,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from ..distributed.network import DeliveryAction, Message
+from ..distributed.network import DeliveryAction, Message, reachable
 from ..errors import StorageFault
 
 
@@ -319,7 +319,9 @@ class FaultInjector:
         self.partition_groups: list[set[int]] | None = None
         #: Recorded-event index at which the active partition heals.
         self._partition_until = -1
-        self._scheduler = None
+        #: The attached scheduler when it has a view (the distributed
+        #: one: sites, links, a message log), else None.
+        self._distributed = None
 
     # -- attachment ---------------------------------------------------------
 
@@ -329,10 +331,8 @@ class FaultInjector:
         scheduler = engine.scheduler
         scheduler.degrade_on_fault = self.plan.degrade
         scheduler.strategy.fault_hook = self._on_strategy_rollback
-        message_log = getattr(scheduler, "message_log", None)
-        if message_log is not None:
-            message_log.fault_filter = self._on_send
-        self._message_log = message_log
+        view = getattr(scheduler, "view", None)
+        self._distributed = scheduler if view is not None else None
         previous = engine.on_step
 
         def observe(eng, event) -> None:
@@ -342,26 +342,17 @@ class FaultInjector:
 
         engine.on_step = observe
         engine.interleaving = _StallAwareInterleaving(
-            engine.interleaving, self, getattr(scheduler, "view", None)
+            engine.interleaving, self, view
         )
-        self._scheduler = scheduler
-        self._sync_scheduler(scheduler)
-
-    def _sync_scheduler(self, scheduler) -> None:
-        """Replay standing outages onto a freshly attached scheduler.
-
-        After a crash the recovery loop builds a new scheduler; sites
-        still inside an outage window and a still-active partition must
-        be visible to it from its first step.
-        """
-        site_failed = getattr(scheduler, "site_failed", None)
-        if site_failed is not None:
+        if view is not None:
+            scheduler.message_log.fault_filter = self._on_send
+            # After a crash the recovery loop builds a new scheduler;
+            # sites still inside an outage window and a still-active
+            # partition must be visible to it from its first step.
             for site in sorted(self.down_until):
-                site_failed(site)
-        if self.partition_groups is not None:
-            on_partition = getattr(scheduler, "on_partition", None)
-            if on_partition is not None:
-                on_partition(self.partition_groups)
+                scheduler.site_failed(site)
+            if self.partition_groups is not None:
+                scheduler.on_partition(self.partition_groups)
 
     # -- interception points ---------------------------------------------------
 
@@ -371,44 +362,40 @@ class FaultInjector:
         scheduler crash itself."""
         index = self.events_seen
         self.events_seen += 1
-        scheduler = engine.scheduler
+        distributed = self._distributed
         for fault in self._stall_events:
             if fault.at == index:
                 self.stalled_until[fault.arg] = index + fault.duration
         for fault in self._site_events:
             if fault.at == index:
                 self.down_until[int(fault.arg)] = index + fault.duration
-                hook = getattr(scheduler, "site_failed", None)
-                if hook is not None:
-                    hook(int(fault.arg))
+                if distributed is not None:
+                    distributed.site_failed(int(fault.arg))
         for fault in self._partition_events:
             if fault.at == index:
                 self.partition_groups = _parse_groups(fault.arg)
                 self._partition_until = index + fault.duration
-                hook = getattr(scheduler, "on_partition", None)
-                if hook is not None:
-                    hook(self.partition_groups)
+                if distributed is not None:
+                    distributed.on_partition(self.partition_groups)
         for txn_id, until in list(self.stalled_until.items()):
             if until <= index:
                 del self.stalled_until[txn_id]
         for site, until in list(self.down_until.items()):
             if until <= index:
                 del self.down_until[site]
-                hook = getattr(scheduler, "site_recovered", None)
-                if hook is not None:
-                    hook(site)
+                if distributed is not None:
+                    distributed.site_recovered(site)
         if self.partition_groups is not None and self._partition_until <= index:
             self.partition_groups = None
             self._partition_until = -1
-            hook = getattr(scheduler, "on_heal", None)
-            if hook is not None:
-                hook()
+            if distributed is not None:
+                distributed.on_heal()
         if (
-            self._message_log is not None
-            and self._message_log.pending_delayed
+            distributed is not None
+            and distributed.message_log.pending_delayed
             and index % self.plan.flush_every == 0
         ):
-            self._message_log.flush_delayed()
+            distributed.message_log.flush_delayed()
         if index in self._crash_at:
             self.crashes_fired += 1
             raise CrashSignal(index)
@@ -423,7 +410,7 @@ class FaultInjector:
             or message.receiver in self.down_until
         ):
             return DeliveryAction.DROP
-        if self.partition_groups is not None and not _same_group(
+        if not reachable(
             self.partition_groups, message.sender, message.receiver
         ):
             return DeliveryAction.DROP
@@ -477,17 +464,6 @@ def _parse_groups(arg: str) -> list[set[int]]:
             f"partition spec {arg!r} must name at least two groups"
         )
     return groups
-
-
-def _same_group(groups: list[set[int]], a: int, b: int) -> bool:
-    """Whether two sites can talk under *groups* (sites not named in any
-    group are unreachable from everyone — they sit outside the spec)."""
-    if a == b:
-        return True
-    for group in groups:
-        if a in group:
-            return b in group
-    return False
 
 
 class _StallAwareInterleaving:

@@ -391,12 +391,14 @@ class NoStarvationOracle(Oracle):
 class NoStaleReadOracle(Oracle):
     """Available-copies safety: no read served by a lagging replica.
 
-    Replays the :class:`~repro.distributed.replication.ReplicatedScheduler`
+    Replays the :class:`~repro.distributed.scheduler.DistributedScheduler`
     read log incrementally (each record carries the serving replica's
     applied version and the entity's committed version at serve time) and
     fails on the first record where they differ — a replica answered a
-    read before finishing catch-up.  Schedulers without a ``read_log``
-    attribute are skipped, so the oracle is safe to request everywhere.
+    read before finishing catch-up.  Every distributed run keeps the log,
+    static placements (one copy per entity) included; the single-site
+    scheduler has none and is skipped, so the oracle is safe to request
+    everywhere.
     """
 
     name = "no-stale-read"

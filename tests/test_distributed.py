@@ -12,7 +12,6 @@ from repro.distributed import (
     DistributedScheduler,
     MessageLog,
     MessageType,
-    ReplicatedScheduler,
     explicit_partition,
     hash_view,
     round_robin_partition,
@@ -231,7 +230,7 @@ class TestWoundPastLastLock:
     @pytest.mark.parametrize("mode", [WOUND_WAIT, WAIT_DIE, PROBE])
     @pytest.mark.parametrize("seed", [1028, 1029])
     def test_replicated_three_phase_completes(self, mode, seed):
-        self.run(seed, lambda db, programs: ReplicatedScheduler(
+        self.run(seed, lambda db, programs: DistributedScheduler(
             db, hash_view(db.names(), programs, 8, rf=2),
             cross_site_mode=mode, wait_timeout=150,
         ))

@@ -17,7 +17,6 @@ from repro.core.scheduler import Scheduler
 from repro.core.transaction import TxnStatus
 from repro.distributed import (
     DistributedScheduler,
-    ReplicatedScheduler,
     hash_view,
 )
 from repro.distributed.scenarios import run_scenario, scenario_names
@@ -94,7 +93,7 @@ def _engine_run(config, seed, sites, **scheduler_kwargs):
     rollbacks as ``(clock, txn_id)`` pairs."""
     db, programs = generate_workload(config, seed=seed)
     view = hash_view(db.names(), programs, sites, rf=2)
-    scheduler = ReplicatedScheduler(
+    scheduler = DistributedScheduler(
         db, view, strategy="mcs", policy="ordered-min-cost",
         **scheduler_kwargs,
     )

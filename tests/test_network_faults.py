@@ -7,12 +7,18 @@ duplicated — the log is the paper's §3.3 *cost model*, so faults perturb
 the accounting, never the lock protocol.
 """
 
+from repro import TransactionProgram, ops
 from repro.distributed.network import (
     DeliveryAction,
+    Message,
     MessageLog,
     MessageType,
 )
-from repro.distributed import round_robin_partition
+from repro.distributed import (
+    WOUND_WAIT,
+    explicit_partition,
+    round_robin_partition,
+)
 from repro.distributed.scheduler import DistributedScheduler
 from repro.resilience import FaultInjector, FaultPlan, FaultEvent, FaultKind
 from repro.simulation.engine import SimulationEngine
@@ -190,3 +196,46 @@ class TestPartitionRoutingUnderFaults:
         log = scheduler.message_log
         assert log.consistent()
         assert log.attempted == log.total
+
+
+class TestPartitionReachability:
+    """The scheduler and the injector share one reachability rule: a
+    site that no group of the partition spec names reaches no one."""
+
+    def test_sites_outside_the_spec_cannot_wound(self):
+        # Four sites; the spec "0|1" leaves sites 2 and 3 out.
+        db = Database({"a2": 0, "b3": 0})
+        view = explicit_partition({"a2": 2, "b3": 3}, {"OLD": 2, "YOUNG": 3})
+        scheduler = DistributedScheduler(
+            db, view, cross_site_mode=WOUND_WAIT, wait_timeout=50
+        )
+        engine = SimulationEngine(scheduler, max_steps=50_000)
+        injector = FaultInjector(
+            FaultPlan(
+                seed=0,
+                events=[FaultEvent(FaultKind.PARTITION, 0, "0|1", 10**6)],
+            )
+        )
+        injector.attach(engine)
+        for txn_id, first, second, delta in (
+            ("OLD", "a2", "b3", 1),
+            ("YOUNG", "b3", "a2", 10),
+        ):
+            engine.add(TransactionProgram(txn_id, [
+                ops.lock_exclusive(first),
+                ops.write(first, ops.entity(first) + ops.const(delta)),
+                ops.lock_exclusive(second),
+                ops.write(second, ops.entity(second) + ops.const(delta)),
+            ]))
+        engine.run_for("OLD", 2)     # event 0 splits the network
+        engine.run_for("YOUNG", 2)
+        assert not scheduler._reachable(2, 3)
+        wound = Message(2, 3, MessageType.WOUND, "YOUNG")
+        assert injector._on_send(0, wound) is DeliveryAction.DROP
+        engine.run_to_block("OLD")   # OLD wants b3, held by younger YOUNG
+        # The wound cannot cross the cut 2 <-> 3: the wait stands.
+        assert scheduler.message_log.count(MessageType.WOUND) == 0
+        assert scheduler.metrics.rollbacks == 0
+        result = engine.run()        # the wait timeout breaks the cycle
+        assert result.final_state == {"a2": 11, "b3": 11}
+        assert scheduler.metrics.timeout_rollbacks >= 1

@@ -1,8 +1,8 @@
-"""Tests for available-copies replication
-(:mod:`repro.distributed.replication`): directory bookkeeping, read-one /
+"""Tests for available-copies replication (:mod:`repro.distributed.replicas`
+and the distributed scheduler): directory bookkeeping, read-one /
 write-all-available accounting, site fail/recover with catch-up before
-rejoin, the no-stale-read oracle, the partition/heal scenario suite, and the crash-at-every-step
-acceptance sweep over a 5-site rf=2 topology."""
+rejoin, the no-stale-read oracle, the partition/heal scenario suite, and
+the crash-at-every-step acceptance sweep over a 5-site rf=2 topology."""
 
 import random
 
@@ -12,12 +12,14 @@ from repro import TransactionProgram, ops
 from repro.core.scheduler import StepOutcome
 from repro.distributed import (
     HashRing,
+    DistributedScheduler,
     MessageType,
-    ReplicatedScheduler,
+    ReadRecord,
+    ReplicaDirectory,
     View,
     hash_view,
+    round_robin_partition,
 )
-from repro.distributed.replication import ReadRecord, ReplicaDirectory
 from repro.distributed.scenarios import (
     SCENARIOS,
     run_scenario,
@@ -25,7 +27,7 @@ from repro.distributed.scenarios import (
 )
 from repro.errors import SimulationError
 from repro.resilience.chaos import chaos_run, crash_recovery_sweep
-from repro.resilience.faults import FaultEvent, FaultKind, FaultPlan
+from repro.resilience.faults import FaultKind, FaultPlan
 from repro.simulation import (
     RandomInterleaving,
     SimulationEngine,
@@ -49,7 +51,7 @@ def build(seed=0, n_sites=5, rf=2, wait_timeout=120, **cfg_kwargs):
     db, programs = generate_workload(cfg, seed=seed)
     expected = expected_final_state(db, programs)
     view = hash_view(db.names(), programs, n_sites, rf=rf)
-    scheduler = ReplicatedScheduler(
+    scheduler = DistributedScheduler(
         db, view, strategy="mcs", policy="ordered-min-cost",
         wait_timeout=wait_timeout,
     )
@@ -151,26 +153,31 @@ class TestSiteFailRecover:
         )
 
     def test_all_replicas_down_stalls_without_queueing(self):
-        db = Database({"a": 0})
-        view = View(HashRing(range(3)), ["a"], rf=2)
-        scheduler = ReplicatedScheduler(db, view)
-        for site in view.replica_sites("a"):
-            scheduler.site_failed(site)
-        txn = scheduler.register(self._write_program("T1", "a"))
-        view.assign_home("T1", view.replica_sites("a")[0])
-        result = scheduler.step("T1")
-        assert result.outcome is StepOutcome.BLOCKED
-        assert not txn.lock_records, "no lock record may be planted"
-        assert scheduler.metrics.unavailable_stalls == 1
-        # The requester serves a backoff before re-issuing (runnable()
-        # may still surface it as the only-progress fallback).
-        assert scheduler._stalled_until["T1"] > scheduler._clock
+        for view in (
+            View(HashRing(range(3)), ["a"], rf=2),
+            # A static placement is rf = 1: the entity is unavailable
+            # while its one site is down.
+            round_robin_partition(["a"], [], 3),
+        ):
+            scheduler = DistributedScheduler(Database({"a": 0}), view)
+            for site in view.replica_sites("a"):
+                scheduler.site_failed(site)
+            view.assign_home("T1", view.replica_sites("a")[0])
+            txn = scheduler.register(self._write_program("T1", "a"))
+            result = scheduler.step("T1")
+            assert result.outcome is StepOutcome.BLOCKED
+            assert not txn.lock_records, "no lock record may be planted"
+            assert scheduler.metrics.unavailable_stalls == 1
+            # The requester serves a backoff before re-issuing
+            # (runnable() may still surface it as the only-progress
+            # fallback).
+            assert scheduler._stalled_until["T1"] > scheduler._clock
 
     def test_recovering_replica_catches_up_before_reading(self):
         db = Database({"a": 0})
         view = View(HashRing(range(3)), ["a"], rf=2)
         replicas = view.replica_sites("a")
-        scheduler = ReplicatedScheduler(db, view)
+        scheduler = DistributedScheduler(db, view)
         scheduler.site_failed(replicas[1])
         writer = scheduler.register(self._write_program("T1", "a"))
         view.assign_home("T1", replicas[0])
@@ -198,7 +205,7 @@ class TestSiteFailRecover:
     def test_site_hooks_idempotent(self):
         db = Database({"a": 0})
         view = View(HashRing(range(2)), ["a"], rf=1)
-        scheduler = ReplicatedScheduler(db, view)
+        scheduler = DistributedScheduler(db, view)
         scheduler.site_failed(0)
         scheduler.site_failed(0)
         scheduler.site_recovered(0)
@@ -241,7 +248,7 @@ class TestNoStaleReadOracle:
         db = Database({"a": 0})
         view = View(HashRing(range(2)), ["a"], rf=2)
         replicas = view.replica_sites("a")
-        scheduler = ReplicatedScheduler(db, view)
+        scheduler = DistributedScheduler(db, view)
         scheduler.site_failed(replicas[1])
         writer = scheduler.register(
             TransactionProgram(
@@ -308,7 +315,7 @@ def test_probe_finds_global_deadlock_without_timeout():
     )
     db, programs = generate_workload(config, seed=6054)
     view = hash_view(db.names(), programs, 8, rf=2)
-    scheduler = ReplicatedScheduler(
+    scheduler = DistributedScheduler(
         db, view, strategy="mcs", policy="ordered-min-cost",
         cross_site_mode="probe", wait_timeout=10**6,
     )
@@ -357,6 +364,22 @@ class TestChaosIntegration:
         ]
         assert outcomes[0].ok, outcomes[0].violation
         assert outcomes[0].fingerprint() == outcomes[1].fingerprint()
+
+    def test_static_chaos_run_logs_reads(self):
+        """A static placement keeps a read log too, so no-stale-read
+        checks its runs instead of skipping them."""
+        schedulers = []
+        outcome = chaos_run(
+            self.CONFIG,
+            workload_seed=2,
+            chaos_seed=9,
+            sites=4,
+            replicate=0,
+            site_crashes=2,
+            instrument=lambda engine: schedulers.append(engine.scheduler),
+        )
+        assert outcome.ok, outcome.violation
+        assert any(scheduler.read_log for scheduler in schedulers)
 
     def test_acceptance_crash_at_every_step_5_sites_rf2(self):
         """The ISSUE's acceptance gate: over a 5-site rf=2 topology,

@@ -36,11 +36,10 @@ from repro.core.operations import Lock
 from repro.core.scheduler import Scheduler, StepOutcome
 from repro.core.transaction import TransactionProgram, TxnStatus
 from repro.distributed import (
-    ReplicatedScheduler,
+    DistributedScheduler,
     hash_view,
     round_robin_partition,
 )
-from repro.distributed.scheduler import DistributedScheduler
 from repro.errors import SimulationError, StorageFault
 from repro.resilience import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.simulation import (
@@ -334,7 +333,7 @@ class TestIndexEqualsScan:
     def test_replicated_site_failure(self):
         db, programs = generate_workload(HOTSPOT, seed=8)
         view = hash_view(db.names(), programs, 4, rf=2)
-        scheduler = ReplicatedScheduler(
+        scheduler = DistributedScheduler(
             db, view, strategy="mcs", policy="ordered-min-cost",
             wait_timeout=20,
         )
