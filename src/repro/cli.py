@@ -58,6 +58,7 @@ them directly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import (
@@ -105,6 +106,20 @@ def _int_at_least(minimum: int):
 
     parse.__name__ = "int"  # "invalid int value" for a non-integer
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for finite floats > 0, so a bad flag is a
+    usage error (exit 2) before anything runs."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}"
+        )
+    return value
+
+
+_positive_float.__name__ = "float"  # "invalid float value" for a non-number
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -542,9 +557,9 @@ def cmd_advise(args) -> int:
 
     report = build_report()
     if args.json:
-        print(report.to_json())
+        print(report.to_json(args.budget))
     else:
-        print(report.describe())
+        print(report.describe(args.budget))
         print(
             f"suggested            repro overload --admission predictive, "
             f"or fixed-mpl --mpl {report.recommended_mpl(args.budget)}"
@@ -1295,9 +1310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--journal", action="append", default=None,
                         metavar="JSONL",
                         help="also predict from this service journal "
-                             "(repeatable; boot segments become "
-                             "happens-before barriers)")
-    p_lint.add_argument("--max-cycle-length", type=int, default=4,
+                             "(repeatable; a ring never spans two boot "
+                             "segments)")
+    p_lint.add_argument("--max-cycle-length", type=_int_at_least(2),
+                        default=4,
                         help="largest predicted cycle to search for")
     p_lint.set_defaults(fn=cmd_lint, usage_error=p_lint.error)
 
@@ -1319,10 +1335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.add_argument("--journal", default=None, metavar="JSONL",
                           help="score the workload a service journal "
                                "recorded instead of generating one")
-    p_advise.add_argument("--budget", type=float, default=0.5,
+    p_advise.add_argument("--budget", type=_positive_float, default=0.5,
                           help="expected-deadlock budget behind the MPL "
                                "recommendation")
-    p_advise.add_argument("--max-cycle-length", type=int, default=4,
+    p_advise.add_argument("--max-cycle-length", type=_int_at_least(2),
+                          default=4,
                           help="largest cross-class entity ring to "
                                "search for")
     p_advise.add_argument("--json", action="store_true",

@@ -7,7 +7,7 @@ Theorem 2's livelock-freedom — together with the verification and chaos
 subsystems — assumes runs are bit-for-bit reproducible from a seed.
 Neither assumption used to be checked; this package checks both.
 
-Two pillars:
+Three pillars:
 
 * :mod:`~repro.staticcheck.framework` plus
   :mod:`~repro.staticcheck.checkers` — a small AST lint framework with
@@ -16,15 +16,15 @@ Two pillars:
   exposed as ``repro lint``;
 * :mod:`~repro.staticcheck.predict` (with
   :mod:`~repro.staticcheck.events`) — sound partial-order deadlock
-  prediction: abstract lock events with vector clocks harvested from
-  engine replays, fuzz corpora, and service journals; a lock-order
-  graph whose feasible cycles are each cross-validated by replaying a
-  synthesized witness schedule through the real engine
-  (``repro lint --predict``);
+  prediction: abstract lock events, ordered by program order and boot
+  segment, folded from the bus events of regression-case replays and
+  service journals; a lock-order graph whose feasible cycles are each
+  cross-validated by replaying a synthesized witness schedule through
+  the real engine (``repro lint --predict``);
 * :mod:`~repro.staticcheck.workload` — static workload risk analysis:
   transaction templates scored for lock-order inversion structure
-  without executing anything, feeding ``repro advise`` and the
-  ``predictive`` admission policy.
+  without executing anything, read off the same lock-order graph,
+  feeding ``repro advise`` and the ``predictive`` admission policy.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and rationale.
 """
@@ -34,7 +34,7 @@ from .events import (
     AbstractLockEvent,
     JournalTrace,
     concurrent,
-    happens_before,
+    harvest_case,
     harvest_journal,
 )
 from .framework import (
@@ -87,7 +87,7 @@ __all__ = [
     "analyze_sequences",
     "concurrent",
     "default_checkers",
-    "happens_before",
+    "harvest_case",
     "harvest_journal",
     "load_module",
     "predict_case",

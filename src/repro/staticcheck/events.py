@@ -1,12 +1,12 @@
-"""Abstract lock events with vector clocks (the partial-order substrate).
+"""Abstract lock events, their partial order, and the one harvest.
 
 The predictor in :mod:`repro.staticcheck.predict` reasons about *traces*:
-sequences of granted lock acquisitions harvested from a recorded run.
-This module gives those acquisitions a partial-order semantics — the
-sound happens-before relation of the lock-graph school of dynamic
-deadlock prediction (Goodlock and its partial-order refinements,
-PAPERS.md) — so feasibility questions ("could these four blocking
-points coexist in *some* reordering?") become vector-clock questions.
+sequences of granted lock acquisitions.  This module gives those
+acquisitions a partial-order semantics — the sound happens-before
+relation of the lock-graph school of dynamic deadlock prediction
+(Goodlock and its partial-order refinements, PAPERS.md) — so
+feasibility questions ("could these four blocking points coexist in
+*some* reordering?") become questions about boot segments.
 
 The happens-before relation for this system has exactly two sources:
 
@@ -19,158 +19,66 @@ The happens-before relation for this system has exactly two sources:
 
 There is deliberately **no** edge for the scheduler's own interleaving
 choices: reordering those is precisely what the predictive closure
-explores.  Two acquisitions are *concurrent* (mutually reorderable) iff
-neither happens-before the other — same segment, different
-transactions.  Vector clocks make that check O(1) per pair while
-staying exact for richer orders (more barrier sources can be added
-without touching the consumers).
+explores.  So the partial order *is* the boot segment: two acquisitions
+by different transactions are concurrent (mutually reorderable) iff
+they happened in the same segment.
 
-Harvest adapters produce :class:`AbstractLockEvent` streams from the
-two trace sources the predictor consumes:
+There is one harvest, :func:`fold_events`, a fold over a bus event
+stream that tracks grants, partial rollbacks, commits, sheds and
+``SERVICE_RECOVER`` barriers.  Its two sources:
 
-* :func:`events_from_acquisitions` — engine replays and fuzz corpora
-  (one boot segment, program order only);
-* :func:`harvest_journal` — service WAL/request journals read via
-  :func:`repro.observability.export.read_events_jsonl`, tracking grants,
-  partial rollbacks, commits, sheds, and ``SERVICE_RECOVER`` barriers.
+* :func:`harvest_journal` — a service WAL/request journal read via
+  :func:`repro.observability.export.read_events_jsonl`;
+* :func:`harvest_case` — the bus events of a
+  :class:`~repro.verification.cases.ReplayCase`'s own replay (its
+  schedule, interleaving seed and fault plan included).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from ..locking.modes import LockMode
-from ..observability.events import EventKind
+from ..observability.events import Event, EventBus, EventKind
 from ..observability.export import read_events_jsonl
-
-#: The pseudo-component carrying boot-segment barrier ticks.  Real
-#: transaction ids are ``T``-prefixed, so this cannot collide.
-BARRIER = "__boot__"
-
-
-class _AcquisitionLike(Protocol):
-    """What the engine-trace adapter needs from a harvested grant."""
-
-    txn: str
-    entity: str
-    mode: LockMode
-    held_before: tuple[tuple[str, LockMode], ...]
+from ..simulation.engine import SimulationEngine
+from ..verification.cases import ReplayCase, replay
 
 
 @dataclass(frozen=True)
 class AbstractLockEvent:
     """One granted acquisition, abstracted out of its concrete run.
 
-    ``pos`` is the per-transaction acquisition ordinal (program order),
-    ``segment`` the boot segment the grant happened in, ``held_before``
-    the locks the transaction already held (entity, mode) at the grant,
-    and ``clock`` the frozen vector clock — a sorted tuple of
-    ``(component, tick)`` pairs over transaction ids plus :data:`BARRIER`.
+    ``segment`` is the boot segment the grant happened in and
+    ``held_before`` the locks (entity, mode) the transaction already
+    held at the grant, in acquisition order.
     """
 
     txn: str
     entity: str
     mode: LockMode
-    pos: int
     segment: int
     held_before: tuple[tuple[str, LockMode], ...]
-    clock: tuple[tuple[str, int], ...]
-
-    def tick(self, component: str) -> int:
-        """This event's clock value for *component* (0 when absent)."""
-        for name, value in self.clock:
-            if name == component:
-                return value
-        return 0
-
-
-def happens_before(a: AbstractLockEvent, b: AbstractLockEvent) -> bool:
-    """``a`` happens-before ``b`` under program order + barriers."""
-    if a is b:
-        return False
-    return a.tick(a.txn) <= b.tick(a.txn) and (
-        a.txn != b.txn or a.pos < b.pos
-    )
 
 
 def concurrent(a: AbstractLockEvent, b: AbstractLockEvent) -> bool:
     """Neither ordered before the other — mutually reorderable."""
-    return (
-        a.txn != b.txn
-        and not happens_before(a, b)
-        and not happens_before(b, a)
-    )
-
-
-class _ClockBuilder:
-    """Assigns vector clocks while a trace is replayed in order.
-
-    Each transaction owns one clock component, advanced at every one of
-    its events; a barrier joins *every* clock seen so far into the
-    barrier frontier, so post-barrier events dominate all pre-barrier
-    ones.  Purely incremental — callers feed events in trace order.
-    """
-
-    def __init__(self) -> None:
-        self._txn_clocks: dict[str, dict[str, int]] = {}
-        self._frontier: dict[str, int] = {}
-        self.segment = 0
-
-    def barrier(self) -> None:
-        """A global synchronisation point (server restart)."""
-        for clock in self._txn_clocks.values():
-            for component, tick in clock.items():
-                if tick > self._frontier.get(component, 0):
-                    self._frontier[component] = tick
-        self.segment += 1
-        self._frontier[BARRIER] = self.segment
-
-    def stamp(self, txn: str) -> tuple[tuple[str, int], ...]:
-        """Advance *txn*'s clock past the frontier; return it frozen."""
-        clock = self._txn_clocks.setdefault(txn, {})
-        for component, tick in self._frontier.items():
-            if tick > clock.get(component, 0):
-                clock[component] = tick
-        clock[txn] = clock.get(txn, 0) + 1
-        return tuple(sorted(clock.items()))
-
-
-def events_from_acquisitions(
-    acquisitions: Iterable[_AcquisitionLike],
-) -> list[AbstractLockEvent]:
-    """Abstract an engine-harvested acquisition stream (one segment)."""
-    clocks = _ClockBuilder()
-    positions: dict[str, int] = {}
-    events: list[AbstractLockEvent] = []
-    for acq in acquisitions:
-        pos = positions.get(acq.txn, 0)
-        positions[acq.txn] = pos + 1
-        events.append(
-            AbstractLockEvent(
-                txn=acq.txn,
-                entity=acq.entity,
-                mode=acq.mode,
-                pos=pos,
-                segment=0,
-                held_before=acq.held_before,
-                clock=clocks.stamp(acq.txn),
-            )
-        )
-    return events
+    return a.txn != b.txn and a.segment == b.segment
 
 
 @dataclass
 class JournalTrace:
-    """Everything the journal adapter recovered from one JSONL file.
+    """Everything the harvest recovered from one event stream.
 
     ``lock_sequences`` maps each transaction to its full granted
     ``(entity, mode)`` sequence — the straight-line lock program the
-    witness synthesiser replays; ``observed_deadlocks`` the transaction
-    sets the live detector already reported (so predictions can be
-    classified observed vs alternate-interleaving); ``segments`` how
-    many boot segments the journal spans.
+    witness synthesiser replays when no workload can be regenerated;
+    ``observed_deadlocks`` the transaction sets the live detector
+    already reported (so predictions can be classified observed vs
+    alternate-interleaving); ``segments`` how many boot segments the
+    stream spans.
     """
 
     path: str
@@ -190,25 +98,25 @@ class JournalTrace:
 _MODES = {"S": LockMode.SHARED, "X": LockMode.EXCLUSIVE}
 
 
-def harvest_journal(path: str | Path) -> JournalTrace:
-    """Abstract a service journal into lock events with vector clocks.
+def fold_events(events: Iterable[Event], path: str = "") -> JournalTrace:
+    """Abstract a bus event stream into lock events.
 
-    Replays the journal's grant/rollback/commit/shed bookkeeping: a
+    Replays the stream's grant/rollback/commit/shed bookkeeping: a
     partial ``ROLLBACK`` to lock ordinal *k* truncates the held set to
     its first *k* grants (the paper's partial-rollback semantics);
-    commits and sheds clear it.  ``SERVICE_RECOVER`` markers after the
-    first lock activity advance the boot segment and the barrier clock.
+    commits and sheds clear it.  Every ``SERVICE_RECOVER`` marker after
+    the first lock activity starts a new boot segment.
     """
-    trace = JournalTrace(path=str(path))
-    clocks = _ClockBuilder()
+    trace = JournalTrace(path=path)
     held: dict[str, list[tuple[str, LockMode]]] = {}
-    positions: dict[str, int] = {}
-    sequences: dict[str, list[tuple[str, LockMode]]] = {}
+    # Insertion-ordered sets: a re-grant after a rollback is not new.
+    sequences: dict[str, dict[tuple[str, LockMode], None]] = {}
+    segment = 0
     saw_activity = False
-    for event in read_events_jsonl(path):
+    for event in events:
         if event.kind is EventKind.SERVICE_RECOVER:
             if saw_activity:
-                clocks.barrier()
+                segment += 1
             continue
         if event.kind is EventKind.LOCK_GRANT:
             txn = event.txn
@@ -217,23 +125,17 @@ def harvest_journal(path: str | Path) -> JournalTrace:
             if not txn or not entity:
                 continue
             saw_activity = True
-            pos = positions.get(txn, 0)
-            positions[txn] = pos + 1
             trace.events.append(
                 AbstractLockEvent(
                     txn=txn,
                     entity=entity,
                     mode=mode,
-                    pos=pos,
-                    segment=clocks.segment,
+                    segment=segment,
                     held_before=tuple(held.get(txn, ())),
-                    clock=clocks.stamp(txn),
                 )
             )
             held.setdefault(txn, []).append((entity, mode))
-            sequence = sequences.setdefault(txn, [])
-            if (entity, mode) not in sequence:
-                sequence.append((entity, mode))
+            sequences.setdefault(txn, {})[entity, mode] = None
         elif event.kind is EventKind.ROLLBACK:
             target = event.data.get("target")
             if event.txn in held and isinstance(target, int):
@@ -247,10 +149,50 @@ def harvest_journal(path: str | Path) -> JournalTrace:
             for cycle in cycles:
                 if isinstance(cycle, list) and cycle:
                     trace.observed_deadlocks.append(
-                        frozenset(str(t) for t in cycle)
+                        frozenset(map(str, cycle))
                     )
     trace.lock_sequences = {
         txn: tuple(sequence) for txn, sequence in sequences.items()
     }
-    trace.segments = clocks.segment + 1
+    trace.segments = segment + 1
     return trace
+
+
+def harvest_journal(path: str | Path) -> JournalTrace:
+    """Abstract a service journal into lock events."""
+    return fold_events(read_events_jsonl(path), path=str(path))
+
+
+class _Collect(list[Event]):
+    """Bus sink keeping the events :func:`fold_events` reads."""
+
+    kinds = (
+        EventKind.LOCK_GRANT,
+        EventKind.ROLLBACK,
+        EventKind.TXN_COMMIT,
+        EventKind.TXN_SHED,
+        EventKind.DEADLOCK,
+    )
+
+    def __call__(self, event: Event) -> None:
+        self.append(event)
+
+
+def harvest_case(case: ReplayCase, path: str = "") -> JournalTrace:
+    """Abstract the replay of *case* into lock events (one segment).
+
+    The case runs as :func:`~repro.verification.cases.replay` runs it —
+    schedule or interleaving seed, fault plan and step budget — with
+    its oracles disarmed: they only watch the run, and the lock-order
+    evidence is the run's.  A planted fault that aborts the run still
+    leaves a valid partial trace.
+    """
+    collected = _Collect()
+
+    def instrument(engine: SimulationEngine) -> None:
+        bus = EventBus()
+        bus.subscribe(collected)
+        engine.scheduler.bus = bus
+
+    replay(replace(case, checks=[]), instrument=instrument)
+    return fold_events(collected, path=path)

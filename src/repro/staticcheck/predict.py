@@ -8,28 +8,31 @@ dangerous: the lock-order relation.  Following the lock-graph school of
 dynamic deadlock prediction (Goodlock and its partial-order
 refinements, PAPERS.md), this module
 
-1. **harvests** abstract lock events — either by replaying a recorded
-   :class:`~repro.verification.cases.ReplayCase` through the real
-   engine, or by reading a service WAL/request journal
-   (:func:`~repro.staticcheck.events.harvest_journal`) — each event
-   carrying the acquiring transaction's held set and a vector clock
-   over the sound happens-before order (program order plus boot-segment
-   barriers, see :mod:`repro.staticcheck.events`);
+1. **harvests** abstract lock events with the one fold of
+   :mod:`repro.staticcheck.events` — over the bus events of a recorded
+   :class:`~repro.verification.cases.ReplayCase`'s own replay, or over
+   a service WAL/request journal — each event carrying the acquiring
+   transaction's held set and its boot segment (the partial order:
+   program order plus boot-segment barriers);
 2. builds the **lock-order graph** — an arc ``e1 -> e2`` whenever some
    transaction acquired ``e2`` while holding ``e1`` — and enumerates
    its cycles with one transaction per arc;
 3. applies the **partial-order feasibility check**: a cycle is
-   reported only if its blocking acquisitions are pairwise *concurrent*
-   under the partial order (vector clocks — a crash barrier between two
-   acquisitions makes their reordering unreal), no two participants
-   held a common guard lock in incompatible modes (a shared gate
-   serialises their blocking points), and each waiter's requested mode
-   conflicts with the next holder's mode;
+   reported only if its arcs all share one boot segment (a crash
+   barrier between two acquisitions makes their reordering unreal), no
+   two participants held a common guard lock in incompatible modes (a
+   shared gate serialises their blocking points), and each waiter's
+   requested mode conflicts with the next holder's mode;
 4. **cross-validates** every feasible cycle against the engine itself:
    a witness schedule is synthesized (run each participant up to its
    blocking position, then let each issue its fatal request) and
-   replayed; the prediction counts as *confirmed* only if the engine's
-   own detector reports the predicted cycle.
+   replayed over the participants' programs alone; the prediction
+   counts as *confirmed* when the engine's own detector reports a
+   deadlock among them.  That deadlock may be a shorter ring through a
+   chord: a guard lock held in ``S`` by one participant can close a
+   2-cycle with another before the predicted ring completes, and the
+   chorded ring is still a real deadlock hazard of the same
+   transactions.
 
 Because this repo's transaction programs are straight-line and
 two-phase (no lock follows an unlock), held sets grow monotonically up
@@ -48,16 +51,16 @@ one scheduler decision away from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..core.operations import Lock, Operation, Unlock, lock_exclusive, lock_shared
+from ..core.operations import Lock, Operation, lock_exclusive, lock_shared
 from ..core.scheduler import Scheduler
 from ..core.transaction import TransactionProgram
 from ..errors import ReproError
 from ..locking.modes import LockMode
-from ..simulation.engine import SimulationEngine, SimulationResult
+from ..simulation.engine import SimulationEngine
 from ..simulation.interleaving import Scripted
 from ..simulation.trace import TraceEvent
 from ..simulation.workload import generate_workload
@@ -65,22 +68,16 @@ from ..storage.database import Database
 from ..verification.cases import ReplayCase
 from ..verification.faults import resolve_policy
 from ..verification.regressions import load_case
-from .events import AbstractLockEvent, concurrent, events_from_acquisitions, harvest_journal
+from .events import (
+    AbstractLockEvent,
+    JournalTrace,
+    harvest_case,
+    harvest_journal,
+)
 
 
-class _StopHarvest(Exception):
-    """Internal: the scripted schedule is exhausted; stop the replay."""
-
-
-@dataclass(frozen=True)
-class _Acquisition:
-    """One granted lock in the replayed trace."""
-
-    txn: str
-    entity: str
-    mode: LockMode
-    #: Locks (entity -> mode) the transaction held when this grant landed.
-    held_before: tuple[tuple[str, LockMode], ...]
+class _WitnessEnded(Exception):
+    """Internal: the witness schedule is consumed; stop the replay."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +91,8 @@ class LockEdge:
     acquired_mode: LockMode
     #: Everything *txn* held at the acquisition point (includes *held*).
     guards: tuple[tuple[str, LockMode], ...]
-    #: The abstract acquisition event (vector clock carrier); ``None``
-    #: only for synthetic edges built outside a trace (workload.py).
-    event: AbstractLockEvent | None = None
+    #: The boot segment of the acquisition (the partial order).
+    segment: int
 
 
 @dataclass(frozen=True)
@@ -110,8 +106,9 @@ class PredictedDeadlock:
     #: Whether this transaction set already deadlocked in the recorded
     #: trace (False = reachable only in an alternate interleaving).
     observed_in_trace: bool
-    #: Whether the witness replay made the engine's detector report the
-    #: predicted cycle (cross-validation against the fuzzer machinery).
+    #: Whether the witness replay made the engine's detector report a
+    #: deadlock among the participants (cross-validation against the
+    #: engine itself).
     confirmed: bool
 
     @property
@@ -140,6 +137,7 @@ class PredictionReport:
     case_path: str
     acquisitions: int
     edges: int
+    #: Distinct transaction sets the recorded trace's detector reported.
     trace_deadlocks: int
     predicted: list[PredictedDeadlock] = field(default_factory=list)
     #: Boot segments the trace spanned (journals only; engine traces = 1).
@@ -160,11 +158,12 @@ class PredictionReport:
 
 
 class LockOrderGraph:
-    """The lock-order relation harvested from one trace.
+    """The lock-order relation of one trace (or one template pool).
 
     Built from :class:`~repro.staticcheck.events.AbstractLockEvent`
-    streams; each arc remembers the acquisition event that created it so
-    the partial-order feasibility check can consult vector clocks.
+    streams; each arc remembers the boot segment of the acquisition
+    that created it so the feasibility check can apply the partial
+    order.
     """
 
     def __init__(self, events: Iterable[AbstractLockEvent]) -> None:
@@ -184,44 +183,35 @@ class LockOrderGraph:
                         held_mode=held_mode,
                         acquired_mode=event.mode,
                         guards=event.held_before,
-                        event=event,
+                        segment=event.segment,
                     )
                 )
         self._by_held: dict[str, list[LockEdge]] = {}
         for edge in self.edges:
             self._by_held.setdefault(edge.held, []).append(edge)
 
-    @classmethod
-    def from_acquisitions(
-        cls, acquisitions: Iterable[_Acquisition]
-    ) -> "LockOrderGraph":
-        """Graph over an engine-harvested trace (one boot segment)."""
-        return cls(events_from_acquisitions(acquisitions))
-
     def cycles(
-        self, max_length: int = 3, limit: int = 200
+        self, max_length: int = 3, limit: int | None = 200
     ) -> list[tuple[LockEdge, ...]]:
         """Feasible cycles with one distinct transaction per arc.
 
         Enumerates simple cycles in the entity graph up to *max_length*
         arcs, applying the feasibility check; stops after *limit*
-        candidates.
+        candidates (``None``: no limit).
         """
         found: list[tuple[LockEdge, ...]] = []
         keys: set[tuple[tuple[str, str, str], ...]] = set()
         for start in sorted(self._by_held):
             stack: list[tuple[tuple[LockEdge, ...], str]] = [((), start)]
-            while stack and len(found) < limit:
+            while stack and (limit is None or len(found) < limit):
                 path, at = stack.pop()
                 for edge in self._by_held.get(at, ()):
-                    if any(e.txn == edge.txn for e in path):
+                    if path and not _extends(path, edge):
                         continue
                     if edge.acquired == start and path:
                         cycle = path + (edge,)
                         key = _canonical(cycle)
-                        if key in keys:
-                            continue
-                        if _feasible(cycle):
+                        if key not in keys and _closes(cycle):
                             keys.add(key)
                             found.append(cycle)
                         continue
@@ -247,113 +237,37 @@ def _canonical(
     return tuple(arcs[pivot:] + arcs[:pivot])
 
 
-def _feasible(cycle: tuple[LockEdge, ...]) -> bool:
-    """Feasibility of the joint blocking state.
+def _extends(path: tuple[LockEdge, ...], edge: LockEdge) -> bool:
+    """Whether *edge* can follow *path* towards a feasible ring.
 
-    Each participant sits at its acquisition point, holding its guard
-    set and requesting the next participant's held entity.  The ring
-    must actually block (each requested mode conflicts with the next
-    holder's mode), every pairwise guard intersection must be
-    mode-compatible (an incompatible common guard would serialise the
-    two acquisition points), and the blocking acquisitions must be
-    pairwise *concurrent* under the harvested happens-before order —
-    two events separated by a boot-segment barrier cannot be reordered
-    into a joint blocking state, however compatible their guards look.
+    The feasibility rule is pairwise, so it is checked one arc at a
+    time as the ring grows (the search only offers arcs holding what
+    the previous participant requests): *edge*'s transaction is new, it
+    holds that entity in a mode conflicting with the request (the
+    requester must actually block), it shares the ring's boot segment
+    (acquisitions separated by a restart cannot be reordered into a
+    joint blocking state), and its guard set is mode-compatible with
+    every earlier participant's (an incompatible common guard would
+    serialise the two acquisition points).
     """
-    k = len(cycle)
-    for i in range(k):
-        requester = cycle[i]
-        holder = cycle[(i + 1) % k]
-        if requester.acquired != holder.held:
+    if path[-1].acquired_mode.compatible_with(edge.held_mode):
+        return False
+    if edge.segment != path[0].segment:
+        return False
+    for earlier in path:
+        if earlier.txn == edge.txn:
             return False
-        if requester.acquired_mode.compatible_with(holder.held_mode):
-            return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            a = dict(cycle[i].guards)
-            for entity, mode in cycle[j].guards:
-                other = a.get(entity)
-                if other is not None and not other.compatible_with(mode):
-                    return False
-            ev_i, ev_j = cycle[i].event, cycle[j].event
-            if (
-                ev_i is not None
-                and ev_j is not None
-                and not concurrent(ev_i, ev_j)
-            ):
+        held = dict(earlier.guards)
+        for entity, mode in edge.guards:
+            other = held.get(entity)
+            if other is not None and not other.compatible_with(mode):
                 return False
     return True
 
 
-# -- harvesting --------------------------------------------------------------
-
-
-def _harvest(
-    case: ReplayCase,
-) -> tuple[list[_Acquisition], list[TraceEvent], SimulationResult | None]:
-    """Replay *case*'s schedule and collect every granted acquisition."""
-    db, programs = generate_workload(
-        case.workload_config(), seed=case.workload_seed
-    )
-    scheduler = Scheduler(
-        db,
-        strategy=case.strategy,
-        policy=resolve_policy(case.policy),
-    )
-    interleaving = Scripted(list(case.schedule))
-    by_id = {program.txn_id: program for program in programs}
-    acquisitions: list[_Acquisition] = []
-    recorded: set[tuple[str, int]] = set()
-
-    def collect(engine: SimulationEngine, _event: TraceEvent) -> None:
-        for txn_id, txn in engine.scheduler.transactions.items():
-            program = by_id[txn_id]
-            for record in txn.lock_records:
-                if not record.granted:
-                    continue
-                key = (txn_id, record.ordinal)
-                if key in recorded:
-                    continue
-                recorded.add(key)
-                unlocked = {
-                    op.entity_name
-                    for op in program.operations[: record.pc]
-                    if isinstance(op, Unlock)
-                }
-                held = tuple(
-                    (earlier.entity, earlier.mode)
-                    for earlier in txn.lock_records
-                    if earlier.ordinal < record.ordinal
-                    and earlier.entity not in unlocked
-                )
-                acquisitions.append(
-                    _Acquisition(
-                        txn=txn_id,
-                        entity=record.entity,
-                        mode=record.mode,
-                        held_before=held,
-                    )
-                )
-        if interleaving.exhausted and not engine.scheduler.all_done:
-            raise _StopHarvest
-
-    engine = SimulationEngine(
-        scheduler,
-        interleaving,
-        max_steps=len(case.schedule) + case.extra_steps,
-        livelock_window=0,
-        on_step=collect,
-    )
-    for program in programs:
-        engine.add(program)
-    result: SimulationResult | None = None
-    try:
-        result = engine.run()
-    except (_StopHarvest, ReproError):
-        # Planted-fault cases may abort mid-run; the acquisitions
-        # gathered up to that point are still a valid partial trace.
-        pass
-    return acquisitions, engine.trace.deadlock_events(), result
+def _closes(cycle: tuple[LockEdge, ...]) -> bool:
+    """Whether the last arc's request blocks on the first arc's hold."""
+    return not cycle[-1].acquired_mode.compatible_with(cycle[0].held_mode)
 
 
 # -- witness synthesis and confirmation --------------------------------------
@@ -391,56 +305,45 @@ def _witness_schedule(
 
 
 def _confirm(
-    case: ReplayCase, cycle: tuple[LockEdge, ...], witness: tuple[str, ...]
-) -> bool:
-    """Replay the witness; did the detector report the predicted cycle?"""
-    predicted = frozenset(edge.txn for edge in cycle)
-    witness_case = replace(
-        case, schedule=list(witness), fault_plan=None
-    )
-    _acqs, deadlocks, _result = _harvest(witness_case)
-    for event in deadlocks:
-        for reported in event.cycles:
-            if frozenset(reported) == predicted:
-                return True
-    return False
-
-
-def _confirm_programs(
-    programs: Mapping[str, TransactionProgram],
+    participants: Mapping[str, TransactionProgram],
     witness: Sequence[str],
-    predicted: frozenset[str],
-    entities: Iterable[str],
+    state: Mapping[str, object],
     strategy: str,
     policy: str,
 ) -> bool:
-    """Replay synthesized programs; did the detector report the cycle?
+    """Replay *witness* over *participants* from *state*; did it deadlock?
 
-    The journal path has no :class:`ReplayCase` to re-generate a
-    workload from, so confirmation runs the lock-sequence programs
-    reconstructed from the journal through a fresh engine.
+    The run stops when the witness ends.  A prediction is confirmed
+    when the engine's detector reports a deadlock whose members are all
+    participants — the predicted ring itself, or a shorter ring through
+    a chord that closes first.
     """
-    database = Database({entity: 0 for entity in sorted(entities)})
     scheduler = Scheduler(
-        database, strategy=strategy, policy=resolve_policy(policy)
+        Database(dict(state)), strategy=strategy, policy=resolve_policy(policy)
     )
+    interleaving = Scripted(list(witness))
+
+    def stop(engine: SimulationEngine, _event: TraceEvent) -> None:
+        if interleaving.exhausted and not engine.scheduler.all_done:
+            raise _WitnessEnded
+
     engine = SimulationEngine(
         scheduler,
-        Scripted(list(witness)),
-        max_steps=len(witness) + 8,
+        interleaving,
+        max_steps=len(witness),
         livelock_window=0,
+        on_step=stop,
     )
-    for program in programs.values():
+    for program in participants.values():
         engine.add(program)
     try:
         engine.run()
-    except ReproError:
+    except (_WitnessEnded, ReproError):
         pass
-    for event in engine.trace.deadlock_events():
-        for reported in event.cycles:
-            if frozenset(reported) == predicted:
-                return True
-    return False
+    return any(
+        all(txn in participants for cycle in event.cycles for txn in cycle)
+        for event in engine.trace.deadlock_events()
+    )
 
 
 def _sequence_program(
@@ -457,71 +360,20 @@ def _sequence_program(
 # -- entry points ------------------------------------------------------------
 
 
-def predict_case(
-    case: ReplayCase,
-    case_path: str = "",
-    max_cycle_length: int = 4,
-    limit: int = 200,
+def _predict(
+    trace: JournalTrace,
+    programs: Mapping[str, TransactionProgram],
+    state: Mapping[str, object],
+    strategy: str,
+    policy: str,
+    max_cycle_length: int,
+    limit: int,
 ) -> PredictionReport:
-    """Predict deadlocks reachable from *case*'s workload family."""
-    acquisitions, trace_deadlocks, _result = _harvest(case)
-    graph = LockOrderGraph.from_acquisitions(acquisitions)
-    observed = {
-        frozenset(reported)
-        for event in trace_deadlocks
-        for reported in event.cycles
-    }
-    _db, programs = generate_workload(
-        case.workload_config(), seed=case.workload_seed
-    )
-    by_id = {program.txn_id: program for program in programs}
-    report = PredictionReport(
-        case_path=case_path,
-        acquisitions=len(acquisitions),
-        edges=len(graph.edges),
-        trace_deadlocks=len(trace_deadlocks),
-    )
-    for cycle in graph.cycles(max_length=max_cycle_length, limit=limit):
-        witness = _witness_schedule(cycle, by_id)
-        if witness is None:
-            continue
-        txns = tuple(edge.txn for edge in cycle)
-        report.predicted.append(
-            PredictedDeadlock(
-                entities=tuple(edge.held for edge in cycle),
-                txns=txns,
-                witness=witness,
-                observed_in_trace=frozenset(txns) in observed,
-                confirmed=_confirm(case, cycle, witness),
-            )
-        )
-    return report
-
-
-def predict_journal(
-    journal: str | Path,
-    max_cycle_length: int = 4,
-    limit: int = 200,
-    strategy: str = "mcs",
-    policy: str = "ordered-min-cost",
-) -> PredictionReport:
-    """Predict deadlocks from a service WAL/request journal.
-
-    Harvests the journal's grant stream into abstract lock events
-    (vector clocks spanning boot segments), enumerates feasible cycles,
-    reconstructs each participant's straight-line lock program from its
-    recorded sequence, and confirms every prediction by engine replay —
-    the same contract as the replay-case path.
-    """
-    trace = harvest_journal(journal)
+    """Enumerate *trace*'s feasible cycles; witness and confirm each."""
     graph = LockOrderGraph(trace.events)
     observed = set(trace.observed_deadlocks)
-    programs = {
-        txn: _sequence_program(txn, sequence)
-        for txn, sequence in trace.lock_sequences.items()
-    }
     report = PredictionReport(
-        case_path=str(journal),
+        case_path=trace.path,
         acquisitions=len(trace.events),
         edges=len(graph.edges),
         trace_deadlocks=len(observed),
@@ -539,17 +391,62 @@ def predict_journal(
                 txns=txns,
                 witness=witness,
                 observed_in_trace=frozenset(txns) in observed,
-                confirmed=_confirm_programs(
-                    participants,
-                    witness,
-                    frozenset(txns),
-                    trace.entities,
-                    strategy,
-                    policy,
+                confirmed=_confirm(
+                    participants, witness, state, strategy, policy
                 ),
             )
         )
     return report
+
+
+def predict_case(
+    case: ReplayCase,
+    case_path: str = "",
+    max_cycle_length: int = 4,
+    limit: int = 200,
+) -> PredictionReport:
+    """Predict deadlocks reachable from *case*'s workload family."""
+    database, programs = generate_workload(
+        case.workload_config(), seed=case.workload_seed
+    )
+    return _predict(
+        harvest_case(case, path=case_path),
+        {program.txn_id: program for program in programs},
+        database.snapshot(),
+        case.strategy,
+        case.policy,
+        max_cycle_length,
+        limit,
+    )
+
+
+def predict_journal(
+    journal: str | Path,
+    max_cycle_length: int = 4,
+    limit: int = 200,
+    strategy: str = "mcs",
+    policy: str = "ordered-min-cost",
+) -> PredictionReport:
+    """Predict deadlocks from a service WAL/request journal.
+
+    Each participant's straight-line lock program is reconstructed from
+    its recorded sequence and replayed from all-zero entities — the
+    same contract as the replay-case path.
+    """
+    trace = harvest_journal(journal)
+    programs = {
+        txn: _sequence_program(txn, sequence)
+        for txn, sequence in trace.lock_sequences.items()
+    }
+    return _predict(
+        trace,
+        programs,
+        {entity: 0 for entity in trace.entities},
+        strategy,
+        policy,
+        max_cycle_length,
+        limit,
+    )
 
 
 def predict_corpus(
@@ -558,9 +455,8 @@ def predict_corpus(
     limit: int = 200,
 ) -> list[PredictionReport]:
     """Run prediction over every regression case under *corpus*."""
-    corpus = Path(corpus)
     reports: list[PredictionReport] = []
-    for path in sorted(corpus.glob("*.json")):
+    for path in sorted(Path(corpus).glob("*.json")):
         case, _expect = load_case(path)
         if not isinstance(case, ReplayCase):
             # Non-replay kinds (e.g. overload comparisons) carry no
@@ -572,6 +468,6 @@ def predict_corpus(
                 case_path=str(path),
                 max_cycle_length=max_cycle_length,
                 limit=limit,
-                    )
+            )
         )
     return reports

@@ -18,19 +18,19 @@ structural risk translates directly into a recommended MPL.  Concretely:
 
 * templates are grouped into **workload classes** by their structural
   signature (reader vs writer, lock count) or supplied explicitly;
-* every feasible pairwise inversion is counted, after the same
-  guard-lock filter the dynamic predictor applies (a common earlier
-  entity locked in incompatible modes by both templates serialises the
-  pair — the inversion can never close);
+* every feasible pairwise inversion is counted — the 2-cycles of the
+  pooled template lock-order graph, under the predictor's own
+  feasibility rule (a common earlier entity locked in incompatible
+  modes by both templates serialises the pair — the inversion can
+  never close);
 * a pair's deadlock score is ``1 - exp(-h)`` where the hazard ``h``
   sums each inversion's chance of joint residence in the critical
   window (``1 / (len_t * len_u)`` per inversion — both transactions
   must sit between their first ring lock and their blocking request at
   the same time).  This is a structural *ranking* score, deliberately
   workload-relative rather than a calibrated probability;
-* cross-class entity **cycles** are enumerated on the pooled lock-order
-  graph with the predictor's own machinery, so a three-class ring that
-  no pair exhibits still surfaces;
+* cross-class entity **cycles** are enumerated on the same graph, so a
+  three-class ring that no pair exhibits still surfaces;
 * the **recommended MPL** is the largest ``n`` whose expected number of
   deadlocking pairs ``C(n, 2) * mean_pair_risk`` stays within a budget
   (default 0.5 expected deadlocks) — the admission layer's
@@ -49,7 +49,7 @@ from ..core.operations import Lock, Unlock
 from ..core.transaction import TransactionProgram
 from ..locking.modes import LockMode
 from ..simulation.workload import WorkloadConfig, generate_workload
-from .events import AbstractLockEvent, events_from_acquisitions
+from .events import AbstractLockEvent, harvest_journal
 from .predict import LockOrderGraph
 
 #: Expected-deadlock budget the MPL recommendation defaults to.
@@ -105,18 +105,6 @@ class TransactionTemplate:
     def entities(self) -> tuple[str, ...]:
         return tuple(entity for entity, _mode in self.locks)
 
-    def mode_of(self, entity: str) -> LockMode | None:
-        for name, mode in self.locks:
-            if name == entity:
-                return mode
-        return None
-
-    def position_of(self, entity: str) -> int:
-        for index, (name, _mode) in enumerate(self.locks):
-            if name == entity:
-                return index
-        return -1
-
 
 @dataclass
 class WorkloadClass:
@@ -137,71 +125,6 @@ def classify_templates(
         WorkloadClass(name=signature, templates=groups[signature])
         for signature in sorted(groups)
     ]
-
-
-# -- pairwise inversion analysis ---------------------------------------------
-
-
-def template_inversions(
-    a: TransactionTemplate, b: TransactionTemplate
-) -> list[tuple[str, str]]:
-    """Feasible lock-order inversions between two templates.
-
-    ``(e, f)`` is returned when *a* locks ``e`` before ``f``, *b* locks
-    ``f`` before ``e``, the modes conflict on both entities, and no
-    common earlier entity gates the pair (both templates lock it before
-    their blocking points, in incompatible modes — that serialises
-    them, exactly the dynamic predictor's guard rule).
-    """
-    inversions: list[tuple[str, str]] = []
-    for i_e, (e, a_mode_e) in enumerate(a.locks):
-        b_pos_e = b.position_of(e)
-        if b_pos_e < 0:
-            continue
-        for i_f in range(i_e + 1, len(a.locks)):
-            f, a_mode_f = a.locks[i_f]
-            b_pos_f = b.position_of(f)
-            if b_pos_f < 0 or b_pos_f >= b_pos_e:
-                continue  # b must lock f strictly before e
-            b_mode_e = b.locks[b_pos_e][1]
-            b_mode_f = b.locks[b_pos_f][1]
-            if a_mode_e.compatible_with(b_mode_e):
-                continue  # no conflict on the entity a holds
-            if a_mode_f.compatible_with(b_mode_f):
-                continue  # no conflict on the entity b holds
-            # Gate filter: a blocks requesting f (guards = locks before
-            # i_f), b blocks requesting e (guards = locks before b_pos_e).
-            gated = False
-            a_guards = dict(a.locks[:i_f])
-            for g, b_mode_g in b.locks[:b_pos_e]:
-                a_mode_g = a_guards.get(g)
-                if a_mode_g is not None and not a_mode_g.compatible_with(
-                    b_mode_g
-                ):
-                    gated = True
-                    break
-            if not gated:
-                inversions.append((e, f))
-    return inversions
-
-
-def pair_hazard(
-    a: TransactionTemplate, b: TransactionTemplate
-) -> tuple[float, list[tuple[str, str]]]:
-    """Structural hazard of the (a, b) pair plus its inversions.
-
-    Each inversion contributes ``1 / (len_a * len_b)`` — the chance
-    both transactions occupy their critical windows simultaneously
-    shrinks with program length — and the pair's deadlock score is
-    ``1 - exp(-hazard)``.
-    """
-    if not a.locks or not b.locks:
-        return 0.0, []
-    inversions = sorted(
-        set(template_inversions(a, b)) | set(template_inversions(b, a))
-    )
-    hazard = len(inversions) / float(len(a.locks) * len(b.locks))
-    return hazard, inversions
 
 
 # -- the report ---------------------------------------------------------------
@@ -274,7 +197,7 @@ class RiskReport:
                 return cls.score
         return self.mean_pair_risk
 
-    def to_obj(self) -> dict[str, object]:
+    def to_obj(self, budget: float = DEFAULT_BUDGET) -> dict[str, object]:
         """JSON-ready form (stable key order via sort_keys dumps)."""
         return {
             "name": self.name,
@@ -305,22 +228,22 @@ class RiskReport:
                 for cycle in self.cycles
             ],
             "mean_pair_risk": round(self.mean_pair_risk, 6),
-            "recommended_mpl": self.recommended_mpl(),
+            "recommended_mpl": self.recommended_mpl(budget),
             "total_templates": self.total_templates,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=True)
+    def to_json(self, budget: float = DEFAULT_BUDGET) -> str:
+        return json.dumps(self.to_obj(budget), indent=2, sort_keys=True)
 
-    def describe(self) -> str:
+    def describe(self, budget: float = DEFAULT_BUDGET) -> str:
         """Multi-line human-readable report (the ``repro advise`` body)."""
         lines = [
             f"workload             {self.name}",
             f"templates            {self.total_templates} "
             f"in {len(self.classes)} class(es)",
             f"mean pair risk       {self.mean_pair_risk:.4f}",
-            f"recommended MPL      {self.recommended_mpl()} "
-            f"(budget {DEFAULT_BUDGET} expected deadlocks)",
+            f"recommended MPL      {self.recommended_mpl(budget)} "
+            f"(budget {budget} expected deadlocks)",
         ]
         for cls in self.classes:
             hot = ", ".join(cls.hot_entities[:4]) or "none"
@@ -352,54 +275,22 @@ class RiskReport:
 # -- the analysis --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TemplateAcquisition:
-    """Adapter feeding template locks into the predictor's graph."""
-
-    txn: str
-    entity: str
-    mode: LockMode
-    held_before: tuple[tuple[str, LockMode], ...]
-
-
 def _template_events(
     templates: Sequence[TransactionTemplate],
 ) -> list[AbstractLockEvent]:
-    acquisitions = [
-        _TemplateAcquisition(
+    """Each template's acquisitions as lock events, all in segment 0:
+    nothing orders two static templates."""
+    return [
+        AbstractLockEvent(
             txn=template.name,
             entity=entity,
             mode=mode,
+            segment=0,
             held_before=template.locks[:index],
         )
         for template in templates
         for index, (entity, mode) in enumerate(template.locks)
     ]
-    return events_from_acquisitions(acquisitions)
-
-
-def potential_cycles(
-    templates: Sequence[TransactionTemplate],
-    max_cycle_length: int = 4,
-    limit: int = 50,
-) -> list[dict[str, tuple[str, ...]]]:
-    """Feasible entity rings on the pooled template lock-order graph.
-
-    Reuses the dynamic predictor's cycle enumeration and feasibility
-    check (mode conflicts + gate locks); templates of one pool share a
-    segment, so the vector-clock test never prunes here — exactly
-    right, since nothing orders two static templates.
-    """
-    graph = LockOrderGraph(_template_events(templates))
-    found: list[dict[str, tuple[str, ...]]] = []
-    for cycle in graph.cycles(max_length=max_cycle_length, limit=limit):
-        found.append(
-            {
-                "entities": tuple(edge.held for edge in cycle),
-                "templates": tuple(edge.txn for edge in cycle),
-            }
-        )
-    return found
 
 
 def analyze_classes(
@@ -407,7 +298,13 @@ def analyze_classes(
     name: str = "workload",
     max_cycle_length: int = 4,
 ) -> RiskReport:
-    """Score *classes* without executing anything."""
+    """Score *classes* without executing anything.
+
+    A template pair's inversions are the arcs of the 2-cycles between
+    them on the pooled lock-order graph (every 2-cycle, unlimited);
+    ``report.cycles`` is the separate, limited ring search on the same
+    graph.
+    """
     report = RiskReport(name=name)
     pool: list[tuple[str, TransactionTemplate]] = [
         (cls.name, template)
@@ -417,6 +314,12 @@ def analyze_classes(
     report.total_templates = len(pool)
     if not pool:
         return report
+    graph = LockOrderGraph(_template_events([t for _c, t in pool]))
+    inversions_of: dict[frozenset[str], set[tuple[str, str]]] = {}
+    for ring in graph.cycles(max_length=2, limit=None):
+        inversions_of.setdefault(
+            frozenset(edge.txn for edge in ring), set()
+        ).update((edge.held, edge.acquired) for edge in ring)
 
     # Template-pair scores, aggregated per class pair and per template.
     pair_scores: dict[tuple[str, str], list[float]] = {}
@@ -428,7 +331,17 @@ def analyze_classes(
         class_a, a = pool[i]
         for j in range(i + 1, len(pool)):
             class_b, b = pool[j]
-            hazard, inversions = pair_hazard(a, b)
+            # Each inversion contributes 1 / (len_a * len_b): the chance
+            # both occupy their critical windows at once shrinks with
+            # program length.
+            inversions = sorted(
+                inversions_of.get(frozenset((a.name, b.name)), ())
+            )
+            hazard = (
+                len(inversions) / float(len(a.locks) * len(b.locks))
+                if inversions
+                else 0.0
+            )
             score = 1.0 - math.exp(-hazard)
             all_scores.append(score)
             per_template[a.name].append(score)
@@ -485,9 +398,13 @@ def analyze_classes(
         ),
         key=lambda p: (-p.score, p.a, p.b),
     )
-    report.cycles = potential_cycles(
-        [t for _c, t in pool], max_cycle_length=max_cycle_length
-    )
+    report.cycles = [
+        {
+            "entities": tuple(edge.held for edge in ring),
+            "templates": tuple(edge.txn for edge in ring),
+        }
+        for ring in graph.cycles(max_length=max_cycle_length, limit=50)
+    ]
     return report
 
 
@@ -545,8 +462,6 @@ def analyze_journal(
     journal: str | Path, max_cycle_length: int = 4
 ) -> RiskReport:
     """Score the workload a service journal recorded."""
-    from .events import harvest_journal
-
     trace = harvest_journal(journal)
     return analyze_sequences(
         trace.lock_sequences,

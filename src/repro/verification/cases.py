@@ -12,8 +12,10 @@ schedule" as "candidate smaller failure".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
+from ..simulation.engine import SimulationEngine
 from ..simulation.interleaving import RandomInterleaving, Scripted
 from ..simulation.workload import WorkloadConfig
 from .faults import resolve_policy
@@ -88,7 +90,10 @@ def make_case(
     )
 
 
-def replay(case: ReplayCase) -> RunOutcome:
+def replay(
+    case: ReplayCase,
+    instrument: Callable[[SimulationEngine], None] | None = None,
+) -> RunOutcome:
     """Re-execute *case* and report what the oracles observed.
 
     The schedule is followed entry by entry (entries naming a transaction
@@ -97,7 +102,8 @@ def replay(case: ReplayCase) -> RunOutcome:
     stops once the schedule is consumed.  A budget of
     ``len(schedule) + extra_steps`` engine steps bounds pathological
     replays.  A liveness case (``interleaving_seed`` set) runs to completion
-    under a seeded random interleaving instead.
+    under a seeded random interleaving instead.  ``instrument`` is
+    :func:`~repro.verification.harness.run_with_oracles`'s.
     """
     liveness = case.interleaving_seed is not None
     return run_with_oracles(
@@ -113,6 +119,7 @@ def replay(case: ReplayCase) -> RunOutcome:
         livelock_window=5_000 if liveness else 0,
         stop_when_scripted_exhausted=True,
         fault_plan=case.fault_plan,
+        instrument=instrument,
     )
 
 

@@ -12,6 +12,7 @@ interleaving as a replayable schedule — comes back as a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..core.scheduler import Scheduler
 from ..core.victim import VictimPolicy
@@ -73,6 +74,7 @@ def run_with_oracles(
     livelock_window: int = 20_000,
     stop_when_scripted_exhausted: bool = False,
     fault_plan: dict | None = None,
+    instrument: Callable[[SimulationEngine], None] | None = None,
 ) -> RunOutcome:
     """Run one workload under oracle observation.
 
@@ -93,6 +95,10 @@ def run_with_oracles(
     failures.  Crash events are stripped: this harness has no recovery
     loop; crash-recovery equivalence is
     :func:`repro.resilience.chaos.chaos_run`'s job.
+
+    ``instrument`` is called with the built engine before the fault
+    injector attaches, as in :func:`~repro.resilience.chaos.chaos_run`
+    (the deadlock predictor installs its event bus this way).
     """
     db, programs = generate_workload(config, seed=workload_seed)
     expected = expected_final_state(db, programs)
@@ -123,6 +129,8 @@ def run_with_oracles(
         livelock_window=livelock_window,
         on_step=observe,
     )
+    if instrument is not None:
+        instrument(engine)
     if fault_plan is not None:
         # Imported lazily: repro.resilience.chaos imports this module.
         from ..resilience.faults import FaultInjector, FaultKind, FaultPlan

@@ -1,5 +1,5 @@
-"""Partial-order prediction: vector clocks, journal harvesting, and the
-confirmed set over the regression corpus.
+"""Partial-order prediction: the boot-segment order, journal harvesting,
+and the confirmed set over the regression corpus.
 
 The headline regression lives in ``clean_ring4_seed131_serial.json``: a
 pure four-transaction ring recorded under a serial schedule.  A search
@@ -11,24 +11,27 @@ replay to a real deadlock, and the corpus's confirmed set is pinned.
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 from repro.locking.modes import LockMode
-from repro.staticcheck import predict_case, predict_corpus, predict_journal
+from repro.staticcheck import predict_case, predict_journal
 from repro.staticcheck.events import (
+    AbstractLockEvent,
     concurrent,
-    events_from_acquisitions,
-    happens_before,
     harvest_journal,
 )
+from repro.verification.cases import ReplayCase
 from repro.verification.regressions import load_case
 
 REGRESSIONS = Path(__file__).parent / "regressions"
 
 
-def acquisition(txn, entity, mode=LockMode.EXCLUSIVE, held=()):
-    return SimpleNamespace(
-        txn=txn, entity=entity, mode=mode, held_before=tuple(held)
+def grant(txn, entity, held=()):
+    return AbstractLockEvent(
+        txn=txn,
+        entity=entity,
+        mode=LockMode.EXCLUSIVE,
+        segment=0,
+        held_before=tuple(held),
     )
 
 
@@ -58,23 +61,20 @@ INVERSION_ROWS = [
 ]
 
 
-# -- the happens-before relation ----------------------------------------------
+# -- the partial order: program order plus boot segments ----------------------
 
 
-def test_program_order_is_happens_before():
-    a, b = events_from_acquisitions(
-        [acquisition("T001", "e0"), acquisition("T001", "e1")]
-    )
-    assert happens_before(a, b)
-    assert not happens_before(b, a)
+def test_program_order_orders_one_transaction():
+    a = grant("T001", "e0")
+    b = grant("T001", "e1", held=[("e0", LockMode.EXCLUSIVE)])
+    # one transaction's acquisitions are ordered by its program
     assert not concurrent(a, b)
-    assert not happens_before(a, a)
+    assert not concurrent(b, a)
+    assert not concurrent(a, a)
 
 
 def test_cross_transaction_same_segment_is_concurrent():
-    a, b = events_from_acquisitions(
-        [acquisition("T001", "e0"), acquisition("T002", "e1")]
-    )
+    a, b = grant("T001", "e0"), grant("T002", "e1")
     # the scheduler happened to run T001 first, but nothing *orders*
     # them — reordering scheduler choices is what prediction explores
     assert concurrent(a, b) and concurrent(b, a)
@@ -94,8 +94,8 @@ def test_boot_barrier_orders_segments(tmp_path):
     assert {e.segment for e in post} == {1}
     for a in pre:
         for b in post:
-            assert happens_before(a, b)
             assert not concurrent(a, b)
+            assert not concurrent(b, a)
 
 
 def test_recover_before_any_grant_is_not_a_barrier(tmp_path):
@@ -164,20 +164,20 @@ def test_journal_observed_deadlock_is_classified_observed(tmp_path):
 # -- the confirmed set --------------------------------------------------------
 
 
-def test_partial_order_confirms_a_superset_of_gate_lock():
-    # The corpus's confirmed set, pinned: the seed-26 two-ring (the
-    # one a pairwise heuristic also finds) and the seed-131 four-ring.
+def test_partial_order_confirms_a_superset_of_gate_lock(predicted_corpus):
+    # The seed-26 two-ring (the one a pairwise heuristic also finds) and
+    # the seed-131 four-ring must stay confirmed ...
     confirmed = {
         (
             Path(report.case_path).name,
             frozenset(p.txns),
             tuple(sorted(p.entities)),
         )
-        for report in predict_corpus(REGRESSIONS)
+        for report in predicted_corpus
         for p in report.predicted
         if p.confirmed
     }
-    assert confirmed == {
+    assert {
         (
             "clean_mcs_seed26_serial.json",
             frozenset({"T003", "T004"}),
@@ -188,6 +188,25 @@ def test_partial_order_confirms_a_superset_of_gate_lock():
             frozenset({"T001", "T002", "T003", "T004"}),
             ("e000", "e001", "e002", "e003"),
         ),
+    } <= confirmed
+    # ... and each case's (predicted, confirmed) counts are pinned; the
+    # S/X liveness cases fill the 200-cycle search limit.
+    assert {
+        Path(report.case_path).name: (
+            len(report.predicted),
+            len(report.predicted) - len(report.unconfirmed),
+        )
+        for report in predicted_corpus
+    } == {
+        "chaos_storage_fault_undegraded.json": (0, 0),
+        "clean_mcs_seed26_serial.json": (1, 1),
+        "clean_mcs_seed42.json": (0, 0),
+        "clean_ring4_seed131_serial.json": (1, 1),
+        "liveness_hot_sx_24x10_seed4054.json": (200, 200),
+        "liveness_hot_sx_40x10_seed63.json": (200, 200),
+        "liveness_hot_sx_40x10_seed84.json": (200, 200),
+        "liveness_hot_sx_40x10_seed88.json": (200, 200),
+        "preemption_order_flipped.json": (0, 0),
     }
 
 
@@ -205,9 +224,37 @@ def test_ring4_seed131_needs_the_partial_order_method():
     assert report.ok
 
 
-def test_no_method_ever_false_confirms():
+def test_no_method_ever_false_confirms(predicted_corpus):
     # every confirmation replayed to a real engine deadlock (report.ok
-    # fails on any feasible-but-unrealizable cycle), at every depth
-    for depth in (3, 4):
-        for report in predict_corpus(REGRESSIONS, max_cycle_length=depth):
-            assert report.ok, (depth, report.case_path)
+    # fails on any feasible-but-unrealizable cycle), at every depth:
+    # the whole corpus at depth 4, and at depth 3 every case but the
+    # three 40x10 liveness runs, whose whole-run harvests would double
+    # this module's time (the 24x10 S/X liveness case stays in)
+    for report in predicted_corpus:
+        assert report.ok, (4, report.case_path)
+    for path in sorted(REGRESSIONS.glob("*.json")):
+        if path.name.startswith("liveness_hot_sx_40x10"):
+            continue
+        case, _expect = load_case(path)
+        if isinstance(case, ReplayCase):
+            report = predict_case(case, max_cycle_length=3)
+            assert report.ok, (3, path.name)
+
+
+def test_liveness_case_is_harvested_from_its_own_replay(predicted_corpus):
+    # A liveness case has no schedule: its run is driven by the seeded
+    # random interleaving.  The harvest must follow that run, and every
+    # prediction must confirm — including rings whose witness closes a
+    # chord first (in seed 4054, T005's request for e002 also waits on
+    # T023's S guard on e002, so the 2-cycle T005<->T023 closes before
+    # the ring T023->T014->T005->T003 does).
+    # (predict_case's report, from the session's corpus pass)
+    (report,) = [
+        report
+        for report in predicted_corpus
+        if report.case_path.endswith("liveness_hot_sx_24x10_seed4054.json")
+    ]
+    assert report.acquisitions > 1
+    assert report.trace_deadlocks > 0
+    assert report.predicted
+    assert report.ok

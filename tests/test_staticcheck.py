@@ -28,8 +28,8 @@ from repro.core.victim import VictimPolicy, available_policies, make_policy
 from repro.staticcheck import (
     all_rules,
     default_checkers,
+    harvest_case,
     predict_case,
-    predict_corpus,
     run_lint,
 )
 from repro.verification.regressions import load_case
@@ -226,6 +226,8 @@ def test_cli_lint_fixture_exits_nonzero(fixture, capsys):
         "--predict --corpus /nonexistent",
         "/nonexistent",
         "--predict --journal /nonexistent.jsonl",
+        "--predict --max-cycle-length 1",
+        "--predict --max-cycle-length 0",
     ],
 )
 def test_cli_lint_bad_input_is_a_usage_error(argv, capsys):
@@ -353,19 +355,12 @@ def test_predict_finds_alternate_interleaving_deadlock():
 
 
 def test_predicted_witness_replays_to_a_real_deadlock():
-    from repro.staticcheck.predict import _harvest
-
+    # the witness, replayed as the case's own schedule over the whole
+    # workload, makes the detector report exactly the predicted cycle
     case, _ = load_case(REGRESSIONS / "clean_mcs_seed26_serial.json")
     predicted = predict_case(case).alternates[0]
-    _acqs, deadlocks, _result = _harvest(
-        case.with_schedule(list(predicted.witness))
-    )
-    cycles = {
-        frozenset(cycle)
-        for event in deadlocks
-        for cycle in event.cycles
-    }
-    assert frozenset(predicted.txns) in cycles
+    trace = harvest_case(case.with_schedule(list(predicted.witness)))
+    assert frozenset(predicted.txns) in trace.observed_deadlocks
 
 
 def test_predict_respects_gate_locks():
@@ -378,14 +373,28 @@ def test_predict_respects_gate_locks():
     assert report.predicted == []
 
 
-def test_predict_corpus_is_sound():
-    for report in predict_corpus(REGRESSIONS):
+def test_predict_corpus_is_sound(predicted_corpus):
+    for report in predicted_corpus:
         assert report.ok, report.case_path
 
 
-def test_cli_lint_predict_reports_the_alternate(capsys):
-    assert main(["lint", "src/repro", "--predict",
+def test_cli_lint_predict_reports_the_alternate(
+    capsys, monkeypatch, predicted_corpus
+):
+    # the CLI prints what predict_corpus returns; the session's corpus
+    # pass stands in for a second identical one, and the clean fixture
+    # for the tree (test_cli_lint_clean_tree_exits_zero lints that)
+    calls = []
+
+    def corpus_pass(corpus, max_cycle_length):
+        calls.append((corpus, max_cycle_length))
+        return predicted_corpus
+
+    monkeypatch.setattr(repro.staticcheck, "predict_corpus", corpus_pass)
+    assert main(["lint", str(FIXTURES / "clean.py"), "--predict",
                  "--corpus", str(REGRESSIONS)]) == 0
+    assert calls == [(str(REGRESSIONS), 4)]
     out = capsys.readouterr().out
     assert "alternate-interleaving deadlock" in out
     assert "confirmed" in out
+    assert "UNCONFIRMED" not in out

@@ -6,7 +6,12 @@ journals) and must score them deterministically.
 """
 
 import json
-from pathlib import Path
+import math
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.operations import lock_exclusive, lock_shared, unlock
@@ -15,6 +20,8 @@ from repro.locking.modes import LockMode
 from repro.simulation.workload import WorkloadConfig
 from repro.staticcheck import (
     TransactionTemplate,
+    WorkloadClass,
+    analyze_classes,
     analyze_config,
     analyze_journal,
     analyze_programs,
@@ -23,8 +30,6 @@ from repro.staticcheck import (
 from repro.staticcheck.workload import (
     MAX_RECOMMENDED_MPL,
     classify_templates,
-    pair_hazard,
-    template_inversions,
 )
 
 X = LockMode.EXCLUSIVE
@@ -42,6 +47,11 @@ HOT = WorkloadConfig(
 
 def template(name, *locks):
     return TransactionTemplate(name=name, locks=tuple(locks))
+
+
+def pair_report(a, b):
+    """The report on a two-template pool (one class)."""
+    return analyze_classes([WorkloadClass(name="pool", templates=[a, b])])
 
 
 # -- template extraction ------------------------------------------------------
@@ -62,9 +72,6 @@ def test_template_stops_at_the_shrinking_phase():
     assert extracted.locks == (("e0", X), ("e1", S))
     assert extracted.signature == "w2"
     assert extracted.entities == ("e0", "e1")
-    assert extracted.mode_of("e1") is S
-    assert extracted.position_of("e1") == 1
-    assert extracted.position_of("missing") == -1
 
 
 def test_signature_separates_readers_from_writers():
@@ -81,16 +88,19 @@ def test_signature_separates_readers_from_writers():
 def test_opposite_order_writers_invert():
     a = template("a", ("e0", X), ("e1", X))
     b = template("b", ("e1", X), ("e0", X))
-    assert template_inversions(a, b) == [("e0", "e1")]
-    hazard, inversions = pair_hazard(a, b)
-    assert inversions == [("e0", "e1"), ("e1", "e0")]
-    assert hazard == 2 / 4
+    report = pair_report(a, b)
+    # one ring, counted once per direction: (e0, e1) and (e1, e0)
+    assert report.pairs[0].inversions == 2
+    assert report.mean_pair_risk == 1.0 - math.exp(-2 / 4)
+    assert report.classes[0].hot_entities == ("e0", "e1")
 
 
 def test_shared_modes_do_not_invert():
     a = template("a", ("e0", S), ("e1", S))
     b = template("b", ("e1", S), ("e0", S))
-    assert pair_hazard(a, b) == (0.0, [])
+    report = pair_report(a, b)
+    assert report.pairs[0].inversions == 0
+    assert report.mean_pair_risk == 0.0
 
 
 def test_gate_lock_serialises_the_pair():
@@ -98,12 +108,72 @@ def test_gate_lock_serialises_the_pair():
     # the e0/e1 inversion can never close
     a = template("a", ("g", X), ("e0", X), ("e1", X))
     b = template("b", ("g", X), ("e1", X), ("e0", X))
-    assert pair_hazard(a, b) == (0.0, [])
+    assert pair_report(a, b).mean_pair_risk == 0.0
     # a shared gate serialises nothing
     a_s = template("a", ("g", S), ("e0", X), ("e1", X))
     b_s = template("b", ("g", S), ("e1", X), ("e0", X))
-    hazard, _ = pair_hazard(a_s, b_s)
-    assert hazard > 0.0
+    assert pair_report(a_s, b_s).mean_pair_risk > 0.0
+
+
+def reference_inversions(a, b):
+    """Pairwise inversions from their definition, independent of the
+    lock-order graph: *a* locks e before f, *b* locks f before e, the
+    modes conflict on both entities, and no entity both hold at their
+    blocking points (a's request of f, b's request of e) is held in
+    incompatible modes."""
+    found = set()
+    for t, u in ((a, b), (b, a)):
+        u_at = {entity: i for i, (entity, _mode) in enumerate(u.locks)}
+        for i, (e, t_e) in enumerate(t.locks):
+            for j in range(i + 1, len(t.locks)):
+                f, t_f = t.locks[j]
+                if e not in u_at or f not in u_at or u_at[f] >= u_at[e]:
+                    continue
+                u_e, u_f = u.locks[u_at[e]][1], u.locks[u_at[f]][1]
+                if t_e.compatible_with(u_e) or t_f.compatible_with(u_f):
+                    continue
+                t_guards = dict(t.locks[:j])
+                if any(
+                    g in t_guards and not t_guards[g].compatible_with(mode)
+                    for g, mode in u.locks[: u_at[e]]
+                ):
+                    continue
+                found.add((e, f))
+                found.add((f, e))
+    return found
+
+
+random_template_locks = st.lists(
+    st.tuples(st.sampled_from(["e0", "e1", "e2", "e3", "e4", "e5"]),
+              st.sampled_from([S, X])),
+    min_size=2,
+    max_size=6,
+    unique_by=lambda lock: lock[0],
+)
+
+
+@settings(max_examples=50)
+@given(st.lists(random_template_locks, min_size=2, max_size=5))
+def test_pooled_graph_inversions_match_the_definition(pools):
+    templates = [
+        TransactionTemplate(name=f"T{i}", locks=tuple(locks))
+        for i, locks in enumerate(pools)
+    ]
+    report = analyze_classes(
+        [WorkloadClass(name=f"c{i}", templates=[t])
+         for i, t in enumerate(templates)]
+    )
+    # one template per class, so each class pair is one template pair
+    by_pair = {(p.a, p.b): p.inversions for p in report.pairs}
+    scores = []
+    for i, j in combinations(range(len(templates)), 2):
+        a, b = templates[i], templates[j]
+        expected = reference_inversions(a, b)
+        assert by_pair[(f"c{i}", f"c{j}")] == len(expected)
+        scores.append(
+            1.0 - math.exp(-len(expected) / (len(a.locks) * len(b.locks)))
+        )
+    assert report.mean_pair_risk == pytest.approx(sum(scores) / len(scores))
 
 
 # -- the report ---------------------------------------------------------------
@@ -223,3 +293,34 @@ def test_cli_advise_text_suggests_admission(capsys):
     out = capsys.readouterr().out
     assert "recommended MPL" in out
     assert "--admission predictive" in out
+
+
+def test_cli_advise_budget_drives_the_one_recommendation(capsys):
+    assert main(["advise", "--budget", "4"]) == 0
+    out = capsys.readouterr().out
+    stated = [line for line in out.splitlines()
+              if line.startswith("recommended MPL")]
+    mpl = int(stated[0].split()[2])
+    assert "(budget 4.0 expected deadlocks)" in stated[0]
+    assert f"--mpl {mpl}" in out
+    assert main(["advise", "--budget", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["recommended_mpl"] == mpl
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--budget -1",
+        "--budget 0",
+        "--budget nan",
+        "--max-cycle-length 0",
+        "--max-cycle-length 1",
+    ],
+)
+def test_cli_advise_bad_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["advise", *argv.split()])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("repro advise: error: ")
