@@ -671,8 +671,8 @@ def cmd_lint(args) -> int:
             print(
                 f"{pred.case_path}: {pred.acquisitions} acquisitions, "
                 f"{pred.edges} lock-order edges, "
-                f"{pred.trace_deadlocks} deadlock(s) in the recorded "
-                f"trace, {len(pred.predicted)} predicted cycle(s)"
+                f"{pred.trace_deadlocks} distinct deadlocked transaction "
+                f"set(s) recorded, {len(pred.predicted)} predicted cycle(s)"
                 f"{segments}"
             )
             for deadlock in pred.predicted:
@@ -814,7 +814,7 @@ def _cmd_top_follow(args) -> int:
             metrics = {
                 k: v
                 for k, v in reply.items()
-                if k not in ("rid", "ok", "verb", "code", "trace")
+                if k not in ("rid", "ok", "verb", "code")
             }
             if args.json:
                 print(json.dumps(metrics, sort_keys=True))

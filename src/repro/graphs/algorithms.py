@@ -131,13 +131,19 @@ def simple_cycles_through(
     path: list[Node] = [start]
     on_path: set = {start}
     visits = 0
+    # Each node's successors, sorted once per call: a node is revisited
+    # once per simple path that reaches it.
+    ordered: dict[Node, list[Node]] = {}
 
     def dfs(node: Node) -> bool:
         nonlocal visits
         visits += 1
         if visits > visit_budget:
             return False
-        for succ in sorted(_successors(graph, node), key=repr):
+        succs = ordered.get(node)
+        if succs is None:
+            succs = ordered[node] = sorted(_successors(graph, node), key=repr)
+        for succ in succs:
             if succ == start:
                 cycles.append(list(path))
                 if len(cycles) >= limit:

@@ -1,27 +1,19 @@
 """Cross-site causal tracing: one transaction's life as a single timeline.
 
 Spans (:mod:`repro.observability.spans`) already explain *what* happened
-to each transaction inside one scheduler.  This module closes the two
-remaining gaps:
-
-* **Propagation.**  :class:`TraceContext` is the deterministic context a
-  service client attaches to every request (and the server echoes back):
-  a trace id derived from the client's own counters, a span id per
-  attempt, the originating site, and a Lamport clock merged at every
-  hop.  No wall clock, no randomness — two same-seed runs produce the
-  same contexts, which keeps the byte-identity contracts intact.
-  :class:`Tracer` is the per-process registry the service core uses to
-  merge incoming clocks and stamp outgoing replies.
-
-* **Stitching.**  :func:`build_txn_trace` folds a recorded event stream
-  into a :class:`TxnTrace` for one transaction: admission, blocks and
-  grants (with entities), inter-site messages it rode on, wounds and
-  probes that crossed a link, the partial rollback with its mandatory
-  cause link — resolved back to the message that carried the wound, so
-  a rollback caused from another site shows ``site a -> site b``
-  explicitly — and the final commit/shed.  Site attribution is inferred
-  from the message stream itself (a transaction's LOCK_REQUESTs leave
-  its home site), so traces can be rebuilt from an exported JSONL log.
+to each transaction inside one scheduler.  This module stitches the
+*why* and *where*: :func:`build_txn_trace` folds a recorded event stream
+into a :class:`TxnTrace` for one transaction: admission, blocks and
+grants (with entities), inter-site messages it rode on, wounds and
+probes that crossed a link, the partial rollback with its mandatory
+cause link — resolved back to the message that carried the wound, so a
+rollback caused from another site shows ``site a -> site b`` explicitly
+— and the final commit/shed.  Site attribution is inferred from the
+message stream itself (a transaction's LOCK_REQUESTs leave its home
+site), so traces can be rebuilt from an exported JSONL log.  A service
+journal needs no second causal record: its ``rid``s
+(``{client}.{n}.{attempt}``) and bus ``seq`` already order every
+request and reply.
 
 ``repro trace <scenario> --txn T007`` renders the timeline; the
 ``distributed`` scenario (five sites, rf=2, chaos faults) exists so the
@@ -31,7 +23,7 @@ cross-site story has a first-class, seeded reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .events import Event, EventKind
 
@@ -44,139 +36,6 @@ _SKIPPED = frozenset({EventKind.STEP, EventKind.SAMPLE})
 #: site of the transaction the message names: a wound travels from the
 #: requester's home to the victim's.
 _RECEIVER_HOMED = frozenset({"wound", "lock-grant", "lock-denied-wait"})
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """One hop's causal coordinates, carried on the wire as a dict.
-
-    ``trace_id`` names the whole transaction-spanning trace (derived
-    from the client's name and request counter — deterministic).
-    ``span`` names the current hop, ``parent`` the hop that caused it.
-    ``site`` is the originating site (-1 for a client outside the
-    cluster) and ``clock`` a Lamport clock: send ticks it, receive
-    merges it, so cross-process cause always has a smaller clock.
-    """
-
-    trace_id: str
-    span: str = ""
-    parent: str = ""
-    site: int = -1
-    clock: int = 0
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "id": self.trace_id,
-            "span": self.span,
-            "parent": self.parent,
-            "site": self.site,
-            "clock": self.clock,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Mapping[str, Any]) -> "TraceContext | None":
-        """Tolerant decode of a wire ``trace`` field (None on garbage)."""
-        trace_id = obj.get("id") if isinstance(obj, Mapping) else None
-        if not isinstance(trace_id, str) or not trace_id:
-            return None
-        clock = obj.get("clock", 0)
-        site = obj.get("site", -1)
-        return cls(
-            trace_id=trace_id,
-            span=str(obj.get("span", "")),
-            parent=str(obj.get("parent", "")),
-            site=site if isinstance(site, int) else -1,
-            clock=clock if isinstance(clock, int) else 0,
-        )
-
-    def child(self, span: str, site: int | None = None) -> "TraceContext":
-        """The next hop: current span becomes the parent, clock ticks."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span=span,
-            parent=self.span,
-            site=self.site if site is None else site,
-            clock=self.clock + 1,
-        )
-
-    def merged(self, clock: int) -> "TraceContext":
-        """Lamport receive rule: ``max(local, remote) + 1``."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span=self.span,
-            parent=self.parent,
-            site=self.site,
-            clock=max(self.clock, clock) + 1,
-        )
-
-
-class Tracer:
-    """Per-process trace registry (the service core owns one).
-
-    Merges every incoming :class:`TraceContext` into a process-wide
-    Lamport clock and remembers the latest context per transaction so
-    ``trace_status`` can answer "where has this transaction been".
-    Everything is a pure function of the request order — replaying a
-    journal reproduces the same clocks and contexts.
-    """
-
-    def __init__(self, site: int = 0) -> None:
-        self.site = site
-        self.clock = 0
-        self.by_txn: dict[str, TraceContext] = {}
-
-    def observe(
-        self, trace_obj: Any, txn: str = ""
-    ) -> TraceContext | None:
-        """Merge one incoming wire ``trace`` field; returns the context
-        as seen by this process (site rewritten, clock merged)."""
-        context = (
-            TraceContext.from_obj(trace_obj)
-            if isinstance(trace_obj, Mapping)
-            else None
-        )
-        if context is None:
-            return None
-        self.clock = max(self.clock, context.clock) + 1
-        seen = TraceContext(
-            trace_id=context.trace_id,
-            span=context.span,
-            parent=context.parent,
-            site=self.site,
-            clock=self.clock,
-        )
-        if txn:
-            self.by_txn[txn] = seen
-        return seen
-
-    def stamp(self, txn: str = "") -> dict[str, Any]:
-        """The outgoing ``trace`` echo for a reply: the transaction's
-        latest context (if any) at this process's current clock."""
-        context = self.by_txn.get(txn)
-        if context is None:
-            return {"site": self.site, "clock": self.clock}
-        return {
-            "id": context.trace_id,
-            "span": context.span,
-            "site": self.site,
-            "clock": self.clock,
-        }
-
-    def forget(self, txn: str) -> None:
-        self.by_txn.pop(txn, None)
-
-    def status(self, txn: str) -> dict[str, Any]:
-        context = self.by_txn.get(txn)
-        return {
-            "txn": txn,
-            "known": context is not None,
-            "trace": None if context is None else context.to_obj(),
-            "site": self.site,
-            "clock": self.clock,
-        }
-
-
-# -- stitching a recorded stream into one transaction's timeline -----------
 
 
 @dataclass
@@ -403,14 +262,7 @@ def build_txn_trace(events: Iterable[Event], txn: str) -> TxnTrace:
         elif kind is EventKind.SERVICE_REQUEST:
             verb = event.data.get("verb", "?")
             rid = event.data.get("rid", "")
-            trace_field = event.data.get("trace")
-            tag = ""
-            if isinstance(trace_field, Mapping) and trace_field.get("id"):
-                tag = (
-                    f" trace={trace_field['id']}"
-                    f"@{trace_field.get('clock', 0)}"
-                )
-            entry.detail = f"request {verb} ({rid}){tag}"
+            entry.detail = f"request {verb} ({rid})"
         elif kind is EventKind.SERVICE_REPLY:
             entry.detail = (
                 f"reply {event.data.get('verb', '?')} "

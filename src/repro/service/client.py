@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..observability.tracing import TraceContext
 from . import protocol
 from .protocol import ServiceError
 
@@ -115,13 +114,6 @@ class ServiceClient:
         self._sock: socket.socket | None = None
         self._reader = None
         self._rid_counter = 0
-        #: Client-side Lamport clock, merged from every reply's trace
-        #: echo; deterministic given the request/reply order.
-        self._trace_clock = 0
-        #: ``txn -> trace id``: the id minted at ``begin`` follows the
-        #: transaction through every later request, so the whole life
-        #: of one transaction shares one trace.
-        self._txn_trace_ids: dict[str, str] = {}
 
     # -- connection management ----------------------------------------------
 
@@ -160,28 +152,12 @@ class ServiceClient:
         obj.update({k: v for k, v in fields.items() if v is not None})
         if idem:
             obj["idem"] = base_rid
-        trace_id = (
-            self._txn_trace_ids.get(str(fields.get("txn") or ""))
-            or base_rid
-        )
         attempts: list[str] = []
         slept = 0.0
         backoff = 0.0
-        parent_span = ""
         self.stats.requests += 1
         for attempt in range(self.policy.max_attempts):
             obj["rid"] = f"{base_rid}.{attempt}"
-            # Each attempt is its own span; a retry's parent is the
-            # attempt it replaces, so the retry chain is causally linked.
-            self._trace_clock += 1
-            obj["trace"] = TraceContext(
-                trace_id=trace_id,
-                span=str(obj["rid"]),
-                parent=parent_span,
-                site=-1,
-                clock=self._trace_clock,
-            ).to_obj()
-            parent_span = str(obj["rid"])
             started = time.monotonic()
             try:
                 reply = self._exchange(obj)
@@ -192,7 +168,6 @@ class ServiceClient:
             else:
                 self.stats.replies += 1
                 self.stats.latencies.append(time.monotonic() - started)
-                self._merge_trace(reply.get("trace"))
                 code = reply.get("code")
                 if code not in protocol.RETRYABLE:
                     if not reply.get("ok"):
@@ -200,7 +175,6 @@ class ServiceClient:
                             code if isinstance(code, int) else 500,
                             str(reply.get("error", "request failed")),
                         )
-                    self._track_trace(verb, trace_id, reply)
                     return reply
                 if code == protocol.TOO_MANY:
                     self.stats.rejected_429 += 1
@@ -219,21 +193,6 @@ class ServiceClient:
             f"({slept:.2f}s backoff)",
             attempts,
         )
-
-    def _merge_trace(self, echo: Any) -> None:
-        """Lamport receive rule applied to a reply's trace echo."""
-        if isinstance(echo, dict) and isinstance(echo.get("clock"), int):
-            self._trace_clock = max(self._trace_clock, echo["clock"]) + 1
-
-    def _track_trace(self, verb: str, trace_id: str, reply: dict) -> None:
-        """Carry the ``begin`` trace id forward; drop it at txn end."""
-        txn = str(reply.get("txn", ""))
-        if not txn:
-            return
-        if verb == "begin":
-            self._txn_trace_ids[txn] = trace_id
-        elif verb in ("commit", "abort"):
-            self._txn_trace_ids.pop(txn, None)
 
     def _exchange(self, obj: dict) -> dict:
         """One attempt: send the frame, read the matching reply line.
@@ -291,7 +250,3 @@ class ServiceClient:
     def metrics(self) -> dict:
         """The server's live streaming-telemetry snapshot."""
         return self.request("metrics", idem=False)
-
-    def trace_status(self, txn: str | None = None) -> dict:
-        """Where the server last saw *txn*'s trace context."""
-        return self.request("trace_status", idem=False, txn=txn)

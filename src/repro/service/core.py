@@ -24,15 +24,22 @@ Robustness wiring, all through existing subsystems:
   already answered is shed (:data:`STALE_READ`, **503**): the client
   computed its later requests from that value.
 * breaker — a :class:`~repro.admission.breaker.CircuitBreaker` fed by
-  commit/shed outcomes; while open, ``begin`` answers **503**.
+  commit/shed outcomes (:data:`BREAKER_THRESHOLD` sheds within
+  :data:`BREAKER_WINDOW` steps open it for :data:`BREAKER_COOLDOWN`);
+  while open, ``begin`` answers **503**.
 * idempotency — requests carrying an ``idem`` key are deduplicated
-  through a bounded window: retries of a completed request return the
-  recorded reply without touching the lock table; retries of one still
-  in flight attach to it.
+  through a window of :data:`DEDUP_WINDOW` replies: retries of a
+  completed request return the recorded reply without touching the
+  lock table; retries of one still in flight attach to it.
 * reaping — terminated sessions are dropped from every per-transaction
   map after each request, and the waits-for graph holds entries only
   for live arcs, keeping a forever-running service bounded by
   *concurrent* load.
+
+The journal is the service's one causal record: every request and reply
+is on it in bus order, named by its ``rid``.  A request field outside
+:data:`_JOURNALED_FIELDS` (such as the ``trace`` dict earlier clients
+sent) is ignored, not journaled and not echoed.
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from ..core.transaction import TxnStatus
 from ..errors import ReproError, SimulationError
 from ..observability.events import Event, EventBus, EventKind
 from ..observability.streaming import StreamingAggregator
-from ..observability.tracing import TraceContext, Tracer
 from ..resilience.wal import WriteAheadLog
 from ..storage.database import Database
 from . import protocol
@@ -68,17 +74,24 @@ CLIENT_ABORT = "client-abort"
 STALE_READ = "stale-read"
 
 
+#: Completed idempotent replies the dedup window remembers.
+DEDUP_WINDOW = 1024
+#: Scheduler steps one request may drive before the pump calls it a
+#: livelock.
+PUMP_BUDGET = 100_000
+#: Circuit breaker: sheds within the window that open it, and the
+#: logical steps it then stays open.
+BREAKER_THRESHOLD = 5
+BREAKER_WINDOW = 200
+BREAKER_COOLDOWN = 50
+
+
 @dataclass
 class ServiceConfig:
     """Tunables of one service instance (all logical-time units)."""
 
     max_sessions: int = 8
     deadline_steps: int = 60
-    dedup_window: int = 1024
-    pump_budget: int = 100_000
-    breaker_threshold: int = 5
-    breaker_window: int = 200
-    breaker_cooldown: int = 50
     strategy: str = "mcs"
     policy: str = "ordered-min-cost"
 
@@ -107,7 +120,6 @@ _JOURNALED_FIELDS = (
     "value",
     "deadline",
     "idem",
-    "trace",
 )
 
 
@@ -149,9 +161,9 @@ class ServiceCore:
         )
         self.enforcer = DeadlineEnforcer(self.config.deadline_steps)
         self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            window=self.config.breaker_window,
-            cooldown=self.config.breaker_cooldown,
+            failure_threshold=BREAKER_THRESHOLD,
+            window=BREAKER_WINDOW,
+            cooldown=BREAKER_COOLDOWN,
         )
         self.now = 0
         self.draining = False
@@ -164,10 +176,6 @@ class ServiceCore:
         self._shed_reason: dict[str, str] = {}
         #: Index of the last read each session has answered.
         self._answered_read: dict[str, int] = {}
-        #: Causal tracing: merges client-carried trace contexts into a
-        #: process Lamport clock and stamps reply echoes.
-        self.tracer = Tracer(site=0)
-        self._pending_trace: TraceContext | None = None
         self.bus.subscribe(self._observe)
         #: Bounded-memory telemetry folded from this core's own event
         #: stream — the ``metrics`` verb reads it live.  Subscribed
@@ -243,16 +251,6 @@ class ServiceCore:
                     if key != "txn" and request.get(key) is not None
                 },
             )
-        # Merge the client's causal context; ``begin`` has no txn yet,
-        # so the context is parked for `_begin` to bind to the fresh id.
-        # Only live sessions are registered — anything else would let
-        # requests naming terminated transactions regrow a map `_reap`
-        # never revisits.
-        txn_field = str(request.get("txn", ""))
-        self._pending_trace = self.tracer.observe(
-            request.get("trace"),
-            txn_field if txn_field in self._sessions else "",
-        )
         idem = request.get("idem")
         reply: dict | None
         if idem is not None and idem in self._dedup:
@@ -292,12 +290,6 @@ class ServiceCore:
         if verb == "metrics":
             self._advance()
             return ok_reply(rid, verb, **self.telemetry.metrics_obj())
-        if verb == "trace_status":
-            self._advance()
-            return ok_reply(
-                rid, verb,
-                **self.tracer.status(str(request.get("txn") or "")),
-            )
         txn_id = request.get("txn")
         session = self._sessions.get(txn_id) if txn_id else None
         if session is None:
@@ -358,8 +350,6 @@ class ServiceCore:
                 f"transactions already in flight",
             )
         self._sessions[txn_id] = program
-        if self._pending_trace is not None:
-            self.tracer.by_txn[txn_id] = self._pending_trace
         deadline = request.get("deadline")
         self.enforcer.watch(
             txn_id, self.now,
@@ -474,7 +464,7 @@ class ServiceCore:
         step: a read never blocks, and a later step may commit the
         transaction and tear down its storage.
         """
-        budget = self.config.pump_budget
+        budget = PUMP_BUDGET
         scheduler = self.scheduler
         progressed = True
         while progressed:
@@ -587,11 +577,6 @@ class ServiceCore:
 
     def _finalize(self, reply: dict, idem: Any) -> None:
         """Journal a reply and (for definitive outcomes) cache it."""
-        reply_txn = str(reply.get("txn", ""))
-        if reply_txn in self.tracer.by_txn and "trace" not in reply:
-            # Echo the transaction's causal context so the client can
-            # merge the server's Lamport clock into its own.
-            reply["trace"] = self.tracer.stamp(reply_txn)
         if self.bus.wants(EventKind.SERVICE_REPLY):
             self.bus.publish(
                 EventKind.SERVICE_REPLY,
@@ -609,7 +594,7 @@ class ServiceCore:
         cached = dict(reply)
         cached.pop("rid", None)
         self._dedup[str(idem)] = cached
-        while len(self._dedup) > self.config.dedup_window:
+        while len(self._dedup) > DEDUP_WINDOW:
             self._dedup.popitem(last=False)
 
     def _reap(self) -> None:
@@ -634,7 +619,6 @@ class ServiceCore:
             self.admission.admitted_at.pop(txn_id, None)
             self._shed_reason.pop(txn_id, None)
             self._answered_read.pop(txn_id, None)
-            self.tracer.forget(txn_id)
             self.telemetry.forget(txn_id)
 
     # -- drain ---------------------------------------------------------------

@@ -41,7 +41,6 @@ VERBS = (
     "abort",
     "status",
     "metrics",
-    "trace_status",
     "tick",
 )
 

@@ -110,8 +110,14 @@ def replay_journal(events: Iterable[Event]) -> list[Event]:
 
 
 def _reply_view(events: Iterable[Event]) -> list[dict]:
+    # Journals of earlier releases carry a ``trace`` echo on replies.  It
+    # restated the journal's own order, not a decision, so it is not
+    # compared.
     return [
-        {"txn": event.txn, **event.data}
+        {
+            "txn": event.txn,
+            **{k: v for k, v in event.data.items() if k != "trace"},
+        }
         for event in events
         if event.kind is EventKind.SERVICE_REPLY
     ]

@@ -12,6 +12,7 @@ interleaving as a replayable schedule — comes back as a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from ..core.scheduler import Scheduler
@@ -19,6 +20,7 @@ from ..core.victim import VictimPolicy
 from ..errors import ReproError
 from ..simulation.engine import SimulationEngine, SimulationResult
 from ..simulation.interleaving import InterleavingPolicy, Scripted
+from ..simulation.trace import Trace
 from ..simulation.workload import (
     WorkloadConfig,
     expected_final_state,
@@ -38,19 +40,34 @@ class _StopRun(Exception):
 
 @dataclass
 class RunOutcome:
-    """One instrumented run: its result, schedule, and any violation."""
+    """One instrumented run: its result, schedule, and any violation.
+
+    ``schedule`` and ``fingerprint`` are read off ``trace`` when first
+    read: the fingerprint renders every deadlock's cycle record, which
+    a caller that never reads it (the predictor's harvest) need not pay.
+    """
 
     strategy: str
     policy: str
     violation: OracleViolation | None
     result: SimulationResult | None
-    schedule: list[str]
-    fingerprint: str
-    steps: int
+    trace: Trace
 
     @property
     def ok(self) -> bool:
         return self.violation is None
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace)
+
+    @cached_property
+    def schedule(self) -> list[str]:
+        return self.trace.schedule()
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return self.trace.fingerprint()
 
 
 def policy_name(policy: VictimPolicy | str) -> str:
@@ -186,7 +203,5 @@ def run_with_oracles(
         policy=policy_name(policy),
         violation=violation,
         result=result,
-        schedule=engine.trace.schedule(),
-        fingerprint=engine.trace.fingerprint(),
-        steps=len(engine.trace),
+        trace=engine.trace,
     )

@@ -13,8 +13,9 @@ import pytest
 
 from repro.core import ops
 from repro.core.transaction import Transaction
-from repro.observability.events import EventBus, EventKind
+from repro.observability.events import Event, EventBus, EventKind
 from repro.observability.export import read_events_jsonl
+from repro.service import core as service_core
 from repro.service import protocol
 from repro.service.core import ServiceConfig, ServiceCore
 from repro.service.replay import verify_events
@@ -235,6 +236,30 @@ class TestCoreBasics:
         reply, _, _ = d.send("lock", txn=txn, entity="e001")
         assert reply["code"] == protocol.CONFLICT
 
+    def test_trace_field_is_ignored_not_journaled_not_echoed(self):
+        """An earlier client sent a ``trace`` dict on every request; the
+        core accepts the request, journals it without the field, and
+        echoes none back."""
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        core, db = make_core(bus=bus)
+        d = Driver(core)
+        trace = {"id": "c.1", "span": "c.1.0", "parent": "", "site": -1,
+                 "clock": 1}
+        txn = d.ok("begin", trace=trace)["txn"]
+        d.ok("lock", txn=txn, entity="e000", trace=trace)
+        d.ok("write", txn=txn, entity="e000", value=3, trace=trace)
+        d.ok("commit", txn=txn, trace=trace)
+        assert db.snapshot()["e000"] == 3
+        assert all("trace" not in reply for reply in d.replies.values())
+        journaled = [
+            e for e in events
+            if e.kind in (EventKind.SERVICE_REQUEST, EventKind.SERVICE_REPLY)
+        ]
+        assert len(journaled) == 8
+        assert all("trace" not in e.data for e in journaled)
+
     def test_abort_then_410(self):
         core, _ = make_core()
         d = Driver(core)
@@ -317,11 +342,11 @@ class TestOverloadSurfaces:
         assert reply["code"] == protocol.UNAVAILABLE
         assert "shed" in reply["error"]
 
-    def test_breaker_opens_after_repeated_sheds(self):
-        core, _ = make_core(
-            deadline_steps=3, breaker_threshold=2, breaker_window=500,
-            breaker_cooldown=500,
-        )
+    def test_breaker_opens_after_repeated_sheds(self, monkeypatch):
+        monkeypatch.setattr(service_core, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(service_core, "BREAKER_WINDOW", 500)
+        monkeypatch.setattr(service_core, "BREAKER_COOLDOWN", 500)
+        core, _ = make_core(deadline_steps=3)
         d = Driver(core)
         holder = d.ok("begin")["txn"]
         d.ok("lock", txn=holder, entity="e000")
@@ -373,8 +398,9 @@ class TestIdempotency:
         granted = dict(completions)
         assert granted[rid]["code"] == granted["dup"]["code"] == 200
 
-    def test_dedup_window_is_bounded(self):
-        core, _ = make_core(dedup_window=3)
+    def test_dedup_window_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(service_core, "DEDUP_WINDOW", 3)
+        core, _ = make_core()
         d = Driver(core)
         for _ in range(6):
             txn = d.ok("begin")["txn"]
@@ -545,6 +571,70 @@ class TestReplayOracle:
         assert marker.kind is EventKind.SERVICE_RECOVER
         marker.data["config"]["compact_every"] = 256
         assert verify_events(events) == []
+
+    def test_journal_of_a_traced_release_replays(self):
+        """A hand-built journal as an earlier release wrote it: the boot
+        marker carries config fields since made constants, requests carry
+        the client's ``trace`` dict and replies the server's echo.  It
+        replays with zero divergences."""
+        def trace(span, clock, trace_id=None):
+            return {"id": trace_id or span.rsplit(".", 1)[0], "span": span,
+                    "parent": "", "site": -1, "clock": clock}
+
+        def echo(trace_id, span, clock):
+            return {"id": trace_id, "span": span, "site": 0, "clock": clock}
+
+        def event(seq, step, kind, txn="", **data):
+            return Event(seq=seq, step=step, kind=kind, txn=txn, data=data)
+
+        recover, request, reply, commit = (
+            EventKind.SERVICE_RECOVER, EventKind.SERVICE_REQUEST,
+            EventKind.SERVICE_REPLY, EventKind.TXN_COMMIT,
+        )
+        config = {
+            "max_sessions": 8, "deadline_steps": 60, "dedup_window": 1024,
+            "pump_budget": 100000, "breaker_threshold": 5,
+            "breaker_window": 200, "breaker_cooldown": 50,
+            "strategy": "mcs", "policy": "ordered-min-cost",
+        }
+        ok = {"ok": True, "code": 200}
+        journal = [
+            event(0, 0, recover, recovered=False, committed=[],
+                  txn_counter=0, state={"e000": 0, "e001": 0},
+                  config=config, dedup={}),
+            event(1, 1, request, rid="c.1.0", verb="begin", idem="c.1",
+                  trace=trace("c.1.0", 1)),
+            event(4, 1, reply, "T1", rid="c.1.0", verb="begin", **ok,
+                  trace=echo("c.1", "c.1.0", 2)),
+            event(5, 2, request, rid="c.2.0", verb="begin", idem="c.2",
+                  trace=trace("c.2.0", 3)),
+            event(8, 2, reply, "T2", rid="c.2.0", verb="begin", **ok,
+                  trace=echo("c.2", "c.2.0", 4)),
+            event(9, 3, request, "T1", rid="c.3.0", verb="lock",
+                  entity="e000", idem="c.3", trace=trace("c.3.0", 5, "c.1")),
+            event(11, 3, reply, "T1", rid="c.3.0", verb="lock", **ok,
+                  trace=echo("c.1", "c.3.0", 6)),
+            event(12, 4, request, "T2", rid="c.4.0", verb="lock",
+                  entity="e000", idem="c.4", trace=trace("c.4.0", 7, "c.2")),
+            event(14, 5, request, "T1", rid="c.5.0", verb="write",
+                  entity="e000", value=7, idem="c.5",
+                  trace=trace("c.5.0", 9, "c.1")),
+            event(15, 5, reply, "T1", rid="c.5.0", verb="write", **ok,
+                  trace=echo("c.1", "c.5.0", 10)),
+            event(16, 6, request, "T1", rid="c.6.0", verb="commit",
+                  idem="c.6", trace=trace("c.6.0", 11, "c.1")),
+            event(17, 6, commit, "T1", ops=2),
+            event(19, 6, reply, "T2", rid="c.4.0", verb="lock", **ok,
+                  trace=echo("c.2", "c.4.0", 12)),
+            event(20, 6, reply, "T1", rid="c.6.0", verb="commit", **ok,
+                  committed=True, trace=echo("c.1", "c.6.0", 12)),
+            event(21, 7, request, "T2", rid="c.7.0", verb="commit",
+                  idem="c.7", trace=trace("c.7.0", 13, "c.2")),
+            event(22, 7, commit, "T2", ops=1),
+            event(23, 7, reply, "T2", rid="c.7.0", verb="commit", **ok,
+                  committed=True, trace=echo("c.2", "c.7.0", 14)),
+        ]
+        assert verify_events(journal) == []
 
     def test_tampered_journal_diverges(self):
         def scenario(d):

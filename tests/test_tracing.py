@@ -1,11 +1,10 @@
-"""Causal-trace propagation and cross-site stitching tests.
+"""Cross-site causal stitching tests.
 
-Covers the three layers of the tracing story (``docs/OBSERVABILITY.md``):
-the wire-level :class:`TraceContext`/:class:`Tracer` pair (Lamport
-merging, deterministic echoes), the Lamport clocks the distributed
-message log stamps on every send, and :func:`build_txn_trace` stitching
-a recorded distributed run into one cross-site timeline whose rollback
-cause links name the site boundary the wound crossed.
+Covers the tracing story of ``docs/OBSERVABILITY.md``: the Lamport
+clocks the distributed message log stamps on every send,
+:func:`build_txn_trace` stitching a recorded distributed run into one
+cross-site timeline whose rollback cause links name the site boundary
+the wound crossed, and the service core's replies and ``metrics`` verb.
 """
 
 import json
@@ -14,8 +13,6 @@ from repro.distributed.network import MessageLog, MessageType
 from repro.observability.events import Event, EventKind
 from repro.observability.streaming import render_prometheus
 from repro.observability.tracing import (
-    TraceContext,
-    Tracer,
     build_txn_trace,
     infer_home_sites,
     render_txn_trace,
@@ -23,60 +20,6 @@ from repro.observability.tracing import (
 )
 from repro.service.core import ServiceCore
 from repro.storage.database import Database
-
-
-# ---------------------------------------------------------------------------
-# TraceContext / Tracer
-# ---------------------------------------------------------------------------
-
-
-class TestTraceContext:
-    def test_roundtrip(self):
-        context = TraceContext(
-            trace_id="c.1", span="c.1.0", parent="", site=-1, clock=3
-        )
-        assert TraceContext.from_obj(context.to_obj()) == context
-
-    def test_from_obj_tolerates_garbage(self):
-        assert TraceContext.from_obj({}) is None
-        assert TraceContext.from_obj({"id": ""}) is None
-        assert TraceContext.from_obj({"id": 7}) is None
-        salvaged = TraceContext.from_obj(
-            {"id": "t", "clock": "x", "site": None}
-        )
-        assert salvaged == TraceContext(trace_id="t")
-
-    def test_child_links_and_ticks(self):
-        root = TraceContext(trace_id="t", span="a", clock=5)
-        child = root.child("b", site=2)
-        assert child.parent == "a" and child.span == "b"
-        assert child.clock == 6 and child.site == 2
-
-    def test_merged_is_lamport_receive(self):
-        context = TraceContext(trace_id="t", clock=5)
-        assert context.merged(9).clock == 10
-        assert context.merged(2).clock == 6
-
-
-class TestTracer:
-    def test_observe_merges_and_registers(self):
-        tracer = Tracer(site=3)
-        seen = tracer.observe(
-            {"id": "c.1", "span": "c.1.0", "clock": 7}, txn="T1"
-        )
-        assert seen is not None and seen.site == 3 and seen.clock == 8
-        assert tracer.by_txn["T1"].trace_id == "c.1"
-        assert tracer.observe("garbage", txn="T2") is None
-        assert "T2" not in tracer.by_txn
-
-    def test_stamp_and_forget(self):
-        tracer = Tracer()
-        tracer.observe({"id": "c.1", "span": "s", "clock": 1}, txn="T1")
-        stamp = tracer.stamp("T1")
-        assert stamp["id"] == "c.1" and stamp["clock"] == tracer.clock
-        tracer.forget("T1")
-        assert "id" not in tracer.stamp("T1")
-        assert tracer.status("T1")["known"] is False
 
 
 def test_message_log_stamps_lamport_clocks():
@@ -173,7 +116,7 @@ def test_txn_trace_is_same_seed_stable():
 
 
 # ---------------------------------------------------------------------------
-# Service integration: propagation, verbs, determinism
+# Service integration: verbs, determinism
 # ---------------------------------------------------------------------------
 
 
@@ -183,7 +126,8 @@ def _trace(trace_id, span, clock, parent=""):
 
 
 def _script():
-    """One traced transaction's request sequence (client's eye view)."""
+    """One transaction's request sequence as an earlier client sent it,
+    with a ``trace`` dict on every request."""
     return [
         {"rid": "c.1.0", "verb": "begin",
          "trace": _trace("c.1", "c.1.0", 1)},
@@ -191,13 +135,13 @@ def _script():
          "trace": _trace("c.1", "c.2.0", 3)},
         {"rid": "c.3.0", "verb": "write", "txn": "T1", "entity": "e000",
          "value": 7, "trace": _trace("c.1", "c.3.0", 5)},
-        {"rid": "c.4.0", "verb": "trace_status", "txn": "T1",
+        {"rid": "c.4.0", "verb": "status", "txn": "T1",
          "trace": _trace("c.1", "c.4.0", 7)},
         {"rid": "c.5.0", "verb": "commit", "txn": "T1",
          "trace": _trace("c.1", "c.5.0", 9)},
         {"rid": "c.6.0", "verb": "metrics",
          "trace": _trace("c.6", "c.6.0", 11)},
-        {"rid": "c.7.0", "verb": "trace_status", "txn": "T1",
+        {"rid": "c.7.0", "verb": "status",
          "trace": _trace("c.7", "c.7.0", 13)},
     ]
 
@@ -214,25 +158,6 @@ def _drive(core, requests):
 
 def _core():
     return ServiceCore(Database({"e000": 0, "e001": 0}))
-
-
-def test_service_trace_lifecycle():
-    replies = {r["rid"]: r for r in _drive(_core(), _script())}
-    begin = replies["c.1.0"]
-    # The begin binds the incoming context to the fresh transaction and
-    # echoes it back with the server's merged clock.
-    assert begin["txn"] == "T1"
-    assert begin["trace"]["id"] == "c.1"
-    assert begin["trace"]["site"] == 0
-    assert replies["c.2.0"]["trace"]["id"] == "c.1"
-    # While live, trace_status knows the transaction and its trace.
-    live = replies["c.4.0"]
-    assert live["known"] is True and live["trace"]["id"] == "c.1"
-    assert replies["c.5.0"].get("committed") is True
-    # After the terminal reply the session is reaped: the tracer entry
-    # goes with it (service-lifetime boundedness).
-    post = replies["c.7.0"]
-    assert post["known"] is False and post["trace"] is None
 
 
 def test_service_metrics_verb_reads_live_telemetry():
@@ -255,9 +180,8 @@ def test_service_replies_are_same_seed_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(
         second, sort_keys=True
     )
-    # Trace echoes included: the tracer is a pure function of the
-    # request order, the determinism contract replay relies on.
-    assert any("trace" in reply for reply in first)
+    # The journal is the causal record: no reply echoes a trace.
+    assert all("trace" not in reply for reply in first)
 
 
 def test_service_untraced_requests_still_work():
