@@ -61,12 +61,15 @@ class AdmissionController:
         self._arrivals += 1
 
     def in_flight(self, scheduler: "Scheduler") -> int:
-        """Admitted transactions that have not yet terminated."""
-        return sum(
-            1
-            for txn_id, txn in scheduler.transactions.items()
-            if txn_id in self.admitted_at and not txn.done
-        )
+        """Admitted transactions that have not yet terminated.
+
+        The controller is the gate in front of :meth:`Scheduler.register`
+        — every registration on its scheduler is an admission (the lock
+        service and :func:`~repro.admission.stress.overload_run` register
+        nothing else) — so this is the scheduler's live count, kept at
+        registration and at termination.
+        """
+        return scheduler.live_count
 
     def snapshot(self, scheduler: "Scheduler", step: int) -> AdmissionSnapshot:
         metrics = scheduler.metrics

@@ -20,6 +20,7 @@ its deadline is extended rather than escalated — the ladder punishes being
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from ..core.transaction import TxnStatus
@@ -47,6 +48,9 @@ class DeadlineEnforcer:
         self._rung: dict[str, int] = {}
         #: Per-transaction period overrides (see :meth:`watch`).
         self._period: dict[str, int] = {}
+        #: No deadline falls before this step, so a tick before it has
+        #: nothing to fire (a forgotten deadline may leave it early).
+        self._next_due: float = math.inf
 
     def watch(
         self, txn_id: str, step: int, deadline_steps: int | None = None
@@ -65,23 +69,34 @@ class DeadlineEnforcer:
         self._period[txn_id] = period
         self._deadline[txn_id] = step + period
         self._rung[txn_id] = 0
+        self._next_due = min(self._next_due, step + period)
+
+    def forget(self, txn_id: str) -> None:
+        """Stop watching *txn_id* (its owner has dropped it)."""
+        self._deadline.pop(txn_id, None)
+        self._rung.pop(txn_id, None)
+        self._period.pop(txn_id, None)
 
     def deadline_of(self, txn_id: str) -> int | None:
         """The current deadline step for *txn_id* (``None`` if unwatched)."""
         return self._deadline.get(txn_id)
 
-    def tick(self, scheduler: "Scheduler", step: int) -> None:
+    def tick(self, scheduler: "Scheduler", step: int) -> bool:
         """Fire the ladder for every watched transaction past its deadline.
 
-        Iteration is over sorted ids so a tick that escalates several
-        transactions does so in a deterministic order.
+        Returns whether a rung rolled back or shed a transaction.  A
+        tick before the earliest deadline returns at once; one at or
+        past it iterates over sorted ids, so a tick that escalates
+        several transactions does so in a deterministic order, and
+        drops the terminated ones it meets.
         """
+        if step < self._next_due:
+            return False
+        fired = False
         for txn_id in sorted(self._deadline):
             txn = scheduler.transactions.get(txn_id)
             if txn is None or txn.done:
-                self._deadline.pop(txn_id, None)
-                self._rung.pop(txn_id, None)
-                self._period.pop(txn_id, None)
+                self.forget(txn_id)
                 continue
             if step < self._deadline[txn_id]:
                 continue
@@ -92,6 +107,7 @@ class DeadlineEnforcer:
                 self._deadline[txn_id] = step + period
                 continue
             scheduler.metrics.deadline_expiries += 1
+            fired = True
             rung = self._rung[txn_id] = self._rung[txn_id] + 1
             if scheduler.bus.wants(EventKind.DEADLINE_RUNG):
                 scheduler.bus.publish(
@@ -117,6 +133,6 @@ class DeadlineEnforcer:
                 self._deadline[txn_id] = step + period
             else:
                 scheduler.shed(txn_id)
-                self._deadline.pop(txn_id, None)
-                self._rung.pop(txn_id, None)
-                self._period.pop(txn_id, None)
+                self.forget(txn_id)
+        self._next_due = min(self._deadline.values(), default=math.inf)
+        return fired

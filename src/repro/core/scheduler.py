@@ -201,6 +201,20 @@ class Scheduler:
         return self._ready.copy()
 
     @property
+    def ready_index(self) -> list[TxnId]:
+        """The READY ids in id order: the status index itself, not a copy.
+
+        For a caller that only asks whether some transaction can move;
+        one that steps while iterating takes :meth:`runnable`.
+        """
+        return self._ready
+
+    @property
+    def live_count(self) -> int:
+        """How many registered transactions have not terminated."""
+        return self._live
+
+    @property
     def blocked_count(self) -> int:
         """How many transactions are BLOCKED right now."""
         return self._blocked
@@ -450,7 +464,7 @@ class Scheduler:
             self.wal.log_commit(txn.txn_id)
         for grant in grants:
             self._complete_grant(grant)
-        if self._constraint_quiescent():
+        if self.database.constraints and self._constraint_quiescent():
             self.database.check_consistency()
 
     def _install(self, txn_id: TxnId, entity: str, value: Any) -> None:

@@ -29,9 +29,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-#: Verbs a client may send.  ``tick`` is internal: the server's idle
-#: ticker journals logical-time advancement so replay sees it too.
-VERBS = (
+#: Verbs a client may send (a set: every request tests membership).
+#: ``tick`` is internal: the server's idle ticker journals logical-time
+#: advancement so replay sees it too.
+VERBS = frozenset({
     "begin",
     "lock",
     "unlock",
@@ -42,7 +43,7 @@ VERBS = (
     "status",
     "metrics",
     "tick",
-)
+})
 
 OK = 200
 BAD_REQUEST = 400

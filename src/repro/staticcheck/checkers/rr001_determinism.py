@@ -70,10 +70,31 @@ class NondeterminismChecker(Checker):
     title = "nondeterminism hazards"
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        imported = _imported_modules(module.tree)
+        """One walk of the module: imports are checked and collected as
+        they are met, and every other candidate node is judged after the
+        walk, once the module's whole import set is known."""
+        imported: set[str] = set()
         findings: list[Finding] = []
-        findings.extend(self._check_imports(module))
+        candidates: list[ast.AST] = []
         for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+            elif isinstance(node, ast.ImportFrom):
+                findings.extend(self._check_import_from(module, node))
+                if node.module:
+                    # ``from datetime import datetime`` also puts the
+                    # wall-clock API in scope under the module's name.
+                    for alias in node.names:
+                        if alias.name == node.module:
+                            imported.add(alias.asname or alias.name)
+            elif isinstance(
+                node,
+                (ast.Call, ast.Attribute, ast.For, ast.AsyncFor,
+                 ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
+            ):
+                candidates.append(node)
+        for node in candidates:
             if isinstance(node, ast.Call):
                 findings.extend(self._check_call(module, node, imported))
             elif isinstance(node, ast.Attribute):
@@ -82,10 +103,7 @@ class NondeterminismChecker(Checker):
                 )
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 findings.extend(self._check_iteration(module, node.iter))
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                       ast.GeneratorExp)
-            ):
+            else:
                 for generator in node.generators:
                     findings.extend(
                         self._check_iteration(module, generator.iter)
@@ -94,24 +112,20 @@ class NondeterminismChecker(Checker):
 
     # -- sub-rules ---------------------------------------------------------
 
-    def _check_imports(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "random"
-            ):
-                bad = [
-                    alias.name
-                    for alias in node.names
-                    if alias.name != "Random"
-                ]
-                if bad:
-                    yield self.finding(
-                        module, node,
-                        f"importing {', '.join(bad)} from random binds the "
-                        f"shared global generator; import random.Random and "
-                        f"thread an instance instead",
-                    )
+    def _check_import_from(
+        self, module: Module, node: ast.ImportFrom
+    ) -> Iterator[Finding]:
+        if node.module == "random":
+            bad = [
+                alias.name for alias in node.names if alias.name != "Random"
+            ]
+            if bad:
+                yield self.finding(
+                    module, node,
+                    f"importing {', '.join(bad)} from random binds the "
+                    f"shared global generator; import random.Random and "
+                    f"thread an instance instead",
+                )
 
     def _check_call(
         self, module: Module, node: ast.Call, imported: set[str]
@@ -216,21 +230,6 @@ class NondeterminismChecker(Checker):
                 "per process; iterate sorted(...) so downstream ordering "
                 "is stable",
             )
-
-
-def _imported_modules(tree: ast.Module) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            # ``from datetime import datetime`` also puts the wall-clock
-            # API in scope under the module's name.
-            for alias in node.names:
-                if alias.name == node.module:
-                    names.add(alias.asname or alias.name)
-    return names
 
 
 def _mentions_datetime(node: ast.expr) -> bool:
