@@ -1,11 +1,12 @@
-"""Overload resilience: admission control, deadlines, liveness watchdog.
+"""Overload resilience: admission control and deadlines.
 
 The paper proves deadlock *removal* correct but leaves open what a system
 should do under sustained contention overload: Figure 2 shows unrestrained
 partial rollback can livelock, and Theorem 2's cure — a time-invariant
-partial order on preemption — is a policy obligation, not an enforcement
-mechanism.  This package supplies the enforcement layer a production-scale
-system needs on top of the core scheduler:
+partial order on preemption — is the victim policy's obligation (the
+ordered policies keep it).  What cuts lost work under contention is how
+many transactions contend, so this package supplies the load-shedding
+layer a production-scale system needs on top of the core scheduler:
 
 :class:`~repro.admission.controller.AdmissionController`
     Gates how many transactions run concurrently (the multiprogramming
@@ -15,11 +16,6 @@ system needs on top of the core scheduler:
     Per-transaction deadlines in engine steps, with a deterministic
     escalation ladder on expiry while blocked: partial-rollback self,
     then total restart, then shed — never a silent loop.
-:class:`~repro.admission.watchdog.StarvationWatchdog`
-    Tracks preemption counts and no-progress windows, grants the eldest
-    starving transaction preemption immunity (Theorem 2 aging, bounding
-    its rollback count), and raises a structured
-    :class:`~repro.errors.LivelockDetected` when the bound is violated.
 :class:`~repro.admission.breaker.CircuitBreaker`
     The lock service's failure circuit breaker (``ServiceCore``).
 :class:`~repro.admission.guard.OverloadGuard`
@@ -42,7 +38,6 @@ from .policies import (
     make_admission_policy,
 )
 from .stress import OverloadConfig, OverloadReport, overload_run
-from .watchdog import StarvationWatchdog
 
 __all__ = [
     "AdmissionController",
@@ -56,7 +51,6 @@ __all__ = [
     "OverloadConfig",
     "OverloadGuard",
     "OverloadReport",
-    "StarvationWatchdog",
     "available_admission_policies",
     "make_admission_policy",
     "overload_run",

@@ -1,14 +1,14 @@
 """The overload guard: one object the simulation engine ticks per step.
 
-:class:`OverloadGuard` composes the three step-driven admission mechanisms
-— the admission controller, the deadline enforcer, and the starvation
-watchdog — behind the two calls the engine makes:
+:class:`OverloadGuard` composes the two step-driven admission mechanisms
+— the admission controller and the deadline enforcer — behind the two
+calls the engine makes:
 
 * :meth:`submit` for every arrival (instead of registering directly), and
 * :meth:`tick` once per engine step (including idle steps).
 
-Each component is optional; a guard with only a watchdog is a pure
-liveness monitor, a guard with only a controller is a pure MPL gate.
+Each component is optional; a guard with only a controller is a pure MPL
+gate, a guard with only deadlines bounds how long a transaction may wait.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 from ..observability.events import EventKind
 from .controller import AdmissionController
 from .deadlines import DeadlineEnforcer
-from .watchdog import StarvationWatchdog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.scheduler import Scheduler
@@ -26,19 +25,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class OverloadGuard:
-    """Admission + deadlines + watchdog, wired to one scheduler."""
+    """Admission + deadlines, wired to one scheduler."""
 
     def __init__(
         self,
         scheduler: "Scheduler",
         controller: AdmissionController | None = None,
         deadlines: DeadlineEnforcer | None = None,
-        watchdog: StarvationWatchdog | None = None,
     ) -> None:
         self.scheduler = scheduler
         self.controller = controller
         self.deadlines = deadlines
-        self.watchdog = watchdog
 
     def pending(self) -> int:
         """Arrivals queued behind the admission gate."""
@@ -67,7 +64,7 @@ class OverloadGuard:
             self.deadlines.watch(program.txn_id, step)
 
     def tick(self, step: int) -> None:
-        """One guard step: admit, then enforce deadlines, then age.
+        """One guard step: admit, then enforce deadlines.
 
         Admission runs first so transactions admitted this step get their
         deadline clocks started at this step.
@@ -78,5 +75,3 @@ class OverloadGuard:
                     self.deadlines.watch(txn_id, step)
         if self.deadlines is not None:
             self.deadlines.tick(self.scheduler, step)
-        if self.watchdog is not None:
-            self.watchdog.tick(self.scheduler, step)

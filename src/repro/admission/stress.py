@@ -3,8 +3,7 @@
 A stress run throws a contended synthetic workload at a scheduler wrapped
 in an :class:`~repro.admission.guard.OverloadGuard` and reports what the
 resilience layer did: throughput, shed rate, p99 commit latency (in engine
-steps, arrival to commit), admission-window trajectory, and the watchdog's
-verdict.  Two load shapes:
+steps, arrival to commit), and admission-window trajectory.  Two load shapes:
 
 * **closed loop** (``interarrival=0``) — every transaction arrives at step
   0 and the admission queue is the only throttle (the classic MPL
@@ -33,7 +32,6 @@ from .controller import AdmissionController
 from .deadlines import DeadlineEnforcer
 from .guard import OverloadGuard
 from .policies import AimdPolicy, FixedMplPolicy, PredictivePolicy
-from .watchdog import StarvationWatchdog
 
 
 def _workload_config(config: "OverloadConfig") -> WorkloadConfig:
@@ -52,9 +50,9 @@ class OverloadConfig:
 
     The workload defaults are deliberately hostile: many writers over few
     entities, the regime where unbounded admission dissolves into rollback
-    churn.  Set ``admission_policy=None`` / ``deadline_steps=0`` /
-    ``watchdog=False`` to switch individual pillars off (the CLI's
-    baseline comparisons do exactly that).
+    churn.  Set ``admission_policy=None`` / ``deadline_steps=0`` to switch
+    individual pillars off (the CLI's baseline comparisons do exactly
+    that).
     """
 
     n_transactions: int = 32
@@ -70,9 +68,6 @@ class OverloadConfig:
     aimd_window_steps: int = 40
     aimd_rollback_threshold: float = 0.5
     deadline_steps: int = 600
-    watchdog: bool = True
-    preemption_limit: int = 4
-    no_progress_window: int = 400
     strategy: str = "mcs"
     policy: str = "ordered-min-cost"
     max_steps: int = 200_000
@@ -104,14 +99,12 @@ class OverloadReport:
     rollbacks: int
     total_rollbacks: int
     deadline_expiries: int
-    immunity_grants: int
     admission_queue_peak: int
     throughput_per_kstep: float
     shed_rate: float
     p99_latency_steps: int
     mean_latency_steps: float
     window_history: list[tuple[int, int]] = field(default_factory=list)
-    watchdog_verdict: dict[str, object] = field(default_factory=dict)
 
     @property
     def no_starvation(self) -> bool:
@@ -132,7 +125,6 @@ class OverloadReport:
             "rollbacks": self.rollbacks,
             "total_rollbacks": self.total_rollbacks,
             "deadline_expiries": self.deadline_expiries,
-            "immunity_grants": self.immunity_grants,
             "admission_queue_peak": self.admission_queue_peak,
             "p99_latency_steps": self.p99_latency_steps,
             "window_history": self.window_history,
@@ -157,7 +149,6 @@ class OverloadReport:
             f"rollbacks            {self.rollbacks} "
             f"({self.total_rollbacks} total restarts)",
             f"deadline expiries    {self.deadline_expiries}",
-            f"immunity grants      {self.immunity_grants}",
             f"admission queue peak {self.admission_queue_peak}",
         ]
         if self.window_history:
@@ -165,14 +156,6 @@ class OverloadReport:
                 f"{w}@{s}" for s, w in self.window_history[-6:]
             )
             lines.append(f"aimd window (last)   {tail}")
-        if self.watchdog_verdict:
-            pairs = self.watchdog_verdict.get("mutual_preemption_pairs")
-            lines.append(
-                "watchdog             "
-                f"max preemptions {self.watchdog_verdict.get('max_preemptions')}"
-                f"/{self.watchdog_verdict.get('preemption_limit')}, "
-                f"suspected pairs {pairs if pairs else 'none'}"
-            )
         return "\n".join(lines)
 
 
@@ -216,20 +199,7 @@ def build_guard(config: OverloadConfig, scheduler: Scheduler, seed: int) -> (
         if config.deadline_steps
         else None
     )
-    watchdog = (
-        StarvationWatchdog(
-            preemption_limit=config.preemption_limit,
-            no_progress_window=config.no_progress_window,
-        )
-        if config.watchdog
-        else None
-    )
-    return OverloadGuard(
-        scheduler,
-        controller=controller,
-        deadlines=deadlines,
-        watchdog=watchdog,
-    )
+    return OverloadGuard(scheduler, controller=controller, deadlines=deadlines)
 
 
 def overload_run(
@@ -305,9 +275,6 @@ def _report(
         window_history = list(
             getattr(guard.controller.policy, "history", ())
         )
-    verdict: dict[str, object] = {}
-    if guard.watchdog is not None:
-        verdict = guard.watchdog.verdict(scheduler)
     return OverloadReport(
         seed=seed,
         steps=result.steps,
@@ -319,7 +286,6 @@ def _report(
         rollbacks=metrics.rollbacks,
         total_rollbacks=metrics.total_rollbacks,
         deadline_expiries=metrics.deadline_expiries,
-        immunity_grants=metrics.immunity_grants,
         admission_queue_peak=metrics.admission_queue_peak,
         throughput_per_kstep=(
             1000.0 * len(result.committed) / result.steps
@@ -332,7 +298,6 @@ def _report(
             sum(latencies) / len(latencies) if latencies else 0.0
         ),
         window_history=window_history,
-        watchdog_verdict=verdict,
     )
 
 

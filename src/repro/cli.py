@@ -22,9 +22,9 @@ Commands
     (see ``docs/RESILIENCE.md``).
 ``overload``
     Seeded open/closed-loop stress runs through the admission layer:
-    MPL gating (fixed or AIMD), per-transaction deadline ladders, the
-    Theorem 2 starvation watchdog.  Prints throughput, shed rate, p99
-    commit latency in steps, and the watchdog verdict
+    MPL gating (fixed or AIMD) and per-transaction deadline ladders.
+    Prints throughput, shed rate and p99 commit latency in steps, and a
+    livelock diagnosis when the run stops without progress
     (see ``docs/RESILIENCE.md``).
 ``lint``
     The repo's own static analysis: determinism / lock-discipline /
@@ -48,7 +48,7 @@ Commands
 ``top``
     The operator dashboard for a recorded scenario: hottest entities,
     longest-blocked transactions, rollback victims, and the state of the
-    admission / watchdog / deadline machinery as of a step.
+    admission / deadline machinery as of a step.
 
 ``fuzz``, ``chaos``, ``overload``, ``lint``, ``advise --smoke`` and
 ``trace --smoke`` exit non-zero when anything fires, so CI can gate on
@@ -459,7 +459,7 @@ def _chaos_scenarios(args) -> int:
 
 def cmd_overload(args) -> int:
     from .admission.stress import OverloadConfig, overload_run
-    from .errors import LivelockDetected
+    from .core.diagnosis import diagnose
 
     admission = None if args.admission == "none" else args.admission
     if args.smoke:
@@ -483,25 +483,26 @@ def cmd_overload(args) -> int:
             admission_policy=admission,
             mpl=args.mpl,
             deadline_steps=args.deadline,
-            watchdog=not args.no_watchdog,
-            preemption_limit=args.preemption_limit,
             strategy=args.strategy,
             policy=args.policy,
             max_steps=args.max_steps,
         )
-    try:
-        report, _result = overload_run(config, seed=args.seed)
-    except LivelockDetected as exc:
-        print(f"livelock detected: {exc}")
-        if exc.diagnosis is not None:
-            print(exc.diagnosis.describe())
-        return 1
+    engines = []
+    report, result = overload_run(
+        config, seed=args.seed, instrument=engines.append
+    )
     print(f"seed                 {args.seed}")
     print(f"mode                 "
           f"{'closed loop' if config.interarrival == 0 else 'open loop'}"
           f"{' (smoke)' if args.smoke else ''}")
     print(report.describe())
     print(f"fingerprint          {report.fingerprint()}")
+    if result.livelock_detected:
+        engine = engines[0]
+        print(f"livelock detected: no commit for {engine.livelock_window} "
+              f"steps under {config.policy}")
+        print(diagnose(engine.scheduler, step=result.steps).describe())
+        return 1
     return 0 if report.no_starvation else 1
 
 
@@ -1152,11 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_over.add_argument("--deadline", type=int, default=600,
                         help="steps before the escalation ladder starts "
                              "(0 = no deadlines)")
-    p_over.add_argument("--no-watchdog", action="store_true",
-                        help="disable the starvation watchdog")
-    p_over.add_argument("--preemption-limit", type=int, default=4,
-                        help="preemptions before the watchdog grants "
-                             "immunity (Theorem 2 aging)")
     p_over.add_argument("--strategy", choices=STRATEGIES, default="mcs")
     p_over.add_argument("--policy", choices=POLICIES,
                         default="ordered-min-cost", help=POLICY_HELP)

@@ -1,8 +1,8 @@
 """Structured liveness diagnoses.
 
 When the system stops making progress — a driver exhausts its step budget,
-or the starvation watchdog sees a transaction preempted beyond its bound —
-a bare exception message is useless for triage.  :class:`LivelockDiagnosis`
+or the engine's livelock window sees no commit for too long — a bare
+exception message is useless for triage.  :class:`LivelockDiagnosis`
 captures what the paper's Figure 2 discussion says actually matters: who
 could still run, who was blocked on whom (the waits-for subgraph), how the
 preemptions were distributed, and which pair of transactions looks like a
@@ -10,9 +10,8 @@ mutual-preemption ("potentially infinite" §3.1) couple.
 
 :func:`diagnose` builds one from a live scheduler; it is shared by
 :meth:`repro.core.scheduler.Scheduler.run_until_quiescent` (via
-:class:`~repro.errors.QuiescenceTimeout`) and the admission layer's
-:class:`~repro.admission.watchdog.StarvationWatchdog` (via
-:class:`~repro.errors.LivelockDetected`).
+:class:`~repro.errors.QuiescenceTimeout`) and ``repro overload``, which
+prints it when a run stops on the engine's livelock window.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ class LivelockDiagnosis:
         The unordered pair with the most mutual preemptions — the
         Figure 2 signature — or ``None`` when no pair ever preempted
         each other in both directions.
-    immune:
-        Transactions currently holding preemption immunity (aged by the
-        watchdog per Theorem 2's partial order).
     """
 
     step: int | None
@@ -59,7 +55,6 @@ class LivelockDiagnosis:
     preemption_counts: dict[str, int] = field(default_factory=dict)
     preemption_history: list[tuple[str, str]] = field(default_factory=list)
     suspected_pair: tuple[str, str] | None = None
-    immune: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
         """Multi-line human-readable rendering (triage output)."""
@@ -87,8 +82,6 @@ class LivelockDiagnosis:
         if self.suspected_pair is not None:
             a, b = self.suspected_pair
             lines.append(f"suspected mutual-preemption pair: {a} <-> {b}")
-        if self.immune:
-            lines.append(f"immune: {', '.join(self.immune)}")
         return "\n".join(lines)
 
 
@@ -127,5 +120,4 @@ def diagnose(scheduler: "Scheduler", step: int | None = None) -> LivelockDiagnos
         preemption_counts=counts,
         preemption_history=history,
         suspected_pair=suspected,
-        immune=sorted(scheduler.preemption_immune),
     )

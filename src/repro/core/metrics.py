@@ -51,7 +51,6 @@ class Metrics:
     deadline_expiries: int = 0
     deadline_partials: int = 0
     deadline_restarts: int = 0
-    immunity_grants: int = 0
     timeout_rollbacks: int = 0
     unavailable_stalls: int = 0
     replica_catchups: int = 0
@@ -169,7 +168,6 @@ class Metrics:
             "deadline_expiries": self.deadline_expiries,
             "deadline_partials": self.deadline_partials,
             "deadline_restarts": self.deadline_restarts,
-            "immunity_grants": self.immunity_grants,
             "timeout_rollbacks": self.timeout_rollbacks,
             "unavailable_stalls": self.unavailable_stalls,
             "replica_catchups": self.replica_catchups,

@@ -149,11 +149,6 @@ class Scheduler:
         #: by the strategy during a rollback degrades the victim to a total
         #: restart instead of propagating (graceful degradation).
         self.degrade_on_fault = True
-        #: Transactions currently holding preemption immunity.  Maintained
-        #: by the admission layer's starvation watchdog (aged transactions
-        #: per Theorem 2's partial order); victim policies treat members as
-        #: off-limits candidates, bounding any transaction's rollback count.
-        self.preemption_immune: set[TxnId] = set()
         # Status index, kept by ``_set_status`` (the one writer of
         # ``Transaction.status``) so no step rescans the population: the
         # READY ids sorted by id (the order every interleaving picks
@@ -500,12 +495,7 @@ class Scheduler:
         return self.detector.check(requester)
 
     def _resolve(self, deadlock: Deadlock) -> list[RollbackAction]:
-        ctx = VictimContext(
-            deadlock,
-            self.transactions,
-            self.strategy,
-            immune=frozenset(self.preemption_immune),
-        )
+        ctx = VictimContext(deadlock, self.transactions, self.strategy)
         actions = self.policy.select(ctx)
         if self.bus.wants(EventKind.VICTIM_SELECT):
             # Candidate costs: every action the policy evaluated while
@@ -521,7 +511,6 @@ class Scheduler:
                 chosen=[
                     [a.txn_id, a.target_ordinal, a.cost] for a in actions
                 ],
-                immune=sorted(ctx.immune & set(deadlock.members)),
             )
         for action in actions:
             self._apply_rollback(action, deadlock)
@@ -635,7 +624,6 @@ class Scheduler:
         grants += self.lock_manager.release_for_rollback(txn.txn_id, held)
         self.strategy.on_finish(txn)
         self._set_status(txn, TxnStatus.SHED)
-        self.preemption_immune.discard(txn_id)
         self.metrics.record_shed(txn_id, reason)
         if self.bus.wants(EventKind.TXN_SHED):
             self.bus.publish(

@@ -86,21 +86,10 @@ class VictimContext:
         deadlock: Deadlock,
         transactions: Mapping[TxnId, Transaction],
         strategy: RollbackStrategy,
-        immune: frozenset[TxnId] = frozenset(),
     ) -> None:
         self.deadlock = deadlock
         self.transactions = transactions
         self.strategy = strategy
-        #: Transactions holding preemption immunity (granted by the
-        #: starvation watchdog to aged transactions, bounding their
-        #: rollback count per Theorem 2).  Policies treat immunity as a
-        #: candidate filter and additionally steer away from choosing an
-        #: immune *requester* as its own victim while any other cover
-        #: exists — Figure 2's livelock can alternate self-rollbacks, so
-        #: an aged transaction must stop losing states in both roles.
-        #: Self-rollback remains the fallback of last resort (every cycle
-        #: passes through the requester, so it always resolves).
-        self.immune = frozenset(immune)
         self._actions: dict[TxnId, RollbackAction] = {}
 
     @property
@@ -184,17 +173,11 @@ class MinCostPolicy(VictimPolicy):
     name = "min-cost"
 
     def select(self, ctx: VictimContext) -> list[RollbackAction]:
-        # Watchdog-aged transactions are off limits — including an immune
-        # requester, whose self-rollback would keep its state loss growing
-        # just like a preemption would: it yields only when no cover
-        # exists without it (always feasible: every cycle passes through
-        # the requester).  Otherwise one victim beats several: the
-        # requester alone wins ties.
+        # One victim beats several: the requester alone wins ties.
         requester = ctx.requester
-        victims = ctx.cheapest_cover(ctx.deadlock.members - ctx.immune)
-        if victims is None or (
-            requester not in ctx.immune
-            and ctx.cost_of(requester) <= sum(map(ctx.cost_of, victims))
+        victims = ctx.cheapest_cover(ctx.deadlock.members)
+        if victims is None or ctx.cost_of(requester) <= sum(
+            map(ctx.cost_of, victims)
         ):
             victims = {requester}
         return self._validated(ctx, victims)
@@ -217,7 +200,7 @@ class OrderedMinCostPolicy(VictimPolicy):
             txn_id
             for txn_id in ctx.deadlock.members
             if ctx.entry_order(txn_id) > requester_order
-        } - ctx.immune
+        }
         # Prefer the cheapest cover among strictly-younger members: every
         # preemption arc then runs old -> young, so no set of transactions
         # can preempt each other forever (Theorem 2).  Only when some cycle
@@ -247,13 +230,10 @@ class _EntryOrderPolicy(VictimPolicy):
     def select(self, ctx: VictimContext) -> list[RollbackAction]:
         # Self-rollback is always permitted, and the requester is on every
         # cycle: the pool is non-empty for as long as a cycle remains.
-        immune = ctx.immune - {ctx.requester}
         pick = max if self._prefer_latest else min
         victims: set[TxnId] = set()
         while remaining := ctx.still_deadlocked(victims):
-            victims.add(pick(
-                remaining - immune, key=lambda t: (ctx.entry_order(t), t)
-            ))
+            victims.add(pick(remaining, key=lambda t: (ctx.entry_order(t), t)))
         return self._validated(ctx, victims)
 
 

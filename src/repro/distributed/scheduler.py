@@ -119,8 +119,8 @@ class DistributedScheduler(Scheduler):
     stalls for an exponential backoff (:data:`BACKOFF_BASE`,
     :data:`BACKOFF_CAP`) before it may be scheduled again, and once it
     has spent :data:`RETRY_BUDGET` retries a partial rollback escalates
-    to a *total* restart — the livelock watchdog in the spirit of
-    Theorem 2.  Escalation resets the count.  A stalled transaction
+    to a *total* restart, so no transaction's lost work grows without
+    bound.  Escalation resets the count.  A stalled transaction
     yields only while a competitor can use the time; when nothing else
     is runnable the backoff ends early (idling would help nobody).
 
@@ -543,12 +543,6 @@ class DistributedScheduler(Scheduler):
         wounded = False
         for blocker in cross:
             if txn.entry_order < blocker.entry_order:
-                if blocker.txn_id in self.preemption_immune:
-                    # The starvation watchdog aged this holder; wounding it
-                    # would violate its rollback bound.  The requester
-                    # waits instead (the timeout ladder still guarantees
-                    # progress).
-                    continue
                 if self.lock_manager.past_last_lock(blocker.txn_id):
                     # Past its last lock it cannot deadlock (paper §5) and
                     # requests nothing more: the requester's wait is bounded.

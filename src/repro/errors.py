@@ -82,23 +82,6 @@ class QuiescenceTimeout(SimulationError):
         self.diagnosis = diagnosis
 
 
-class LivelockDetected(SimulationError):
-    """The starvation watchdog observed an unbounded preemption pattern.
-
-    Raised when a transaction is preempted *despite* holding preemption
-    immunity — the configured rollback bound is violated, which means the
-    active victim policy ignores the Theorem 2 partial order (the paper's
-    Figure 2 "potentially infinite mutual preemption").  Carries the same
-    structured :class:`repro.core.diagnosis.LivelockDiagnosis` as
-    :class:`QuiescenceTimeout`.
-    """
-
-    def __init__(self, message: str, diagnosis=None) -> None:
-        super().__init__(message)
-        #: :class:`repro.core.diagnosis.LivelockDiagnosis` | None
-        self.diagnosis = diagnosis
-
-
 class ConsistencyViolation(ReproError):
     """A database consistency constraint was violated.
 

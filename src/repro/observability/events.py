@@ -1,8 +1,8 @@
 """The event bus: one deterministically-ordered stream for the whole run.
 
 Every layer of the system — scheduler, victim selection, admission,
-deadlines, watchdog, distributed messaging, WAL, and the
-simulation engine itself — publishes :class:`Event` records to an
+deadlines, distributed messaging, WAL, and the simulation engine
+itself — publishes :class:`Event` records to an
 :class:`EventBus`.  Consumers (the
 :class:`~repro.observability.recorder.RunRecorder`, the streaming
 telemetry, the service journal, tests) subscribe as plain callables; a
@@ -59,9 +59,6 @@ class EventKind(enum.Enum):
     ADMISSION_REORDER = "admission.reorder"
     PREDICT_RISK = "predict.risk"
     DEADLINE_RUNG = "deadline.rung"
-    IMMUNITY_GRANT = "watchdog.immunity-grant"
-    IMMUNITY_HANDOFF = "watchdog.immunity-handoff"
-    IMMUNITY_RELEASE = "watchdog.immunity-release"
 
     # -- distributed messaging ---------------------------------------------
     MESSAGE_SEND = "message.send"

@@ -8,8 +8,8 @@ Three output shapes for one event stream:
 * :func:`to_chrome` — the ``trace_event`` JSON object format understood
   by ``chrome://tracing`` and Perfetto: one timeline row per transaction,
   complete ("X") slices for the span and its blocked / rolling-back
-  intervals, instant ("i") markers for deadlocks, immunity grants,
-  deadline rungs, and crashes.  Timestamps are logical engine steps
+  intervals, instant ("i") markers for deadlocks, victim choices,
+  deadline rungs, degraded restarts and crashes.  Timestamps are logical engine steps
   (the ``ts`` unit is microseconds to a viewer, but only relative layout
   matters).
 * :func:`graph_snapshots` — the recorder's periodic waits-for SAMPLE
@@ -33,8 +33,6 @@ from .spans import build_spans
 _INSTANT_KINDS = {
     EventKind.DEADLOCK: "deadlock",
     EventKind.VICTIM_SELECT: "victim",
-    EventKind.IMMUNITY_GRANT: "immunity-grant",
-    EventKind.IMMUNITY_HANDOFF: "immunity-handoff",
     EventKind.CRASH: "crash",
     EventKind.DEADLINE_RUNG: "deadline",
     EventKind.DEGRADE_RESTART: "degrade",

@@ -19,14 +19,8 @@ Scenarios
     recorder re-attached across segments into one continuous stream.
 ``overload``
     An :func:`~repro.admission.stress.overload_run` through the full
-    admission layer: submit/admit events, AIMD window moves, deadline
-    rungs, watchdog immunity.
-``figure2-immunity``
-    The paper's Figure 2 livelock (mutual preemption under unordered
-    ``min-cost``; T2 and T4 trade rollbacks in this reproduction) with
-    the starvation watchdog armed: the span timeline shows the immunity
-    grant breaking the mutual preemption so the run commits instead of
-    spinning.
+    admission layer: submit/admit events, AIMD window moves and deadline
+    rungs.
 ``distributed``
     A five-site replicated deployment (rf=2, consistent-hash view) under
     cross-site wound-wait — the ``repro chaos --sites 5 --replicate 2``
@@ -45,7 +39,7 @@ from .recorder import RunRecorder
 
 #: Selectable scenario names, in documentation order.
 SCENARIOS: tuple[str, ...] = (
-    "run", "chaos", "overload", "figure2-immunity", "distributed",
+    "run", "chaos", "overload", "distributed",
 )
 
 
@@ -64,8 +58,6 @@ def record_scenario(
         return _scenario_chaos(seed, sample_every)
     if name == "overload":
         return _scenario_overload(seed, sample_every)
-    if name == "figure2-immunity":
-        return _scenario_figure2(seed, sample_every)
     if name == "distributed":
         return _scenario_distributed(seed, sample_every)
     raise ValueError(
@@ -159,7 +151,6 @@ def _scenario_overload(
             n_entities=4,
             locks_per_txn=(2, 4),
             deadline_steps=120,
-            preemption_limit=2,
             max_steps=60_000,
         ),
         seed=seed,
@@ -173,7 +164,6 @@ def _scenario_overload(
         "committed": report.committed,
         "shed": sorted(report.shed),
         "deadline_expiries": report.deadline_expiries,
-        "immunity_grants": report.immunity_grants,
         "fingerprint": report.fingerprint(),
         "livelock": result.livelock_detected,
     }
@@ -227,44 +217,4 @@ def _scenario_distributed(
         "violation": (
             None if outcome.violation is None else str(outcome.violation)
         ),
-    }
-
-
-def _scenario_figure2(
-    seed: int, sample_every: int
-) -> tuple[RunRecorder, dict[str, Any]]:
-    """Figure 2's mutual-preemption livelock, broken by watchdog immunity.
-
-    The scenario is fully scripted (the seed only labels the context —
-    the paper's interleaving is fixed), so determinism holds trivially.
-    The watchdog's preemption limit is low enough that a victim of the
-    mutual-preemption exchange ages out within a few rounds; once the
-    eldest holds the immunity slot, ``min-cost`` must stop preempting it
-    and the run commits.
-    """
-    from ..admission.guard import OverloadGuard
-    from ..admission.watchdog import StarvationWatchdog
-    from ..analysis.figures import drive_figure1
-
-    engine, _deadlock = drive_figure1(policy="min-cost", strategy="mcs")
-    recorder = RunRecorder(sample_every=sample_every).attach(engine)
-    engine.livelock_window = 2_000
-    engine.overload = OverloadGuard(
-        engine.scheduler,
-        watchdog=StarvationWatchdog(
-            preemption_limit=2, no_progress_window=300
-        ),
-    )
-    result = engine.run()
-    return recorder, {
-        "scenario": "figure2-immunity",
-        "seed": seed,
-        "steps": result.steps,
-        "committed": result.committed,
-        "livelock": result.livelock_detected,
-        "immunity_grants": result.metrics.immunity_grants,
-        "mutual_preemption_pairs": [
-            list(pair)
-            for pair in sorted(result.metrics.mutual_preemption_pairs())
-        ],
     }

@@ -8,8 +8,8 @@ server's ``metrics`` verb is a snapshot of it, and :func:`build_top`
 feeds it a recorded prefix, so :func:`report_from_metrics` reads either
 and :func:`render_top` draws both.  A recorded run adds what only the
 raw events carry — the longest-blocked transactions and the state of the
-admission / immunity / deadline machinery — and stays a pure
-function of the events, replayable from a JSONL export.
+admission / deadline machinery — and stays a pure function of the
+events, replayable from a JSONL export.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ class TopReport:
     deadlocks: int
     admission_window: int | None
     admission_queue: int
-    immunity_holder: str | None
     deadline_rungs: Counter = field(default_factory=Counter)
     block_p50: int = 0
     block_p99: int = 0
     steps_since_commit: int = 0
-    #: Read from a ``metrics`` snapshot, which carries no spans, no
-    #: immunity holder and no states lost per victim.
+    #: Read from a ``metrics`` snapshot, which carries no spans and no
+    #: states lost per victim.
     live: bool = False
 
     def to_obj(self) -> dict[str, Any]:
@@ -61,7 +60,6 @@ class TopReport:
             "deadlocks": self.deadlocks,
             "admission_window": self.admission_window,
             "admission_queue": self.admission_queue,
-            "immunity_holder": self.immunity_holder,
             "deadline_rungs": dict(sorted(self.deadline_rungs.items())),
             "block_p50": self.block_p50,
             "block_p99": self.block_p99,
@@ -85,7 +83,6 @@ def report_from_metrics(metrics: dict[str, Any], limit: int = 5) -> TopReport:
         deadlocks=metrics["deadlocks"],
         admission_window=None,
         admission_queue=0,
-        immunity_holder=None,
         block_p50=metrics["block_p50"],
         block_p99=metrics["block_p99"],
         steps_since_commit=metrics["steps_since_commit"],
@@ -105,7 +102,6 @@ def build_top(
     aggregator = StreamingAggregator(capacity=max(1, len(window)))
     admission_window: int | None = None
     admission_queue = 0
-    immunity_holder: str | None = None
     rungs: Counter = Counter()
     for event in window:
         aggregator(event)
@@ -117,11 +113,6 @@ def build_top(
             admission_queue += 1
         elif kind is EventKind.ADMISSION_ADMIT:
             admission_queue = max(0, admission_queue - 1)
-        elif kind is EventKind.IMMUNITY_GRANT:
-            immunity_holder = event.txn
-        elif kind is EventKind.IMMUNITY_RELEASE:
-            if immunity_holder == event.txn:
-                immunity_holder = None
         elif kind is EventKind.DEADLINE_RUNG:
             rungs[f"rung-{event.data.get('rung', '?')}"] += 1
 
@@ -152,7 +143,6 @@ def build_top(
         blocked=blocked_now,
         admission_window=admission_window,
         admission_queue=admission_queue,
-        immunity_holder=immunity_holder,
         deadline_rungs=rungs,
         live=False,
     )
@@ -173,10 +163,6 @@ def render_top(report: TopReport) -> str:
         lines.append(
             f"admission window     {report.admission_window} "
             f"(queue ~{report.admission_queue})"
-        )
-    if not report.live:
-        lines.append(
-            f"immunity holder      {report.immunity_holder or '(none)'}"
         )
     if report.deadline_rungs:
         rungs = ", ".join(

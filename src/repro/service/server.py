@@ -259,7 +259,11 @@ class LockServer:
     ) -> None:
         """Feed one request to the core and route every reply."""
         rid = request.get("rid")
-        if writer is not None and rid is not None:
+        # Only a rid the core accepts (a string or an integer) can key a
+        # waiter; the core answers any other rid 400 at once, and that
+        # reply goes straight back on the connection that sent it.
+        keyed = isinstance(rid, (str, int)) and not isinstance(rid, bool)
+        if writer is not None and keyed:
             self._waiters[rid] = writer
         commits = self.core.scheduler.metrics.commits
         reply, completions = self.core.handle(request)
@@ -270,8 +274,10 @@ class LockServer:
             self.sink.flush()
             if self.core.scheduler.metrics.commits != commits:
                 os.fsync(self.sink.fileno())
-        if reply is not None and rid is not None:
+        if reply is not None and keyed:
             self._deliver(rid, reply)
+        elif reply is not None and writer is not None:
+            writer.write(protocol.encode(reply))
         for done_rid, done_reply in completions:
             self._deliver(done_rid, done_reply)
 

@@ -23,20 +23,17 @@ from .cases import ReplayCase, replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..admission.stress import OverloadRegression
-    from ..observability.regression import TraceRegression
+    from ..distributed.scenarios import DistributedRegression
 
 FORMAT_VERSION = 1
 
 #: Case kinds this loader understands.  ``replay`` (the default when the
 #: field is absent) is a shrunk scripted-schedule case; ``overload`` pins
 #: an admission-control comparison (see
-#: :class:`repro.admission.stress.OverloadRegression`); ``trace`` pins a
-#: recorded scenario's span timeline (see
-#: :class:`repro.observability.regression.TraceRegression`);
-#: ``distributed`` pins a named partition/heal chaos scenario's verdict
-#: and fingerprint (see
-#: :class:`repro.distributed.scenarios.DistributedRegression`).
-CASE_KINDS = ("replay", "overload", "trace", "distributed")
+#: :class:`repro.admission.stress.OverloadRegression`); ``distributed``
+#: pins a named partition/heal chaos scenario's verdict and fingerprint
+#: (see :class:`repro.distributed.scenarios.DistributedRegression`).
+CASE_KINDS = ("replay", "overload", "distributed")
 
 #: Expectation values: the oracle that must fire, or no violation at all.
 EXPECT_CLEAN = "clean"
@@ -64,7 +61,7 @@ def save_case(case: ReplayCase, path: str | Path) -> Path:
 
 def load_case(
     path: str | Path,
-) -> tuple["ReplayCase | OverloadRegression | TraceRegression", str]:
+) -> tuple["ReplayCase | OverloadRegression | DistributedRegression", str]:
     """Read a regression file; returns ``(case, expectation)``.
 
     The optional ``"kind"`` field dispatches to non-replay case types;
@@ -84,10 +81,6 @@ def load_case(
         from ..admission.stress import load_overload_case
 
         return load_overload_case(str(path), document), expect
-    if kind == "trace":
-        from ..observability.regression import load_trace_case
-
-        return load_trace_case(str(path), document), expect
     if kind == "distributed":
         from ..distributed.scenarios import load_distributed_case
 
@@ -101,7 +94,7 @@ def load_case(
 
 
 def check_case(
-    case: "ReplayCase | OverloadRegression | TraceRegression", expect: str
+    case: "ReplayCase | OverloadRegression | DistributedRegression", expect: str
 ) -> None:
     """Replay *case* and assert the recorded expectation.
 

@@ -1,7 +1,7 @@
 """Unit tests for repro.admission: the circuit breaker state machine,
 admission policies (fixed MPL, AIMD, predictive), the admission
-controller, the deadline escalation ladder, the starvation watchdog,
-and the SHED terminal state."""
+controller, the deadline escalation ladder, and the SHED terminal
+state."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.admission import (
     CircuitBreaker,
     DeadlineEnforcer,
     FixedMplPolicy,
-    StarvationWatchdog,
     available_admission_policies,
     make_admission_policy,
 )
@@ -21,7 +20,7 @@ from repro.admission.policies import AdmissionSnapshot
 from repro.core.metrics import DEADLINE_EXCEEDED
 from repro.core.scheduler import StepOutcome
 from repro.core.transaction import TxnStatus
-from repro.errors import LivelockDetected, SimulationError
+from repro.errors import SimulationError
 
 
 def snap(step, rollbacks=0, commits=0, in_flight=0, queued=0, shed=0):
@@ -397,98 +396,3 @@ class TestDeadlineLadder:
     def test_validation(self):
         with pytest.raises(ValueError):
             DeadlineEnforcer(deadline_steps=0)
-
-
-class TestStarvationWatchdog:
-    def _three_holders(self):
-        db = Database({"a": 0, "b": 0, "c": 0})
-        scheduler = Scheduler(db)
-        for txn_id, entity in (("T1", "a"), ("T2", "b"), ("T3", "c")):
-            scheduler.register(lock_program(txn_id, entity))
-            assert scheduler.step(txn_id).outcome is StepOutcome.GRANTED
-        return scheduler
-
-    def test_grants_immunity_at_preemption_limit(self):
-        scheduler = self._three_holders()
-        wd = StarvationWatchdog(preemption_limit=1, no_progress_window=10_000)
-        wd.tick(scheduler, step=0)
-        assert wd.immune is None
-
-        scheduler.force_rollback("T2", 0, requester="T3")
-        wd.tick(scheduler, step=1)
-        assert wd.immune == "T2"
-        assert scheduler.preemption_immune == {"T2"}
-        assert scheduler.metrics.immunity_grants == 1
-        assert wd.preemption_counts == {"T2": 1}
-
-    def test_slot_hands_over_to_elder_starver(self):
-        scheduler = self._three_holders()
-        wd = StarvationWatchdog(preemption_limit=1, no_progress_window=10_000)
-        scheduler.force_rollback("T2", 0, requester="T3")
-        wd.tick(scheduler, step=1)
-        assert wd.immune == "T2"
-        # T1 (elder entry order) starts starving later: the single slot
-        # moves to it — handoffs only ever travel toward the eldest.
-        scheduler.force_rollback("T1", 0, requester="T3")
-        wd.tick(scheduler, step=2)
-        assert wd.immune == "T1"
-        assert scheduler.preemption_immune == {"T1"}
-        assert scheduler.metrics.immunity_grants == 2
-
-    def test_preempting_immune_raises_livelock(self):
-        scheduler = self._three_holders()
-        wd = StarvationWatchdog(preemption_limit=1, no_progress_window=10_000)
-        scheduler.force_rollback("T1", 0, requester="T3")
-        wd.tick(scheduler, step=1)
-        assert wd.immune == "T1"
-        # A rogue policy preempts the immune transaction anyway: the
-        # rollback bound is violated and the watchdog raises with a full
-        # diagnosis instead of letting the run spin.
-        scheduler.force_rollback("T1", 0, requester="T2")
-        with pytest.raises(LivelockDetected) as excinfo:
-            wd.tick(scheduler, step=2)
-        diagnosis = excinfo.value.diagnosis
-        assert diagnosis is not None
-        assert "T1" in diagnosis.immune
-        assert "T1" in diagnosis.describe()
-
-    def test_slot_released_on_commit(self):
-        scheduler = self._three_holders()
-        wd = StarvationWatchdog(preemption_limit=1, no_progress_window=10_000)
-        scheduler.force_rollback("T3", 0, requester="T1")
-        wd.tick(scheduler, step=1)
-        assert wd.immune == "T3"
-        while scheduler.transaction("T3").status is TxnStatus.READY:
-            scheduler.step("T3")
-        wd.tick(scheduler, step=2)
-        assert wd.immune is None
-        assert scheduler.preemption_immune == set()
-
-    def test_no_progress_window_starvation(self):
-        scheduler = self._three_holders()
-        # T1 blocked behind T2's lock on b makes no frontier progress.
-        scheduler.register(lock_program("T4", "b"))
-        assert scheduler.step("T4").outcome is StepOutcome.BLOCKED
-        wd = StarvationWatchdog(preemption_limit=99, no_progress_window=10)
-        wd.tick(scheduler, step=0)
-        wd.tick(scheduler, step=9)
-        assert wd.immune is None
-        wd.tick(scheduler, step=10)
-        # Every live transaction stalled; the eldest gets the slot.
-        assert wd.immune == "T1"
-
-    def test_verdict_shape(self):
-        scheduler = self._three_holders()
-        wd = StarvationWatchdog(preemption_limit=2, no_progress_window=100)
-        scheduler.force_rollback("T2", 0, requester="T3")
-        wd.tick(scheduler, step=1)
-        verdict = wd.verdict(scheduler)
-        assert verdict["max_preemptions"] == 1
-        assert verdict["preemption_limit"] == 2
-        assert verdict["currently_immune"] is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StarvationWatchdog(preemption_limit=0)
-        with pytest.raises(ValueError):
-            StarvationWatchdog(no_progress_window=0)

@@ -89,6 +89,17 @@ class TestCommands:
         assert "serializable: True" in out
         assert "commits: 5" in out
 
+    def test_overload_livelock_prints_its_diagnosis(self, capsys):
+        # requester never preempts, yet this run stops on the engine's
+        # livelock window: the CLI says so and shows who waits on whom.
+        code = main(["overload", "--policy", "requester", "--admission",
+                     "none", "--deadline", "0", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "committed            17\n" in out
+        assert "livelock detected: no commit for 20000 steps" in out
+        assert "\nrunnable: T023\n" in out and "\nwaits-for:\n" in out
+
     def test_run_with_trace(self, capsys):
         code = main(["run", "--transactions", "2", "--entities", "3",
                      "--locks", "1", "2", "--trace"])

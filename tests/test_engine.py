@@ -279,7 +279,7 @@ class TestRunnableOrder:
         pinned byte for byte (the choices the interleavings made when they
         still sorted a registration-ordered list)."""
         assert order_contract_digest() == (
-            "606b5563cec307f0cf276280778cc5e4a8950da0821822a04f4237e53815cc08"
+            "a8acbbb1e04494f4f9822beb7efd87abcd3669e8b6ca22b65051a06e47a8864a"
         )
 
     @pytest.mark.parametrize("interleaving", [RandomInterleaving(1),

@@ -33,7 +33,6 @@ from repro.observability.export import (
     to_chrome,
     to_jsonl,
 )
-from repro.observability.regression import TraceRegression
 from repro.observability.scenarios import SCENARIOS, record_scenario
 from repro.observability.spans import (
     ROLLING_BACK,
@@ -292,39 +291,10 @@ def test_no_negative_durations():
 
 
 def test_preemption_links_name_both_sides():
-    recorder, _context = recorded("figure2-immunity")
+    recorder, _context = recorded("run")
     links = preemption_links(build_spans(recorder.events))
     assert links
     assert any(victim != by for victim, by, _seq in links)
-
-
-def test_figure2_immunity_breaks_the_livelock():
-    """The pinned story: mutual preemption under min-cost ends at the
-    watchdog's immunity grant and every transaction commits."""
-    recorder, context = recorded("figure2-immunity")
-    assert context["livelock"] is False
-    assert sorted(context["committed"]) == ["T1", "T2", "T3", "T4"]
-    grants = [
-        e for e in recorder.events if e.kind is EventKind.IMMUNITY_GRANT
-    ]
-    assert grants, "watchdog never granted immunity"
-    assert context["mutual_preemption_pairs"], (
-        "scenario lost its mutual preemption — it no longer exercises "
-        "the Figure 2 livelock"
-    )
-
-
-def test_trace_regression_checker_catches_drift():
-    case = TraceRegression(
-        path="(inline)",
-        scenario="figure2-immunity",
-        seed=7,
-        expect_committed=["T1", "T2", "T3", "T4"],
-        expect_immunity_grants=99,  # deliberately wrong
-        expect_mutual_pairs=[["T2", "T4"]],
-    )
-    verdict = case.check()
-    assert verdict.startswith("violation:trace immunity grant count")
 
 
 # -- exporters ---------------------------------------------------------------
@@ -381,7 +351,7 @@ def test_metrics_summary_full_schema():
         "copies_peak", "storage_faults", "degraded_restarts",
         "backoff_stalls", "restart_escalations", "admitted", "shed",
         "admission_queue_peak", "deadline_expiries", "deadline_partials",
-        "deadline_restarts", "immunity_grants", "timeout_rollbacks",
+        "deadline_restarts", "timeout_rollbacks",
         "unavailable_stalls", "replica_catchups", "stale_write_skips",
         "rollbacks_by_victim",
         "hottest_entities", "mutual_preemption_pairs",
@@ -456,7 +426,7 @@ def test_live_top_renders_a_metrics_snapshot():
     assert text.startswith(f"repro top @ step {metrics['step']}\n")
     assert f"steps since commit   {metrics['steps_since_commit']}" in text
     assert "rollback victims (txn, rollbacks)\n" in text
-    assert "longest blocked" not in text and "immunity" not in text
+    assert "longest blocked" not in text
 
 
 # -- CLI ---------------------------------------------------------------------

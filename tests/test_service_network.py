@@ -227,6 +227,27 @@ class TestLiveService:
                 assert reply["ok"] is False
                 assert reply["code"] == 429
 
+    def test_unkeyable_rid_is_a_400_and_the_connection_survives(
+        self, tmp_path
+    ):
+        # A list or object rid cannot key a waiter: the core's 400 comes
+        # back on the same connection, which still serves the next frame.
+        with ServerHarness(tmp_path) as harness:
+            with socket.create_connection(
+                ("127.0.0.1", harness.client_port), timeout=5
+            ) as sock, sock.makefile("rb") as reader:
+                for rid in ([1], {"a": 1}):
+                    sock.sendall(
+                        (json.dumps({"rid": rid, "verb": "status"}) + "\n")
+                        .encode()
+                    )
+                    reply = json.loads(reader.readline())
+                    assert reply["rid"] == rid
+                    assert reply["code"] == 400
+                sock.sendall(b'{"rid": "after", "verb": "status"}\n')
+                reply = json.loads(reader.readline())
+                assert reply["rid"] == "after" and reply["ok"] is True
+
     def test_drain_is_a_structured_503(self, tmp_path):
         with ServerHarness(tmp_path) as harness:
             harness.drain()

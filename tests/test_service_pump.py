@@ -45,8 +45,10 @@ from repro.service.core import (
 )
 from repro.storage.database import Database
 
-#: sha256 of ``script_jsonl(0)``, computed on the core before the gate.
-PIN = "04ecb1ac1a97f6faee28b9f4946bb928906232dcc0d37b7317abeced76ae5e59"
+#: sha256 of ``script_jsonl(0)``, computed on the core before the gate
+#: and re-derived when ``victim.select`` lost its always-empty ``immune``
+#: key (the old pin's lines with that key popped hash to this one).
+PIN = "239e254dbbb328ad71db2c8e1fa621806828dcc9b48a39ac9760f66d4bc04b1c"
 
 ENTITIES = 4
 CLIENTS = 4

@@ -239,7 +239,7 @@ class TestSpaceSavingTopK:
 # ---------------------------------------------------------------------------
 
 _SCENARIO_SEEDS = [("run", 0), ("chaos", 1), ("overload", 2),
-                   ("figure2-immunity", 0), ("distributed", 0)]
+                   ("distributed", 0)]
 
 
 @pytest.mark.parametrize("scenario,seed", _SCENARIO_SEEDS)
