@@ -26,8 +26,7 @@ Two properties the rest of the observability layer depends on:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class EventKind(enum.Enum):
@@ -35,7 +34,11 @@ class EventKind(enum.Enum):
 
     Grouped by publishing layer; the string values are what appears in
     the JSONL export, so they are part of the fingerprint contract.
+    Members hash by identity, in C (``Enum`` hashes the name in Python):
+    every route lookup hashes one, and no output depends on the hash.
     """
+
+    __hash__ = object.__hash__
 
     # -- engine -----------------------------------------------------------
     STEP = "engine.step"
@@ -90,21 +93,32 @@ class EventKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One published event.
+class _EventFields(NamedTuple):
+    seq: int
+    step: int
+    kind: EventKind
+    txn: str
+    data: dict[str, Any]
+
+
+class Event(_EventFields):
+    """One published event: an immutable tuple, cheap to build.
 
     ``seq`` is the bus-wide sequence number (total order), ``step`` the
     logical engine step at publish time, ``txn`` the primary transaction
     the event concerns (may be empty), and ``data`` the kind-specific
-    payload — JSON-serializable values only, by contract.
+    payload — JSON-serializable values only, by contract.  Omitted,
+    ``data`` is a fresh empty dict, never one shared between events.
     """
 
-    seq: int
-    step: int
-    kind: EventKind
-    txn: str = ""
-    data: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls, seq: int, step: int, kind: EventKind, txn: str = "",
+        data: dict[str, Any] | None = None,
+    ) -> "Event":
+        data = {} if data is None else data
+        return tuple.__new__(cls, (seq, step, kind, txn, data))
 
     def to_obj(self) -> dict[str, Any]:
         """The JSON-ready form used by the exporters (stable key set)."""

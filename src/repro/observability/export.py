@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from _json import make_encoder
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
@@ -39,12 +41,34 @@ _INSTANT_KINDS = {
 }
 
 
+#: The C encoder ``json.dumps(obj, sort_keys=True, default=str)`` builds
+#: per call (costlier than encoding a journal line), built once.
+#: Stateless, so threads share it: it keeps no circular-reference marks,
+#: and what it encodes (events' data, wire frames) is never circular.
+_ENCODE = make_encoder(
+    None, str, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
+
+
+def canonical_json(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, default=str)``, byte for byte."""
+    return "".join(_ENCODE(obj, 0))
+
+
+def event_line(event: Event) -> str:
+    """One event's JSONL row: ``json.dumps(event.to_obj(), sort_keys=True,
+    default=str)``, built around one encode of ``data`` (the sorted keys
+    are data, kind, seq, step, txn; ``txn`` is a string by contract)."""
+    return (
+        f'{{"data": {canonical_json(event.data)}, '
+        f'"kind": "{event.kind.value}", "seq": {event.seq}, '
+        f'"step": {event.step}, "txn": {encode_basestring_ascii(event.txn)}}}'
+    )
+
+
 def event_lines(events: Iterable[Event]) -> list[str]:
     """One sorted-keys JSON line per event (the JSONL rows)."""
-    return [
-        json.dumps(event.to_obj(), sort_keys=True, default=str)
-        for event in events
-    ]
+    return [event_line(event) for event in events]
 
 
 def to_jsonl(events: Iterable[Event]) -> str:
@@ -86,16 +110,12 @@ class JsonlStreamSink:
         self._handle = (
             open_jsonl_append(self.path) if append else self.path.open("w")
         )
-        self.lines_written = 0
         self.flushes = 0  # explicit flush() calls: the owner's boundaries
 
     def __call__(self, event: Event) -> None:
-        self._handle.write(
-            json.dumps(event.to_obj(), sort_keys=True, default=str) + "\n"
-        )
+        self._handle.write(event_line(event) + "\n")
         if not self._buffered:
             self._handle.flush()
-        self.lines_written += 1
 
     def flush(self) -> None:
         """Hand every line written so far to the operating system."""

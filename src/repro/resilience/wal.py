@@ -113,6 +113,8 @@ class WriteAheadLog:
 
     def __init__(self, initial_state: dict) -> None:
         self.records: list[WalRecord] = []
+        #: Records :meth:`truncate` dropped; their LSNs stay taken.
+        self.truncated = 0
         self.checkpoints: list[Checkpoint] = []
         self._initial_state = dict(initial_state)
         #: Observability bus (the recovery manager installs the
@@ -129,7 +131,7 @@ class WriteAheadLog:
             self.bus.publish(
                 EventKind.WAL_APPEND,
                 record.txn_id,
-                lsn=len(self.records) - 1,
+                lsn=len(self) - 1,
                 record=str(record.kind),
                 entity=record.entity,
                 value=record.value,
@@ -154,7 +156,7 @@ class WriteAheadLog:
         """Record a snapshot of the durable state taken after *step*."""
         point = Checkpoint(
             step=step,
-            lsn=len(self.records),
+            lsn=len(self),
             state=dict(state),
             committed=tuple(committed),
         )
@@ -167,6 +169,13 @@ class WriteAheadLog:
                 committed=sorted(point.committed),
             )
         return point
+
+    def truncate(self) -> None:
+        """Drop the retained records, keeping their LSNs taken: for a
+        log whose records are durable elsewhere (the service's journal
+        holds each as a ``wal.append`` line), recovered from there."""
+        self.truncated += len(self.records)
+        self.records.clear()
 
     def latest_checkpoint(self) -> Checkpoint | None:
         return self.checkpoints[-1] if self.checkpoints else None
@@ -192,6 +201,8 @@ class WriteAheadLog:
         redoes the installs of committed transactions in log order;
         installs of in-flight transactions are discarded.
         """
+        if self.truncated:
+            raise ValueError("truncated log: recover from its durable copy")
         point = self.latest_checkpoint()
         if point is None:
             state = dict(self._initial_state)
@@ -218,19 +229,13 @@ class WriteAheadLog:
     # -- introspection ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.records)
+        """Every record ever logged, truncated ones included."""
+        return self.truncated + len(self.records)
 
     def fingerprint(self) -> str:
-        """Content hash over every record (determinism assertions)."""
+        """Content hash over the retained records (determinism checks)."""
         digest = hashlib.sha256()
         for record in self.records:
             digest.update(record.render().encode())
             digest.update(b"\n")
         return digest.hexdigest()
-
-    def render(self, limit: int | None = None) -> str:
-        """Human-readable log dump (triage aid)."""
-        records = self.records if limit is None else self.records[:limit]
-        return "\n".join(
-            f"[{i:>5}] {record.render()}" for i, record in enumerate(records)
-        )

@@ -205,13 +205,13 @@ class ServiceClient:
             self._connect()
             self.stats.reconnects += 1
         assert self._sock is not None and self._reader is not None
+        # The timeout set at connect bounds each read; it is cut to what
+        # is left of this attempt only while stale replies are skipped.
+        if self._sock.gettimeout() != self.policy.request_timeout:
+            self._sock.settimeout(self.policy.request_timeout)
         self._sock.sendall(protocol.encode(obj))
         deadline = time.monotonic() + self.policy.request_timeout
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("request timed out")
-            self._sock.settimeout(remaining)
             line = self._reader.readline()
             if not line:
                 raise EOFError("server closed the connection")
@@ -219,6 +219,10 @@ class ServiceClient:
             if reply.get("rid") == obj["rid"]:
                 return reply
             # Stale reply from a previous attempt: drop and keep reading.
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("request timed out")
+            self._sock.settimeout(remaining)
 
     # -- protocol sugar -------------------------------------------------------
 

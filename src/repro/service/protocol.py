@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from ..observability.export import canonical_json
+
 #: Verbs a client may send (a set: every request tests membership).
 #: ``tick`` is internal: the server's idle ticker journals logical-time
 #: advancement so replay sees it too.
@@ -91,7 +93,7 @@ def error_reply(rid: Any, verb: str, code: int, error: str) -> dict:
 
 def encode(obj: dict) -> bytes:
     """One wire frame: compact JSON, sorted keys, newline terminated."""
-    return (json.dumps(obj, sort_keys=True, default=str) + "\n").encode()
+    return (canonical_json(obj) + "\n").encode()
 
 
 def decode(line: bytes | str) -> dict:

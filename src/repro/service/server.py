@@ -20,8 +20,8 @@ file once:
   exactly-once success instead of a 410.
 
 All request handling runs on the event loop's single thread, so the
-synchronous core needs no locking; per-connection reader tasks simply
-call it in arrival order.
+synchronous core needs no locking: each connection's protocol splits the
+bytes it receives into newline frames and answers them in arrival order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import re
 import signal
 from pathlib import Path
-from typing import Any
+from typing import Any, cast
 
 from ..observability.events import Event, EventBus, EventKind
 from ..observability.export import JsonlStreamSink, read_events_jsonl
@@ -42,6 +42,10 @@ from . import protocol
 from .core import ServiceConfig, ServiceCore
 
 _TXN_ID = re.compile(r"^T(\d+)$")
+
+#: The longest frame a connection may send (asyncio's stream limit); a
+#: longer one is answered 400 and its connection closed.
+MAX_FRAME = 2**16
 
 
 def recovery_seeds(
@@ -173,7 +177,7 @@ class LockServer:
         self.metrics_port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._metrics_server: asyncio.base_events.Server | None = None
-        self._waiters: dict[Any, asyncio.StreamWriter] = {}
+        self._waiters: dict[Any, asyncio.Transport] = {}
         self._stopping = asyncio.Event()
         self._tick_counter = 0
         self._ticker_task: asyncio.Task | None = None
@@ -184,8 +188,8 @@ class LockServer:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> int:
         """Bind and serve; returns the actual port (``0`` = ephemeral)."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._ticker_task = asyncio.get_running_loop().create_task(
@@ -249,13 +253,13 @@ class LockServer:
     # -- the request path ------------------------------------------------------
 
     def _deliver(self, rid: Any, reply: dict) -> None:
-        writer = self._waiters.pop(rid, None)
-        if writer is None or writer.is_closing():
+        transport = self._waiters.pop(rid, None)
+        if transport is None or transport.is_closing():
             return  # client gone; the decision is journaled regardless
-        writer.write(protocol.encode(reply))
+        transport.write(protocol.encode(reply))
 
     def _handle(
-        self, request: dict, writer: asyncio.StreamWriter | None
+        self, request: dict, transport: asyncio.Transport | None
     ) -> None:
         """Feed one request to the core and route every reply."""
         rid = request.get("rid")
@@ -263,55 +267,27 @@ class LockServer:
         # waiter; the core answers any other rid 400 at once, and that
         # reply goes straight back on the connection that sent it.
         keyed = isinstance(rid, (str, int)) and not isinstance(rid, bool)
-        if writer is not None and keyed:
-            self._waiters[rid] = writer
+        if transport is not None and keyed:
+            self._waiters[rid] = transport
         commits = self.core.scheduler.metrics.commits
         reply, completions = self.core.handle(request)
         # The reply boundary: the journal reaches the operating system
         # before anything leaves, and the disk when this request
         # committed something (force at COMMIT: one fsync per commit).
+        # The journal then holds every WAL record, so the core's
+        # in-memory copies can go.
         if self.sink is not None:
             self.sink.flush()
             if self.core.scheduler.metrics.commits != commits:
                 os.fsync(self.sink.fileno())
+            if self.core.wal is not None:
+                self.core.wal.truncate()
         if reply is not None and keyed:
             self._deliver(rid, reply)
-        elif reply is not None and writer is not None:
-            writer.write(protocol.encode(reply))
+        elif reply is not None and transport is not None:
+            transport.write(protocol.encode(reply))
         for done_rid, done_reply in completions:
             self._deliver(done_rid, done_reply)
-
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = protocol.decode(line)
-                except ValueError:
-                    writer.write(
-                        protocol.encode(
-                            protocol.error_reply(
-                                None, "", protocol.BAD_REQUEST,
-                                "malformed frame",
-                            )
-                        )
-                    )
-                    continue
-                self._handle(request, writer)
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client vanished; parked work continues server-side
-        finally:
-            for rid, waiter in list(self._waiters.items()):
-                if waiter is writer:
-                    del self._waiters[rid]
-            writer.close()
 
     async def _serve_metrics(
         self,
@@ -367,6 +343,61 @@ class LockServer:
                 {"rid": f"__tick.{self._tick_counter}", "verb": "tick"},
                 None,
             )
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: each newline frame is answered in the
+    callback that completes it, and while the client leaves its replies
+    unread (over the transport's high-water mark) its reads pause."""
+
+    def __init__(self, server: LockServer) -> None:
+        self._server = server
+        self._partial = b""  # an incomplete frame's bytes so far
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+
+    def data_received(self, data: bytes) -> None:
+        *frames, self._partial = (self._partial + data).split(b"\n")
+        for frame in frames:
+            if len(frame) > MAX_FRAME:
+                break
+            self._answer(frame)
+        else:  # every frame answered: refuse only an over-long partial
+            if len(self._partial) <= MAX_FRAME:
+                return
+        self._refuse(f"frame longer than {MAX_FRAME} bytes")
+        self._transport.close()
+
+    def eof_received(self) -> None:
+        # A last frame without its newline is still a frame.
+        if self._partial:
+            self._answer(self._partial)
+            self._partial = b""
+
+    def _answer(self, frame: bytes) -> None:
+        try:
+            request = protocol.decode(frame)
+        except ValueError:
+            self._refuse("malformed frame")
+        else:
+            self._server._handle(request, self._transport)
+
+    def _refuse(self, error: str) -> None:
+        reply = protocol.error_reply(None, "", protocol.BAD_REQUEST, error)
+        self._transport.write(protocol.encode(reply))
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # Parked work continues server-side; only its replies are dropped.
+        waiters = self._server._waiters
+        for rid in [r for r, t in waiters.items() if t is self._transport]:
+            del waiters[rid]
 
 
 async def serve(

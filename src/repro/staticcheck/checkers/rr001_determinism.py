@@ -70,13 +70,14 @@ class NondeterminismChecker(Checker):
     title = "nondeterminism hazards"
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        """One walk of the module: imports are checked and collected as
-        they are met, and every other candidate node is judged after the
-        walk, once the module's whole import set is known."""
+        """One pass over the module's nodes: imports are checked and
+        collected as they are met, and every other candidate node is
+        judged after the pass, once the module's whole import set is
+        known."""
         imported: set[str] = set()
         findings: list[Finding] = []
         candidates: list[ast.AST] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     imported.add(alias.asname or alias.name.split(".")[0])

@@ -54,7 +54,7 @@ class LockDisciplineChecker(Checker):
         if module.in_package(_LOCK_PACKAGE):
             return ()
         findings: list[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Attribute):
                 if node.attr in _PRIVATE_STATE and not (
                     isinstance(node.value, ast.Name)

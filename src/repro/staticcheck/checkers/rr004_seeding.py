@@ -58,46 +58,31 @@ class SeededRandomChecker(Checker):
     title = "seeded-Random plumbing"
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        from_imports = {
-            alias.asname or alias.name
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "random"
-            for alias in node.names
-        }
+        """One pass over the module's nodes collects its ``from random``
+        imports and its calls; the calls are judged after the pass, once
+        the whole import set is known, each against the parameters of
+        every function it sits in."""
+        from_imports: set[str] = set()
+        calls: list[ast.Call] = []
+        for node in module.nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
+                from_imports.update(
+                    alias.asname or alias.name for alias in node.names
+                )
+            elif isinstance(node, ast.Call):
+                calls.append(node)
         findings: list[Finding] = []
-        self._visit(
-            module, module.tree.body, params=set(),
-            from_imports=from_imports, findings=findings,
-        )
+        for call in calls:
+            if not _is_random_ctor(call, from_imports):
+                continue
+            params: set[str] = set()
+            scope = module.parents.get(call)
+            while scope is not None:
+                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    params |= _param_names(scope)
+                scope = module.parents.get(scope)
+            findings.extend(self._check_ctor(module, call, params))
         return findings
-
-    def _visit(
-        self,
-        module: Module,
-        body: Iterable[ast.stmt],
-        params: set[str],
-        from_imports: set[str],
-        findings: list[Finding],
-    ) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._visit(
-                    module, stmt.body, params | _param_names(stmt),
-                    from_imports, findings,
-                )
-                continue
-            if isinstance(stmt, ast.ClassDef):
-                self._visit(
-                    module, stmt.body, params, from_imports, findings
-                )
-                continue
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and _is_random_ctor(
-                    node, from_imports
-                ):
-                    findings.extend(
-                        self._check_ctor(module, node, params)
-                    )
 
     def _check_ctor(
         self, module: Module, node: ast.Call, params: set[str]

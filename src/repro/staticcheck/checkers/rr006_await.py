@@ -65,7 +65,7 @@ class AwaitDisciplineChecker(Checker):
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         findings: list[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
             findings.extend(self._check_coroutine(module, node))
@@ -78,7 +78,7 @@ class AwaitDisciplineChecker(Checker):
 
         Nested function definitions are opaque scopes: a sync helper
         cannot await, and a nested ``async def`` is its own coroutine
-        (``ast.walk`` over the module visits it separately).
+        (the module's walk visits it separately).
         """
         events: list[tuple[int, int, str, str]] = []
         stack: list[ast.AST] = list(ast.iter_child_nodes(coroutine))

@@ -93,6 +93,10 @@ class Module:
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     suppressions: list[Suppression] = field(default_factory=list)
+    #: The module's one walk, which every rule reads: each node of
+    #: :attr:`tree` in ``ast.walk`` order, and each node's parent.
+    nodes: list[ast.AST] = field(default_factory=list)
+    parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
 
     def in_package(self, dotted_prefix: str) -> bool:
         return self.name == dotted_prefix or self.name.startswith(
@@ -169,6 +173,12 @@ def load_module(path: Path) -> Module:
     """Parse one file into a :class:`Module` (raises ``SyntaxError``)."""
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
+    nodes: list[ast.AST] = [tree]
+    parents: dict[ast.AST, ast.AST] = {}
+    for node in nodes:  # grows as it goes: breadth first, as ast.walk
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+            nodes.append(child)
     return Module(
         path=path,
         name=_module_name(path),
@@ -176,6 +186,8 @@ def load_module(path: Path) -> Module:
         tree=tree,
         lines=source.splitlines(),
         suppressions=_parse_suppressions(source),
+        nodes=nodes,
+        parents=parents,
     )
 
 

@@ -16,18 +16,24 @@ The load-bearing properties, in test order:
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cli import main
 from repro.observability.events import (
     NULL_BUS,
+    Event,
     EventBus,
     EventKind,
     NullBus,
     events_of,
 )
 from repro.observability.export import (
+    JsonlStreamSink,
+    event_lines,
     fingerprint,
     graph_snapshots,
     to_chrome,
@@ -42,6 +48,7 @@ from repro.observability.spans import (
 )
 from repro.observability.streaming import LogHistogram, StreamingAggregator
 from repro.observability.top import build_top, render_top, report_from_metrics
+from repro.service import protocol
 
 #: One recording per scenario per module run — the expensive fixture.
 _CACHE = {}
@@ -475,6 +482,67 @@ def test_cli_top_json(capsys):
 
 
 # -- crash-safe streaming ----------------------------------------------------
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, default=str)
+
+
+#: Non-ASCII included; no surrogates, which a UTF-8 file cannot hold.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+#: JSON values, nested, plus values only ``default=str`` can encode.
+_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | _TEXT
+    | st.decimals(allow_nan=False)
+    | st.sampled_from(list(EventKind))
+    | st.frozensets(st.integers(), max_size=1),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+_DATA = st.dictionaries(_TEXT, _VALUES, max_size=4)
+_EVENTS = st.lists(
+    st.builds(
+        Event,
+        st.integers(0, 2**40),
+        st.integers(0, 2**40),
+        st.sampled_from(list(EventKind)),
+        _TEXT,
+        _DATA,
+    ),
+    max_size=4,
+)
+
+
+class TestSameBytes:
+    """The one line builder and the wire encoder write exactly the bytes
+    ``json.dumps(..., sort_keys=True, default=str)`` writes."""
+
+    @given(_EVENTS)
+    def test_sink_lines_equal_event_lines_and_json_dumps(self, events):
+        expected = [_dumps(event.to_obj()) for event in events]
+        assert event_lines(events) == expected
+        assert to_jsonl(events) == "".join(line + "\n" for line in expected)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.jsonl"
+            with JsonlStreamSink(path) as sink:
+                for event in events:
+                    sink(event)
+            assert path.read_text() == to_jsonl(events)
+
+    @given(_DATA)
+    def test_wire_frame_equals_json_dumps(self, obj):
+        assert protocol.encode(obj) == (_dumps(obj) + "\n").encode()
+
+    def test_event_data_defaults_to_a_fresh_dict(self):
+        first, second = Event(0, 0, EventKind.STEP), Event(1, 0, EventKind.STEP)
+        assert first.data == {} and first.data is not second.data
+        with pytest.raises(AttributeError):
+            first.seq = 5
 
 
 class TestJsonlStreaming:

@@ -515,3 +515,27 @@ class TestProcessCrashes:
         # many there are depends on the host's speed; what each says
         # does not.
         assert boots[0] is False and len(boots) >= 2 and all(boots[1:])
+
+
+def test_served_wal_retains_a_bounded_tail_and_counts_every_record(
+    tmp_path,
+):
+    """The journal is the WAL's durable copy, so a long served run keeps
+    no record past the reply of the request that logged it, while
+    ``len(wal)`` and the journaled LSNs still count every record."""
+    journal = tmp_path / "journal.jsonl"
+    harness = Harness(journal)
+    retained = []
+    for _ in range(150):
+        harness.transaction("a", "e001")
+        retained.append(len(harness.core.wal.records))
+    harness.close()
+    lsns = [
+        event.data["lsn"]
+        for event in read_events_jsonl(journal)
+        if event.kind is EventKind.WAL_APPEND
+    ]
+    assert max(retained) == 0
+    # Per transaction: two grants, one install, one commit.
+    assert len(harness.core.wal) == len(lsns) == 150 * 4
+    assert lsns == list(range(len(lsns)))

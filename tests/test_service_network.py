@@ -40,7 +40,7 @@ from repro.service.core import ServiceConfig
 from repro.service.protocol import ServiceError
 from repro.service.proxy import FaultProxy
 from repro.service.replay import verify_journal
-from repro.service.server import LockServer, build_core
+from repro.service.server import MAX_FRAME, LockServer, _Connection, build_core
 
 HOT = "e000"
 
@@ -271,6 +271,157 @@ class TestLiveService:
         ), results
         assert committed <= final <= committed + unknown
         assert verify_journal(tmp_path / "journal.jsonl") == []
+
+
+def wire(port):
+    """A bare socket and a line reader on it."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+    return sock, sock.makefile("rb")
+
+
+def frame(obj):
+    return (json.dumps(obj) + "\n").encode()
+
+
+def until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestFraming:
+    """Newline framing on a live server: however the bytes arrive, each
+    frame gets its answer on the connection that sent it."""
+
+    def test_two_frames_in_one_write(self, tmp_path):
+        with ServerHarness(tmp_path) as harness:
+            sock, reader = wire(harness.client_port)
+            with sock, reader:
+                sock.sendall(
+                    frame({"rid": "a", "verb": "status"})
+                    + frame({"rid": "b", "verb": "status"})
+                )
+                rids = [json.loads(reader.readline())["rid"] for _ in "ab"]
+                assert rids == ["a", "b"]
+
+    def test_frame_split_across_writes_mid_utf8(self, tmp_path):
+        data = json.dumps(
+            {"rid": "grüße", "verb": "status"}, ensure_ascii=False
+        ).encode() + b"\n"
+        cut = data.index("ü".encode()) + 1  # inside the two-byte sequence
+        with ServerHarness(tmp_path) as harness:
+            sock, reader = wire(harness.client_port)
+            with sock, reader:
+                for part in (data[:3], data[3:cut], data[cut:]):
+                    sock.sendall(part)
+                    time.sleep(0.05)  # each part its own read
+                reply = json.loads(reader.readline())
+                assert reply["rid"] == "grüße" and reply["ok"] is True
+
+    def test_malformed_line_is_a_400_and_the_connection_survives(
+        self, tmp_path
+    ):
+        with ServerHarness(tmp_path) as harness:
+            sock, reader = wire(harness.client_port)
+            with sock, reader:
+                sock.sendall(b"not json\n\xff\xfe\n")
+                for _ in range(2):
+                    reply = json.loads(reader.readline())
+                    assert reply["code"] == 400 and reply["rid"] is None
+                sock.sendall(frame({"rid": "after", "verb": "status"}))
+                assert json.loads(reader.readline())["rid"] == "after"
+
+    def test_over_limit_frame_is_a_400_and_closes(self, tmp_path):
+        with ServerHarness(tmp_path) as harness:
+            sock, reader = wire(harness.client_port)
+            with sock, reader:
+                sock.sendall(b"x" * (MAX_FRAME + 1))
+                reply = json.loads(reader.readline())
+                assert reply["code"] == 400 and "longer" in reply["error"]
+                assert reader.readline() == b""  # closed
+            # Other connections are unaffected.
+            reply = raw_request(
+                harness.client_port, {"rid": "next", "verb": "status"}
+            )
+            assert reply["ok"] is True
+
+    def test_parked_reply_reaches_the_asker_and_disconnect_drops_only_its_waiters(
+        self, tmp_path
+    ):
+        with ServerHarness(tmp_path) as harness:
+            server = harness.server
+            (a, ra), (c, rc), (b, rb) = (
+                wire(harness.client_port) for _ in range(3)
+            )
+            with a, ra, b, rb, c, rc:
+                txns = {}
+                # a holds the hot entity; c, then b, queue behind it.
+                for name, sock, reader in (("a", a, ra), ("c", c, rc),
+                                           ("b", b, rb)):
+                    sock.sendall(frame({"rid": f"{name}.0", "verb": "begin"}))
+                    txns[name] = json.loads(reader.readline())["txn"]
+                    sock.sendall(frame({
+                        "rid": f"{name}.1", "verb": "lock",
+                        "txn": txns[name], "entity": HOT, "mode": "X",
+                    }))
+                    if name == "a":
+                        assert json.loads(ra.readline())["ok"] is True
+                    else:
+                        until(lambda: f"{name}.1" in server._waiters)
+                rb.close()
+                b.close()  # b's parked lock request loses its connection
+                until(lambda: "b.1" not in server._waiters)
+                assert "c.1" in server._waiters
+                a.sendall(frame({"rid": "a.2", "verb": "abort",
+                                 "txn": txns["a"]}))
+                assert json.loads(ra.readline())["rid"] == "a.2"
+                # c's grant arrives on c's connection, and only there.
+                reply = json.loads(rc.readline())
+                assert reply["rid"] == "c.1" and reply["ok"] is True
+                a.settimeout(0.2)
+                with pytest.raises(TimeoutError):
+                    a.recv(1)
+                # b's transaction lives on without its client and is
+                # next in line; end both so the drain need not wait.
+                for name in "cb":
+                    c.sendall(frame({"rid": f"c.{name}", "verb": "abort",
+                                     "txn": txns[name]}))
+                    assert json.loads(rc.readline())["rid"] == f"c.{name}"
+
+    def test_client_that_never_reads_stops_being_read(
+        self, tmp_path, monkeypatch
+    ):
+        connections = []
+        made = _Connection.connection_made
+
+        def record(self, transport):
+            connections.append(transport)
+            made(self, transport)
+
+        monkeypatch.setattr(_Connection, "connection_made", record)
+        burst = frame({"rid": 1, "verb": "status"}) * 2000
+        with ServerHarness(tmp_path) as harness:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(1.0)
+            sock.connect(("127.0.0.1", harness.client_port))
+            with sock:
+                sent = 0
+                deadline = time.monotonic() + 10
+                with pytest.raises(TimeoutError):
+                    while time.monotonic() < deadline:
+                        sock.sendall(burst)
+                        sent += len(burst)
+                (transport,) = connections
+                handled = harness.server.core.requests_handled
+                time.sleep(0.2)
+                # Reads paused: the server takes no more of its requests,
+                # and what it holds for the client stays bounded.
+                assert harness.server.core.requests_handled == handled
+                assert not transport.is_reading()
+                assert transport.get_write_buffer_size() < 4 * 2**20
+                assert handled * len(frame({"rid": 1, "verb": "status"})) < sent
 
 
 class TestRetryStormThroughFaults:
