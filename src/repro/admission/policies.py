@@ -4,7 +4,7 @@ The multiprogramming level (MPL) is the lever the probabilistic
 deadlock-prevention literature identifies (PAPERS.md: Oliveira & Barbosa):
 deadlock probability grows superlinearly in the number of concurrent
 transactions, so under contention it is cheaper to queue arrivals than to
-admit them into a rollback storm.  Two policies ship:
+admit them into a rollback storm.  Three policies ship:
 
 ``fixed-mpl``
     A constant cap — the classic static MPL knob.
@@ -20,8 +20,8 @@ admit them into a rollback storm.  Two policies ship:
     (:mod:`repro.staticcheck.workload`): the recommended MPL is the
     largest window whose expected number of deadlocking pairs stays
     within a budget, given the workload's measured lock-order inversion
-    structure.  At runtime the window adapts AIMD-style around that
-    anchor (never above twice the recommendation), and the policy
+    structure.  At runtime it is ``aimd`` around that anchor, without
+    the probe slot and never above twice the recommendation, and it
     exposes a :meth:`~PredictivePolicy.priority` hook the controller
     uses to admit low-risk templates first under backlog.
 """
@@ -149,19 +149,17 @@ class AimdPolicy(AdmissionPolicy):
         self.history.append((snapshot.step, self._window))
 
 
-class PredictivePolicy(AdmissionPolicy):
+class PredictivePolicy(AimdPolicy):
     """Risk-anchored admission (probabilistic deadlock prevention).
 
     The static workload analyzer scores every transaction template's
     lock-order inversion structure and recommends the largest MPL whose
-    expected deadlocking pairs fit a budget; this policy starts there
-    and adapts deterministically around that anchor: a rollback rate
-    above ``rollback_threshold`` over the last ``window_steps`` halves
-    the window (floored at ``min_window``); a healthy window grows by
-    one, capped at twice the recommendation (contention risk is
-    quadratic in the window, so drifting far above the anchor defeats
-    the prediction).  No randomness: the same report and observation
-    sequence always yield the same trajectory.
+    expected deadlocking pairs fit a budget; this policy is an
+    :class:`AimdPolicy` that starts there, grows by exactly one (no
+    probe slot) and is capped at twice the recommendation (contention
+    risk is quadratic in the window, so drifting far above the anchor
+    defeats the prediction).  The same report and observation sequence
+    always yield the same trajectory.
 
     :meth:`priority` ranks programs by their template's risk score so
     the controller can admit low-risk work first while a backlog holds
@@ -180,33 +178,20 @@ class PredictivePolicy(AdmissionPolicy):
         window_steps: int = 40,
         rollback_threshold: float = 0.5,
     ) -> None:
-        if not 1 <= min_window <= max_window:
-            raise ValueError("1 <= min_window <= max_window required")
-        if window_steps < 1:
-            raise ValueError("window_steps must be positive")
-        if not 0.0 <= rollback_threshold <= 1.0:
-            raise ValueError("rollback_threshold must be in [0, 1]")
-        self.report = report
         anchor = (
             report.recommended_mpl(budget) if report is not None else initial
         )
         self.recommended = max(min_window, min(max_window, anchor))
-        self.min_window = min_window
-        self.max_window = min(max_window, 2 * self.recommended)
-        self.window_steps = window_steps
-        self.rollback_threshold = rollback_threshold
-        self._window = self.recommended
-        self._adapted_at = 0
-        self._rollbacks_then = 0
-        self._commits_then = 0
+        super().__init__(
+            initial=self.recommended,
+            min_window=min_window,
+            max_window=min(max_window, 2 * self.recommended),
+            window_steps=window_steps,
+            rollback_threshold=rollback_threshold,
+            probe_boost=0.0,
+        )
+        self.report = report
         self._risk_cache: dict[str, float] = {}
-        #: (step, window) after every adaptation, for reporting.
-        self.history: list[tuple[int, int]] = []
-
-    @property
-    def window(self) -> int:
-        """The current admitted-transaction window."""
-        return self._window
 
     def priority(self, program: "TransactionProgram") -> float:
         """Risk score of *program*'s template (lower admits first)."""
@@ -223,25 +208,6 @@ class PredictivePolicy(AdmissionPolicy):
             )
         self._risk_cache[program.txn_id] = risk
         return risk
-
-    def capacity(self, snapshot: AdmissionSnapshot) -> int:
-        if snapshot.step - self._adapted_at >= self.window_steps:
-            self._adapt(snapshot)
-        return self._window
-
-    def _adapt(self, snapshot: AdmissionSnapshot) -> None:
-        d_rollbacks = snapshot.rollbacks - self._rollbacks_then
-        d_commits = snapshot.commits - self._commits_then
-        observed = d_rollbacks + d_commits
-        rate = d_rollbacks / observed if observed else 0.0
-        if rate > self.rollback_threshold:
-            self._window = max(self.min_window, self._window // 2)
-        else:
-            self._window = min(self.max_window, self._window + 1)
-        self._adapted_at = snapshot.step
-        self._rollbacks_then = snapshot.rollbacks
-        self._commits_then = snapshot.commits
-        self.history.append((snapshot.step, self._window))
 
 
 #: Registry of selectable admission policies, in documentation order.

@@ -731,29 +731,26 @@ def cmd_trace(args) -> int:
     )
     events = recorder.events
     if args.txn:
-        from .observability.tracing import (
-            build_txn_trace,
-            render_txn_trace,
-            trace_ids,
-        )
+        from .observability.spans import render_trace
 
-        txn_trace = build_txn_trace(events, args.txn)
-        if not txn_trace.entries:
-            known = ", ".join(trace_ids(events)) or "none"
+        spans = build_spans(events)
+        span = spans.get(args.txn)
+        if span is None or not span.rows:
+            known = ", ".join(
+                sorted(txn for txn, other in spans.items() if other.rows)
+            ) or "none"
             print(
                 f"no events for transaction {args.txn!r} in scenario "
                 f"{args.scenario!r} (seed {args.seed}); known: {known}"
             )
             return 1
         if args.format == "jsonl":
-            payload = (
-                json.dumps(txn_trace.to_obj(), sort_keys=True) + "\n"
-            )
+            payload = json.dumps(span.trace_obj(), sort_keys=True) + "\n"
         else:
-            payload = render_txn_trace(txn_trace)
+            payload = render_trace(span)
         if args.out:
             Path(args.out).write_text(payload)
-            print(f"wrote {args.out} ({len(txn_trace.entries)} entries)")
+            print(f"wrote {args.out} ({len(span.rows)} entries)")
         else:
             sys.stdout.write(payload)
         return 0

@@ -513,20 +513,13 @@ class Scheduler:
                 ],
             )
         for action in actions:
-            self._apply_rollback(action, deadlock)
+            self.force_rollback(
+                action.txn_id,
+                action.target_ordinal,
+                requester=deadlock.requester,
+                ideal_ordinal=action.ideal,
+            )
         return actions
-
-    def _apply_rollback(
-        self, action: RollbackAction, deadlock: Deadlock
-    ) -> None:
-        txn = self.transaction(action.txn_id)
-        ideal = self._ideal_target(txn, deadlock)
-        self.force_rollback(
-            action.txn_id,
-            action.target_ordinal,
-            requester=deadlock.requester,
-            ideal_ordinal=ideal,
-        )
 
     def force_rollback(
         self,
@@ -649,16 +642,6 @@ class Scheduler:
         self.strategy.on_finish(txn)
         self.strategy.begin(txn)
         return grants
-
-    @staticmethod
-    def _ideal_target(txn: Transaction, deadlock: Deadlock) -> int:
-        """The unclamped target (for overshoot accounting)."""
-        entities = deadlock.waited_entities_of(txn.txn_id)
-        if not entities:
-            return 0
-        return min(
-            txn.record_for_entity(entity).ordinal for entity in entities
-        )
 
     # -- accounting -----------------------------------------------------------
 

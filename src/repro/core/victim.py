@@ -59,11 +59,17 @@ TxnId = str
 
 @dataclass(frozen=True)
 class RollbackAction:
-    """A chosen victim and the lock state it will be rolled back to."""
+    """A chosen victim and the lock state it will be rolled back to.
+
+    ``ideal`` is the unclamped target (just before the victim locked
+    the earliest entity the other members wait for); the strategy may
+    clamp ``target_ordinal`` below it, and the difference is overshoot.
+    """
 
     txn_id: TxnId
     target_ordinal: int
     cost: int
+    ideal: int
 
     def __str__(self) -> str:
         return (
@@ -114,7 +120,7 @@ class VictimContext:
         )
         target = self.strategy.choose_target(txn, ideal)
         cost = txn.state_index - txn.lock_state_state_index(target)
-        action = RollbackAction(txn_id, target, cost)
+        action = RollbackAction(txn_id, target, cost, ideal)
         self._actions[txn_id] = action
         return action
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Any
 
 from .recorder import RunRecorder
+from .spans import build_spans
 
 #: Selectable scenario names, in documentation order.
 SCENARIOS: tuple[str, ...] = (
@@ -180,7 +181,6 @@ def _scenario_distributed(
     partial rollback — the cross-site cause links ``repro trace
     distributed --txn <id>`` renders.
     """
-    from ..observability.tracing import build_txn_trace, trace_ids
     from ..resilience.chaos import chaos_run
     from ..simulation.workload import WorkloadConfig
 
@@ -202,8 +202,8 @@ def _scenario_distributed(
         instrument=recorder.attach,
     )
     cross_site_rollbacks = sum(
-        len(build_txn_trace(recorder.events, txn).cross_site_rollbacks())
-        for txn in trace_ids(recorder.events)
+        len(span.cross_site_rollbacks())
+        for span in build_spans(recorder.events).values()
     )
     return recorder, {
         "scenario": "distributed",

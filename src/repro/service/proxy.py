@@ -31,6 +31,23 @@ import asyncio
 
 from ..distributed.network import DeliveryAction
 from ..resilience.faults import FaultKind, FaultPlan
+from .server import MAX_FRAME
+
+#: The proxy's stream limit: past the server's, so an over-long frame
+#: reaches the server and its own 400 reaches the client.
+_READ_LIMIT = 2 * MAX_FRAME
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next line; a partial one at EOF; past the limit, the first
+    ``_READ_LIMIT`` bytes of an over-long one (so the bytes forwarded
+    are always the bytes read)."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError:
+        return await reader.read(_READ_LIMIT)
 
 
 class FaultProxy:
@@ -67,7 +84,7 @@ class FaultProxy:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> int:
         self._server = await asyncio.start_server(
-            self._serve_connection, host, port
+            self._serve_connection, host, port, limit=_READ_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -84,7 +101,7 @@ class FaultProxy:
     ) -> None:
         try:
             upstream_reader, upstream_writer = await asyncio.open_connection(
-                self.upstream_host, self.upstream_port
+                self.upstream_host, self.upstream_port, limit=_READ_LIMIT
             )
         except OSError:
             client_writer.close()
@@ -94,7 +111,7 @@ class FaultProxy:
         async def pump_requests() -> None:
             try:
                 while True:
-                    line = await client_reader.readline()
+                    line = await _read_line(client_reader)
                     if not line:
                         break
                     index = self.lines_seen
@@ -124,7 +141,7 @@ class FaultProxy:
         async def pump_replies() -> None:
             try:
                 while True:
-                    line = await upstream_reader.readline()
+                    line = await _read_line(upstream_reader)
                     if not line:
                         break
                     client_writer.write(line)

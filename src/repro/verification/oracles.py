@@ -501,9 +501,12 @@ class GraphConsistencyOracle(Oracle):
 
 
 #: Policies whose victim choice respects a time-invariant partial order
-#: (the requester itself, or a strictly later entrant).  For these the
-#: ``preemption-order`` and ``livelock-free`` oracles apply.
-ORDERED_POLICIES = ("ordered-min-cost", "requester", "youngest")
+#: and that Theorem 2 promises progress for.  For these the
+#: ``preemption-order`` and ``livelock-free`` oracles apply.  Not
+#: ``requester``: it never preempts another transaction, but rolling the
+#: requester back can re-close the same cycle forever, so it makes no
+#: progress claim.
+ORDERED_POLICIES = ("ordered-min-cost", "youngest")
 
 #: Post-run checks the harnesses run *between* engine runs rather than at
 #: every step.  ``make_oracles`` accepts these names and silently skips

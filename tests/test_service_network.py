@@ -346,6 +346,25 @@ class TestFraming:
             )
             assert reply["ok"] is True
 
+    def test_over_limit_frame_through_the_proxy_is_the_servers_400(
+        self, tmp_path
+    ):
+        plan = FaultPlan(seed=0)  # no faults: the proxy only relays
+        with ServerHarness(tmp_path, proxy_plan=plan) as harness:
+            for size in (70_000, 3 * MAX_FRAME):
+                sock, reader = wire(harness.client_port)
+                with sock, reader:
+                    sock.sendall(b"x" * size + b"\n")
+                    reply = json.loads(reader.readline())
+                    assert reply["code"] == 400
+                    assert reply["error"] == (
+                        f"frame longer than {MAX_FRAME} bytes"
+                    )
+            reply = raw_request(
+                harness.client_port, {"rid": "next", "verb": "status"}
+            )
+            assert reply["ok"] is True
+
     def test_parked_reply_reaches_the_asker_and_disconnect_drops_only_its_waiters(
         self, tmp_path
     ):

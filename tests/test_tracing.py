@@ -2,22 +2,18 @@
 
 Covers the tracing story of ``docs/OBSERVABILITY.md``: the Lamport
 clocks the distributed message log stamps on every send,
-:func:`build_txn_trace` stitching a recorded distributed run into one
-cross-site timeline whose rollback cause links name the site boundary
-the wound crossed, and the service core's replies and ``metrics`` verb.
+:func:`build_spans` stitching a recorded distributed run into one
+cross-site drill-down per transaction whose rollback cause links name
+the site boundary the wound crossed, and the service core's replies and
+``metrics`` verb.
 """
 
 import json
 
 from repro.distributed.network import MessageLog, MessageType
 from repro.observability.events import Event, EventKind
+from repro.observability.spans import build_spans, render_trace
 from repro.observability.streaming import render_prometheus
-from repro.observability.tracing import (
-    build_txn_trace,
-    infer_home_sites,
-    render_txn_trace,
-    trace_ids,
-)
 from repro.service.core import ServiceCore
 from repro.storage.database import Database
 
@@ -47,13 +43,36 @@ def _message(seq, step, txn, payload, sender, receiver):
     )
 
 
+def _admit(seq, txn):
+    return Event(seq=seq, step=0, kind=EventKind.TXN_ADMIT, txn=txn)
+
+
 def test_infer_home_sites_direction_rules():
     events = [
-        _message(0, 0, "T1", "lock-request", 2, 0),  # sender-homed
-        _message(1, 0, "T2", "wound", 0, 4),         # receiver-homed
-        _message(2, 1, "T1", "wound", 3, 9),         # first wins
+        _admit(0, "T1"),
+        _message(1, 0, "T1", "lock-request", 2, 0),  # sender-homed
+        _admit(2, "T2"),
+        _message(3, 0, "T2", "wound", 0, 4),         # receiver-homed
+        _message(4, 1, "T1", "wound", 3, 9),         # first wins
     ]
-    assert infer_home_sites(events) == {"T1": 2, "T2": 4}
+    spans = build_spans(events)
+    assert {txn: span.home_site for txn, span in spans.items()} == {
+        "T1": 2, "T2": 4,
+    }
+    # A row that is not a message sits at its transaction's home site.
+    assert [row.site for row in spans["T1"].rows] == [2, 2, 3]
+
+
+def test_home_site_is_known_before_its_first_message():
+    # Home sites are first-observation-wins over the whole stream, so
+    # rows recorded before the first message are still attributed.
+    events = [
+        _admit(0, "T1"),
+        _message(1, 2, "T1", "lock-request", 3, 0),
+    ]
+    span = build_spans(events)["T1"]
+    assert span.rows[0].site == 3
+    assert span.trace_obj()["sites"] == [0, 3]
 
 
 def test_cross_site_rollback_cause_link():
@@ -65,15 +84,43 @@ def test_cross_site_rollback_cause_link():
         Event(seq=3, step=9, kind=EventKind.TXN_COMMIT, txn="T1",
               data={}),
     ]
-    trace = build_txn_trace(events, "T1")
-    rollback = [e for e in trace.entries if e.kind == "rollback"][0]
+    spans = build_spans(events)
+    trace = spans["T1"]
+    rollback = [e for e in trace.rows if e.kind == "rollback"][0]
     assert rollback.cause_seq == 1
     assert (rollback.site, rollback.to_site) == (4, 1)
     assert trace.cross_site_rollbacks() == [rollback]
     assert trace.outcome == "committed"
-    rendering = render_txn_trace(trace)
+    rendering = render_trace(trace)
     assert "wound crossed site 4 -> site 1" in rendering
     assert "<- seq 1" in rendering
+    # The requester's drill-down shows whom it preempted, at the
+    # victim's home site.
+    events.append(Event(seq=4, step=9, kind=EventKind.TXN_COMMIT,
+                        txn="T9", data={}))
+    spans = build_spans(events)
+    preempted = spans["T9"].rows[:1]
+    assert [(row.seq, row.site) for row in preempted] == [(2, 1)]
+    assert preempted[0].detail == (
+        "preempted T1: partial rollback to state 2 (3 states lost)"
+    )
+    assert spans["T9"].cross_site_rollbacks() == []
+
+
+def test_rows_before_the_span_opens_are_kept():
+    # An admission queue names a transaction before it is admitted: the
+    # span (and its intervals) start at admission, the drill-down at
+    # the first row.
+    events = [
+        Event(seq=0, step=1, kind=EventKind.ADMISSION_SUBMIT, txn="T1",
+              data={"queue": 1}),
+        Event(seq=1, step=7, kind=EventKind.TXN_ADMIT, txn="T1"),
+    ]
+    span = build_spans(events)["T1"]
+    assert span.start == 7
+    assert [row.seq for row in span.rows] == [0, 1]
+    assert span.trace_obj()["start"] == 1
+    assert span.rows[0].detail == "queue=1"
 
 
 def test_distributed_scenario_has_cross_site_rollback_timeline():
@@ -81,13 +128,15 @@ def test_distributed_scenario_has_cross_site_rollback_timeline():
 
     recorder, context = record_scenario("distributed", seed=0)
     assert context["cross_site_rollbacks"] > 0
+    spans = build_spans(recorder.events)
     crossing = [
-        txn
-        for txn in trace_ids(recorder.events)
-        if build_txn_trace(recorder.events, txn).cross_site_rollbacks()
+        txn for txn in sorted(spans) if spans[txn].cross_site_rollbacks()
     ]
     assert crossing  # at least one victim wounded across a site link
-    trace = build_txn_trace(recorder.events, crossing[0])
+    assert context["cross_site_rollbacks"] == sum(
+        len(spans[txn].cross_site_rollbacks()) for txn in crossing
+    )
+    trace = spans[crossing[0]]
     rollback = trace.cross_site_rollbacks()[0]
     # The cause link resolves back to the wound message that crossed
     # the boundary, and the rendering shows it end to end.
@@ -97,7 +146,7 @@ def test_distributed_scenario_has_cross_site_rollback_timeline():
     assert cause.kind is EventKind.MESSAGE_SEND
     assert cause.data["message"] == "wound"
     assert cause.data["sender"] != cause.data["receiver"]
-    rendering = render_txn_trace(trace)
+    rendering = render_trace(trace)
     assert "wound crossed site" in rendering
     assert f"<- seq {rollback.cause_seq}" in rendering
 
@@ -107,9 +156,10 @@ def test_txn_trace_is_same_seed_stable():
 
     first, _ = record_scenario("distributed", seed=3)
     second, _ = record_scenario("distributed", seed=3)
-    for txn in trace_ids(first.events)[:3]:
-        a = build_txn_trace(first.events, txn).to_obj()
-        b = build_txn_trace(second.events, txn).to_obj()
+    spans_a, spans_b = build_spans(first.events), build_spans(second.events)
+    for txn in sorted(spans_a)[:3]:
+        a = spans_a[txn].trace_obj()
+        b = spans_b[txn].trace_obj()
         assert json.dumps(a, sort_keys=True) == json.dumps(
             b, sort_keys=True
         )

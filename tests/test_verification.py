@@ -349,6 +349,27 @@ class TestOracleSensitivity:
                                                   ordered_policy=True)]
         assert sorted(all_names) == sorted(oracle_names())
 
+    def test_requester_livelock_is_not_a_theorem_2_violation(self):
+        # ``requester`` rolls the requester back every time, so under
+        # partial rollback it can re-close the same cycle forever: it
+        # makes no progress claim, and its livelock is reported, not
+        # flagged as a broken ordered policy.
+        config = WorkloadConfig(
+            n_transactions=12, n_entities=6, locks_per_txn=(2, 4),
+            write_ratio=1.0, skew="hotspot",
+        )
+        livelocked = run_with_oracles(
+            config, 0, RandomInterleaving(seed=7), policy="requester",
+            livelock_window=500,
+        )
+        assert livelocked.result.livelock_detected
+        assert livelocked.violation is None
+        # The same workload under an ordered policy commits everyone.
+        ordered = run_with_oracles(
+            config, 0, RandomInterleaving(seed=7), livelock_window=500,
+        )
+        assert ordered.ok and len(ordered.result.committed) == 12
+
 
 # ---------------------------------------------------------------------------
 # Fault injection: planted bugs are caught and shrunk
