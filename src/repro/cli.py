@@ -51,8 +51,9 @@ Commands
     admission / deadline machinery as of a step.
 
 ``fuzz``, ``chaos``, ``overload``, ``lint``, ``advise --smoke`` and
-``trace --smoke`` exit non-zero when anything fires, so CI can gate on
-them directly.
+``trace --smoke`` exit non-zero when anything fires, and ``trace`` and
+``top`` when the recorded scenario fails its own verdict, so CI can gate
+on them directly.
 """
 
 from __future__ import annotations
@@ -73,16 +74,9 @@ from .analysis import (
     well_defined_states,
 )
 from .core.rollback import available_strategies
-from .core.scheduler import Scheduler
 from .core.victim import available_policies
 from .graphs.render import concurrency_to_ascii
-from .simulation import (
-    RandomInterleaving,
-    SimulationEngine,
-    WorkloadConfig,
-    expected_final_state,
-    generate_workload,
-)
+from .simulation import RandomInterleaving, WorkloadConfig
 
 #: Derived from the registries, so a newly registered strategy or
 #: policy shows up in ``--help`` without touching this module.
@@ -167,29 +161,19 @@ def _config_from_args(args) -> WorkloadConfig:
     )
 
 
-def _build(args) -> tuple:
-    db, programs = generate_workload(_config_from_args(args), seed=args.seed)
-    return db, programs, expected_final_state(db, programs)
+def cmd_run(args) -> int:
+    from .verification.harness import run_with_oracles
 
-
-def _run_once(args, strategy: str, policy: str):
-    db, programs, expected = _build(args)
-    scheduler = Scheduler(db, strategy=strategy, policy=policy)
-    engine = SimulationEngine(
-        scheduler, RandomInterleaving(seed=args.seed + 1),
+    outcome = run_with_oracles(
+        _config_from_args(args), args.seed,
+        RandomInterleaving(seed=args.seed + 1),
+        strategy=args.strategy, policy=args.policy, checks=[],
         max_steps=2_000_000, livelock_window=50_000,
     )
-    for program in programs:
-        engine.add(program)
-    result = engine.run()
-    serializable = (
-        not result.livelock_detected and result.final_state == expected
-    )
-    return result, serializable
-
-
-def cmd_run(args) -> int:
-    result, serializable = _run_once(args, args.strategy, args.policy)
+    result = outcome.result
+    if result is None:
+        raise outcome.violation
+    serializable = outcome.ok and not result.livelock_detected
     if args.trace:
         print(result.trace.render())
         print()
@@ -203,12 +187,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .verification.harness import run_with_oracles
+
     print(f"{'strategy':<14}{'deadlocks':>10}{'rollbacks':>10}"
           f"{'restarts':>10}{'lost':>8}{'copies':>8}{'steps':>8}")
     ok = True
     for strategy in STRATEGIES:
-        result, serializable = _run_once(args, strategy, args.policy)
-        ok = ok and serializable
+        outcome = run_with_oracles(
+            _config_from_args(args), args.seed,
+            RandomInterleaving(seed=args.seed + 1),
+            strategy=strategy, policy=args.policy, checks=[],
+            max_steps=2_000_000, livelock_window=50_000,
+        )
+        result = outcome.result
+        if result is None:
+            raise outcome.violation
+        ok = ok and outcome.ok and not result.livelock_detected
         m = result.metrics
         print(f"{strategy:<14}{m.deadlocks:>10}{m.rollbacks:>10}"
               f"{m.total_rollbacks:>10}{m.states_lost:>8}"
@@ -363,12 +357,12 @@ def cmd_chaos(args) -> int:
             deadline=deadline,
         )
     else:
-        outcomes, violations = [], []
+        report = ChaosReport()
         for round_index in range(args.rounds):
             if deadline is not None and deadline():
                 break
             for strategy in strategies:
-                outcome = chaos_run(
+                report.outcomes.append(chaos_run(
                     config,
                     workload_seed=args.workload_seed
                     if args.workload_seed is not None else args.seed,
@@ -386,11 +380,7 @@ def cmd_chaos(args) -> int:
                     sites=args.sites,
                     replicate=args.replicate,
                     cross_site_mode=args.cross_site_mode,
-                )
-                outcomes.append(outcome)
-                if outcome.violation is not None:
-                    violations.append(outcome.violation)
-        report = ChaosReport(outcomes=outcomes, violations=violations)
+                ))
 
     crashes = sum(outcome.crashes for outcome in report.outcomes)
     recovered = sum(
@@ -701,7 +691,7 @@ def cmd_trace(args) -> int:
         to_chrome,
         to_jsonl,
     )
-    from .observability.scenarios import record_scenario
+    from .observability.scenarios import record_scenario, scenario_failed
     from .observability.spans import build_spans, validate_spans
     from .observability.streaming import StreamingAggregator
 
@@ -753,7 +743,7 @@ def cmd_trace(args) -> int:
             print(f"wrote {args.out} ({len(span.rows)} entries)")
         else:
             sys.stdout.write(payload)
-        return 0
+        return 1 if scenario_failed(context) else 0
     if args.format == "jsonl":
         payload = to_jsonl(events)
     elif args.format == "chrome":
@@ -787,7 +777,7 @@ def cmd_trace(args) -> int:
         print(f"wrote {args.out} ({len(events)} events)")
     else:
         sys.stdout.write(payload)
-    return 0
+    return 1 if scenario_failed(context) else 0
 
 
 def _cmd_top_follow(args) -> int:
@@ -827,14 +817,14 @@ def _cmd_top_follow(args) -> int:
 def cmd_top(args) -> int:
     import json
 
-    from .observability.scenarios import record_scenario
+    from .observability.scenarios import record_scenario, scenario_failed
     from .observability.top import build_top, render_top
 
     if args.follow and args.connect is None:
         args.usage_error("--follow needs --connect HOST:PORT")
     if args.connect is not None:
         return _cmd_top_follow(args)
-    recorder, _context = record_scenario(
+    recorder, context = record_scenario(
         args.scenario, seed=args.seed, sample_every=args.sample_every
     )
     report = build_top(recorder.events, at=args.at, limit=args.limit)
@@ -842,7 +832,7 @@ def cmd_top(args) -> int:
         print(json.dumps(report.to_obj(), indent=2, sort_keys=True))
     else:
         print(render_top(report))
-    return 0
+    return 1 if scenario_failed(context) else 0
 
 
 def cmd_serve(args) -> int:

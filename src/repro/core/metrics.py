@@ -99,6 +99,17 @@ class Metrics:
         self.shed += 1
         self.shed_outcomes[txn_id] = reason
 
+    def forget(self, txn_id: str) -> None:
+        """Drop a forgotten transaction from the per-transaction books;
+        a victim takes its rollback events and preemption pairs along."""
+        self.shed_outcomes.pop(txn_id, None)
+        if self.rollbacks_by_victim.pop(txn_id, 0):
+            self.rollback_events = [
+                e for e in self.rollback_events if e.victim != txn_id
+            ]
+            for pair in [p for p in self.preemptions if p[1] == txn_id]:
+                del self.preemptions[pair]
+
     def observe_admission_queue(self, depth: int) -> None:
         """Track the peak depth of the admission controller's wait queue."""
         self.admission_queue_peak = max(self.admission_queue_peak, depth)

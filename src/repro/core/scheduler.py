@@ -233,6 +233,7 @@ class Scheduler:
                 f"transaction can be forgotten"
             )
         del self.transactions[txn_id]
+        self.metrics.forget(txn_id)
 
     # -- status transitions --------------------------------------------------
 

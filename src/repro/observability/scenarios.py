@@ -66,15 +66,23 @@ def record_scenario(
     )
 
 
+def scenario_failed(context: dict[str, Any]) -> bool:
+    """Whether the run failed its own verdict: ``ok`` false, or a livelock
+    under ``overload``'s ordered policy (``run``'s ``min-cost`` may)."""
+    return context.get("ok") is False or (
+        context["scenario"] == "overload" and context["livelock"]
+    )
+
+
 def _scenario_run(
     seed: int, sample_every: int
 ) -> tuple[RunRecorder, dict[str, Any]]:
-    from ..core.scheduler import Scheduler
-    from ..simulation.engine import SimulationEngine
     from ..simulation.interleaving import RandomInterleaving
-    from ..simulation.workload import WorkloadConfig, generate_workload
+    from ..simulation.workload import WorkloadConfig
+    from ..verification.harness import run_with_oracles
 
-    database, programs = generate_workload(
+    recorder = RunRecorder(sample_every=sample_every)
+    outcome = run_with_oracles(
         WorkloadConfig(
             n_transactions=10,
             n_entities=6,
@@ -82,19 +90,16 @@ def _scenario_run(
             write_ratio=1.0,
             skew="hotspot",
         ),
-        seed=seed,
-    )
-    scheduler = Scheduler(database, strategy="mcs", policy="min-cost")
-    engine = SimulationEngine(
-        scheduler,
+        seed,
         RandomInterleaving(seed=seed),
-        max_steps=200_000,
-        livelock_window=20_000,
+        strategy="mcs",
+        policy="min-cost",
+        checks=[],
+        instrument=recorder.attach,
     )
-    recorder = RunRecorder(sample_every=sample_every).attach(engine)
-    for program in programs:
-        engine.add(program)
-    result = engine.run()
+    result = outcome.result
+    if result is None:
+        raise outcome.violation
     return recorder, {
         "scenario": "run",
         "seed": seed,
@@ -134,9 +139,7 @@ def _scenario_chaos(
         "crashes": outcome.crashes,
         "committed": sorted(outcome.committed),
         "ok": outcome.ok,
-        "violation": (
-            None if outcome.violation is None else str(outcome.violation)
-        ),
+        "violation": outcome.violation and str(outcome.violation),
     }
 
 
@@ -214,7 +217,5 @@ def _scenario_distributed(
         "committed": sorted(outcome.committed),
         "cross_site_rollbacks": cross_site_rollbacks,
         "ok": outcome.ok,
-        "violation": (
-            None if outcome.violation is None else str(outcome.violation)
-        ),
+        "violation": outcome.violation and str(outcome.violation),
     }

@@ -14,7 +14,6 @@ from .chaos import (
     ChaosRunOutcome,
     chaos_run,
     crash_recovery_sweep,
-    recovery_equivalence_check,
 )
 from .faults import (
     CrashSignal,
@@ -43,5 +42,4 @@ __all__ = [
     "WriteAheadLog",
     "chaos_run",
     "crash_recovery_sweep",
-    "recovery_equivalence_check",
 ]

@@ -1,22 +1,23 @@
 """The chaos loop: run a workload under injected faults, crash, recover,
 and prove the outcome unchanged.
 
-:func:`chaos_run` executes one workload as a sequence of *segments*: an
-engine runs under a :class:`~repro.resilience.faults.FaultInjector` and a
-:class:`~repro.resilience.recovery.RecoveryManager` until either the
-workload completes or an injected :class:`CrashSignal` kills the
-scheduler.  On a crash the recovery manager rebuilds the durable state
-from checkpoint + WAL redo, the surviving programs are re-registered —
-in their original admission order — on a fresh scheduler over the
-recovered database, and the next segment resumes with the same injector
-(fault indices are run-global).  When the last segment finishes, the
-final database state must equal the analytically expected serial state;
-anything else raises the ``recovery-equivalence`` verdict.
+A chaos run is the verification harness plus a recovery loop.
+:func:`chaos_run` plans the faults, then runs the workload in
+*segments*, each one :func:`~repro.verification.harness.run_armed` with
+a :class:`~repro.resilience.recovery.RecoveryManager` and a
+:class:`~repro.resilience.faults.FaultInjector` attached, until the
+workload completes.  On an injected :class:`CrashSignal` the recovery
+manager rebuilds the durable state from checkpoint + WAL redo, the
+surviving programs are re-registered — in their original admission
+order — on a fresh scheduler over the recovered database, and the next
+segment resumes with the same injector (fault indices are run-global).
+The stitched final state must be the serial one: the harness's
+post-run verdict, named ``recovery-equivalence`` here.
 
 :func:`crash_recovery_sweep` is the acceptance gate: for every strategy
 it runs the fault-free reference, then re-runs the workload with a crash
-injected at every recorded event index, checking each recovered run
-converges to the same committed final state.
+at every recorded event index (or at a few sampled ones, the fuzzer's
+``recovery-equivalence`` check).
 
 Both entry points are deterministic functions of
 ``(workload config, workload seed, chaos seed)``:
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.scheduler import Scheduler
-from ..errors import ReproError
 from ..observability.events import EventKind
 from ..simulation.engine import SimulationEngine
 from ..simulation.interleaving import RandomInterleaving
@@ -43,8 +43,13 @@ from ..simulation.workload import (
 )
 from ..storage.database import Database
 from ..verification.differential import COPY_STRATEGIES
-from ..verification.harness import is_ordered_policy, policy_name
-from ..verification.oracles import OracleSuite, OracleViolation, make_oracles
+from ..verification.harness import (
+    is_ordered_policy,
+    policy_name,
+    post_run_verdict,
+    run_armed,
+)
+from ..verification.oracles import OracleViolation
 from .faults import CrashSignal, FaultEvent, FaultInjector, FaultKind, FaultPlan
 from .recovery import RecoveryManager
 
@@ -105,8 +110,11 @@ class ChaosRunOutcome:
 class ChaosReport:
     """A whole chaos campaign (several runs, e.g. one per strategy)."""
 
-    outcomes: list[ChaosRunOutcome]
-    violations: list[OracleViolation]
+    outcomes: list[ChaosRunOutcome] = field(default_factory=list)
+
+    @property
+    def violations(self) -> list[OracleViolation]:
+        return [o.violation for o in self.outcomes if o.violation is not None]
 
     @property
     def ok(self) -> bool:
@@ -128,31 +136,6 @@ def _segment_seed(chaos_seed: int, segment: int) -> int:
     """Deterministic per-segment interleaving seed (avoids Python's
     randomised string hashing; plain integer arithmetic only)."""
     return (chaos_seed * 1_000_003 + segment * 7_919 + 12_289) % (2**31)
-
-
-def _build_scheduler(
-    state: dict,
-    strategy: str,
-    policy,
-    view,
-    cross_site_mode: str,
-    wait_timeout: int,
-    backoff_seed: int,
-):
-    database = Database(dict(state))
-    if view is None:
-        return Scheduler(database, strategy=strategy, policy=policy)
-    from ..distributed import DistributedScheduler
-
-    return DistributedScheduler(
-        database,
-        view,
-        strategy=strategy,
-        policy=policy,
-        cross_site_mode=cross_site_mode,
-        wait_timeout=wait_timeout,
-        backoff_seed=backoff_seed,
-    )
 
 
 def chaos_run(
@@ -214,6 +197,7 @@ def chaos_run(
         )
     view = None
     if sites > 0:
+        from ..distributed import DistributedScheduler
         from ..distributed import hash_view, round_robin_partition
 
         entities = database.snapshot().keys()
@@ -225,7 +209,6 @@ def chaos_run(
 
     injector = FaultInjector(plan)
     ordered = is_ordered_policy(policy)
-    exclusive_only = config.write_ratio >= 1.0
     if sites > 0 and checks == "all":
         checks = list(DISTRIBUTED_SAFE_CHECKS)
 
@@ -244,43 +227,45 @@ def chaos_run(
     max_segments = len(plan.crash_indices()) + 2
 
     for segment in range(max_segments):
-        scheduler = _build_scheduler(
-            state, strategy, policy, view, cross_site_mode, wait_timeout,
-            backoff_seed=_segment_seed(chaos_seed, segment),
-        )
-        suite = OracleSuite(
-            make_oracles(
-                checks,
-                exclusive_only=exclusive_only,
-                ordered_policy=ordered,
+        seed = _segment_seed(chaos_seed, segment)
+        scheduler = (
+            Scheduler(Database(dict(state)), strategy=strategy, policy=policy)
+            if view is None
+            else DistributedScheduler(
+                Database(dict(state)),
+                view,
+                strategy=strategy,
+                policy=policy,
+                cross_site_mode=cross_site_mode,
+                wait_timeout=wait_timeout,
+                backoff_seed=seed,
             )
         )
-        engine = SimulationEngine(
+        recovery = RecoveryManager(survivors, checkpoint_every)
+        run = run_armed(
             scheduler,
-            RandomInterleaving(seed=_segment_seed(chaos_seed, segment)),
+            survivors,
+            RandomInterleaving(seed=seed),
+            checks=checks,
+            exclusive_only=config.write_ratio >= 1.0,
+            ordered=ordered,
             max_steps=max_steps,
             livelock_window=livelock_window,
-            stop_on_livelock=True,
-            on_step=suite,
+            # Last: the crash fires after the WAL bookkeeping.
+            attach=(instrument, recovery.attach, injector.attach),
+            interrupt=CrashSignal,
         )
-        if instrument is not None:
-            instrument(engine)
-        recovery = RecoveryManager(survivors, checkpoint_every)
-        recovery.attach(engine)
-        injector.attach(engine)  # last: crash fires after WAL bookkeeping
-        for program in survivors:
-            engine.add(program)
-        try:
-            result = engine.run()
-        except CrashSignal:
+        if run.interrupted is not None:
             scheduler.bus.publish(
-                EventKind.CRASH,
-                segment=segment,
-                at=len(engine.trace),
+                EventKind.CRASH, segment=segment, at=run.steps
             )
-            segment_fingerprints.append(engine.trace.fingerprint())
-            metrics_summaries.append(scheduler.metrics.summary())
-            steps += len(engine.trace)
+        segment_fingerprints.append(run.fingerprint)
+        steps += run.steps
+        if run.violation is not None:
+            violation = run.violation
+            break
+        metrics_summaries.append(scheduler.metrics.summary())
+        if run.interrupted is not None:
             recovered = recovery.recover()
             committed.extend(recovered.committed)
             state = recovered.state
@@ -289,22 +274,9 @@ def chaos_run(
             if not survivors:
                 break
             continue
-        except OracleViolation as exc:
-            violation = exc
-            segment_fingerprints.append(engine.trace.fingerprint())
-            steps += len(engine.trace)
-            break
-        except ReproError as exc:
-            violation = OracleViolation("engine", str(exc))
-            segment_fingerprints.append(engine.trace.fingerprint())
-            steps += len(engine.trace)
-            break
-        segment_fingerprints.append(engine.trace.fingerprint())
-        metrics_summaries.append(scheduler.metrics.summary())
-        steps += len(engine.trace)
-        committed.extend(result.committed)
-        final_state = result.final_state
-        livelocked = result.livelock_detected
+        committed.extend(run.result.committed)
+        final_state = run.result.final_state
+        livelocked = run.result.livelock_detected
         break
     else:
         violation = OracleViolation(
@@ -313,25 +285,19 @@ def chaos_run(
             f"completing (crash indices {plan.crash_indices()})",
         )
 
-    if violation is None and livelocked and ordered:
-        violation = OracleViolation(
-            "livelock-free",
-            f"livelock under order-respecting policy "
-            f"{policy_name(policy)!r} during chaos run "
-            f"(seed {chaos_seed})",
-        )
-    if violation is None and final_state != expected:
-        diff = {
-            name: (final_state.get(name), value)
-            for name, value in expected.items()
-            if final_state.get(name) != value
-        }
-        violation = OracleViolation(
-            RECOVERY_EQUIVALENCE,
-            f"post-recovery final state diverges from the fault-free "
-            f"serial state under {strategy!r} (chaos seed {chaos_seed}, "
-            f"{injector.crashes_fired} crash(es)): (got, want) per "
-            f"entity {diff}",
+    if violation is None:
+        # Unlike one engine run, a chaos run does not excuse a livelock
+        # under an unordered policy: the work it left undone reads as a
+        # diverged final state.
+        violation = post_run_verdict(
+            final_state,
+            expected,
+            strategy=strategy,
+            policy=policy_name(policy),
+            livelocked=livelocked and ordered,
+            oracle=RECOVERY_EQUIVALENCE,
+            detail=f" (chaos seed {chaos_seed}, "
+            f"{injector.crashes_fired} crash(es))",
         )
     return ChaosRunOutcome(
         strategy=strategy,
@@ -355,6 +321,7 @@ def crash_recovery_sweep(
     chaos_seed: int = 0,
     checkpoint_every: int = 10,
     every: int = 1,
+    sample: int | None = None,
     sites: int = 0,
     replicate: int = 0,
     cross_site_mode: str = "wound-wait",
@@ -365,23 +332,24 @@ def crash_recovery_sweep(
     """Crash at *every* recorded event index, for every strategy.
 
     The fault-free reference run fixes the number of recorded events N;
-    the sweep then replays the workload N times per strategy with a
-    single crash planted at event k (k = 0, ``every``, 2·``every``, …),
-    asserting each recovered run reaches the fault-free committed final
-    state.  ``deadline`` (a no-argument callable returning True when the
-    budget is spent) lets CI cap the sweep without losing determinism of
-    whatever prefix did run.
+    the sweep then replays the workload per strategy with one crash at
+    event k (k = 0, ``every``, 2·``every``, …).  ``sample`` is the
+    fuzzer's cheap check instead: that many crash points spread over
+    events 1…N-1, ending the sweep at its first violation.  ``deadline``
+    (a no-argument callable returning True when the budget is spent)
+    lets CI cap the sweep without losing determinism of whatever prefix
+    did run.
     """
-    outcomes: list[ChaosRunOutcome] = []
-    violations: list[OracleViolation] = []
-    for strategy in strategies:
-        reference = chaos_run(
+    report = ChaosReport()
+
+    def one_run(strategy: str, events: list[FaultEvent]) -> ChaosRunOutcome:
+        outcome = chaos_run(
             config,
             workload_seed,
             chaos_seed,
             strategy=strategy,
             policy=policy,
-            plan=FaultPlan(seed=chaos_seed, events=[]),
+            plan=FaultPlan(seed=chaos_seed, events=events),
             checkpoint_every=checkpoint_every,
             sites=sites,
             replicate=replicate,
@@ -389,103 +357,24 @@ def crash_recovery_sweep(
             checks=checks,
             max_steps=max_steps,
         )
-        outcomes.append(reference)
-        if reference.violation is not None:
-            violations.append(reference.violation)
-            continue
-        n_events = reference.steps
-        for k in range(0, n_events, max(1, every)):
-            if deadline is not None and deadline():
+        report.outcomes.append(outcome)
+        return outcome
+
+    for strategy in strategies:
+        reference = one_run(strategy, [])
+        n_events = reference.steps if reference.ok else 0
+        if sample is None:
+            points = range(0, n_events, max(1, every))
+        else:
+            points = sorted(
+                {1 + i * (n_events - 1) // sample for i in range(sample)}
+            ) if n_events > 1 else []
+        for k in points:
+            if (sample and not report.ok) or (
+                deadline is not None and deadline()
+            ):
                 break
-            outcome = chaos_run(
-                config,
-                workload_seed,
-                chaos_seed,
-                strategy=strategy,
-                policy=policy,
-                plan=FaultPlan(
-                    seed=chaos_seed,
-                    events=[FaultEvent(FaultKind.CRASH, k)],
-                ),
-                checkpoint_every=checkpoint_every,
-                sites=sites,
-                replicate=replicate,
-                cross_site_mode=cross_site_mode,
-                checks=checks,
-                max_steps=max_steps,
-            )
-            outcomes.append(outcome)
-            if outcome.violation is not None:
-                violations.append(outcome.violation)
-            elif outcome.final_state != reference.final_state:
-                violations.append(
-                    OracleViolation(
-                        RECOVERY_EQUIVALENCE,
-                        f"crash at event {k} under {strategy!r} recovered "
-                        f"to a different final state than the fault-free "
-                        f"run",
-                    )
-                )
-    return ChaosReport(outcomes=outcomes, violations=violations)
-
-
-def recovery_equivalence_check(
-    config: WorkloadConfig,
-    workload_seed: int,
-    chaos_seed: int,
-    strategy: str = "mcs",
-    policy="ordered-min-cost",
-    sample: int = 3,
-    checkpoint_every: int = 10,
-    max_steps: int = 200_000,
-) -> OracleViolation | None:
-    """Sampled crash-recovery equivalence (the fuzzer's post-run check).
-
-    Runs the fault-free reference, then ``sample`` crash points spread
-    evenly across the recorded events; returns the first violation found
-    or ``None``.  Much cheaper than the full sweep while still exercising
-    early, middle, and late crash points every round.
-    """
-    reference = chaos_run(
-        config,
-        workload_seed,
-        chaos_seed,
-        strategy=strategy,
-        policy=policy,
-        plan=FaultPlan(seed=chaos_seed, events=[]),
-        checkpoint_every=checkpoint_every,
-        max_steps=max_steps,
-    )
-    if reference.violation is not None:
-        return reference.violation
-    n_events = reference.steps
-    if n_events < 2 or sample < 1:
-        return None
-    points = sorted(
-        {
-            1 + (i * (n_events - 1)) // max(1, sample)
-            for i in range(sample)
-        }
-    )
-    for k in points:
-        outcome = chaos_run(
-            config,
-            workload_seed,
-            chaos_seed,
-            strategy=strategy,
-            policy=policy,
-            plan=FaultPlan(
-                seed=chaos_seed, events=[FaultEvent(FaultKind.CRASH, k)]
-            ),
-            checkpoint_every=checkpoint_every,
-            max_steps=max_steps,
-        )
-        if outcome.violation is not None:
-            return outcome.violation
-        if outcome.final_state != reference.final_state:
-            return OracleViolation(
-                RECOVERY_EQUIVALENCE,
-                f"crash at event {k} under {strategy!r} recovered to a "
-                f"different final state than the fault-free run",
-            )
-    return None
+            one_run(strategy, [FaultEvent(FaultKind.CRASH, k)])
+        if sample and not report.ok:
+            break
+    return report

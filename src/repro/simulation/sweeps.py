@@ -3,7 +3,8 @@
 The benchmark harness (and any downstream study) repeats one pattern: fix
 a workload, vary one axis (strategy, policy, concurrency, budget...), run
 several seeds, aggregate the metrics, and compare rows.  This module
-packages that pattern:
+packages that pattern, each run one
+:func:`~repro.verification.harness.run_armed` over a scheduler factory:
 
 >>> sweep = Sweep(
 ...     base=WorkloadConfig(n_transactions=10, n_entities=8),
@@ -20,8 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.scheduler import Scheduler
-from ..errors import SimulationError
-from .engine import SimulationEngine, SimulationResult
+from .engine import SimulationResult
 from .interleaving import RandomInterleaving
 from .workload import WorkloadConfig, expected_final_state, generate_workload
 
@@ -109,31 +109,29 @@ class Sweep:
         make_scheduler: SchedulerFactory,
         config: WorkloadConfig | None = None,
     ) -> CellResult:
-        """Run one cell: every seed through a fresh scheduler."""
+        """Run one cell: every seed through a fresh scheduler, judged by
+        the harness's post-run verdict with no step oracle armed (a
+        livelock is counted, and ``cmd_sweep`` judges it)."""
+        # Imported lazily: repro.verification imports this package.
+        from ..verification.harness import run_armed
+
         cell = CellResult(label)
         for seed in self.seeds:
             db, programs = generate_workload(
                 config or self.base, seed=seed
             )
-            expected = expected_final_state(db, programs)
-            scheduler = make_scheduler(db)
-            engine = SimulationEngine(
-                scheduler,
+            outcome = run_armed(
+                make_scheduler(db),
+                programs,
                 RandomInterleaving(rng=random.Random(seed * 101 + 7)),
+                expected=expected_final_state(db, programs),
+                checks=[],
                 max_steps=self.max_steps,
                 livelock_window=self.livelock_window,
             )
-            for program in programs:
-                engine.add(program)
-            try:
-                result = engine.run()
-            except SimulationError:
-                raise
-            ok = (
-                result.livelock_detected
-                or result.final_state == expected
-            )
-            cell.add(result, ok)
+            if outcome.result is None:
+                raise outcome.violation
+            cell.add(outcome.result, outcome.ok)
         return cell
 
     # -- common axes ------------------------------------------------------------

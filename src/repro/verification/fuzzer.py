@@ -209,28 +209,28 @@ def fuzz_campaign(config: FuzzConfig) -> FuzzReport:
             # Sampled crash-recovery equivalence: one strategy per round
             # (rotating), a few crash points per run.  Imported lazily —
             # repro.resilience.chaos imports this package.
-            from ..resilience.chaos import recovery_equivalence_check
+            from ..resilience.chaos import crash_recovery_sweep
 
             strategy = config.strategies[
                 (report.rounds - 1) % len(config.strategies)
             ]
-            chaos_seed = rng.randrange(2**32)
-            violation = recovery_equivalence_check(
+            sweep = crash_recovery_sweep(
                 workload,
                 workload_seed,
-                chaos_seed,
-                strategy=strategy,
+                strategies=(strategy,),
                 policy=config.policy,
+                chaos_seed=rng.randrange(2**32),
+                sample=3,
                 max_steps=config.max_run_steps,
             )
-            if violation is not None:
+            if sweep.violations:
                 # Crash runs cannot be replayed by a scripted schedule
                 # (the recovery loop spans several engines), so the
                 # failure is recorded without a shrinkable case; the
                 # chaos CLI reproduces it from the seeds.
                 report.failures.append(
                     FuzzFailure(
-                        violation=violation,
+                        violation=sweep.violations[0],
                         round_index=report.rounds - 1,
                     )
                 )

@@ -98,9 +98,9 @@ class TestCliSweep:
         """Report the sweep's first engine run as livelocked."""
         from dataclasses import replace
 
-        from repro.simulation import sweeps
+        from repro.verification import harness
 
-        class FirstRunLivelocks(sweeps.SimulationEngine):
+        class FirstRunLivelocks(harness.SimulationEngine):
             runs = 0
 
             def run(self):
@@ -110,7 +110,7 @@ class TestCliSweep:
                     result = replace(result, livelock_detected=True)
                 return result
 
-        monkeypatch.setattr(sweeps, "SimulationEngine", FirstRunLivelocks)
+        monkeypatch.setattr(harness, "SimulationEngine", FirstRunLivelocks)
 
     def test_sweep_fails_on_livelock_under_ordered_policy(
         self, capsys, monkeypatch

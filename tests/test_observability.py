@@ -481,6 +481,45 @@ def test_cli_top_json(capsys):
     assert "hottest_entities" in obj
 
 
+def _failing_scenario(monkeypatch, **verdict):
+    """Make ``record_scenario`` report *verdict* over a real recording."""
+    from repro.observability import scenarios
+
+    record = scenarios.record_scenario
+
+    def failing(name, seed=0, sample_every=25):
+        recorder, context = record(name, seed=seed, sample_every=sample_every)
+        return recorder, {**context, **verdict}
+
+    monkeypatch.setattr(scenarios, "record_scenario", failing)
+
+
+@pytest.mark.parametrize(
+    "argv, verdict, code",
+    [
+        (["trace", "chaos"], {"ok": False}, 1),
+        (["trace", "distributed", "--txn", "T007"], {"ok": False}, 1),
+        (["trace", "overload", "--format", "chrome"], {"livelock": True}, 1),
+        (["top", "distributed", "--json"], {"ok": False}, 1),
+        (["top", "overload"], {"livelock": True}, 1),
+        # The run scenario's min-cost policy may livelock (Figure 2).
+        (["trace", "run"], {"livelock": True}, 0),
+        (["top", "run"], {"livelock": True}, 0),
+    ],
+)
+def test_cli_trace_and_top_exit_on_a_failed_scenario(
+    capsys, monkeypatch, argv, verdict, code
+):
+    """A scenario that fails its own verdict exits 1 after printing
+    exactly what a passing one prints."""
+    argv = argv + ["--seed", "0"]
+    assert main(argv) == 0
+    passing = capsys.readouterr().out
+    _failing_scenario(monkeypatch, **verdict)
+    assert main(argv) == code
+    assert capsys.readouterr().out == passing
+
+
 # -- crash-safe streaming ----------------------------------------------------
 
 

@@ -184,3 +184,50 @@ class TestChaosRun:
         )
         assert outcome.ok
         assert outcome.final_state == reference.final_state
+
+
+class TestPlantedRecoveryBug:
+    """Recovery that skips redo must be caught as ``recovery-equivalence``
+    by every entry point that judges crash recovery."""
+
+    X_ONLY = WorkloadConfig(
+        n_transactions=4, n_entities=4, locks_per_txn=(2, 3),
+        write_ratio=1.0,
+    )
+
+    @pytest.fixture(autouse=True)
+    def skip_redo(self, monkeypatch):
+        def recover_state(wal):
+            point = wal.latest_checkpoint()
+            base = wal._initial_state if point is None else point.state
+            return dict(base), wal.committed_ids()
+
+        monkeypatch.setattr(WriteAheadLog, "recover_state", recover_state)
+
+    def test_chaos_run_with_a_crash(self):
+        outcome = chaos_run(
+            self.X_ONLY, workload_seed=7, chaos_seed=7, crashes=1
+        )
+        assert outcome.crashes == 1
+        assert outcome.violation.oracle == "recovery-equivalence"
+
+    def test_crash_recovery_sweep(self):
+        report = crash_recovery_sweep(
+            self.X_ONLY, workload_seed=7, strategies=("mcs",), chaos_seed=7
+        )
+        assert report.outcomes[0].ok  # the fault-free reference
+        assert len(report.violations) == 14
+        assert {v.oracle for v in report.violations} == {
+            "recovery-equivalence"
+        }
+
+    def test_fuzz_sampled_check(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "fuzz", "--seed", "11", "--steps", "800", "--check",
+            "no-commit-loss,lock-table,recovery-equivalence",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[recovery-equivalence]" in out

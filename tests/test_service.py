@@ -516,6 +516,34 @@ class TestLifetimeBoundedness:
         assert sizes[4000] == sizes[100]
         assert core.telemetry.metrics_obj()["done"] == 4000
 
+    def test_metrics_books_do_not_grow_with_transactions_served(self):
+        """Forgetting a served transaction drops it from the metrics'
+        per-transaction books: an aborted session's shed outcome, and a
+        deadlock victim's rollback events and preemption pairs."""
+        core, _ = make_core()
+        d = Driver(core)
+        for _ in range(50):
+            txn = d.ok("begin", idem=False)["txn"]
+            d.ok("lock", txn=txn, entity="e002", idem=False)
+            d.ok("abort", txn=txn, idem=False)
+            t1 = d.ok("begin", idem=False)["txn"]
+            t2 = d.ok("begin", idem=False)["txn"]
+            d.ok("lock", txn=t1, entity="e000", idem=False)
+            d.ok("lock", txn=t2, entity="e001", idem=False)
+            d.send("lock", txn=t1, entity="e001", idem=False)  # blocks
+            d.send("lock", txn=t2, entity="e000", idem=False)  # deadlock
+            d.send("commit", txn=t1, idem=False)
+            d.send("commit", txn=t2, idem=False)
+            d.tick_until_idle()
+        metrics = core.scheduler.metrics
+        assert metrics.shed == 50 and metrics.rollbacks >= 50
+        assert metrics.commits == 100
+        assert not core.scheduler.transactions
+        assert metrics.shed_outcomes == {}
+        assert not metrics.rollbacks_by_victim
+        assert not metrics.preemptions
+        assert metrics.rollback_events == []
+
     def test_status_reply_carries_graph_counters(self):
         core, d = self.ten_sessions()
         status = d.ok("status")
